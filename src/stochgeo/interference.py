@@ -6,16 +6,22 @@ integral of the form  II(K) = int int l(x) l(y) K(|x-y|) dx dy, evaluated in
 the 3-D radial form (r, s, relative angle) to tame the raw 4-D integral.
 The Gaussian kernel's angular integral is a Bessel I0 and is done in closed
 form.
+
+The path-loss autocorrelation C1(w) = int l(x) l(x - w) dx, which both the
+displaced cross terms and the mean product need, is one fixed-node rule for
+any number of w at once: 128 Gauss-Legendre angles on [0, pi] times
+composite Gauss-Legendre radial panels whose breakpoints halve towards both
+peaks of the integrand, r = 0 and r = w, plus a rational map for the tail.
 """
 
+import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
 
-from .core import ToleranceError
-from .numerics import integrate_1d
 from .pointprocess import GPP, MCP, PPP, NetworkModel
 
 __all__ = [
@@ -121,50 +127,121 @@ def _cross_integral_lens(pl, rd, n_r=200, n_psi=96, r_max_factor=40.0):
     return float(2.0 * math.pi * (f @ kern @ f))
 
 
-def _cross_l_shifted(pl, u, n_psi=128):
-    """C1(u) = int_R2 l(x) l(x - u) dx via radial-angular quadrature."""
-    u = abs(float(u))
-    if u == 0.0:
-        return _l2_integral(pl)
-    xp, wp = np.polynomial.legendre.leggauss(n_psi)
-    psi = 0.5 * math.pi * (xp + 1.0)
-    wpsi = 0.5 * math.pi * wp
+# Fixed rule for C1: Gauss-Legendre orders of the angle, of each radial panel
+# and of the tail past the cap, and how many w share one evaluation block.
+_C1_ANGLE_NODES = 128
+_C1_PANEL_NODES = 12
+_C1_TAIL_NODES = 16
+_C1_CAP = 4096.0
+_C1_W_PER_BLOCK = 4  # about 2000 radial nodes: a (2000, 128) float64 block is 2 MB
 
-    def radial(r):
-        d = np.sqrt(r * r + u * u - 2.0 * r * u * np.cos(psi))
-        return 2.0 * r * pl.ell(r) * np.dot(wpsi, pl.ell(d))
 
-    res = integrate_1d(radial, 0.0, np.inf)
-    if not res.converged:
-        raise ToleranceError("shifted cross integral did not converge")
-    return float(res.value)
+@functools.cache
+def _c1_rules():
+    """Angular rule on [0, pi] as (sin^2(psi/2), weight), and the radial and
+    tail Gauss-Legendre rules on [-1, 1]."""
+    x, wx = np.polynomial.legendre.leggauss(_C1_ANGLE_NODES)
+    psi = 0.5 * math.pi * (x + 1.0)
+    return (
+        (np.sin(0.5 * psi) ** 2, 0.5 * math.pi * wx),
+        np.polynomial.legendre.leggauss(_C1_PANEL_NODES),
+        np.polynomial.legendre.leggauss(_C1_TAIL_NODES),
+    )
+
+
+def _c1_radial_nodes(w, scale):
+    """Radial nodes r, weights and owning index into w for each w > 0.
+
+    Panel breakpoints are 0, w and the cap, plus h and w +- h for
+    h = scale/4, scale/2, scale, 2 scale, ... up to the cap, where
+    scale = eps^(1/alpha) is the width of the integrand's peaks at r = 0 and
+    r = w (so h = 2^k/4 at eps = 1).  The cap is 4096 max(1, scale, w); past
+    it, r = cap / (1 - t) maps the tail onto t in [0, 1).
+    """
+    _, (x, wx), (t, wt) = _c1_rules()
+    cap = _C1_CAP * np.maximum(max(1.0, scale), w)[:, None]
+    steps = scale * 2.0 ** np.arange(math.ceil(math.log2(4.0 * cap.max() / scale)) + 1) / 4.0
+    col = w[:, None]
+    b = np.concatenate(
+        [np.zeros_like(col), col, cap, np.broadcast_to(steps, (w.size, steps.size)), col - steps, col + steps],
+        axis=1,
+    )
+    b = np.sort(np.clip(b, 0.0, cap), axis=1)
+    lo, hi = b[:, :-1], b[:, 1:]
+    keep = hi > lo  # breakpoints clipped or repeated leave empty panels
+    half = 0.5 * (hi - lo)[keep]
+    r = (lo[keep] + half)[:, None] + half[:, None] * x
+    s = 0.5 * (t + 1.0)
+    r_tail = cap / (1.0 - s)
+    owner = np.concatenate([np.repeat(np.nonzero(keep)[0], x.size), np.repeat(np.arange(w.size), t.size)])
+    nodes = np.concatenate([r.ravel(), r_tail.ravel()])
+    weights = np.concatenate([(half[:, None] * wx).ravel(), (0.5 * wt * r_tail / (1.0 - s)).ravel()])
+    return nodes, weights, owner
+
+
+def _c1(pl, w):
+    """C1(w) = int_R2 l(x) l(x - w) dx at every |w| of an array or scalar.
+
+    C1(w) = 2 int_0^inf r l(r) int_0^pi l(|r e^(i psi) - w|) dpsi dr on the
+    fixed rule above; w = 0 takes the closed form int l^2.
+    """
+    w = np.abs(np.asarray(w, dtype=float))
+    flat = w.ravel()
+    out = np.full(flat.shape, _l2_integral(pl))
+    pos = np.flatnonzero(flat)
+    (sin2, wpsi), _, _ = _c1_rules()
+    scale = pl.epsilon ** (1.0 / pl.alpha)
+    for i in range(0, pos.size, _C1_W_PER_BLOCK):
+        block = pos[i : i + _C1_W_PER_BLOCK]
+        ws = flat[block]
+        r, wr, owner = _c1_radial_nodes(ws, scale)
+        wo = ws[owner]
+        # l(d) in place, d^2 = |r e^(i psi) - w|^2 = (r - w)^2 + 4 r w sin^2(psi/2)
+        # (no cancellation near r = w, psi = 0)
+        ell_d = np.multiply.outer(4.0 * r * wo, sin2)
+        ell_d += ((r - wo) ** 2)[:, None]
+        np.power(ell_d, 0.5 * pl.alpha, out=ell_d)
+        ell_d += pl.epsilon
+        np.reciprocal(ell_d, out=ell_d)
+        out[block] = np.bincount(
+            owner, weights=2.0 * r * pl.ell(r) * wr * (ell_d @ wpsi), minlength=ws.size
+        )
+    return out.reshape(w.shape)
 
 
 class _DisplacedCross:
     """Evaluator for int int l(x) l(y) K(|x - y - u|) dx dy.
 
-    Substituting w = x - y turns it into int K(|w - u|) G(|w|) dw with
-    G = the path-loss autocorrelation C1; G is cached on a fixed radial grid
-    and the kernel's angular integral is closed form (Gaussian) or a short
-    fixed quadrature (lens).
+    Substituting w = x - y turns it into int K(|w - u|) C1(|w|) dw.  C1 is
+    tabulated once per (alpha, eps) on a fixed grid, 81 points on [0, 4] and
+    299 on (4, W_MAX], with the fixed-node rule of `_c1`; the kernel's angular
+    integral is closed form (Gaussian) or a short fixed quadrature (lens), and
+    the radial one a trapezoid over the grid.  The most recently used
+    CACHE_SIZE tables are kept.
     """
 
     W_MAX = 120.0
-    _cache = {}
+    CACHE_SIZE = 16
+    _cache = OrderedDict()
 
     def __init__(self, pl):
         self.pl = pl
         key = (pl.alpha, pl.epsilon)
-        if key not in self._cache:
+        if key in self._cache:
+            self._cache.move_to_end(key)
+        else:
             dense = np.linspace(0.0, 4.0, 81)
             coarse = np.linspace(4.0, self.W_MAX, 300)[1:]
             w = np.concatenate([dense, coarse])
-            g = np.array([_cross_l_shifted(pl, wi) for wi in w])
+            g = _c1(pl, w)
+            w.flags.writeable = g.flags.writeable = False  # shared by every evaluator
             self._cache[key] = (w, g)
+            if len(self._cache) > self.CACHE_SIZE:
+                self._cache.popitem(last=False)
         self.w, self.g = self._cache[key]
 
     def _integrate(self, angular_kernel):
-        # trapezoid over the cached radial grid; integrand = w G(w) x angular
+        # trapezoid over the cached radial grid; integrand = w C1(w) x angular
         vals = self.w * self.g * angular_kernel(self.w)
         return float(np.trapezoid(vals, self.w))
 
@@ -237,7 +314,7 @@ def mean_product(model, u, pl):
     field = _field_of(model)
     lam = field.intensity
     mean = mean_interference(model, pl)
-    return lam * _cross_l_shifted(pl, u) + mean * mean + lam * _extra_term(field, pl, u)
+    return lam * float(_c1(pl, u)) + mean * mean + lam * _extra_term(field, pl, u)
 
 
 def corr_coefficient(model, u, pl):
@@ -247,7 +324,7 @@ def corr_coefficient(model, u, pl):
     denominator carries the same term at u = 0."""
     _require_bounded(pl)
     field = _field_of(model)
-    num = _cross_l_shifted(pl, u) + _extra_term(field, pl, u)
+    num = float(_c1(pl, u)) + _extra_term(field, pl, u)
     den = 2.0 * _l2_integral(pl) + _extra_term(field, pl, 0.0)
     return num / den
 

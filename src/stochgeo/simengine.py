@@ -294,8 +294,6 @@ def estimate_interference_moments(model, pl, u, cfg):
             ell_u = ell
         else:
             # displaced observation needs planar geometry
-            from .pointprocess import sample_pattern
-
             ells, ells_u, counts = [], [], []
             for _ in range(size):
                 pat = sample_pattern(model, radius, rng)

@@ -145,6 +145,64 @@ def test_corr_displaced_kernel_consistency_at_zero():
     assert dc.lens(1.0, 0.0) == pytest.approx(_cross_integral_lens(PL4, 1.0), rel=2e-3)
 
 
+@pytest.mark.parametrize("alpha", [4.0, 6.0])
+def test_c1_far_field_keeps_both_peaks(alpha):
+    # far out, l(x) l(x - w) has two equal peaks, at x = 0 and at x = w, so
+    # C1(w) -> 2 l(w) int l; a rule that misses the peak at w returns half
+    from stochgeo.interference import _c1, _DisplacedCross
+
+    pl = PathLossSpec(alpha, 1.0)
+    total = mean_interference(NetworkModel(PPP(1.0), alpha), pl)
+    w = np.array([30.0, 60.0, 90.0, 119.6])
+    assert _c1(pl, w) == pytest.approx(2.0 * pl.ell(w) * total, rel=0.02)
+    dc = _DisplacedCross(pl)
+    far = dc.w >= 30.0
+    assert dc.g[far] == pytest.approx(2.0 * pl.ell(dc.w[far]) * total, rel=0.02)
+
+
+def test_c1_matches_nested_quad():
+    from stochgeo.interference import _c1
+
+    for alpha in (2.5, 4.0, 6.0):
+        for eps in (0.3, 1.0):
+            pl = PathLossSpec(alpha, eps)
+            for w in (0.5, 2.0, 10.0):
+
+                def radial(r):
+                    inner, _ = sciint.quad(
+                        lambda p: pl.ell(math.sqrt(r * r + w * w - 2.0 * r * w * math.cos(p))),
+                        0.0, math.pi, epsabs=0.0, epsrel=1e-11, limit=200,
+                    )
+                    return 2.0 * r * pl.ell(r) * inner
+
+                hi = 2.0 * w + 10.0
+                near, _ = sciint.quad(radial, 0.0, hi, points=[w], epsabs=0.0, epsrel=1e-10, limit=200)
+                tail, _ = sciint.quad(radial, hi, np.inf, epsabs=0.0, epsrel=1e-10, limit=200)
+                assert float(_c1(pl, w)) == pytest.approx(near + tail, rel=1e-6)
+    # vectorised over w, symmetric in the sign of w, closed form at w = 0
+    got = _c1(PL4, [[0.0, 2.0], [-2.0, 10.0]])
+    assert got.shape == (2, 2)
+    assert got[0, 0] == pytest.approx(math.pi**2 / 4.0, rel=1e-12)  # int 1/(1+r^4)^2
+    assert got[1, 0] == got[0, 1]
+    assert got[1, 1] == pytest.approx(float(_c1(PL4, 10.0)), rel=1e-12)
+
+
+def test_displaced_cross_cache_is_lru(monkeypatch):
+    from collections import OrderedDict
+
+    from stochgeo.interference import _DisplacedCross
+
+    monkeypatch.setattr(_DisplacedCross, "_cache", OrderedDict())
+    monkeypatch.setattr(_DisplacedCross, "CACHE_SIZE", 2)
+    specs = [PathLossSpec(4.0, eps) for eps in (1.0, 0.5, 2.0)]
+    first = _DisplacedCross(specs[0])
+    _DisplacedCross(specs[1])
+    assert _DisplacedCross(specs[0]).g is first.g  # a hit, and now the most recent
+    _DisplacedCross(specs[2])  # evicts (4, 0.5), the least recently used
+    assert list(_DisplacedCross._cache) == [(4.0, 1.0), (4.0, 2.0)]
+    assert not first.g.flags.writeable
+
+
 def test_coherence_time_grid_search():
     seq = [1.0, 0.8, 0.5, 0.3, 0.1]
     assert coherence_time(seq, 0.5) == 2
