@@ -1,9 +1,10 @@
 """Experiment runner: analyze a JSON config, reproduce a catalog figure, or
 run the full analytic-vs-Monte-Carlo validation suite.
 
-Outputs are CSV tables plus a generated gnuplot script (no plotting
-dependency), and a run manifest with per-output checksums.  Exit codes:
-0 ok, 1 validation failure, 2 config error, 3 numerical failure.
+Every experiment and figure returns named tables; one writer turns each into
+a CSV file plus, where the table carries a plot spec, a gnuplot script (no
+plotting dependency), and records a run manifest with per-output checksums.
+Exit codes: 0 ok, 1 validation failure, 2 config error, 3 numerical failure.
 """
 
 import argparse
@@ -12,14 +13,20 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .core import ToleranceError, theta_db, theta_from_db, theta_from_mh, theta_mh
-from .pointprocess import GPP, MCP, PPP, NetworkModel
-from .simengine import SimConfig
+from . import location_users as lsu
+from . import queueing, relay_retx, simengine, sir_analysis
 from . import validate as _validate
+from .core import ToleranceError, theta_db, theta_from_db, theta_from_mh, theta_mh
+from .interference import PathLossSpec, corr_coefficient, interference_variance
+from .mobility import MobilitySpec, handoff_prob_avg, mobility_report
+from .pointprocess import GPP, MCP, PPP, NetworkModel, pcf_analytic, pcf_estimate, sample_mcp, sample_ppp
+from .shadowing import BlockageModel, ShadowGrid, moments_shadowed
+from .simengine import SimConfig, seed_stream
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,6 +45,7 @@ class ConfigError(ValueError):
 _SIM_KEYS = {"trials", "master_seed", "window_radius", "worker_hint"}
 _GRID_KEYS = {"kind", "start", "stop", "num", "values"}
 _TOP_KEYS = {"version", "experiment", "params", "theta_grid", "sim", "output_dir"}
+_GRID_KINDS = {"db": theta_from_db, "mh": theta_from_mh, "linear": lambda vals: vals}
 
 
 def _require_keys(obj, allowed, where):
@@ -70,7 +78,7 @@ def parse_config(raw):
         g = raw["theta_grid"]
         _require_keys(g, _GRID_KEYS, "theta_grid")
         kind = g.get("kind", "db")
-        if kind not in ("db", "linear", "mh"):
+        if kind not in _GRID_KINDS:
             raise ConfigError("theta_grid.kind must be db, linear or mh")
         if "values" in g:
             vals = np.asarray(g["values"], dtype=float)
@@ -79,12 +87,7 @@ def parse_config(raw):
                 vals = np.linspace(float(g["start"]), float(g["stop"]), int(g["num"]))
             except KeyError as e:
                 raise ConfigError(f"theta_grid missing {e}")
-        if kind == "db":
-            grid = theta_from_db(vals)
-        elif kind == "mh":
-            grid = theta_from_mh(vals)
-        else:
-            grid = vals
+        grid = _GRID_KINDS[kind](vals)
         if np.any(grid <= 0):
             raise ConfigError("theta grid must be positive")
     return {
@@ -98,64 +101,70 @@ def parse_config(raw):
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Tables and the writer
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+class Plot(NamedTuple):
+    """Gnuplot spec: `series` of (column, title, style) plotted against column `x`."""
+
+    x: str
+    series: list
+    xlabel: str
+    ylabel: str
+    title: str = ""
+
+
+class Table(NamedTuple):
+    """One output table, written as `<stem>.csv` and, with a plot, `<stem>.gp`."""
+
+    stem: str
+    header: list
+    rows: list
+    plot: Plot = None
+
+
+def _curve(stem, grid, columns, title, series=None):
+    """Theta-curve table: theta in linear, dB and MH plus the value columns,
+    plotted against dB.  `series` lists the plotted (column, title) pairs;
+    by default every value column under its own name."""
+    header = ["theta_linear", "theta_db", "theta_mh", *columns]
+    rows = [
+        [float(t), float(theta_db(t)), float(theta_mh(t)), *(float(c[i]) for c in columns.values())]
+        for i, t in enumerate(grid)
+    ]
+    series = series or [(name, name) for name in columns]
+    plot = Plot("theta_db", [(c, t, "linespoints") for c, t in series],
+                "SIR threshold (dB)", "probability", title)
+    return Table(stem, header, rows, plot)
 
 
 def write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def write_curve_csv(path, theta_grid, columns):
-    """Standard curve table: theta in linear, dB and MH plus value columns."""
-    header = ["theta_linear", "theta_db", "theta_mh", *columns.keys()]
-    rows = []
-    for i, t in enumerate(theta_grid):
-        row = [float(t), float(theta_db(t)), float(theta_mh(t))]
-        row.extend(float(col[i]) for col in columns.values())
-        rows.append(row)
-    write_csv(path, header, rows)
-
-
-def write_estimates_csv(path, entries):
-    """Estimate table with the `param,mean,stderr,n,seed` contract."""
-    rows = [[k, e.mean, e.stderr, e.n, e.seed] for k, e in entries]
-    write_csv(path, ["param", "mean", "stderr", "n", "seed"], rows)
-
-
-def write_gnuplot(path, csv_files, title, ylabel="probability", logx=True):
-    lines = [
-        "set datafile separator ','",
-        f"set title '{title}'",
-        "set xlabel 'SIR threshold (dB)'",
-        f"set ylabel '{ylabel}'",
-        "set key below",
-        "set grid",
+def write_gnuplot(path, table):
+    spec = table.plot
+    column = {name: i + 1 for i, name in enumerate(table.header)}
+    lines = ["set datafile separator ','"]
+    if spec.title:
+        lines.append(f"set title '{spec.title}'")
+    lines += [f"set xlabel '{spec.xlabel}'", f"set ylabel '{spec.ylabel}'", "set key below", "set grid"]
+    plots = [
+        f"'{table.stem}.csv' using {column[spec.x]}:{column[c]} with {style} title '{title}'"
+        for c, title, style in spec.series
     ]
-    plots = []
-    for fname, cols in csv_files:
-        for idx, label in cols:
-            plots.append(f"'{fname}' using 2:{idx} with linespoints title '{label}'")
     lines.append("plot " + ", \\\n     ".join(plots))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _sha256(path):
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def write_manifest(out_dir, config_echo, outputs, seed, t_start):
@@ -176,9 +185,47 @@ def write_manifest(out_dir, config_echo, outputs, seed, t_start):
     return final
 
 
+def _publish(produce, out_dir, config_echo, seed, t_start):
+    """Run `produce` for its tables, write them and the manifest, print the
+    output paths, and return the exit code."""
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        tables = produce()
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ToleranceError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    outputs = []
+    for table in tables:
+        path = os.path.join(out_dir, f"{table.stem}.csv")
+        write_csv(path, table.header, table.rows)
+        outputs.append(path)
+        if table.plot is not None:
+            path = os.path.join(out_dir, f"{table.stem}.gp")
+            write_gnuplot(path, table)
+            outputs.append(path)
+    write_manifest(out_dir, config_echo, outputs, seed, t_start)
+    for p in outputs:
+        print(p)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
-# Experiments
+# Experiments: each takes a parsed config and returns its tables
 # ---------------------------------------------------------------------------
+
+
+def _grid(cfg):
+    if cfg["theta_grid"] is None:
+        raise ConfigError(f"{cfg['experiment']} needs a theta_grid")
+    return cfg["theta_grid"]
+
+
+def _floats(params, **defaults):
+    """The params named in `defaults`, in that order, as floats."""
+    return [float(params.get(name, value)) for name, value in defaults.items()]
 
 
 def _model_from_params(params, require_link=False):
@@ -188,13 +235,9 @@ def _model_from_params(params, require_link=False):
     if kind == "ppp":
         field = PPP(float(params.get("density", 0.1)))
     elif kind == "mcp":
-        field = MCP(
-            float(params.get("parent_density", 0.02)),
-            float(params.get("mean_daughters", 5.0)),
-            float(params.get("cluster_radius", 1.0)),
-        )
+        field = MCP(*_floats(params, parent_density=0.02, mean_daughters=5.0, cluster_radius=1.0))
     elif kind == "gpp":
-        field = GPP(float(params.get("density", 0.1)), float(params.get("beta", 1.0)))
+        field = GPP(*_floats(params, density=0.1, beta=1.0))
     else:
         raise ConfigError(f"unknown field kind: {kind}")
     if require_link and r_t is None:
@@ -202,315 +245,168 @@ def _model_from_params(params, require_link=False):
     return NetworkModel(field, alpha=alpha, link_distance=r_t)
 
 
-def _exp_moments_downlink(cfg, out_dir):
-    from . import simengine, sir_analysis
+def _fields(alpha, link_distance=None):
+    """The cluster, Poisson and Ginibre fields that the comparisons share."""
+    return {
+        "mcp": NetworkModel(MCP(0.02, 5.0, 1.0), alpha, link_distance),
+        "ppp": NetworkModel(PPP(0.1), alpha, link_distance),
+        "gpp": NetworkModel(GPP(0.1, 1.0), alpha, link_distance),
+    }
 
-    grid = cfg["theta_grid"]
-    if grid is None:
-        raise ConfigError("moments_downlink needs a theta_grid")
+
+def _field_series(columns):
+    """Plot series for the cluster, Poisson and Ginibre `columns`, in that order."""
+    return [(c, t, "lines") for c, t in zip(columns, ("cluster", "poisson", "ginibre"))]
+
+
+def _exp_moments(cfg, geometry):
+    grid = _grid(cfg)
     p = cfg["params"]
-    alpha = float(p.get("alpha", 4.0))
     b = float(p.get("b", 1.0))
-    density = float(p.get("density", 1.0))
-    model = NetworkModel(PPP(density), alpha=alpha)
-    ana, mc_mean, mc_err = [], [], []
-    for t in grid:
-        ana.append(sir_analysis.moments_downlink_ppp(b, float(t), alpha))
-        est = simengine.estimate_moment(model, b, float(t), "downlink", cfg["sim"])
-        mc_mean.append(est.mean)
-        mc_err.append(est.stderr)
-    path = os.path.join(out_dir, "moments_downlink.csv")
-    write_curve_csv(
-        path, grid, {"analytic": ana, "mc_mean": mc_mean, "mc_stderr": mc_err}
-    )
-    gp = os.path.join(out_dir, "moments_downlink.gp")
-    write_gnuplot(gp, [("moments_downlink.csv", [(4, "analytic"), (5, "simulation")])],
-                  "Downlink success probability")
-    return [path, gp]
+    if geometry == "downlink":
+        alpha, density = _floats(p, alpha=4.0, density=1.0)
+        model = NetworkModel(PPP(density), alpha=alpha)
+        analytic = lambda t: sir_analysis.moments_downlink_ppp(b, t, alpha)
+    else:
+        model = _model_from_params(p, require_link=True)
+        analytic = lambda t: sir_analysis.moments_adhoc(model, b, t)
+    est = [simengine.estimate_moment(model, b, float(t), geometry, cfg["sim"]) for t in grid]
+    cols = {
+        "analytic": [analytic(float(t)) for t in grid],
+        "mc_mean": [e.mean for e in est],
+        "mc_stderr": [e.stderr for e in est],
+    }
+    title = "Downlink success probability" if geometry == "downlink" else "Ad hoc success probability"
+    return [_curve(f"moments_{geometry}", grid, cols, title, [("analytic", "analytic"), ("mc_mean", "simulation")])]
 
 
-def _exp_moments_adhoc(cfg, out_dir):
-    from . import simengine, sir_analysis
-
-    grid = cfg["theta_grid"]
-    if grid is None:
-        raise ConfigError("moments_adhoc needs a theta_grid")
-    model = _model_from_params(cfg["params"], require_link=True)
-    b = float(cfg["params"].get("b", 1.0))
-    ana, mc_mean, mc_err = [], [], []
-    for t in grid:
-        ana.append(sir_analysis.moments_adhoc(model, b, float(t)))
-        est = simengine.estimate_moment(model, b, float(t), "adhoc", cfg["sim"])
-        mc_mean.append(est.mean)
-        mc_err.append(est.stderr)
-    path = os.path.join(out_dir, "moments_adhoc.csv")
-    write_curve_csv(path, grid, {"analytic": ana, "mc_mean": mc_mean, "mc_stderr": mc_err})
-    gp = os.path.join(out_dir, "moments_adhoc.gp")
-    write_gnuplot(gp, [("moments_adhoc.csv", [(4, "analytic"), (5, "simulation")])],
-                  "Ad hoc success probability")
-    return [path, gp]
+_META_LABELS = ("target reliability x", "fraction of links")
 
 
-def _exp_meta(cfg, out_dir):
-    from . import simengine, sir_analysis
-
+def _exp_meta(cfg):
     p = cfg["params"]
     model = _model_from_params(p, require_link=True)
     theta = float(p.get("theta", 1.0))
     x_grid = np.asarray(p.get("x_grid", np.arange(0.1, 0.95, 0.1)), dtype=float)
     ana = [sir_analysis.meta_distribution(model, theta, float(x)) for x in x_grid]
     emp = simengine.estimate_meta(model, theta, x_grid, cfg["sim"])
-    path = os.path.join(out_dir, "meta_distribution.csv")
-    write_csv(
-        path,
-        ["x", "analytic", "empirical", "ci_low", "ci_high"],
-        [
-            [float(x), float(a), float(e), float(lo), float(hi)]
-            for x, a, e, lo, hi in zip(x_grid, ana, emp.values, emp.ci_low, emp.ci_high)
-        ],
-    )
-    gp = os.path.join(out_dir, "meta_distribution.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'target reliability x'\n"
-            "set ylabel 'fraction of links'\nset grid\n"
-            "plot 'meta_distribution.csv' using 1:2 with lines title 'analytic', "
-            "'meta_distribution.csv' using 1:3 with points title 'empirical'\n"
-        )
-    return [path, gp]
+    rows = [[float(x), float(a), float(e), float(lo), float(hi)]
+            for x, a, e, lo, hi in zip(x_grid, ana, emp.values, emp.ci_low, emp.ci_high)]
+    plot = Plot("x", [("analytic", "analytic", "lines"), ("empirical", "empirical", "points")], *_META_LABELS)
+    return [Table("meta_distribution", ["x", "analytic", "empirical", "ci_low", "ci_high"], rows, plot)]
 
 
-def _exp_queueing_bipolar(cfg, out_dir):
-    from . import queueing
+def _queue_curve(stem, grid, xis, success, title):
+    """Analytic success with queues, one column per arrival rate xi."""
+    cols = {f"analytic_xi{xi}": [success(xi, float(t)).success for t in grid] for xi in xis}
+    return _curve(stem, grid, cols, title, [(c, f"xi={xi}") for c, xi in zip(cols, xis)])
 
-    grid = cfg["theta_grid"]
-    if grid is None:
-        raise ConfigError("queueing_bipolar needs a theta_grid")
+
+def _exp_queueing_bipolar(cfg):
+    grid = _grid(cfg)
     p = cfg["params"]
-    density = float(p.get("density", 0.001))
-    r_t = float(p.get("r_t", 2.0))
-    alpha = float(p.get("alpha", 4.0))
+    density, r_t, alpha = _floats(p, density=0.001, r_t=2.0, alpha=4.0)
     xis = [float(x) for x in p.get("xi", [0.5, 0.85, 1.0])]
-    cols = {}
-    for xi in xis:
-        cols[f"analytic_xi{xi}"] = [
-            queueing.bipolar_success(xi, float(t), alpha, density, r_t).success for t in grid
-        ]
-    path = os.path.join(out_dir, "queueing_bipolar.csv")
-    write_curve_csv(path, grid, cols)
-    gp = os.path.join(out_dir, "queueing_bipolar.gp")
-    write_gnuplot(
-        gp,
-        [("queueing_bipolar.csv", [(4 + i, f"xi={xi}") for i, xi in enumerate(xis)])],
-        "Bipolar success probability with queues",
-    )
-    outputs = [path, gp]
+    success = lambda xi, t: queueing.bipolar_success(xi, t, alpha, density, r_t)
+    tables = [_queue_curve("queueing_bipolar", grid, xis, success, "Bipolar success probability with queues")]
     mc_trials = int(p.get("mc_trials", 0))
     if mc_trials > 0:
         # queue-simulation markers on a theta subset, in the estimate format
-        marks = []
         qcfg = SimConfig(trials=mc_trials, master_seed=cfg["sim"].master_seed)
+        rows = []
         for xi in xis:
             for t in grid[:: max(len(grid) // 4, 1)]:
-                est = queueing.simulate_queues(
-                    "bipolar", xi, float(t), alpha, qcfg, density=density,
-                    r_t=r_t, slots=1000, warmup=250, n_target=100,
-                )
-                marks.append((f"xi={xi},theta_db={float(theta_db(t)):.2f}", est))
-        mpath = os.path.join(out_dir, "queueing_bipolar_sim.csv")
-        write_estimates_csv(mpath, marks)
-        outputs.append(mpath)
-    return outputs
+                e = queueing.simulate_queues("bipolar", xi, float(t), alpha, qcfg, density=density,
+                                             r_t=r_t, slots=1000, warmup=250, n_target=100)
+                rows.append([f"xi={xi},theta_db={float(theta_db(t)):.2f}", e.mean, e.stderr, e.n, e.seed])
+        tables.append(Table("queueing_bipolar_sim", ["param", "mean", "stderr", "n", "seed"], rows))
+    return tables
 
 
-def _exp_queueing_downlink(cfg, out_dir):
-    from . import queueing
+def _exp_queueing_downlink(cfg):
+    ratio, alpha = _floats(cfg["params"], ratio=5.0, alpha=4.0)
+    xis = [float(x) for x in cfg["params"].get("xi", [0.01, 0.05])]
+    success = lambda xi, t: queueing.downlink_success(xi, t, alpha, ratio)
+    return [_queue_curve("queueing_downlink", _grid(cfg), xis, success, "Downlink success probability with queues")]
 
-    grid = cfg["theta_grid"]
-    if grid is None:
-        raise ConfigError("queueing_downlink needs a theta_grid")
-    p = cfg["params"]
-    ratio = float(p.get("ratio", 5.0))
-    alpha = float(p.get("alpha", 4.0))
-    xis = [float(x) for x in p.get("xi", [0.01, 0.05])]
+
+def _retx_columns(name, fn, ks, grid, alpha=4.0, density=0.1, r_t=1.0):
+    """`fn(k, regime, theta, alpha, density, r_t)` for each k and both regimes."""
+    return {f"{name}_{regime}_k{k}": [fn(k, regime, float(t), alpha, density, r_t) for t in grid]
+            for k in ks for regime in ("qsi", "fvi")}
+
+
+def _exp_retx(cfg):
+    grid = _grid(cfg)
+    density, r_t, alpha = _floats(cfg["params"], density=0.1, r_t=1.0, alpha=4.0)
+    ks = [int(k) for k in cfg["params"].get("k", [2, 3, 4])]
+    cols = _retx_columns("jsp", relay_retx.jsp_retx, ks, grid, alpha, density, r_t)
+    return [_curve("retx_jsp", grid, cols, "Joint success probability of repeated transmissions")]
+
+
+def _exp_harq(cfg):
+    grid = _grid(cfg)
+    density, r_t, alpha = _floats(cfg["params"], density=0.1, r_t=1.0, alpha=4.0)
+    harq = ((1, relay_retx.harq_type1), (2, relay_retx.harq_type2_cc))
+    cols = {f"type{n}_{regime}": [fn(float(t), alpha, density, r_t, regime) for t in grid]
+            for regime in ("qsi", "fvi") for n, fn in harq}
+    return [_curve("harq", grid, cols, "HARQ success probabilities")]
+
+
+def _exp_relay(cfg):
+    grid = _grid(cfg)
+    density, alpha, hop_len = _floats(cfg["params"], density=0.1, alpha=4.0, hop_length=1.0)
     cols = {}
-    for xi in xis:
-        cols[f"analytic_xi{xi}"] = [
-            queueing.downlink_success(xi, float(t), alpha, ratio).success for t in grid
-        ]
-    path = os.path.join(out_dir, "queueing_downlink.csv")
-    write_curve_csv(path, grid, cols)
-    gp = os.path.join(out_dir, "queueing_downlink.gp")
-    write_gnuplot(
-        gp,
-        [("queueing_downlink.csv", [(4 + i, f"xi={xi}") for i, xi in enumerate(xis)])],
-        "Downlink success probability with queues",
-    )
-    return [path, gp]
-
-
-def _exp_retx(cfg, out_dir):
-    from . import relay_retx
-
-    grid = cfg["theta_grid"]
-    if grid is None:
-        raise ConfigError("retx needs a theta_grid")
-    p = cfg["params"]
-    density = float(p.get("density", 0.1))
-    r_t = float(p.get("r_t", 1.0))
-    alpha = float(p.get("alpha", 4.0))
-    ks = [int(k) for k in p.get("k", [2, 3, 4])]
-    cols = {}
-    for k in ks:
-        cols[f"jsp_qsi_k{k}"] = [relay_retx.jsp_retx(k, "qsi", float(t), alpha, density, r_t) for t in grid]
-        cols[f"jsp_fvi_k{k}"] = [relay_retx.jsp_retx(k, "fvi", float(t), alpha, density, r_t) for t in grid]
-    path = os.path.join(out_dir, "retx_jsp.csv")
-    write_curve_csv(path, grid, cols)
-    gp = os.path.join(out_dir, "retx_jsp.gp")
-    write_gnuplot(gp, [("retx_jsp.csv", [(4 + i, name) for i, name in enumerate(cols)])],
-                  "Joint success probability of repeated transmissions")
-    return [path, gp]
-
-
-def _exp_harq(cfg, out_dir):
-    from . import relay_retx
-
-    grid = cfg["theta_grid"]
-    if grid is None:
-        raise ConfigError("harq needs a theta_grid")
-    p = cfg["params"]
-    density = float(p.get("density", 0.1))
-    r_t = float(p.get("r_t", 1.0))
-    alpha = float(p.get("alpha", 4.0))
-    cols = {}
-    for regime in ("qsi", "fvi"):
-        cols[f"type1_{regime}"] = [
-            relay_retx.harq_type1(float(t), alpha, density, r_t, regime) for t in grid
-        ]
-        cols[f"type2_{regime}"] = [
-            relay_retx.harq_type2_cc(float(t), alpha, density, r_t, regime) for t in grid
-        ]
-    path = os.path.join(out_dir, "harq.csv")
-    write_curve_csv(path, grid, cols)
-    gp = os.path.join(out_dir, "harq.gp")
-    write_gnuplot(gp, [("harq.csv", [(4 + i, name) for i, name in enumerate(cols)])],
-                  "HARQ success probabilities")
-    return [path, gp]
-
-
-def _exp_relay(cfg, out_dir):
-    from . import relay_retx
-
-    grid = cfg["theta_grid"]
-    if grid is None:
-        raise ConfigError("relay needs a theta_grid")
-    p = cfg["params"]
-    density = float(p.get("density", 0.1))
-    alpha = float(p.get("alpha", 4.0))
-    hop_len = float(p.get("hop_length", 1.0))
-    hops = [int(m) for m in p.get("hops", [1, 2, 4])]
-    cols = {}
-    for m in hops:
+    for m in [int(m) for m in cfg["params"].get("hops", [1, 2, 4])]:
         route = relay_retx.linear_route(m, hop_len)
-        cols[f"qsi_M{m}"] = [relay_retx.relay_moments(1.0, route, float(t), alpha, density, "qsi") for t in grid]
-        cols[f"fvi_M{m}"] = [relay_retx.relay_moments(1.0, route, float(t), alpha, density, "fvi") for t in grid]
-    path = os.path.join(out_dir, "relay.csv")
-    write_curve_csv(path, grid, cols)
-    gp = os.path.join(out_dir, "relay.gp")
-    write_gnuplot(gp, [("relay.csv", [(4 + i, name) for i, name in enumerate(cols)])],
-                  "End-to-end relaying success probability")
-    return [path, gp]
+        for regime in ("qsi", "fvi"):
+            cols[f"{regime}_M{m}"] = [relay_retx.relay_moments(1.0, route, float(t), alpha, density, regime)
+                                      for t in grid]
+    return [_curve("relay", grid, cols, "End-to-end relaying success probability")]
 
 
-def _exp_interference_corr(cfg, out_dir):
-    from .interference import PathLossSpec, corr_coefficient
-
+def _exp_interference_corr(cfg):
     p = cfg["params"]
-    alpha = float(p.get("alpha", 4.0))
-    eps = float(p.get("epsilon", 1.0))
+    alpha, eps = _floats(p, alpha=4.0, epsilon=1.0)
     pl = PathLossSpec(alpha=alpha, epsilon=eps)
     u_grid = np.asarray(p.get("u_grid", np.linspace(0.0, 5.0, 11)), dtype=float)
-    models = {
-        "mcp": NetworkModel(MCP(0.02, 5.0, 1.0), alpha=alpha),
-        "ppp": NetworkModel(PPP(0.1), alpha=alpha),
-        "gpp": NetworkModel(GPP(0.1, 1.0), alpha=alpha),
-    }
-    rows = []
-    for u in u_grid:
-        row = [float(u)]
-        for m in models.values():
-            row.append(corr_coefficient(m, float(u), pl))
-        rows.append(row)
-    path = os.path.join(out_dir, "interference_corr.csv")
-    write_csv(path, ["u", "zeta_mcp", "zeta_ppp", "zeta_gpp"], rows)
-    gp = os.path.join(out_dir, "interference_corr.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'displacement u'\n"
-            "set ylabel 'correlation coefficient'\nset grid\n"
-            "plot 'interference_corr.csv' using 1:2 with lines title 'cluster', "
-            "'interference_corr.csv' using 1:3 with lines title 'poisson', "
-            "'interference_corr.csv' using 1:4 with lines title 'ginibre'\n"
-        )
-    return [path, gp]
+    models = _fields(alpha).values()
+    rows = [[float(u), *(corr_coefficient(m, float(u), pl) for m in models)] for u in u_grid]
+    header = ["u", "zeta_mcp", "zeta_ppp", "zeta_gpp"]
+    plot = Plot("u", _field_series(header[1:]), "displacement u", "correlation coefficient")
+    return [Table("interference_corr", header, rows, plot)]
 
 
-def _exp_mobility(cfg, out_dir):
-    from .mobility import MobilitySpec, handoff_prob_avg, mobility_report
-
+def _exp_mobility(cfg):
     p = cfg["params"]
-    density = float(p.get("density", 0.001))
-    alpha = float(p.get("alpha", 4.0))
-    theta = float(p.get("theta", 10 ** (-0.1)))
-    speeds = [float(v) for v in p.get("speeds", [0, 1, 2, 5, 10, 20, 50])]
+    density, alpha, theta = _floats(p, density=0.001, alpha=4.0, theta=10 ** (-0.1))
     model = p.get("model", "downlink_mobile_user")
     link = p.get("link_distance", 8.0 if model == "bipolar_mobile_interferers" else None)
     rows = []
-    for v in speeds:
-        spec = MobilitySpec(v, model=model, link_distance=link)
-        rep = mobility_report(spec, density, theta, alpha, cfg["sim"])
-        row = [v, rep["csp"].mean, rep["csp"].stderr, rep["p2"].mean, rep["p2"].stderr]
-        row.append(handoff_prob_avg(density, v) if model == "downlink_mobile_user" else "")
-        rows.append(row)
-    path = os.path.join(out_dir, "mobility_csp.csv")
-    write_csv(path, ["speed", "csp", "csp_stderr", "baseline", "baseline_stderr", "handoff_analytic"], rows)
-    gp = os.path.join(out_dir, "mobility_csp.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'speed'\nset ylabel 'probability'\nset grid\n"
-            "plot 'mobility_csp.csv' using 1:2 with linespoints title 'conditional', "
-            "'mobility_csp.csv' using 1:4 with lines title 'baseline'\n"
-        )
-    return [path, gp]
+    for v in [float(v) for v in p.get("speeds", [0, 1, 2, 5, 10, 20, 50])]:
+        rep = mobility_report(MobilitySpec(v, model=model, link_distance=link), density, theta, alpha, cfg["sim"])
+        handoff = handoff_prob_avg(density, v) if model == "downlink_mobile_user" else ""
+        rows.append([v, rep["csp"].mean, rep["csp"].stderr, rep["p2"].mean, rep["p2"].stderr, handoff])
+    header = ["speed", "csp", "csp_stderr", "baseline", "baseline_stderr", "handoff_analytic"]
+    plot = Plot("speed", [("csp", "conditional", "linespoints"), ("baseline", "baseline", "lines")],
+                "speed", "probability")
+    return [Table("mobility_csp", header, rows, plot)]
 
 
-def _exp_shadowing(cfg, out_dir):
-    from .shadowing import BlockageModel, ShadowGrid, moments_shadowed
-
-    grid_t = cfg["theta_grid"]
-    if grid_t is None:
-        raise ConfigError("shadowing needs a theta_grid")
-    p = cfg["params"]
-    sg = ShadowGrid(float(p.get("window_radius", 8.0)), float(p.get("cell_size", 1.0)))
-    blk = BlockageModel(float(p.get("kappa", 0.5)), float(p.get("blockage_density", 1.0)))
-    density = float(p.get("density", 1.0))
-    alpha = float(p.get("alpha", 4.0))
-    r_t = float(p.get("r_t", 1.0))
-    cols = {
-        "correlated": [moments_shadowed(1.0, float(t), r_t, sg, blk, density, alpha, "correlated") for t in grid_t],
-        "independent": [moments_shadowed(1.0, float(t), r_t, sg, blk, density, alpha, "independent") for t in grid_t],
-    }
-    path = os.path.join(out_dir, "shadowing.csv")
-    write_curve_csv(path, grid_t, cols)
-    gp = os.path.join(out_dir, "shadowing.gp")
-    write_gnuplot(gp, [("shadowing.csv", [(4, "correlated"), (5, "independent")])],
-                  "Success probability under cell shadowing")
-    return [path, gp]
+def _exp_shadowing(cfg):
+    radius, cell, kappa, blockage, density, alpha, r_t = _floats(
+        cfg["params"], window_radius=8.0, cell_size=1.0, kappa=0.5, blockage_density=1.0,
+        density=1.0, alpha=4.0, r_t=1.0,
+    )
+    grid, sg, blk = _grid(cfg), ShadowGrid(radius, cell), BlockageModel(kappa, blockage)
+    cols = {mode: [moments_shadowed(1.0, float(t), r_t, sg, blk, density, alpha, mode) for t in grid]
+            for mode in ("correlated", "independent")}
+    return [_curve("shadowing", grid, cols, "Success probability under cell shadowing")]
 
 
 _EXPERIMENTS = {
-    "moments_downlink": _exp_moments_downlink,
-    "moments_adhoc": _exp_moments_adhoc,
+    "moments_downlink": lambda cfg: _exp_moments(cfg, "downlink"),
+    "moments_adhoc": lambda cfg: _exp_moments(cfg, "adhoc"),
     "meta_distribution": _exp_meta,
     "interference_corr": _exp_interference_corr,
     "queueing_bipolar": _exp_queueing_bipolar,
@@ -527,398 +423,193 @@ def cmd_analyze(config_path):
     t0 = time.time()
     try:
         with open(config_path) as fh:
-            raw = json.load(fh)
-        cfg = parse_config(raw)
+            cfg = parse_config(json.load(fh))
         fn = _EXPERIMENTS.get(cfg["experiment"])
         if fn is None:
-            raise ConfigError(
-                f"unknown experiment id: {cfg['experiment']!r}; known: {sorted(_EXPERIMENTS)}"
-            )
+            raise ConfigError(f"unknown experiment id: {cfg['experiment']!r}; known: {sorted(_EXPERIMENTS)}")
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        outputs = fn(cfg, out_dir)
-    except ToleranceError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    write_manifest(out_dir, cfg["echo"], outputs, cfg["sim"].master_seed, t0)
-    for p in outputs:
-        print(p)
-    return EXIT_OK
+    return _publish(lambda: fn(cfg), cfg["output_dir"], cfg["echo"], cfg["sim"].master_seed, t0)
 
 
 # ---------------------------------------------------------------------------
-# Figures
+# Figures: each takes the run's SimConfig and returns its tables
 # ---------------------------------------------------------------------------
 
-
-def _figure_config(key, seed, trials, out_dir):
-    """Desk-scale parameterizations of the catalog figures."""
-    db = lambda a, b, n: {"kind": "db", "start": a, "stop": b, "num": n}
-    base = {"version": 1, "sim": {"trials": trials, "master_seed": seed}, "output_dir": out_dir}
-    reg = {
-        # pair correlation functions: handled specially below
-        "fig11": {
-            "experiment": "moments_adhoc",
-            "params": {"field": "ppp", "density": 0.1, "alpha": 4.0, "r_t": 1.0},
-            "theta_grid": db(-10, 15, 11),
-        },
-        "fig13": {
-            "experiment": "meta_distribution",
-            "params": {"field": "ppp", "density": 0.1, "alpha": 4.0, "r_t": 1.0, "theta": 1.0},
-        },
-        "fig23": {
-            "experiment": "queueing_downlink",
-            "params": {"ratio": 5.0, "alpha": 4.0, "xi": [0.01, 0.05, 0.1]},
-            "theta_grid": db(-10, 20, 13),
-        },
-        "fig24": {
-            "experiment": "queueing_bipolar",
-            "params": {"density": 0.001, "r_t": 2.0, "alpha": 4.0, "xi": [0.5, 0.85, 1.0],
-                       "mc_trials": 24},
-            "theta_grid": db(-10, 30, 17),
-        },
-        "fig25": {
-            "experiment": "queueing_bipolar",
-            "params": {"density": 0.01, "r_t": 2.0, "alpha": 4.0, "xi": [0.5]},
-            "theta_grid": db(-10, 30, 17),
-        },
-        "fig27": {
-            "experiment": "relay",
-            "params": {"density": 0.1, "alpha": 4.0, "hop_length": 1.0, "hops": [1, 2, 4]},
-            "theta_grid": db(-10, 10, 9),
-        },
-        "fig32": {
-            "experiment": "retx_jsp",
-            "params": {"density": 0.1, "r_t": 1.0, "alpha": 4.0, "k": [2, 3, 4]},
-            "theta_grid": db(-10, 10, 9),
-        },
-        "fig35": {
-            "experiment": "harq",
-            "params": {"density": 0.1, "r_t": 1.0, "alpha": 4.0},
-            "theta_grid": db(-10, 10, 9),
-        },
-        "fig31": {
-            "experiment": "mobility_csp",
-            "params": {
-                "model": "bipolar_mobile_interferers",
-                "density": 0.001,
-                "theta": 10 ** (-0.1),
-                "link_distance": 8.0,
-                "speeds": [0, 1, 2, 5, 10, 20, 50],
-            },
-        },
-        "fig21": {
-            "experiment": "shadowing",
-            "params": {"window_radius": 8.0, "cell_size": 1.0, "kappa": 0.5,
-                       "blockage_density": 1.0, "density": 1.0, "alpha": 4.0, "r_t": 1.0},
-            "theta_grid": db(-10, 10, 9),
-        },
-    }
-    if key not in reg and key not in _SPECIAL_FIGURES:
-        raise ConfigError(f"unknown figure key: {key}")
-    if key in reg:
-        conf = dict(base)
-        conf.update(reg[key])
-        return conf
-    return None
+_THETA_9 = theta_from_db(np.linspace(-10, 10, 9))
+_THETA_11 = theta_from_db(np.linspace(-10, 15, 11))
+_ASAPPP_GAIN = 1.5  # Ginibre, beta = 1
 
 
-def _fig_pcf(cfg_sim, out_dir, seed):
-    from .pointprocess import pcf_analytic, pcf_estimate, sample_mcp, sample_ppp
-    from .simengine import seed_stream
+def _temporal_csp(moment):
+    """M2 / M1 of `moment(b)`: success given success in the previous slot."""
+    return moment(2.0) / moment(1.0)
 
+
+def _fig_pcf(sim):
     r_grid = np.linspace(0.05, 3.0, 30)
     mcp = MCP(0.2, 5.0, 1.0)
-    rows = []
-    rng = seed_stream(seed, 0, 41)
-    pats_p = [sample_ppp(1.0, 10.0, rng) for _ in range(100)]
-    pats_m = [sample_mcp(0.2, 5.0, 1.0, 10.0, rng) for _ in range(100)]
-    est_p = pcf_estimate(pats_p, r_grid, bin_width=0.1)
-    est_m = pcf_estimate(pats_m, r_grid, bin_width=0.1)
-    for i, r in enumerate(r_grid):
-        rows.append(
-            [
-                float(r),
-                float(pcf_analytic(mcp, r)),
-                1.0,
-                float(pcf_analytic(GPP(1.0, 0.5), r)),
-                float(est_m.values[i]),
-                float(est_p.values[i]),
-            ]
-        )
-    path = os.path.join(out_dir, "fig9_pcf.csv")
-    write_csv(path, ["r", "mcp_analytic", "ppp_analytic", "gpp_analytic", "mcp_estimate", "ppp_estimate"], rows)
-    gp = os.path.join(out_dir, "fig9_pcf.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'r'\nset ylabel 'g(r)'\nset grid\n"
-            "plot 'fig9_pcf.csv' using 1:2 w l t 'cluster', 'fig9_pcf.csv' using 1:3 w l t 'poisson', "
-            "'fig9_pcf.csv' using 1:4 w l t 'ginibre', 'fig9_pcf.csv' using 1:5 w p t 'cluster est', "
-            "'fig9_pcf.csv' using 1:6 w p t 'poisson est'\n"
-        )
-    return [path, gp]
+    rng = seed_stream(sim.master_seed, 0, 41)
+    est_p = pcf_estimate([sample_ppp(1.0, 10.0, rng) for _ in range(100)], r_grid, bin_width=0.1)
+    est_m = pcf_estimate([sample_mcp(0.2, 5.0, 1.0, 10.0, rng) for _ in range(100)], r_grid, bin_width=0.1)
+    rows = [[float(r), float(pcf_analytic(mcp, r)), 1.0, float(pcf_analytic(GPP(1.0, 0.5), r)),
+             float(est_m.values[i]), float(est_p.values[i])] for i, r in enumerate(r_grid)]
+    header = ["r", "mcp_analytic", "ppp_analytic", "gpp_analytic", "mcp_estimate", "ppp_estimate"]
+    series = _field_series(header[1:4]) + [("mcp_estimate", "cluster est", "points"),
+                                           ("ppp_estimate", "poisson est", "points")]
+    return [Table("fig9_pcf", header, rows, Plot("r", series, "r", "g(r)"))]
 
 
-def _fig_variance(out_dir):
-    from .interference import PathLossSpec, interference_variance
-
+def _fig_variance(sim):
     rows = []
     for alpha in np.linspace(2.5, 6.0, 8):
         pl = PathLossSpec(alpha=float(alpha), epsilon=1.0)
-        rows.append(
-            [
-                float(alpha),
-                interference_variance(NetworkModel(MCP(0.2, 5.0, 1.0), float(alpha)), pl),
-                interference_variance(NetworkModel(PPP(1.0), float(alpha)), pl),
-                interference_variance(NetworkModel(GPP(1.0, 1.0), float(alpha)), pl),
-            ]
-        )
-    path = os.path.join(out_dir, "fig10_variance.csv")
-    write_csv(path, ["alpha", "var_mcp", "var_ppp", "var_gpp"], rows)
-    gp = os.path.join(out_dir, "fig10_variance.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'alpha'\nset ylabel 'variance'\nset grid\n"
-            "plot 'fig10_variance.csv' using 1:2 w l t 'cluster', "
-            "'fig10_variance.csv' using 1:3 w l t 'poisson', "
-            "'fig10_variance.csv' using 1:4 w l t 'ginibre'\n"
-        )
-    return [path, gp]
+        fields = (MCP(0.2, 5.0, 1.0), PPP(1.0), GPP(1.0, 1.0))
+        rows.append([float(alpha), *(interference_variance(NetworkModel(f, float(alpha)), pl) for f in fields)])
+    header = ["alpha", "var_mcp", "var_ppp", "var_gpp"]
+    return [Table("fig10_variance", header, rows, Plot("alpha", _field_series(header[1:]), "alpha", "variance"))]
 
 
-def _fig_adhoc_three_fields(cfg_sim, out_dir, key, b_over_b1=False):
-    from . import simengine, sir_analysis
-
-    grid = theta_from_db(np.linspace(-10, 15, 11))
-    models = {
-        "mcp": NetworkModel(MCP(0.02, 5.0, 1.0), 4.0, 1.0),
-        "ppp": NetworkModel(PPP(0.1), 4.0, 1.0),
-        "gpp": NetworkModel(GPP(0.1, 1.0), 4.0, 1.0),
-    }
+def _fig_adhoc(sim):
     cols = {}
-    for name, m in models.items():
-        if b_over_b1:
-            cols[name] = [
-                sir_analysis.moments_adhoc(m, 2.0, float(t)) / sir_analysis.moments_adhoc(m, 1.0, float(t))
-                for t in grid
-            ]
-        else:
-            cols[f"{name}_analytic"] = [sir_analysis.moments_adhoc(m, 1.0, float(t)) for t in grid]
-            est = [simengine.estimate_success(m, float(t), "adhoc", cfg_sim) for t in grid]
-            cols[f"{name}_mc"] = [e.mean for e in est]
-    path = os.path.join(out_dir, f"{key}.csv")
-    write_curve_csv(path, grid, cols)
-    gp = os.path.join(out_dir, f"{key}.gp")
-    write_gnuplot(gp, [(f"{key}.csv", [(4 + i, n) for i, n in enumerate(cols)])],
-                  "Ad hoc fields" if not b_over_b1 else "Temporal conditional success")
-    return [path, gp]
+    for name, m in _fields(4.0, 1.0).items():
+        cols[f"{name}_analytic"] = [sir_analysis.moments_adhoc(m, 1.0, float(t)) for t in _THETA_11]
+        cols[f"{name}_mc"] = [simengine.estimate_success(m, float(t), "adhoc", sim).mean for t in _THETA_11]
+    return [_curve("fig11_adhoc", _THETA_11, cols, "Ad hoc fields")]
 
 
-def _fig_asappp(cfg_sim, out_dir, key, meta=False):
-    from . import simengine, sir_analysis
+def _fig_adhoc_csp(sim):
+    cols = {name: [_temporal_csp(lambda b: sir_analysis.moments_adhoc(m, b, float(t))) for t in _THETA_11]
+            for name, m in _fields(4.0, 1.0).items()}
+    return [_curve("fig12_temporal_csp", _THETA_11, cols, "Temporal conditional success")]
 
-    g0 = 1.5  # ginibre beta = 1
+
+def _fig_asappp(sim):
     model = NetworkModel(GPP(0.1, 1.0), 4.0)
-    if not meta:
-        grid = theta_from_db(np.linspace(-10, 10, 9))
-        shifted = [sir_analysis.moments_downlink_ppp(1.0, float(t) / g0, 4.0) for t in grid]
-        mc = [simengine.estimate_success(model, float(t), "downlink", cfg_sim).mean for t in grid]
-        path = os.path.join(out_dir, f"{key}.csv")
-        write_curve_csv(path, grid, {"asappp_shifted": shifted, "gpp_mc": mc})
-        cols = [(4, "shifted poisson"), (5, "ginibre simulation")]
-    else:
-        xs = np.arange(0.1, 0.95, 0.1)
-        theta = 1.0
-        shifted = [
-            sir_analysis.meta_distribution(NetworkModel(PPP(0.1), 4.0), theta / g0, float(x), geometry="downlink")
-            for x in xs
-        ]
-        emp = simengine.estimate_meta(model, theta, xs, cfg_sim, geometry="downlink")
-        path = os.path.join(out_dir, f"{key}.csv")
-        write_csv(path, ["x", "asappp_shifted", "gpp_empirical"],
-                  [[float(x), float(s), float(e)] for x, s, e in zip(xs, shifted, emp.values)])
-        cols = [(2, "shifted poisson"), (3, "ginibre empirical")]
-    gp = os.path.join(out_dir, f"{key}.gp")
-    with open(gp, "w") as fh:
-        fh.write("set datafile separator ','\nset grid\nplot " + ", ".join(
-            f"'{os.path.basename(path)}' using 1:{c} w lp t '{t}'" for c, t in cols) + "\n")
-    return [path, gp]
+    cols = {
+        "asappp_shifted": [sir_analysis.moments_downlink_ppp(1.0, float(t) / _ASAPPP_GAIN, 4.0) for t in _THETA_9],
+        "gpp_mc": [simengine.estimate_success(model, float(t), "downlink", sim).mean for t in _THETA_9],
+    }
+    return [_curve("fig14_asappp", _THETA_9, cols, "ASAPPP shift of the Ginibre downlink",
+                   [("asappp_shifted", "shifted poisson"), ("gpp_mc", "ginibre simulation")])]
 
 
-def _fig_lsu(out_dir, key):
-    from . import location_users as lsu
-
-    if key == "fig17":
-        grid = theta_from_db(np.linspace(-10, 15, 11))
-        cols = {
-            "general": [lsu.lsu_moments("general", 1.0, float(t), 4.0) for t in grid],
-            "center_rho0.5": [lsu.lsu_moments("cell_center", 1.0, float(t), 4.0, rho=0.5) for t in grid],
-            "boundary_rho0.5": [lsu.lsu_moments("cell_boundary", 1.0, float(t), 4.0, rho=0.5) for t in grid],
-            "edge": [lsu.lsu_moments("edge", 1.0, float(t), 4.0) for t in grid],
-            "vertex": [lsu.lsu_moments("vertex", 1.0, float(t), 4.0) for t in grid],
-        }
-        path = os.path.join(out_dir, "fig17_lsu.csv")
-        write_curve_csv(path, grid, cols)
-        gp = os.path.join(out_dir, "fig17_lsu.gp")
-        write_gnuplot(gp, [("fig17_lsu.csv", [(4 + i, n) for i, n in enumerate(cols)])],
-                      "Location-specific success probability")
-        return [path, gp]
-    rhos = np.linspace(0.05, 0.95, 10)
-    rows = []
-    for rho in rhos:
-        cc = lsu.lsu_moments("cell_center", 2.0, 1.0, 4.0, rho=float(rho)) / lsu.lsu_moments(
-            "cell_center", 1.0, 1.0, 4.0, rho=float(rho)
-        )
-        cb = lsu.lsu_moments("cell_boundary", 2.0, 1.0, 4.0, rho=float(rho)) / lsu.lsu_moments(
-            "cell_boundary", 1.0, 1.0, 4.0, rho=float(rho)
-        )
-        rows.append([float(rho), cc, cb])
-    path = os.path.join(out_dir, "fig18_lsu_csp.csv")
-    write_csv(path, ["rho", "center_csp", "boundary_csp"], rows)
-    gp = os.path.join(out_dir, "fig18_lsu_csp.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'rho'\nset ylabel 'conditional success'\nset grid\n"
-            "plot 'fig18_lsu_csp.csv' using 1:2 w l t 'center', 'fig18_lsu_csp.csv' using 1:3 w l t 'boundary'\n"
-        )
-    return [path, gp]
+def _fig_asappp_meta(sim):
+    xs = np.arange(0.1, 0.95, 0.1)
+    ppp = NetworkModel(PPP(0.1), 4.0)
+    shifted = [sir_analysis.meta_distribution(ppp, 1.0 / _ASAPPP_GAIN, float(x), geometry="downlink") for x in xs]
+    emp = simengine.estimate_meta(NetworkModel(GPP(0.1, 1.0), 4.0), 1.0, xs, sim, geometry="downlink")
+    rows = [[float(x), float(s), float(e)] for x, s, e in zip(xs, shifted, emp.values)]
+    plot = Plot("x", [("asappp_shifted", "shifted poisson", "linespoints"),
+                      ("gpp_empirical", "ginibre empirical", "linespoints")], *_META_LABELS)
+    return [Table("fig16_asappp_meta", ["x", "asappp_shifted", "gpp_empirical"], rows, plot)]
 
 
-def _fig_shadow_csp(out_dir):
-    from .shadowing import BlockageModel, ShadowGrid, moments_shadowed
+def _fig_lsu(sim):
+    classes = {"general": ("general", None), "center_rho0.5": ("cell_center", 0.5),
+               "boundary_rho0.5": ("cell_boundary", 0.5), "edge": ("edge", None), "vertex": ("vertex", None)}
+    cols = {name: [lsu.lsu_moments(cls, 1.0, float(t), 4.0, rho=rho) for t in _THETA_11]
+            for name, (cls, rho) in classes.items()}
+    return [_curve("fig17_lsu", _THETA_11, cols, "Location-specific success probability")]
 
+
+def _fig_lsu_csp(sim):
+    rows = [[float(rho), *(_temporal_csp(lambda b: lsu.lsu_moments(cls, b, 1.0, 4.0, rho=float(rho)))
+                           for cls in ("cell_center", "cell_boundary"))]
+            for rho in np.linspace(0.05, 0.95, 10)]
+    plot = Plot("rho", [("center_csp", "center", "lines"), ("boundary_csp", "boundary", "lines")],
+                "rho", "conditional success")
+    return [Table("fig18_lsu_csp", ["rho", "center_csp", "boundary_csp"], rows, plot)]
+
+
+def _fig_shadow_csp(sim):
     blk = BlockageModel(0.5, 1.0)
     rows = []
     for cell in (0.5, 1.0, 2.0, 4.0):
         sg = ShadowGrid(8.0, cell)
-        mc2 = moments_shadowed(2.0, 1.0, 1.0, sg, blk, 1.0, 4.0, "correlated")
-        mc1 = moments_shadowed(1.0, 1.0, 1.0, sg, blk, 1.0, 4.0, "correlated")
-        mi2 = moments_shadowed(2.0, 1.0, 1.0, sg, blk, 1.0, 4.0, "independent")
-        mi1 = moments_shadowed(1.0, 1.0, 1.0, sg, blk, 1.0, 4.0, "independent")
-        rows.append([cell, mc2 / mc1, mi2 / mi1])
-    path = os.path.join(out_dir, "fig22_shadow_csp.csv")
-    write_csv(path, ["cell_size", "correlated_csp", "independent_csp"], rows)
-    gp = os.path.join(out_dir, "fig22_shadow_csp.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'cell size L'\nset ylabel 'conditional success'\nset grid\n"
-            "plot 'fig22_shadow_csp.csv' using 1:2 w lp t 'correlated', "
-            "'fig22_shadow_csp.csv' using 1:3 w lp t 'independent'\n"
-        )
-    return [path, gp]
+        rows.append([cell, *(_temporal_csp(lambda b: moments_shadowed(b, 1.0, 1.0, sg, blk, 1.0, 4.0, mode))
+                             for mode in ("correlated", "independent"))])
+    series = [("correlated_csp", "correlated", "linespoints"), ("independent_csp", "independent", "linespoints")]
+    plot = Plot("cell_size", series, "cell size L", "conditional success")
+    return [Table("fig22_shadow_csp", ["cell_size", "correlated_csp", "independent_csp"], rows, plot)]
 
 
-def _fig_relay_csp(out_dir, key):
-    from . import relay_retx
-
-    rows = []
-    if key == "fig28":
-        grid = theta_from_db(np.linspace(-10, 10, 9))
-        cols = {}
-        for m in (2, 3, 4):
-            num = [relay_retx.relay_moments(1.0, relay_retx.linear_route(m, 1.0), float(t), 4.0, 0.1, "qsi") for t in grid]
-            den = [relay_retx.relay_moments(1.0, relay_retx.linear_route(m - 1, 1.0), float(t), 4.0, 0.1, "qsi") for t in grid]
-            cols[f"hop{m}_csp"] = [a / b for a, b in zip(num, den)]
-        path = os.path.join(out_dir, "fig28_relay_spatial_csp.csv")
-        write_curve_csv(path, grid, cols)
-        gp = os.path.join(out_dir, "fig28_relay_spatial_csp.gp")
-        write_gnuplot(gp, [(os.path.basename(path), [(4 + i, n) for i, n in enumerate(cols)])],
-                      "Per-hop conditional success")
-        return [path, gp]
-    for m in (1, 2, 3, 4):
-        r = relay_retx.linear_route(m, 1.0)
-        ratio = relay_retx.relay_moments(2.0, r, 1.0, 4.0, 0.1, "qsi") / relay_retx.relay_moments(
-            1.0, r, 1.0, 4.0, 0.1, "qsi"
-        )
-        rows.append([m, ratio])
-    path = os.path.join(out_dir, "fig29_relay_temporal_csp.csv")
-    write_csv(path, ["hops", "temporal_csp"], rows)
-    gp = os.path.join(out_dir, "fig29_relay_temporal_csp.gp")
-    with open(gp, "w") as fh:
-        fh.write(
-            "set datafile separator ','\nset xlabel 'hops'\nset ylabel 'temporal conditional success'\n"
-            "set grid\nplot 'fig29_relay_temporal_csp.csv' using 1:2 w lp t 'qsi'\n"
-        )
-    return [path, gp]
+def _relay_qsi(b, hops, theta):
+    return relay_retx.relay_moments(b, relay_retx.linear_route(hops, 1.0), theta, 4.0, 0.1, "qsi")
 
 
-def _fig_retx_extra(out_dir, key):
-    from . import relay_retx
-
-    grid = theta_from_db(np.linspace(-10, 10, 9))
-    if key == "fig33":
-        cols = {
-            f"csp_k{k}": [relay_retx.csp_retx(k, "qsi", float(t), 4.0, 0.1, 1.0) for t in grid]
-            for k in (1, 2, 3, 4)
-        }
-        name = "fig33_retx_csp"
-    else:
-        cols = {}
-        for k in (1, 2, 4):
-            cols[f"p_qsi_k{k}"] = [relay_retx.p_retx(k, "qsi", float(t), 4.0, 0.1, 1.0) for t in grid]
-            cols[f"p_fvi_k{k}"] = [relay_retx.p_retx(k, "fvi", float(t), 4.0, 0.1, 1.0) for t in grid]
-        name = "fig34_retx_p"
-    path = os.path.join(out_dir, f"{name}.csv")
-    write_curve_csv(path, grid, cols)
-    gp = os.path.join(out_dir, f"{name}.gp")
-    write_gnuplot(gp, [(f"{name}.csv", [(4 + i, n) for i, n in enumerate(cols)])], "Retransmission")
-    return [path, gp]
+def _fig_relay_spatial_csp(sim):
+    cols = {f"hop{m}_csp": [_relay_qsi(1.0, m, float(t)) / _relay_qsi(1.0, m - 1, float(t)) for t in _THETA_9]
+            for m in (2, 3, 4)}
+    return [_curve("fig28_relay_spatial_csp", _THETA_9, cols, "Per-hop conditional success")]
 
 
-_SPECIAL_FIGURES = {"fig9", "fig10", "fig12", "fig14", "fig16", "fig17", "fig18", "fig22", "fig28", "fig29", "fig33", "fig34"}
+def _fig_relay_temporal_csp(sim):
+    rows = [[m, _temporal_csp(lambda b: _relay_qsi(b, m, 1.0))] for m in (1, 2, 3, 4)]
+    plot = Plot("hops", [("temporal_csp", "qsi", "linespoints")], "hops", "temporal conditional success")
+    return [Table("fig29_relay_temporal_csp", ["hops", "temporal_csp"], rows, plot)]
+
+
+def _fig_retx_csp(sim):
+    cols = {f"csp_k{k}": [relay_retx.csp_retx(k, "qsi", float(t), 4.0, 0.1, 1.0) for t in _THETA_9]
+            for k in (1, 2, 3, 4)}
+    return [_curve("fig33_retx_csp", _THETA_9, cols, "Retransmission")]
+
+
+def _fig_retx_p(sim):
+    return [_curve("fig34_retx_p", _THETA_9, _retx_columns("p", relay_retx.p_retx, (1, 2, 4), _THETA_9),
+                   "Retransmission")]
+
+
+def _db(start, stop, num):
+    return {"kind": "db", "start": start, "stop": stop, "num": num}
+
+
+# Desk-scale parameterizations of the catalog figures: a function of the run's
+# SimConfig, or an `analyze` config whose params left out take the experiment's
+# defaults.
+FIGURES = {
+    "fig9": _fig_pcf,
+    "fig10": _fig_variance,
+    "fig11": _fig_adhoc,
+    "fig12": _fig_adhoc_csp,
+    "fig13": {"experiment": "meta_distribution", "params": {"r_t": 1.0}},
+    "fig14": _fig_asappp,
+    "fig16": _fig_asappp_meta,
+    "fig17": _fig_lsu,
+    "fig18": _fig_lsu_csp,
+    "fig21": {"experiment": "shadowing", "theta_grid": _db(-10, 10, 9)},
+    "fig22": _fig_shadow_csp,
+    "fig23": {"experiment": "queueing_downlink", "params": {"xi": [0.01, 0.05, 0.1]},
+              "theta_grid": _db(-10, 20, 13)},
+    "fig24": {"experiment": "queueing_bipolar", "params": {"mc_trials": 24}, "theta_grid": _db(-10, 30, 17)},
+    "fig25": {"experiment": "queueing_bipolar", "params": {"density": 0.01, "xi": [0.5]},
+              "theta_grid": _db(-10, 30, 17)},
+    "fig27": {"experiment": "relay", "theta_grid": _db(-10, 10, 9)},
+    "fig28": _fig_relay_spatial_csp,
+    "fig29": _fig_relay_temporal_csp,
+    "fig31": {"experiment": "mobility_csp", "params": {"model": "bipolar_mobile_interferers"}},
+    "fig32": {"experiment": "retx_jsp", "theta_grid": _db(-10, 10, 9)},
+    "fig33": _fig_retx_csp,
+    "fig34": _fig_retx_p,
+    "fig35": {"experiment": "harq", "theta_grid": _db(-10, 10, 9)},
+}
 
 
 def cmd_figure(key, seed, trials, out_dir):
     t0 = time.time()
-    os.makedirs(out_dir, exist_ok=True)
-    cfg_sim = SimConfig(trials=trials, master_seed=seed)
-    try:
-        if key in _SPECIAL_FIGURES:
-            if key == "fig9":
-                outputs = _fig_pcf(cfg_sim, out_dir, seed)
-            elif key == "fig10":
-                outputs = _fig_variance(out_dir)
-            elif key == "fig12":
-                outputs = _fig_adhoc_three_fields(cfg_sim, out_dir, "fig12_temporal_csp", b_over_b1=True)
-            elif key == "fig14":
-                outputs = _fig_asappp(cfg_sim, out_dir, "fig14_asappp")
-            elif key == "fig16":
-                outputs = _fig_asappp(cfg_sim, out_dir, "fig16_asappp_meta", meta=True)
-            elif key in ("fig17", "fig18"):
-                outputs = _fig_lsu(out_dir, key)
-            elif key == "fig22":
-                outputs = _fig_shadow_csp(out_dir)
-            elif key in ("fig28", "fig29"):
-                outputs = _fig_relay_csp(out_dir, key)
-            else:
-                outputs = _fig_retx_extra(out_dir, key)
-            write_manifest(out_dir, {"figure": key, "seed": seed, "trials": trials}, outputs, seed, t0)
-            for p in outputs:
-                print(p)
-            return EXIT_OK
-        conf = _figure_config(key, seed, trials, out_dir)
-        if key == "fig11":
-            outputs = _fig_adhoc_three_fields(cfg_sim, out_dir, "fig11_adhoc")
-            write_manifest(out_dir, {"figure": key, "seed": seed, "trials": trials}, outputs, seed, t0)
-            for p in outputs:
-                print(p)
-            return EXIT_OK
-        cfg = parse_config(conf)
-        outputs = _EXPERIMENTS[cfg["experiment"]](cfg, out_dir)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ToleranceError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    write_manifest(out_dir, {"figure": key, "seed": seed, "trials": trials}, outputs, seed, t0)
-    for p in outputs:
-        print(p)
-    return EXIT_OK
+
+    def produce():
+        entry = FIGURES.get(key)
+        if entry is None:
+            raise ConfigError(f"unknown figure key: {key}")
+        if callable(entry):
+            return entry(SimConfig(trials=trials, master_seed=seed))
+        cfg = parse_config({"version": 1, "sim": {"trials": trials, "master_seed": seed}, **entry})
+        return _EXPERIMENTS[cfg["experiment"]](cfg)
+
+    return _publish(produce, out_dir, {"figure": key, "seed": seed, "trials": trials}, seed, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,9 @@ __all__ = [
     "gamma_fn",
     "loggamma_fn",
     "gamma_ratio",
-    "lower_incomplete_gamma",
     "gauss_2f1",
     "lambert_w0",
     "integrate_1d",
-    "integrate_2d",
     "gil_pelaez_ccdf",
     "fixed_point_solve",
 ]
@@ -161,62 +159,6 @@ def gamma_ratio(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Lower incomplete gamma
-# ---------------------------------------------------------------------------
-
-
-def lower_incomplete_gamma(s, x, tol=1e-14, max_iter=10000):
-    """gamma(s, x) = int_0^x u^(s-1) e^(-u) du for s > 0, x >= 0.
-
-    Power series for x < s + 1, Lentz continued fraction for the upper
-    incomplete gamma otherwise.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(s)
-    if x < s + 1.0:
-        # gamma(s,x) = x^s e^-x sum_n x^n / (s (s+1) ... (s+n))
-        term = 1.0 / s
-        total = term
-        for n in range(1, max_iter):
-            term *= x / (s + n)
-            total += term
-            if abs(term) < abs(total) * tol:
-                break
-        else:
-            raise ToleranceError("series for lower incomplete gamma did not converge")
-        return total * math.exp(s * math.log(x) - x)
-    # modified Lentz for the continued fraction of Gamma(s, x)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, max_iter):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            break
-    else:
-        raise ToleranceError("continued fraction for incomplete gamma did not converge")
-    upper = math.exp(s * math.log(x) - x) * h
-    return math.exp(lg) - upper
-
-
-# ---------------------------------------------------------------------------
 # Gauss hypergeometric 2F1 for complex a, real b, c and z <= 0
 # ---------------------------------------------------------------------------
 
@@ -345,28 +287,6 @@ def integrate_1d(f, a, b, spec=None, complex_valued=False):
         return QuadResult(complex(vr, vi), er + ei, okr and oki)
     val, err, ok = _quad_real(g, lo, hi, spec)
     return QuadResult(val, err, ok)
-
-
-def integrate_2d(f, x_domain, y_domain, spec=None, complex_valued=False):
-    """Tensorized integral of f(x, y) over x_domain x y_domain.
-
-    Inner integral runs over y for each outer x node; outer error estimates are
-    accumulated with the inner tolerance folded in.
-    """
-    spec = spec or DEFAULT_QUAD
-    inner_errs = []
-
-    def outer(x):
-        res = integrate_1d(lambda y: f(x, y), y_domain[0], y_domain[1], spec, complex_valued)
-        inner_errs.append(res.error)
-        return res.value
-
-    res = integrate_1d(outer, x_domain[0], x_domain[1], spec, complex_valued)
-    inner = max(inner_errs) if inner_errs else 0.0
-    span = abs(x_domain[1] - x_domain[0]) if not np.isinf(x_domain[1]) else 1.0
-    total_err = res.error + inner * span
-    ok = res.converged and total_err <= 100 * (spec.abs_tol + spec.rel_tol * abs(res.value) + 1e-300)
-    return QuadResult(res.value, total_err, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ association; interferers are the remaining points).
 
 import cmath
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,21 +276,27 @@ class DownlinkImagMoments:
     Substituting t = log(1 + theta v^alpha) in the relative-distance-process
     integral gives F(ju) = 1 + 2 int_0^T t^-delta psi_u(t) dt with a linear
     oscillation phase; Gauss-Jacobi nodes against the t^-delta weight resolve
-    both the endpoint singularity and the oscillation at fixed cost.
+    both the endpoint singularity and the oscillation at fixed cost.  The
+    most recently used CACHE_SIZE evaluators are kept.
     """
 
     U_CAP = 4.0e3
-    _cache = {}
+    NODES_PER_PERIOD = 8.0
+    CACHE_SIZE = 16
+    _cache = OrderedDict()
 
-    def __new__(cls, theta, alpha, nodes_per_period=8.0):
-        key = (theta, alpha, nodes_per_period)
+    def __new__(cls, theta, alpha):
+        key = (theta, alpha)
         if key in cls._cache:
+            cls._cache.move_to_end(key)
             return cls._cache[key]
         obj = super().__new__(cls)
         cls._cache[key] = obj
+        if len(cls._cache) > cls.CACHE_SIZE:
+            cls._cache.popitem(last=False)
         return obj
 
-    def __init__(self, theta, alpha, nodes_per_period=8.0):
+    def __init__(self, theta, alpha):
         if hasattr(self, "_w"):
             return
         from scipy import special as _sps
@@ -297,7 +304,7 @@ class DownlinkImagMoments:
         self.theta = theta
         self.delta = 2.0 / alpha
         t_top = math.log1p(theta)
-        n = max(512, int(nodes_per_period * self.U_CAP * t_top / (2.0 * math.pi)))
+        n = max(512, int(self.NODES_PER_PERIOD * self.U_CAP * t_top / (2.0 * math.pi)))
         n = min(n, 60000)
         x, w = _sps.roots_jacobi(n, 0.0, -self.delta)
         t = t_top * (x + 1.0) / 2.0

@@ -26,6 +26,7 @@ def _write_config(tmp_path, **overrides):
         "output_dir": str(tmp_path / "out"),
     }
     cfg.update(overrides)
+    cfg = {k: v for k, v in cfg.items() if v is not None}  # None drops a key
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -68,6 +69,20 @@ def test_analyze_unknown_experiment_exit2(tmp_path):
     assert cmd_analyze(str(cfg)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"theta_grid": None},
+        {"experiment": "moments_adhoc", "params": {"field": "nope", "r_t": 1.0}},
+        {"experiment": "moments_adhoc", "params": {"field": "ppp"}},
+    ],
+    ids=["downlink_no_grid", "adhoc_unknown_field", "adhoc_no_r_t"],
+)
+def test_analyze_experiment_config_error_exit2(tmp_path, overrides):
+    # an experiment that rejects its params is a config error, not a crash
+    assert cmd_analyze(str(_write_config(tmp_path, **overrides))) == EXIT_CONFIG
+
+
 def test_analyze_bad_json_exit2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -99,7 +114,11 @@ def test_figure_registry_rejects_unknown(tmp_path):
     assert cmd_figure("fig999", 1, 100, str(tmp_path)) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("key", ["fig10", "fig17", "fig18", "fig22", "fig28", "fig29", "fig33", "fig34"])
+@pytest.mark.parametrize(
+    "key",
+    ["fig10", "fig17", "fig18", "fig21", "fig22", "fig23", "fig25", "fig27", "fig28", "fig29", "fig32", "fig33",
+     "fig34"],
+)
 def test_analytic_figures_smoke(tmp_path, key):
     out = tmp_path / key
     assert cmd_figure(key, 3, 500, str(out)) == EXIT_OK
@@ -107,6 +126,14 @@ def test_analytic_figures_smoke(tmp_path, key):
     assert any(f.endswith(".csv") for f in files)
     assert any(f.endswith(".gp") for f in files)
     assert "manifest.json" in files
+
+
+def test_figure_registry_matches_catalog():
+    from stochgeo.cli import FIGURES
+
+    # the catalog keys the README lists
+    catalog = {9, 10, 11, 12, 13, 14, 16, 17, 18, 21, 22, 23, 24, 25, 27, 28, 29, 31, 32, 33, 34, 35}
+    assert set(FIGURES) == {f"fig{n}" for n in catalog}
 
 
 def test_figure_fig24_overlap(tmp_path):
@@ -136,7 +163,7 @@ def test_numerical_failure_exit3(tmp_path, monkeypatch):
     from stochgeo import cli
     from stochgeo.core import ToleranceError
 
-    def boom(cfg, out_dir):
+    def boom(cfg):
         raise ToleranceError("synthetic tolerance failure")
 
     monkeypatch.setitem(cli._EXPERIMENTS, "moments_downlink", boom)

@@ -15,9 +15,7 @@ from stochgeo.numerics import (
     gauss_2f1,
     gil_pelaez_ccdf,
     integrate_1d,
-    integrate_2d,
     lambert_w0,
-    lower_incomplete_gamma,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -76,34 +74,6 @@ def test_gamma_ratio_matches_direct_for_imaginary_order():
     assert np.isfinite(big.real) and np.isfinite(big.imag)
     # asymptotically (j u)^delta
     assert abs(big) == pytest.approx(math.sqrt(800.0), rel=1e-2)
-
-
-# ---------------------------------------------------- lower incomplete gamma
-
-
-def test_lower_incomplete_gamma_at_zero():
-    assert lower_incomplete_gamma(2.3, 0.0) == 0.0
-
-
-def test_lower_incomplete_gamma_s1_closed_form():
-    for x in (0.1, 1.0, 5.0, 40.0):
-        assert lower_incomplete_gamma(1.0, x) == pytest.approx(1 - math.exp(-x), rel=1e-12)
-
-
-def test_lower_incomplete_gamma_vs_quadrature_oracle():
-    cases = [(0.5, 1.0), (2.5, 0.3), (3.0, 10.0), (0.7, 25.0)]
-    for s, x in cases:
-        oracle, _ = sciint.quad(lambda u: u ** (s - 1) * math.exp(-u), 0, x)
-        assert lower_incomplete_gamma(s, x) == pytest.approx(oracle, rel=1e-9)
-    # frozen: gamma(0.5, 1) = sqrt(pi) * erf(1)
-    assert lower_incomplete_gamma(0.5, 1.0) == pytest.approx(1.4936482656248540, rel=1e-11)
-
-
-def test_lower_incomplete_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        lower_incomplete_gamma(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        lower_incomplete_gamma(1.0, -0.5)
 
 
 # ------------------------------------------------------------------- 2F1
@@ -223,28 +193,6 @@ def test_integrate_complex_valued():
 def test_integrate_nan_propagates():
     with pytest.raises(ToleranceError):
         integrate_1d(lambda x: float("nan"), 0.0, 1.0)
-
-
-def test_integrate_2d_gaussian():
-    res = integrate_2d(
-        lambda x, y: math.exp(-math.pi * (x * x + y * y)),
-        (-8.0, 8.0),
-        (-8.0, 8.0),
-    )
-    assert res.value == pytest.approx(1.0, rel=1e-8)
-
-
-def test_integrate_2d_radial_pathloss_square():
-    # polar form of int_{R^2} l(x)^2 dx at alpha=4, eps=1 -> 2*pi*(pi/8)
-    res = integrate_2d(
-        lambda r, _t: r / (1 + r**4) ** 2, (0.0, np.inf), (0.0, 2 * math.pi)
-    )
-    assert res.value == pytest.approx(math.pi**2 / 4.0, rel=1e-7)
-
-
-def test_integrate_2d_disk_area():
-    res = integrate_2d(lambda r, _t: r, (0.0, 3.0), (0.0, 2 * math.pi))
-    assert res.value == pytest.approx(math.pi * 9.0, rel=1e-10)
 
 
 # ----------------------------------------------------------------- gil-pelaez

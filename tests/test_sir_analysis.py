@@ -284,3 +284,19 @@ def test_asappp_curve_regrid():
     base = Curve(grid=grid, values=np.array([moments_downlink_ppp(1.0, t, 4.0) for t in grid]))
     out = asappp_apply(base, 1.5)
     assert out.values[5] >= base.values[5]  # gain > 1 raises success probability
+
+
+def test_downlink_moment_cache_is_lru(monkeypatch):
+    from collections import OrderedDict
+
+    from stochgeo.sir_analysis import DownlinkImagMoments
+
+    monkeypatch.setattr(DownlinkImagMoments, "_cache", OrderedDict())
+    monkeypatch.setattr(DownlinkImagMoments, "CACHE_SIZE", 2)
+    first = DownlinkImagMoments(1.0, 4.0)
+    second = DownlinkImagMoments(0.5, 4.0)
+    assert DownlinkImagMoments(1.0, 4.0) is first  # a hit, and now the most recent
+    DownlinkImagMoments(2.0, 4.0)  # evicts (0.5, 4), the least recently used
+    assert list(DownlinkImagMoments._cache) == [(1.0, 4.0), (2.0, 4.0)]
+    rebuilt = DownlinkImagMoments(0.5, 4.0)
+    assert rebuilt is not second and rebuilt(3.0) == second(3.0)
