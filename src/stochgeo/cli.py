@@ -26,7 +26,7 @@ from .interference import PathLossSpec, corr_coefficient, interference_variance
 from .mobility import MobilitySpec, handoff_prob_avg, mobility_report
 from .pointprocess import GPP, MCP, PPP, NetworkModel, pcf_analytic, pcf_estimate, sample_mcp, sample_ppp
 from .shadowing import BlockageModel, ShadowGrid, moments_shadowed
-from .simengine import SimConfig, seed_stream
+from .simengine import STREAMS, SimConfig, seed_stream
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -191,7 +191,7 @@ def _publish(produce, out_dir, config_echo, seed, t_start):
     os.makedirs(out_dir, exist_ok=True)
     try:
         tables = produce()
-    except ConfigError as e:
+    except ValueError as e:  # ConfigError, or a model rejecting its parameters
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ToleranceError as e:
@@ -450,9 +450,10 @@ def _temporal_csp(moment):
 def _fig_pcf(sim):
     r_grid = np.linspace(0.05, 3.0, 30)
     mcp = MCP(0.2, 5.0, 1.0)
-    rng = seed_stream(sim.master_seed, 0, 41)
-    est_p = pcf_estimate([sample_ppp(1.0, 10.0, rng) for _ in range(100)], r_grid, bin_width=0.1)
-    est_m = pcf_estimate([sample_mcp(0.2, 5.0, 1.0, 10.0, rng) for _ in range(100)], r_grid, bin_width=0.1)
+    substream, n = STREAMS["pcf_figure"]
+    rng = seed_stream(sim.master_seed, 0, substream)
+    est_p = pcf_estimate([sample_ppp(1.0, 10.0, rng) for _ in range(n)], r_grid, bin_width=0.1)
+    est_m = pcf_estimate([sample_mcp(0.2, 5.0, 1.0, 10.0, rng) for _ in range(n)], r_grid, bin_width=0.1)
     rows = [[float(r), float(pcf_analytic(mcp, r)), 1.0, float(pcf_analytic(GPP(1.0, 0.5), r)),
              float(est_m.values[i]), float(est_p.values[i])] for i, r in enumerate(r_grid)]
     header = ["r", "mcp_analytic", "ppp_analytic", "gpp_analytic", "mcp_estimate", "ppp_estimate"]

@@ -152,11 +152,7 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
         return _equidistant_mc(c, b, theta, alpha, density, cfg)
     radius = cfg.window_radius or simengine.default_window(model)
     keep_samples = []
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(1024, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 13)
+    for rng, size in simengine.batches(cfg, "lsu"):
         counts = rng.poisson(density * math.pi * radius**2, size)
         total = int(counts.sum())
         r = radius * np.sqrt(rng.random(total))
@@ -178,8 +174,6 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
                 * radius ** (2.0 - alpha) / (alpha - 2.0)
             )
             keep_samples.append(csp**b * corr)
-        done += size
-        batch += 1
     if not keep_samples:
         raise ValueError(f"no samples fell in class {c.kind}; check rho")
     return simengine.confidence(np.asarray(keep_samples), cfg.master_seed)
@@ -191,11 +185,7 @@ def _equidistant_mc(c, b, theta, alpha, density, cfg):
     radius = cfg.window_radius or simengine.default_window(model)
     a = density * math.pi
     samples = []
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(1024, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 14)
+    for rng, size in simengine.batches(cfg, "lsu_equidistant"):
         # r1 ~ 2 a^2 r^3 e^(-a r^2): a r^2 ~ Gamma(2, 1)
         r1 = np.sqrt(rng.standard_gamma(2.0, size) / a)
         for r in r1:
@@ -210,6 +200,4 @@ def _equidistant_mc(c, b, theta, alpha, density, cfg):
                 * radius ** (2.0 - alpha) / (alpha - 2.0)
             )
             samples.append(csp**b * corr)
-        done += size
-        batch += 1
     return simengine.confidence(np.asarray(samples), cfg.master_seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import integrate_1d
-from .pointprocess import circle_intersection_area
+from .pointprocess import _uniform_disk, circle_intersection_area
 from . import simengine
 
 __all__ = [
@@ -114,16 +114,10 @@ def _mobility_samples(spec, density, theta, alpha, cfg):
     radius = simengine.default_window_density(density) + v
     area = math.pi * radius**2
     out1, out2, hand = [], [], []
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(512, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 31)
+    for rng, size in simengine.batches(cfg, "mobility"):
         for _ in range(size):
             n = max(int(rng.poisson(density * area)), 2)
-            r = radius * np.sqrt(rng.random(n))
-            t = rng.random(n) * 2.0 * math.pi
-            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+            pts = _uniform_disk(n, radius, rng)
             if spec.model == "downlink_mobile_user":
                 csp1, j1 = _csp_downlink_at(pts, (0.0, 0.0), theta, alpha)
                 ang = rng.random() * 2.0 * math.pi
@@ -142,8 +136,6 @@ def _mobility_samples(spec, density, theta, alpha, cfg):
                 hand.append(0.0)
             out1.append(csp1)
             out2.append(csp2)
-        done += size
-        batch += 1
     return np.asarray(out1), np.asarray(out2), np.asarray(hand)
 
 
@@ -192,16 +184,10 @@ def jsp_mobility_mc_raw_fading(spec, density, theta, alpha, cfg):
     radius = simengine.default_window_density(density) + v
     area = math.pi * radius**2
     hits = []
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(512, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 37)
+    for rng, size in simengine.batches(cfg, "mobility_raw"):
         for _ in range(size):
             n = max(int(rng.poisson(density * area)), 2)
-            r = radius * np.sqrt(rng.random(n))
-            t = rng.random(n) * 2.0 * math.pi
-            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+            pts = _uniform_disk(n, radius, rng)
             if spec.model == "downlink_mobile_user":
                 d1 = np.hypot(pts[:, 0], pts[:, 1])
                 j1 = int(np.argmin(d1))
@@ -226,6 +212,4 @@ def jsp_mobility_mc_raw_fading(spec, density, theta, alpha, cfg):
                 s1 = rng.standard_exponential() * d0**-alpha / max(float((h1 * dd**-alpha).sum()), 1e-300)
                 s2 = rng.standard_exponential() * d0**-alpha / max(float((h2 * dm**-alpha).sum()), 1e-300)
             hits.append(1.0 if (s1 > theta and s2 > theta) else 0.0)
-        done += size
-        batch += 1
     return simengine.confidence(np.asarray(hits), cfg.master_seed)

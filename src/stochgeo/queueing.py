@@ -255,8 +255,7 @@ def simulate_queues(
     if slots <= warmup:
         raise ValueError("slots must exceed the warmup period")
     probs = []
-    for trial in range(cfg.trials):
-        rng = simengine.seed_stream(cfg.master_seed, trial, 19)
+    for rng, _ in simengine.batches(cfg, "queue"):
         if mode == "bipolar":
             if density is None or r_t is None:
                 raise ValueError("bipolar mode needs density and r_t")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import ToleranceError
 from .numerics import QuadratureSpec, gamma_fn, gamma_ratio, integrate_1d
+from .pointprocess import _uniform_disk
 from . import simengine
 
 _HARQ_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7, max_subdivisions=200)
@@ -283,40 +284,22 @@ def estimate_relay_jsp(route, theta, alpha, density, regime, cfg, b=1.0):
     dists = np.asarray(route.hop_distances)
     radius = (cfg.window_radius or simengine.default_window_density(density)) + route.extent()
     area = math.pi * radius**2
-    n_hops = route.n_hops
+    # per-hop far-field completion (leading order)
+    corr = sum(
+        b * theta * d**alpha * 2.0 * math.pi * density
+        * (radius - route.extent()) ** (2.0 - alpha) / (alpha - 2.0)
+        for d in dists
+    )
     samples = []
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(512, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 23)
+    for rng, size in simengine.batches(cfg, "relay"):
         for _ in range(size):
             log_total = 0.0
-            if regime == "qsi":
-                n = rng.poisson(density * area)
-                r = radius * np.sqrt(rng.random(n))
-                t = rng.random(n) * 2.0 * math.pi
-                pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-                for m in range(n_hops):
-                    dd = np.hypot(pts[:, 0] - z[m, 0], pts[:, 1] - z[m, 1])
-                    log_total += np.log1p(theta * dists[m] ** alpha * dd**-alpha).sum() * b
-            else:
-                for m in range(n_hops):
-                    n = rng.poisson(density * area)
-                    r = radius * np.sqrt(rng.random(n))
-                    t = rng.random(n) * 2.0 * math.pi
-                    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-                    dd = np.hypot(pts[:, 0] - z[m, 0], pts[:, 1] - z[m, 1])
-                    log_total += np.log1p(theta * dists[m] ** alpha * dd**-alpha).sum() * b
-            # per-hop far-field completion (leading order)
-            corr = sum(
-                b * theta * d**alpha * 2.0 * math.pi * density
-                * (radius - route.extent()) ** (2.0 - alpha) / (alpha - 2.0)
-                for d in dists
-            )
+            for m in range(route.n_hops):
+                if m == 0 or regime == "fvi":  # qsi: every hop sees the first pattern
+                    pts = _uniform_disk(rng.poisson(density * area), radius, rng)
+                dd = np.hypot(pts[:, 0] - z[m, 0], pts[:, 1] - z[m, 1])
+                log_total += np.log1p(theta * dists[m] ** alpha * dd**-alpha).sum() * b
             samples.append(math.exp(-log_total - corr))
-        done += size
-        batch += 1
     return simengine.confidence(np.asarray(samples), cfg.master_seed)
 
 
@@ -329,11 +312,7 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
     area = math.pi * radius**2
     ra = r_t**alpha
     hits = []
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(1024, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 29)
+    for rng, size in simengine.batches(cfg, "harq_mrc"):
         for _ in range(size):
             def draw_sir():
                 n = rng.poisson(density * area)
@@ -352,6 +331,4 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
                 s1, _ = draw_sir()
                 s2, _ = draw_sir()
             hits.append(1.0 if (s1 > theta or s1 + s2 > theta) else 0.0)
-        done += size
-        batch += 1
     return simengine.confidence(np.asarray(hits), cfg.master_seed)

@@ -229,26 +229,21 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     return math.exp(log_out)
 
 
-def simulate_shadowed(grid, blockage, density, alpha, theta, r_t, mode, cfg, b=1.0):
-    """Monte Carlo b-th CSP moment over the cell window.
+def _shadowed_trials(grid, blockage, density, mode, cfg, stream):
+    """Yield (rng, r, t) per trial: the trial's generator, and the distances
+    and shadowing gains of a PPP on the square cell union.
 
-    Per realization the PPP lives on the square cell union; shadowing draws
-    are one kappa^N per cell (correlated) or per point (independent), with N
-    Poisson in the cell-center distance; fading is integrated analytically.
+    Shadowing draws are one kappa^N per cell (correlated) or per point
+    (independent), with N Poisson in the cell-center distance.  A caller may
+    draw more from rng before asking for the next trial.
     """
     half = grid.half_width
     area = (2.0 * half) ** 2
     lam_b = blockage.blockage_density
     kap = blockage.kappa
-    samples = []
-    done = 0
-    batch = 0
-    n_cells = grid.cells_per_side**2
     centers = grid.cell_centers()
     d_cells = np.hypot(centers[:, 0], centers[:, 1])
-    while done < cfg.trials:
-        size = min(512, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 17)
+    for rng, size in simengine.batches(cfg, stream):
         for _ in range(size):
             n = rng.poisson(density * area)
             pts = rng.random((n, 2)) * 2.0 * half - half
@@ -259,43 +254,26 @@ def simulate_shadowed(grid, blockage, density, alpha, theta, r_t, mode, cfg, b=1
                 t = kap ** n_blk[idx].astype(float)
             else:
                 t = kap ** rng.poisson(lam_b * d_cells[idx]).astype(float)
-            csp = math.exp(-float(np.log1p(theta * r_t**alpha * t * r**-alpha).sum()))
-            samples.append(csp**b)
-        done += size
-        batch += 1
+            yield rng, r, t
+
+
+def simulate_shadowed(grid, blockage, density, alpha, theta, r_t, mode, cfg, b=1.0):
+    """Monte Carlo b-th CSP moment over the cell window; fading is integrated
+    analytically."""
+    samples = [
+        math.exp(-float(np.log1p(theta * r_t**alpha * t * r**-alpha).sum())) ** b
+        for _, r, t in _shadowed_trials(grid, blockage, density, mode, cfg, "shadowed")
+    ]
     return simengine.confidence(np.asarray(samples), cfg.master_seed)
 
 
 def simulate_shadowed_interference(grid, blockage, density, alpha, eps, mode, cfg):
     """Empirical mean and variance of the shadowed interference (fresh
     Rayleigh fading per draw) for the Remark-level ordering checks."""
-    half = grid.half_width
-    area = (2.0 * half) ** 2
-    lam_b = blockage.blockage_density
-    kap = blockage.kappa
-    centers = grid.cell_centers()
-    d_cells = np.hypot(centers[:, 0], centers[:, 1])
-    vals = []
-    done = 0
-    batch = 0
-    while done < cfg.trials:
-        size = min(512, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch, 18)
-        for _ in range(size):
-            n = rng.poisson(density * area)
-            pts = rng.random((n, 2)) * 2.0 * half - half
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            idx = grid.cell_index(pts)
-            if mode == "correlated":
-                n_blk = rng.poisson(lam_b * d_cells)
-                t = kap ** n_blk[idx].astype(float)
-            else:
-                t = kap ** rng.poisson(lam_b * d_cells[idx]).astype(float)
-            h = rng.standard_exponential(n)
-            vals.append(float(np.sum(h * t / (eps + r**alpha))))
-        done += size
-        batch += 1
-    vals = np.asarray(vals)
+    vals = np.asarray([
+        float(np.sum(rng.standard_exponential(len(r)) * t / (eps + r**alpha)))
+        for rng, r, t in _shadowed_trials(grid, blockage, density, mode, cfg, "shadowed_interference")
+    ])
     mean = simengine.confidence(vals, cfg.master_seed)
     var = simengine.confidence((vals - vals.mean()) ** 2, cfg.master_seed)
     return mean, var

@@ -6,10 +6,11 @@ product over interferers, so every trial contributes a smooth value in (0, 1]
 instead of a Bernoulli draw.  A raw-fading mode exists only for the HARQ
 maximal-ratio-combining oracle, where the sum-SIR event is not product form.
 
-Randomness is counter based (Philox) and keyed by (master_seed, batch index),
-with a fixed internal batch size, so results are a pure function of
-(trials, master_seed, model parameters) and never of scheduling or the
-advisory worker hint.
+Randomness is counter based (Philox) and keyed by (master_seed, batch index,
+substream).  Every Monte Carlo estimator draws its batches through `batches`
+from a stream named in `STREAMS`, which fixes the stream's substream id and
+trials per batch, so results are a pure function of (trials, master_seed,
+model parameters) and never of scheduling or the advisory worker hint.
 """
 
 import math
@@ -23,7 +24,10 @@ from .pointprocess import GPP, MCP, PPP, sample_pattern
 
 __all__ = [
     "SimConfig",
+    "STREAMS",
+    "FVI_EVENTS",
     "seed_stream",
+    "batches",
     "confidence",
     "default_window",
     "estimate_success",
@@ -33,7 +37,26 @@ __all__ = [
     "csp_sample_batches",
 ]
 
-_BATCH = 1024  # fixed: part of the determinism contract
+# name -> (substream id, trials per batch).  Both are part of the determinism
+# contract: changing either changes every draw of that estimator.  Ids 1 to
+# FVI_EVENTS are held free for estimate_jsp, whose FVI event j draws from the
+# "csp" id plus j.
+STREAMS = {
+    "csp": (0, 1024),
+    "misr": (7, 1024),
+    "interference": (11, 1024),
+    "lsu": (13, 1024),
+    "lsu_equidistant": (14, 1024),
+    "shadowed": (17, 512),
+    "shadowed_interference": (18, 512),
+    "queue": (19, 1),
+    "relay": (23, 512),
+    "harq_mrc": (29, 1024),
+    "mobility": (31, 512),
+    "mobility_raw": (37, 512),
+    "pcf_figure": (41, 100),  # one batch: 100 patterns per field
+}
+FVI_EVENTS = 6
 
 
 @dataclass(frozen=True)
@@ -61,6 +84,18 @@ def seed_stream(master_seed, trial_index, substream=0):
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def batches(cfg, name, event=0):
+    """Yield (rng, size) for each batch of the cfg.trials trials of stream `name`.
+
+    Batch i draws from seed_stream(cfg.master_seed, i, id + event), so each
+    batch depends only on (master_seed, i, stream).  `event` > 0 is used only
+    by the FVI events of estimate_jsp.
+    """
+    substream, per_batch = STREAMS[name]
+    for i, start in enumerate(range(0, cfg.trials, per_batch)):
+        yield seed_stream(cfg.master_seed, i, substream + event), min(per_batch, cfg.trials - start)
 
 
 def confidence(samples, seed):
@@ -168,11 +203,11 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
     else:
         val = integrate_1d(
             lambda r: (1.0 - (1.0 + c * r**-alpha) ** (-b)) * r, radius, np.inf
-        ).value
+        ).require()
     return -2.0 * math.pi * lam * val
 
 
-def csp_sample_batches(model, theta, geometry, cfg, substream=0):
+def csp_sample_batches(model, theta, geometry, cfg, event=0):
     """Yield (csp_window, r_serving) arrays per batch.
 
     csp_window is the fading-averaged conditional success probability over the
@@ -182,11 +217,7 @@ def csp_sample_batches(model, theta, geometry, cfg, substream=0):
     """
     radius = cfg.window_radius or default_window(model)
     alpha = model.alpha
-    done = 0
-    batch_idx = 0
-    while done < cfg.trials:
-        size = min(_BATCH, cfg.trials - done)
-        rng = seed_stream(cfg.master_seed, batch_idx, substream)
+    for rng, size in batches(cfg, "csp", event):
         radii, counts = _radii_batch(model, radius, rng, size)
         if geometry == "adhoc":
             r_t = model.link_distance
@@ -210,23 +241,20 @@ def csp_sample_batches(model, theta, geometry, cfg, substream=0):
         else:
             raise ValueError(f"unknown geometry: {geometry}")
         yield csp, r_serving
-        done += size
-        batch_idx += 1
 
 
-def _collect_csp(model, theta, geometry, cfg, b=1.0, substream=0):
+def _collect_csp(model, theta, geometry, cfg, b=1.0, event=0):
     radius = cfg.window_radius or default_window(model)
     alpha = model.alpha
     chunks = []
-    for csp, r_serv in csp_sample_batches(model, theta, geometry, cfg, substream):
+    for csp, r_serv in csp_sample_batches(model, theta, geometry, cfg, event):
         if geometry == "adhoc":
             corr = math.exp(_far_field_log_corr(model, theta, b, radius, model.link_distance))
-            chunks.append(csp**b * corr)
         else:
             # leading-order per-pattern far field: exponent linear in b
             coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
             corr = np.exp(-coef * r_serv**alpha * radius ** (2.0 - alpha))
-            chunks.append(csp**b * corr)
+        chunks.append(csp**b * corr)
     return np.concatenate(chunks)
 
 
@@ -245,17 +273,7 @@ def estimate_moment(model, b, theta, geometry, cfg):
 
 def estimate_meta(model, theta, x_grid, cfg, geometry="adhoc"):
     """Empirical meta distribution: CCDF of the per-pattern CSP on x_grid."""
-    radius = cfg.window_radius or default_window(model)
-    chunks = []
-    if geometry == "adhoc":
-        corr1 = math.exp(_far_field_log_corr(model, theta, 1.0, radius, model.link_distance))
-    for csp, r_serv in csp_sample_batches(model, theta, geometry, cfg):
-        if geometry == "adhoc":
-            chunks.append(csp * corr1)
-        else:
-            coef = 2.0 * math.pi * model.intensity * theta / (model.alpha - 2.0)
-            chunks.append(csp * np.exp(-coef * r_serv**model.alpha * radius ** (2.0 - model.alpha)))
-    samples = np.concatenate(chunks)
+    samples = _collect_csp(model, theta, geometry, cfg)
     x_grid = np.asarray(x_grid, dtype=float)
     n = samples.size
     ccdf = np.array([(samples > x).mean() for x in x_grid])
@@ -281,13 +299,9 @@ def estimate_interference_moments(model, pl, u, cfg):
     """
     radius = cfg.window_radius or default_window(model)
     lam = model.intensity
-    tail_mean = 2.0 * math.pi * lam * integrate_1d(lambda r: pl.ell(r) * r, radius, np.inf).value
+    tail_mean = 2.0 * math.pi * lam * integrate_1d(lambda r: pl.ell(r) * r, radius, np.inf).require()
     means, seconds, products = [], [], []
-    done = 0
-    batch_idx = 0
-    while done < cfg.trials:
-        size = min(_BATCH, cfg.trials - done)
-        rng = seed_stream(cfg.master_seed, batch_idx, 11)
+    for rng, size in batches(cfg, "interference"):
         if u == 0.0:
             radii, counts = _radii_batch(model, radius, rng, size)
             ell = pl.ell(radii)
@@ -317,8 +331,6 @@ def estimate_interference_moments(model, pl, u, cfg):
         means.append(i1)
         seconds.append(i1 * i1)
         products.append(i1 * i2)
-        done += size
-        batch_idx += 1
     means = np.concatenate(means)
     seconds = np.concatenate(seconds)
     products = np.concatenate(products)
@@ -333,7 +345,8 @@ def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):
     """Joint success probability of K repeated transmissions of one link.
 
     QSI shares a single pattern across the K events of a trial (the estimator
-    is the K-th CSP power); FVI draws a fresh pattern per event.  `events` is
+    is the K-th CSP power); FVI draws a fresh pattern per event, event j from
+    its own substream, so FVI takes at most FVI_EVENTS events.  `events` is
     the integer K; relay routes are handled in relay_retx.
     """
     k = int(events)
@@ -343,9 +356,9 @@ def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):
         samples = _collect_csp(model, theta, geometry, cfg, b=float(k))
         return confidence(samples, cfg.master_seed)
     if regime == "fvi":
-        per_event = []
-        for j in range(k):
-            per_event.append(_collect_csp(model, theta, geometry, cfg, b=1.0, substream=j + 1))
+        if k > FVI_EVENTS:
+            raise ValueError(f"FVI takes at most {FVI_EVENTS} events, one substream each")
+        per_event = [_collect_csp(model, theta, geometry, cfg, event=j + 1) for j in range(k)]
         samples = np.prod(per_event, axis=0)
         return confidence(samples, cfg.master_seed)
     raise ValueError("regime must be 'qsi' or 'fvi'")

@@ -419,19 +419,13 @@ def misr_estimate(model, alpha, cfg):
     radius = cfg.window_radius or simengine.default_window(model)
     sums = []
     r1a = []
-    done = 0
-    batch_idx = 0
-    while done < cfg.trials:
-        size = min(1024, cfg.trials - done)
-        rng = simengine.seed_stream(cfg.master_seed, batch_idx, 7)
+    for rng, size in simengine.batches(cfg, "misr"):
         for _ in range(size):
             d = sample_pattern(model, radius, rng).origin_distances()
             if len(d) < 2:
                 continue
             sums.append(np.sum((d[0] / d[1:]) ** alpha))
             r1a.append(d[0] ** alpha)
-        done += size
-        batch_idx += 1
     sums = np.asarray(sums)
     tail = 2.0 * math.pi * model.intensity * np.mean(r1a) * radius ** (2.0 - alpha) / (alpha - 2.0)
     est = simengine.confidence(sums + tail, cfg.master_seed)

@@ -75,8 +75,10 @@ def test_analyze_unknown_experiment_exit2(tmp_path):
         {"theta_grid": None},
         {"experiment": "moments_adhoc", "params": {"field": "nope", "r_t": 1.0}},
         {"experiment": "moments_adhoc", "params": {"field": "ppp"}},
+        {"experiment": "interference_corr", "params": {"alpha": 2.0}},
+        {"experiment": "harq", "params": {"alpha": "four"}},
     ],
-    ids=["downlink_no_grid", "adhoc_unknown_field", "adhoc_no_r_t"],
+    ids=["downlink_no_grid", "adhoc_unknown_field", "adhoc_no_r_t", "corr_alpha_2", "harq_alpha_text"],
 )
 def test_analyze_experiment_config_error_exit2(tmp_path, overrides):
     # an experiment that rejects its params is a config error, not a crash
@@ -136,9 +138,16 @@ def test_figure_registry_matches_catalog():
     assert set(FIGURES) == {f"fig{n}" for n in catalog}
 
 
-def test_figure_fig24_overlap(tmp_path):
-    out = tmp_path / "fig24"
-    assert cmd_figure("fig24", 3, 500, str(out)) == EXIT_OK
+@pytest.fixture(scope="module")
+def fig24_run(tmp_path_factory):
+    """One fig24 run shared by the tests that read its outputs."""
+    out = tmp_path_factory.mktemp("fig24")
+    return cmd_figure("fig24", 3, 500, str(out)), out
+
+
+def test_figure_fig24_overlap(fig24_run):
+    code, out = fig24_run
+    assert code == EXIT_OK
     lines = (out / "queueing_bipolar.csv").read_text().splitlines()
     header = lines[0].split(",")
     i85 = header.index("analytic_xi0.85")
@@ -171,9 +180,9 @@ def test_numerical_failure_exit3(tmp_path, monkeypatch):
     assert cmd_analyze(str(cfg)) == cli.EXIT_NUMERICAL
 
 
-def test_figure_fig24_emits_sim_estimates(tmp_path):
-    out = tmp_path / "fig24"
-    assert cmd_figure("fig24", 3, 400, str(out)) == EXIT_OK
+def test_figure_fig24_emits_sim_estimates(fig24_run):
+    code, out = fig24_run
+    assert code == EXIT_OK
     sim = out / "queueing_bipolar_sim.csv"
     assert sim.exists()
     header = sim.read_text().splitlines()[0]

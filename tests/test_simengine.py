@@ -5,7 +5,10 @@ import pytest
 
 from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
 from stochgeo.simengine import (
+    FVI_EVENTS,
+    STREAMS,
     SimConfig,
+    batches,
     confidence,
     default_window,
     estimate_jsp,
@@ -53,6 +56,27 @@ def test_seed_stream_collision_check():
 def test_seed_stream_substream_range():
     with pytest.raises(ValueError):
         seed_stream(1, 0, 1 << 20)
+
+
+def test_stream_registry_ids_distinct_and_clear_of_fvi_events():
+    ids = [sid for sid, _ in STREAMS.values()]
+    assert len(set(ids)) == len(ids)
+    assert FVI_EVENTS == 6
+    assert [name for name, (sid, _) in STREAMS.items() if 1 <= sid <= 6] == []
+    assert STREAMS["csp"][0] == 0
+
+
+def test_batches_sizes_and_streams():
+    drawn = list(batches(SimConfig(trials=2500, master_seed=9), "csp"))
+    assert [size for _, size in drawn] == [1024, 1024, 452]
+    for i, (rng, _) in enumerate(drawn):
+        np.testing.assert_array_equal(rng.random(4), seed_stream(9, i, 0).random(4))
+
+
+def test_estimate_jsp_fvi_rejects_more_events_than_substreams():
+    # event 7 would draw from the substream of another estimator
+    with pytest.raises(ValueError):
+        estimate_jsp(ADHOC_PPP, 7, "fvi", 1.0, SimConfig(trials=10, master_seed=1))
 
 
 # ---------------------------------------------------------------- confidence
