@@ -439,7 +439,6 @@ def cmd_analyze(config_path):
 
 _THETA_9 = theta_from_db(np.linspace(-10, 10, 9))
 _THETA_11 = theta_from_db(np.linspace(-10, 15, 11))
-_ASAPPP_GAIN = 1.5  # Ginibre, beta = 1
 
 
 def _temporal_csp(moment):
@@ -488,8 +487,9 @@ def _fig_adhoc_csp(sim):
 
 def _fig_asappp(sim):
     model = NetworkModel(GPP(0.1, 1.0), 4.0)
+    g0 = sir_analysis.sir_gain_g0(model, 4.0)
     cols = {
-        "asappp_shifted": [sir_analysis.moments_downlink_ppp(1.0, float(t) / _ASAPPP_GAIN, 4.0) for t in _THETA_9],
+        "asappp_shifted": [sir_analysis.moments_downlink_ppp(1.0, float(t) / g0, 4.0) for t in _THETA_9],
         "gpp_mc": [simengine.estimate_success(model, float(t), "downlink", sim).mean for t in _THETA_9],
     }
     return [_curve("fig14_asappp", _THETA_9, cols, "ASAPPP shift of the Ginibre downlink",
@@ -499,8 +499,10 @@ def _fig_asappp(sim):
 def _fig_asappp_meta(sim):
     xs = np.arange(0.1, 0.95, 0.1)
     ppp = NetworkModel(PPP(0.1), 4.0)
-    shifted = [sir_analysis.meta_distribution(ppp, 1.0 / _ASAPPP_GAIN, float(x), geometry="downlink") for x in xs]
-    emp = simengine.estimate_meta(NetworkModel(GPP(0.1, 1.0), 4.0), 1.0, xs, sim, geometry="downlink")
+    gpp = NetworkModel(GPP(0.1, 1.0), 4.0)
+    g0 = sir_analysis.sir_gain_g0(gpp, 4.0)
+    shifted = [sir_analysis.meta_distribution(ppp, 1.0 / g0, float(x), geometry="downlink") for x in xs]
+    emp = simengine.estimate_meta(gpp, 1.0, xs, sim, geometry="downlink")
     rows = [[float(x), float(s), float(e)] for x, s, e in zip(xs, shifted, emp.values)]
     plot = Plot("x", [("asappp_shifted", "shifted poisson", "linespoints"),
                       ("gpp_empirical", "ginibre empirical", "linespoints")], *_META_LABELS)

@@ -30,7 +30,6 @@ __all__ = [
     "interference_variance",
     "mean_product",
     "corr_coefficient",
-    "coherence_time",
 ]
 
 
@@ -327,17 +326,3 @@ def corr_coefficient(model, u, pl):
     num = float(_c1(pl, u)) + _extra_term(field, pl, u)
     den = 2.0 * _l2_integral(pl) + _extra_term(field, pl, 0.0)
     return num / den
-
-
-def coherence_time(zeta_sequence, threshold):
-    """Smallest positive lag with correlation at or below the threshold.
-
-    `zeta_sequence[k]` is the correlation coefficient at lag k (lag 0 first).
-    Returns None when no lag qualifies.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    for lag, z in enumerate(zeta_sequence):
-        if lag >= 1 and z <= threshold:
-            return lag
-    return None

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gauss_2f1
 from .pointprocess import PPP, NetworkModel
 from . import simengine
-from .sir_analysis import downlink_2f1
+from .sir_analysis import _downlink_hyp2f1
 
 __all__ = [
     "UserClass",
-    "area_fraction",
     "lsu_moments",
     "lsu_misr",
     "lsu_gain",
@@ -50,27 +48,6 @@ def _as_class(cls, rho=None):
     return UserClass(cls, rho)
 
 
-def area_fraction(cls, rho=None):
-    """Fraction of the plane occupied by the class: rho^2 for center,
-    1 - rho^2 for boundary, zero measure for edge and vertex."""
-    c = _as_class(cls, rho)
-    if c.kind == "general":
-        return 1.0
-    if c.kind == "cell_center":
-        return c.rho**2
-    if c.kind == "cell_boundary":
-        return 1.0 - c.rho**2
-    return 0.0
-
-
-def _f(b, theta, alpha):
-    """2F1(b, -delta; 1-delta; -theta), series or integral depending on b."""
-    delta = 2.0 / alpha
-    if isinstance(b, complex) and b.imag != 0 and abs(b) > 30.0:
-        return downlink_2f1(b, delta, theta)
-    return gauss_2f1(b, -delta, 1.0 - delta, -theta)
-
-
 def lsu_moments(cls, b, theta, alpha, rho=None):
     """Moments of the conditional success probability per user class.
 
@@ -85,20 +62,20 @@ def lsu_moments(cls, b, theta, alpha, rho=None):
     if theta == 0.0:
         return 1.0
     if c.kind == "general":
-        return _to_like(1.0 / _f(b, theta, alpha), b)
+        return _to_like(1.0 / _downlink_hyp2f1(b, theta, alpha), b)
     if c.kind == "cell_center":
-        return _to_like(1.0 / _f(b, c.rho**alpha * theta, alpha), b)
+        return _to_like(1.0 / _downlink_hyp2f1(b, c.rho**alpha * theta, alpha), b)
     if c.kind == "cell_boundary":
         if c.rho >= 1.0 - 1e-12:
             # 0/0 mixture at rho = 1; use the edge closed form
             return lsu_moments("edge", b, theta, alpha)
-        m = 1.0 / _f(b, theta, alpha)
-        mc = 1.0 / _f(b, c.rho**alpha * theta, alpha)
+        m = 1.0 / _downlink_hyp2f1(b, theta, alpha)
+        mc = 1.0 / _downlink_hyp2f1(b, c.rho**alpha * theta, alpha)
         return _to_like((m - c.rho**2 * mc) / (1.0 - c.rho**2), b)
     if c.kind == "edge":
-        return _to_like((1.0 + theta) ** -complex(b) / _f(b, theta, alpha) ** 2, b)
+        return _to_like((1.0 + theta) ** -complex(b) / _downlink_hyp2f1(b, theta, alpha) ** 2, b)
     if c.kind == "vertex":
-        return _to_like((1.0 + theta) ** (-2.0 * complex(b)) / _f(b, theta, alpha) ** 2, b)
+        return _to_like((1.0 + theta) ** (-2.0 * complex(b)) / _downlink_hyp2f1(b, theta, alpha) ** 2, b)
     raise AssertionError
 
 

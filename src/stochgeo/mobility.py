@@ -23,8 +23,6 @@ __all__ = [
     "handoff_prob",
     "handoff_prob_avg",
     "r2_conditional_cdf",
-    "jsp_mobility_mc",
-    "csp_mobility_mc",
     "mobility_report",
 ]
 
@@ -137,20 +135,6 @@ def _mobility_samples(spec, density, theta, alpha, cfg):
             out1.append(csp1)
             out2.append(csp2)
     return np.asarray(out1), np.asarray(out2), np.asarray(hand)
-
-
-def jsp_mobility_mc(spec, density, theta, alpha, cfg):
-    """Joint success probability P(SIR1 > theta, SIR2 > theta): fading is
-    independent across slots given locations, so each trial contributes the
-    product of the two fading-averaged conditionals."""
-    c1, c2, _ = _mobility_samples(spec, density, theta, alpha, cfg)
-    return simengine.confidence(c1 * c2, cfg.master_seed)
-
-
-def csp_mobility_mc(spec, density, theta, alpha, cfg):
-    """Conditional success P(SIR2 > theta | SIR1 > theta) = JSP / J1."""
-    rep = mobility_report(spec, density, theta, alpha, cfg)
-    return rep["csp"]
 
 
 def mobility_report(spec, density, theta, alpha, cfg):

@@ -1,9 +1,10 @@
 """Special functions and generic numerical machinery.
 
 Everything here is pure and stateless.  Complex arguments are supported
-exactly where the downstream analysis needs them: the gamma function on the
+exactly where the downstream analysis needs them: the gamma ratio on the
 whole plane (minus poles), and the Gauss hypergeometric with a complex first
-parameter and real argument z <= 0.
+parameter and real argument z <= 0.  The gamma function and Lambert W come
+from scipy.special.
 """
 
 import cmath
@@ -14,6 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate as _sciint
+from scipy import special as _sps
 
 from .core import ToleranceError
 
@@ -22,8 +24,6 @@ __all__ = [
     "QuadResult",
     "FixedPointResult",
     "DEFAULT_QUAD",
-    "gamma_fn",
-    "loggamma_fn",
     "gamma_ratio",
     "gauss_2f1",
     "lambert_w0",
@@ -79,34 +79,8 @@ class FixedPointResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Gamma function (Lanczos, g=7, n=9) and friends
+# Gamma ratio
 # ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_2PI = 0.9189385332046727  # log(sqrt(2*pi))
-
-
-def _lanczos_loggamma(z):
-    """log Gamma for Re(z) > 0.5 (any branch; only exp() of results is used)."""
-    z = complex(z)
-    zm1 = z - 1.0
-    a = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        a += _LANCZOS_COEF[i] / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zm1 + 0.5) * cmath.log(t) - t + cmath.log(a)
 
 
 def _is_nonpositive_int(z):
@@ -114,48 +88,11 @@ def _is_nonpositive_int(z):
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-def _log_sin_pi(z):
-    """A logarithm of sin(pi z), stable for large |Im z| (any branch)."""
-    y = z.imag
-    if abs(y) < 20.0:
-        return cmath.log(cmath.sin(cmath.pi * z))
-    # factor out the dominant exponential to avoid overflow:
-    # sin(pi z) = -exp(-i pi z) (1 - exp(2 i pi z)) / (2 i)   for Im z > 0
-    if y > 0:
-        return (
-            1j * cmath.pi
-            - 1j * cmath.pi * z
-            + cmath.log(1.0 - cmath.exp(2j * cmath.pi * z))
-            - cmath.log(2j)
-        )
-    return 1j * cmath.pi * z + cmath.log(1.0 - cmath.exp(-2j * cmath.pi * z)) - cmath.log(2j)
-
-
-def loggamma_fn(z):
-    """A logarithm of Gamma(z); exp(loggamma_fn(z)) == gamma_fn(z).
-
-    Branch is unspecified, so only use differences/exponentials of the result.
-    """
-    if _is_nonpositive_int(z):
-        raise ValueError(f"gamma pole at z={z}")
-    z = complex(z)
-    if z.real >= 0.5:
-        return _lanczos_loggamma(z)
-    # reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1 - z))
-    return cmath.log(cmath.pi) - _log_sin_pi(z) - _lanczos_loggamma(1.0 - z)
-
-
-def gamma_fn(z):
-    """Gamma function for real or complex argument (Lanczos approximation)."""
-    out = cmath.exp(loggamma_fn(z))
-    if isinstance(z, complex) or (hasattr(z, "imag") and z.imag != 0):
-        return out
-    return out.real if out.imag == 0 else out
-
-
 def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b), computed in log space so tiny magnitudes cancel."""
-    return cmath.exp(loggamma_fn(a) - loggamma_fn(b))
+    """Gamma(a)/Gamma(b) as a complex, computed in log space so tiny magnitudes cancel."""
+    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
+        raise ValueError(f"gamma pole in Gamma({a})/Gamma({b})")
+    return cmath.exp(_sps.loggamma(complex(a)) - _sps.loggamma(complex(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,41 +146,16 @@ def _maybe_real(value, a):
 _INV_E = 1.0 / math.e
 
 
-def lambert_w0(x, tol=1e-12, max_iter=100):
-    """Principal branch of W(x) e^W(x) = x for x >= -1/e.
-
-    Initial guess: square-root expansion near the branch point, the identity
-    W ~ x near 0, and log(x) - log(log(x)) for large x; Halley refinement.
-    """
+def lambert_w0(x):
+    """Principal branch of W(x) e^W(x) = x for x >= -1/e."""
     if x < -_INV_E - 1e-15:
         raise ValueError("lambert_w0 requires x >= -1/e")
     x = max(x, -_INV_E)
-    if x == 0.0:
-        return 0.0
     if x == -_INV_E:
+        # the float -1/e lies just below the true branch point, where
+        # scipy's lambertw returns nan
         return -1.0
-    if x < -0.25:
-        # branch-point series: W = -1 + p - p^2/3 + ... with p = sqrt(2(e x + 1))
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0
-    elif x < 1.0:
-        w = x * (1.0 - x + 1.5 * x * x) if abs(x) < 0.5 else 0.5
-    else:
-        lx = math.log(x)
-        w = lx - math.log(lx) if lx > 1.0 else lx
-    for i in range(max_iter):
-        ew = math.exp(w)
-        f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0) if w != -1.0 else ew * (w + 1.0)
-        if denom == 0.0:
-            break
-        dw = f / denom
-        w -= dw
-        if abs(dw) <= tol * max(1.0, abs(w)):
-            break
-    if abs(w * math.exp(w) - x) > 1e-10 * max(1.0, abs(x)):
-        raise ToleranceError("lambert_w0 failed to converge")
-    return w
+    return float(_sps.lambertw(x).real)
 
 
 # ---------------------------------------------------------------------------

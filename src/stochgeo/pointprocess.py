@@ -131,10 +131,6 @@ class PointPattern:
                 raise ValueError("origin distances must be sorted ascending")
 
     @property
-    def representation(self):
-        return "planar" if self.points is not None else "origin_distances"
-
-    @property
     def n_points(self):
         return len(self.points) if self.points is not None else len(self.radii)
 
@@ -143,27 +139,6 @@ class PointPattern:
         if self.radii is not None:
             return self.radii
         return np.sort(np.hypot(self.points[:, 0], self.points[:, 1]))
-
-    def to_csv(self, path):
-        if self.points is not None:
-            rows = ["x,y"] + [f"{float(x)!r},{float(y)!r}" for x, y in self.points]
-        else:
-            ang = self.angles if self.angles is not None else np.zeros_like(self.radii)
-            rows = ["r,angle"] + [f"{float(r)!r},{float(a)!r}" for r, a in zip(self.radii, ang)]
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-
-    @classmethod
-    def from_csv(cls, path, window_radius):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            data = np.loadtxt(fh, delimiter=",", ndmin=2) if fh else np.empty((0, 2))
-        if header == "x,y":
-            return cls(window_radius=window_radius, points=data)
-        if header == "r,angle":
-            order = np.argsort(data[:, 0]) if data.size else slice(None)
-            return cls(window_radius=window_radius, radii=data[order, 0], angles=data[order, 1])
-        raise ValueError(f"unrecognized pattern header: {header}")
 
 
 # ---------------------------------------------------------------------------

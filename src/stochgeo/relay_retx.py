@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ToleranceError
-from .numerics import QuadratureSpec, gamma_fn, gamma_ratio, integrate_1d
+from .numerics import QuadratureSpec, gamma_ratio, integrate_1d
 from .pointprocess import _uniform_disk
 from . import simengine
 
@@ -89,7 +89,7 @@ def _hop_integral_radial(b, theta, alpha, d_m):
     """int_R2 (1 - (1 + theta d^a |x - z|^-a)^-b) dx, single hop (closed form
     via the Poisson single-link exponent)."""
     delta = 2.0 / alpha
-    factor = gamma_fn(1.0 - delta) * gamma_ratio(b + delta, b)
+    factor = math.gamma(1.0 - delta) * gamma_ratio(b + delta, b)
     return math.pi * theta**delta * d_m**2 * complex(factor).real
 
 

@@ -1,5 +1,5 @@
 """Moments of the conditional success probability, SIR meta distribution,
-MISR and the ASAPPP threshold-shift approximation.
+MISR and the SIR gain G0 of the ASAPPP threshold-shift approximation.
 
 Geometries: "adhoc" (dedicated link of length r_t over an interferer field
 that does not contain the serving transmitter) and "downlink" (nearest-point
@@ -9,80 +9,23 @@ association; interferers are the remaining points).
 import cmath
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Curve, ToleranceError
-from .numerics import (
-    gamma_fn,
-    gamma_ratio,
-    gauss_2f1,
-    gil_pelaez_ccdf,
-    integrate_1d,
-)
+from .core import ToleranceError
+from .numerics import gamma_ratio, gauss_2f1, gil_pelaez_ccdf, integrate_1d
 from .pointprocess import GPP, MCP, PPP, NetworkModel, sample_pattern
 from . import simengine
 
 __all__ = [
-    "MomentQuery",
-    "csp_given_pattern",
     "moments_adhoc",
     "moments_downlink_ppp",
     "meta_distribution",
-    "mh_scale",
-    "mh_unscale",
     "misr_ppp",
     "misr_estimate",
     "sir_gain_g0",
-    "asappp_apply",
     "downlink_2f1",
 ]
-
-
-@dataclass(frozen=True)
-class MomentQuery:
-    b: complex
-    theta: float
-    geometry: str = "adhoc"  # "adhoc" | "downlink"
-
-    def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
-        if self.geometry not in ("adhoc", "downlink"):
-            raise ValueError("geometry must be 'adhoc' or 'downlink'")
-
-
-# ---------------------------------------------------------------------------
-# Conditional success probability given one realization
-# ---------------------------------------------------------------------------
-
-
-def csp_given_pattern(pattern, theta, alpha, geometry="adhoc", r_t=None):
-    """Fading-averaged success probability given the interferer pattern.
-
-    Ad hoc: prod_j 1/(1 + theta r_t^alpha r_j^-alpha) over all points.
-    Downlink: the nearest point serves; the product runs over the rest with
-    r_t replaced by the serving distance.
-    """
-    d = np.asarray(pattern.origin_distances() if hasattr(pattern, "origin_distances") else pattern, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("pattern distances must be positive")
-    if geometry == "adhoc":
-        if r_t is None:
-            raise ValueError("ad hoc CSP needs the link distance r_t")
-        if d.size == 0:
-            return 1.0
-        return float(np.exp(-np.log1p(theta * r_t**alpha * d**-alpha).sum()))
-    if geometry == "downlink":
-        if d.size == 0:
-            raise ValueError("downlink CSP needs at least the serving point")
-        r1 = d.min()
-        rest = np.delete(d, np.argmin(d))
-        if rest.size == 0:
-            return 1.0
-        return float(np.exp(-np.log1p(theta * r1**alpha * rest**-alpha).sum()))
-    raise ValueError(f"unknown geometry: {geometry}")
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +35,7 @@ def csp_given_pattern(pattern, theta, alpha, geometry="adhoc", r_t=None):
 
 def _moments_ppp_adhoc(lam, b, theta, alpha, r_t):
     delta = 2.0 / alpha
-    factor = gamma_fn(1.0 - delta) * gamma_ratio(b + delta, b)
+    factor = math.gamma(1.0 - delta) * gamma_ratio(b + delta, b)
     return cmath.exp(-math.pi * lam * theta**delta * r_t**2 * factor)
 
 
@@ -258,7 +201,8 @@ def downlink_2f1(b, delta, theta):
     integral 1 + 2 int_0^1 (1 - (1+theta v^alpha)^-b) v^-3 dv.
 
     Equivalent to the hypergeometric series but conditioned well for large
-    imaginary b, which the meta-distribution inversion needs.
+    imaginary b, which the meta-distribution inversion needs.  Raises
+    ToleranceError when the quadrature misses its tolerance.
     """
     alpha = 2.0 / delta
     b = complex(b)
@@ -266,8 +210,17 @@ def downlink_2f1(b, delta, theta):
     def integrand(v):
         return (1.0 - np.exp(-b * math.log1p(theta * v**alpha))) * v**-3.0
 
-    res = integrate_1d(integrand, 0.0, 1.0, complex_valued=True)
-    return 1.0 + 2.0 * res.value
+    return 1.0 + 2.0 * integrate_1d(integrand, 0.0, 1.0, complex_valued=True).require()
+
+
+def _downlink_hyp2f1(b, theta, alpha):
+    """2F1(b, -delta; 1-delta; -theta): the integral `downlink_2f1` for
+    complex b with |b| > 30, where the series is ill-conditioned, else the
+    series `gauss_2f1`."""
+    delta = 2.0 / alpha
+    if isinstance(b, complex) and b.imag != 0 and abs(b) > 30.0:
+        return downlink_2f1(b, delta, theta)
+    return gauss_2f1(b, -delta, 1.0 - delta, -theta)
 
 
 class DownlinkImagMoments:
@@ -328,12 +281,9 @@ def moments_downlink_ppp(b, theta, alpha):
     """Moments of the typical downlink user's CSP: 1 / 2F1(b,-d;1-d;-theta)."""
     if theta == 0.0:
         return 1.0
-    delta = 2.0 / alpha
     if isinstance(b, complex) and b.imag != 0:
-        if abs(b) > 30.0:
-            return 1.0 / downlink_2f1(b, delta, theta)
-        return 1.0 / gauss_2f1(b, -delta, 1.0 - delta, -theta)
-    return float(1.0 / gauss_2f1(float(b), -delta, 1.0 - delta, -theta))
+        return 1.0 / _downlink_hyp2f1(b, theta, alpha)
+    return float(1.0 / _downlink_hyp2f1(float(b), theta, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +306,7 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
         delta = model.delta
         r_t = model.link_distance
         pref = math.pi * f.density * theta**delta * r_t**2
-        g1d = gamma_fn(1.0 - delta)
+        g1d = math.gamma(1.0 - delta)
 
         def moment(u):
             return cmath.exp(-pref * g1d * gamma_ratio(1j * u + delta, 1j * u))
@@ -375,30 +325,7 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
 
 
 # ---------------------------------------------------------------------------
-# MH scale
-# ---------------------------------------------------------------------------
-
-
-def mh_scale(x):
-    """x in [0,1) to the MH scale x/(1-x)."""
-    x = np.asarray(x, dtype=float)
-    if np.any((x < 0) | (x > 1)):
-        raise ValueError("mh_scale needs x in [0, 1]")
-    with np.errstate(divide="ignore"):
-        out = np.where(x == 1.0, np.inf, x / (1.0 - x))
-    return float(out) if out.ndim == 0 else out
-
-
-def mh_unscale(y):
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("mh_unscale needs y >= 0")
-    out = y / (1.0 + y)
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# MISR / SIR gain / ASAPPP
+# MISR / SIR gain
 # ---------------------------------------------------------------------------
 
 
@@ -449,26 +376,3 @@ def sir_gain_g0(model, alpha, cfg=None):
         m = NetworkModel(f, alpha)
         return misr_ppp(alpha) / misr_estimate(m, alpha, cfg).mean
     raise TypeError(f"unknown field type: {type(f)!r}")
-
-
-def asappp_apply(ppp_curve, g0, grid=None):
-    """Shift a Poisson SIR curve by the gain G0: P(theta) -> P_PPP(theta/g0).
-
-    If `ppp_curve` is callable it is re-evaluated on the grid (no
-    interpolation); a plain Curve is re-gridded by evaluation of theta/g0
-    against its own grid only when the shifted abscissae are present.
-    """
-    if g0 <= 0:
-        raise ValueError("gain must be positive")
-    if callable(ppp_curve):
-        if grid is None:
-            raise ValueError("grid required when re-evaluating an analytic curve")
-        grid = np.asarray(grid, dtype=float)
-        vals = np.array([ppp_curve(t / g0) for t in grid])
-        return Curve(grid=grid, values=vals, meta={"g0": g0, "kind": "asappp"})
-    base = ppp_curve
-    grid = base.grid
-    vals = np.interp(grid / g0, base.grid, base.values)
-    meta = dict(base.meta)
-    meta.update({"g0": g0, "kind": "asappp-interp"})
-    return Curve(grid=grid, values=vals, meta=meta)

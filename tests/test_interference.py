@@ -6,7 +6,6 @@ from scipy import integrate as sciint
 
 from stochgeo.interference import (
     PathLossSpec,
-    coherence_time,
     corr_coefficient,
     interference_variance,
     mean_interference,
@@ -201,14 +200,6 @@ def test_displaced_cross_cache_is_lru(monkeypatch):
     _DisplacedCross(specs[2])  # evicts (4, 0.5), the least recently used
     assert list(_DisplacedCross._cache) == [(4.0, 1.0), (4.0, 2.0)]
     assert not first.g.flags.writeable
-
-
-def test_coherence_time_grid_search():
-    seq = [1.0, 0.8, 0.5, 0.3, 0.1]
-    assert coherence_time(seq, 0.5) == 2
-    assert coherence_time(seq, 0.05) is None
-    with pytest.raises(ValueError):
-        coherence_time(seq, 0.0)
 
 
 def test_pathloss_spec_validation():

@@ -4,7 +4,6 @@ import pytest
 
 from stochgeo.location_users import (
     UserClass,
-    area_fraction,
     lsu_gain,
     lsu_misr,
     lsu_mc_estimate,
@@ -22,15 +21,6 @@ def test_user_class_validation():
     with pytest.raises(ValueError):
         UserClass("edge", rho=0.5)  # rho forbidden
     UserClass("cell_boundary", rho=0.3)
-
-
-def test_area_fractions():
-    assert area_fraction("cell_center", rho=1.0) == 1.0
-    assert area_fraction("cell_center", rho=0.8) == pytest.approx(0.64)
-    c = area_fraction("cell_center", rho=0.37)
-    b = area_fraction("cell_boundary", rho=0.37)
-    assert c + b == pytest.approx(1.0)
-    assert area_fraction("edge") == 0.0 and area_fraction("vertex") == 0.0
 
 
 def test_center_rho1_equals_general():

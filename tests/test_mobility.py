@@ -5,11 +5,9 @@ import pytest
 
 from stochgeo.mobility import (
     MobilitySpec,
-    csp_mobility_mc,
     disk_difference_area,
     handoff_prob,
     handoff_prob_avg,
-    jsp_mobility_mc,
     jsp_mobility_mc_raw_fading,
     mobility_report,
     r2_conditional_cdf,
@@ -130,7 +128,7 @@ def test_r2_cdf_empirical():
 def test_model2_v0_is_second_moment():
     cfg = SimConfig(trials=20000, master_seed=122)
     spec = MobilitySpec(0.0, model="bipolar_mobile_interferers", link_distance=8.0)
-    jsp = jsp_mobility_mc(spec, LAM, 1.0, 4.0, cfg)
+    jsp = mobility_report(spec, LAM, 1.0, 4.0, cfg)["jsp"]
     model = NetworkModel(PPP(LAM), alpha=4.0, link_distance=8.0)
     m2 = estimate_moment(model, 2.0, 1.0, "adhoc", cfg)
     assert abs(jsp.mean - m2.mean) < 3 * (jsp.stderr + m2.stderr)
@@ -178,13 +176,6 @@ def test_model1_csp_above_baseline():
 def test_factorized_vs_raw_fading_jsp():
     cfg = SimConfig(trials=20000, master_seed=126)
     spec = MobilitySpec(5.0)
-    a = jsp_mobility_mc(spec, LAM, 1.0, 4.0, cfg)
+    a = mobility_report(spec, LAM, 1.0, 4.0, cfg)["jsp"]
     b = jsp_mobility_mc_raw_fading(spec, LAM, 1.0, 4.0, cfg)
     assert abs(a.mean - b.mean) < 3 * (a.stderr + b.stderr)
-
-
-def test_csp_mobility_mc_wrapper():
-    cfg = SimConfig(trials=4000, master_seed=127)
-    spec = MobilitySpec(5.0)
-    est = csp_mobility_mc(spec, LAM, 1.0, 4.0, cfg)
-    assert 0.0 < est.mean <= 1.0

@@ -3,14 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate as sciint
 
 from stochgeo.core import ToleranceError
 from stochgeo.numerics import (
     DEFAULT_QUAD,
     QuadratureSpec,
     fixed_point_solve,
-    gamma_fn,
     gamma_ratio,
     gauss_2f1,
     gil_pelaez_ccdf,
@@ -18,62 +16,40 @@ from stochgeo.numerics import (
     lambert_w0,
 )
 
-SQRT_PI = 1.7724538509055160273
 
-
-# ---------------------------------------------------------------------- gamma
-
-
-def test_gamma_factorial_identity():
-    assert gamma_fn(1.0) == pytest.approx(1.0, rel=1e-12)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-12)
-
-
-def test_gamma_half():
-    assert gamma_fn(0.5) == pytest.approx(SQRT_PI, rel=1e-12)
-
-
-def test_gamma_2p5_vs_quadrature_oracle():
-    # oracle: direct adaptive quadrature of the defining integral
-    oracle, _ = sciint.quad(
-        lambda t: t**1.5 * math.exp(-t), 0, 50, epsabs=1e-14, epsrel=1e-13, limit=500
-    )
-    assert oracle == pytest.approx(1.3293403881791368, rel=1e-13)  # frozen from oracle
-    assert gamma_fn(2.5) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_gamma_reflection_invariant():
-    for d in np.arange(0.1, 0.95, 0.1):
-        lhs = gamma_fn(d) * gamma_fn(1.0 - d) * math.sin(math.pi * d)
-        assert lhs == pytest.approx(math.pi, abs=1e-10)
+# ---------------------------------------------------------------- gamma ratio
 
 
 def test_gamma_recurrence_real_and_complex():
     for z in [0.3, 1.7, 4.2, 11.5, 0.9 + 2.1j, 3.0 + 0.5j, 0.2 - 3.3j]:
-        assert cmath.isclose(gamma_fn(z + 1), z * gamma_fn(z), rel_tol=1e-10)
+        assert cmath.isclose(gamma_ratio(z + 1, z), z, rel_tol=1e-12)
+
+
+def test_gamma_relative_error_on_real_axis():
+    # real orders, as in the Ginibre super-tail Gamma(j - alpha/2)/Gamma(j - 1)
+    for x in np.linspace(0.05, 30.0, 73):
+        assert gamma_ratio(x, 1.0) == pytest.approx(math.gamma(x), rel=1e-12)
+        assert gamma_ratio(x, x + 2.5) == pytest.approx(math.gamma(x) / math.gamma(x + 2.5), rel=1e-12)
 
 
 def test_gamma_pole_raises():
     for z in (0.0, -1.0, -7.0):
         with pytest.raises(ValueError):
-            gamma_fn(z)
-
-
-def test_gamma_relative_error_on_real_axis():
-    # 1e-12 relative error target on (0, 30]
-    for x in np.linspace(0.05, 30.0, 73):
-        assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
+            gamma_ratio(0.5, z)
+        with pytest.raises(ValueError):
+            gamma_ratio(z, 0.5)
 
 
 def test_gamma_ratio_matches_direct_for_imaginary_order():
-    # ratio path must stay finite where the direct gammas underflow
-    for u in (0.5, 3.0, 40.0):
-        direct = gamma_fn(0.5 + 1j * u) / gamma_fn(1j * u)
+    # oracle: mpmath's log-gamma; the ratio stays finite at u = 800, where
+    # each gamma alone underflows
+    mp = pytest.importorskip("mpmath")
+    for u in (1.0, 50.0, 800.0):
+        with mp.workdps(30):
+            direct = complex(mp.exp(mp.loggamma(mp.mpc(0.5, u)) - mp.loggamma(mp.mpc(0.0, u))))
         assert cmath.isclose(gamma_ratio(0.5 + 1j * u, 1j * u), direct, rel_tol=1e-9)
-    big = gamma_ratio(0.5 + 800j, 800j)
-    assert np.isfinite(big.real) and np.isfinite(big.imag)
     # asymptotically (j u)^delta
-    assert abs(big) == pytest.approx(math.sqrt(800.0), rel=1e-2)
+    assert abs(gamma_ratio(0.5 + 800j, 800j)) == pytest.approx(math.sqrt(800.0), rel=1e-2)
 
 
 # ------------------------------------------------------------------- 2F1

@@ -10,7 +10,6 @@ from stochgeo.pointprocess import (
     MCP,
     PPP,
     NetworkModel,
-    PointPattern,
     circle_intersection_area,
     contact_cdf,
     contact_pdf,
@@ -324,17 +323,3 @@ def test_network_model_validation():
     m = NetworkModel(MCP(0.1, 5.0, 1.0), alpha=4.0, link_distance=1.0)
     assert m.intensity == pytest.approx(0.5)
     assert m.delta == pytest.approx(0.5)
-
-
-def test_pattern_roundtrip_csv(tmp_path):
-    pat = sample_ppp(1.0, 4.0, seed_stream(9, 0))
-    f = tmp_path / "pat.csv"
-    pat.to_csv(f)
-    back = PointPattern.from_csv(f, window_radius=4.0)
-    np.testing.assert_allclose(back.points, pat.points)
-
-    gp = sample_gpp_distances(1.0, 0.5, 4.0, seed_stream(9, 1))
-    f2 = tmp_path / "gp.csv"
-    gp.to_csv(f2)
-    back2 = PointPattern.from_csv(f2, window_radius=4.0)
-    np.testing.assert_allclose(back2.radii, gp.radii)
