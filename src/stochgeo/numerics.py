@@ -206,8 +206,31 @@ def integrate_1d(f, a, b, spec=None, complex_valued=False):
 # ---------------------------------------------------------------------------
 
 
+# A 64-point Gauss-Legendre rule applied to a whole panel and to each of its
+# halves: 192 offsets from the panel centre, in units of the half-width
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_GP_OFFSETS = np.concatenate([_GL_X, 0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
+_GP_MAX_DEPTH = 8  # bisections of a panel before it is reported as unconverged
+
+
+def _gp_panels(integrand, centres, widths):
+    """Value of each panel (centre, width) by the halves rule, and whether it
+    agrees with the whole-panel rule within the per-panel tolerance (absolute
+    1e-11, relative 1e-9).  One integrand call per distinct width."""
+    values = np.empty(len(centres))
+    ok = np.empty(len(centres), dtype=bool)
+    for h in np.unique(widths):
+        sel = widths == h
+        f = integrand(centres[sel], 0.5 * h * _GP_OFFSETS)
+        whole = 0.5 * h * (f[:, :64] @ _GL_W)
+        halves = 0.25 * h * ((f[:, 64:128] + f[:, 128:]) @ _GL_W)
+        values[sel] = halves
+        ok[sel] = np.abs(whole - halves) <= 1e-11 + 1e-9 * np.abs(halves)
+    return values, ok
+
+
 def gil_pelaez_ccdf(
-    imaginary_moment: Callable[[float], complex],
+    imaginary_moment: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: float,
     u_min: float = 1e-6,
     u_max_cap: float = 1e4,
@@ -219,6 +242,14 @@ def gil_pelaez_ccdf(
     F(x) = 1/2 + (1/pi) * int_0^inf Im(exp(-j u log x) M(j u)) / u du, with the
     tail cut at the first u where |M(j u)| / u < tail_tol (capped at u_max_cap;
     the cap is flagged in `converged`).  Output clamped to [0, 1].
+
+    `imaginary_moment(c, d)` returns M(j u) on the separable grid
+    u[p, i] = c[p] + d[i] as a complex (len(c), len(d)) array.  The integral is
+    split into panels of one oscillation period; each is integrated by a
+    64-point Gauss-Legendre rule on its two halves, checked against the same
+    rule on the whole panel, and a panel that fails the check is bisected.  A
+    panel still failing after _GP_MAX_DEPTH bisections is flagged in
+    `converged`, like the cap.
     """
     if not (0.0 < x < 1.0):
         raise ValueError("x must lie in (0, 1)")
@@ -227,36 +258,52 @@ def gil_pelaez_ccdf(
     # locate the tail cutoff by doubling
     u_max = 64.0
     converged = True
-    while abs(imaginary_moment(u_max)) / u_max >= tail_tol:
+    while abs(imaginary_moment(np.array([u_max]), np.zeros(1))[0, 0]) / u_max >= tail_tol:
         u_max *= 2.0
         if u_max > u_max_cap:
             u_max = u_max_cap
             converged = False
             break
 
-    def integrand(u):
-        m = imaginary_moment(u)
-        return (cmath.exp(-1j * u * log_x) * m).imag / u
+    def integrand(c, d):
+        u = c[:, None] + d[None, :]
+        return (np.exp(-1j * log_x * u) * imaginary_moment(c, d)).imag / u
 
-    # integrate panel by panel (one oscillation period each) so QUADPACK only
-    # ever sees smooth pieces
+    # panels of one oscillation period each, so every rule sees a smooth piece
     period = 2.0 * math.pi / max(abs(log_x), 1e-3)
     panel = max(period, u_max / 2000.0)
-    total = 0.0
-    u_lo = u_min
-    small_count = 0
-    while u_lo < u_max:
-        u_hi = min(u_lo + panel, u_max)
-        val, _err = _sciint.quad(integrand, u_lo, u_hi, epsabs=1e-11, epsrel=1e-9, limit=100)
-        total += val
-        u_lo = u_hi
-        if abs(val) < 1e-10:
-            small_count += 1
-            if small_count >= 4 and u_lo > 200.0:
-                break
-        else:
-            small_count = 0
-    value = min(1.0, max(0.0, 0.5 + total / math.pi))
+    lo = u_min + panel * np.arange(math.ceil((u_max - u_min) / panel))
+    widths = np.full(len(lo), panel)
+    widths[-1] = u_max - lo[-1]
+    hi = lo + widths
+    centres = lo + 0.5 * widths
+
+    # bisect failed pieces, all of one round together; `owner` maps each
+    # piece to its panel
+    owner = np.arange(len(lo))
+    values, ok = _gp_panels(integrand, centres, widths)
+    for _ in range(_GP_MAX_DEPTH):
+        if ok.all():
+            break
+        bad = ~ok
+        quarter = 0.25 * widths[bad]
+        c_new = np.concatenate([centres[bad] - quarter, centres[bad] + quarter])
+        w_new = np.tile(0.5 * widths[bad], 2)
+        v_new, ok_new = _gp_panels(integrand, c_new, w_new)
+        owner = np.concatenate([owner[ok], np.tile(owner[bad], 2)])
+        centres = np.concatenate([centres[ok], c_new])
+        widths = np.concatenate([widths[ok], w_new])
+        values = np.concatenate([values[ok], v_new])
+        ok = np.concatenate([ok[ok], ok_new])
+    panel_values = np.bincount(owner, weights=values, minlength=len(lo))
+
+    # stop after four consecutive negligible panels beyond u = 200
+    small = np.abs(panel_values) < 1e-10
+    run4 = small[3:] & small[2:-1] & small[1:-2] & small[:-3]
+    stops = np.flatnonzero(run4 & (hi[3:] > 200.0))
+    end = stops[0] + 4 if stops.size else len(lo)
+    converged = converged and not (owner[~ok] < end).any()
+    value = min(1.0, max(0.0, 0.5 + float(panel_values[:end].sum()) / math.pi))
     if full_output:
         return value, converged
     return value

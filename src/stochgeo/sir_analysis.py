@@ -11,6 +11,7 @@ import math
 from collections import OrderedDict
 
 import numpy as np
+from scipy import special as _sps
 
 from .core import ToleranceError
 from .numerics import gamma_ratio, gauss_2f1, gil_pelaez_ccdf, integrate_1d
@@ -236,6 +237,7 @@ class DownlinkImagMoments:
     U_CAP = 4.0e3
     NODES_PER_PERIOD = 8.0
     CACHE_SIZE = 16
+    BLOCK = 1 << 19  # complex entries (8 MB) per factor of the product
     _cache = OrderedDict()
 
     def __new__(cls, theta, alpha):
@@ -252,8 +254,6 @@ class DownlinkImagMoments:
     def __init__(self, theta, alpha):
         if hasattr(self, "_w"):
             return
-        from scipy import special as _sps
-
         self.theta = theta
         self.delta = 2.0 / alpha
         t_top = math.log1p(theta)
@@ -268,27 +268,59 @@ class DownlinkImagMoments:
         self._t = t
         self._w = scale * w * g_td
 
-    def f_value(self, u):
-        """2F1(ju, -delta; 1-delta; -theta) via the node sum."""
-        osc = 1.0 - np.exp(-1j * u * self._t)
-        return 1.0 + 2.0 * complex(np.dot(self._w, osc))
+    def __call__(self, c, d):
+        """M(ju) = 1/F on the grid u[p, i] = c[p] + d[i].
 
-    def __call__(self, u):
-        return 1.0 / self.f_value(u)
+        F = 2F1(ju, -delta; 1-delta; -theta) = 1 + 2 sum_k w_k (1 - a_pk b_ki)
+        with a_pk = e^(-j c_p t_k) and b_ki = e^(-j d_i t_k).  Splitting
+        1 - a b = (1 - a) + a (1 - b) gives a row sum plus one complex matrix
+        product, with P n + n D exponentials in place of P D n.  The factors
+        1 - e^(-jx) are formed without cancellation, so the large weights
+        near t = 0 keep their digits.  The node loop runs in blocks so that
+        no factor exceeds BLOCK entries.
+        """
+        c = np.asarray(c, dtype=float)
+        d = np.asarray(d, dtype=float)
+        f = np.zeros((len(c), len(d)), dtype=complex)
+        step = max(1, self.BLOCK // max(len(c), len(d)))
+        for k in range(0, len(self._t), step):
+            t, w = self._t[k : k + step], self._w[k : k + step]
+            one_minus_a = _one_minus_exp(np.outer(c, t))
+            f += (one_minus_a @ w)[:, None]
+            a = 1.0 - one_minus_a
+            a *= w
+            f += a @ _one_minus_exp(np.outer(t, d))
+        return 1.0 / (1.0 + 2.0 * f)
+
+
+def _one_minus_exp(x):
+    """1 - e^(-jx) = 2 sin^2(x/2) + j sin(x) for real x, accurate at small x."""
+    out = np.empty(x.shape, dtype=complex)
+    half = np.sin(0.5 * x)
+    np.multiply(2.0 * half, half, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def moments_downlink_ppp(b, theta, alpha):
     """Moments of the typical downlink user's CSP: 1 / 2F1(b,-d;1-d;-theta)."""
     if theta == 0.0:
         return 1.0
-    if isinstance(b, complex) and b.imag != 0:
-        return 1.0 / _downlink_hyp2f1(b, theta, alpha)
+    if isinstance(b, complex):
+        if b.imag != 0:
+            return 1.0 / _downlink_hyp2f1(b, theta, alpha)
+        b = b.real
     return float(1.0 / _downlink_hyp2f1(float(b), theta, alpha))
 
 
 # ---------------------------------------------------------------------------
 # Meta distribution
 # ---------------------------------------------------------------------------
+
+
+def _on_grid(moment):
+    """Grid form (c, d) -> M(j (c[p] + d[i])) of a scalar u -> M(ju)."""
+    return lambda c, d: np.array([[moment(ci + di) for di in d] for ci in c], dtype=complex)
 
 
 def meta_distribution(model, theta, x, geometry="adhoc"):
@@ -305,20 +337,20 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
     if isinstance(f, PPP):
         delta = model.delta
         r_t = model.link_distance
-        pref = math.pi * f.density * theta**delta * r_t**2
-        g1d = math.gamma(1.0 - delta)
+        scale = math.pi * f.density * theta**delta * r_t**2 * math.gamma(1.0 - delta)
 
-        def moment(u):
-            return cmath.exp(-pref * g1d * gamma_ratio(1j * u + delta, 1j * u))
+        def moment(c, d):
+            b = 1j * np.add.outer(c, d)
+            return np.exp(-scale * np.exp(_sps.loggamma(b + delta) - _sps.loggamma(b)))
 
         return gil_pelaez_ccdf(moment, x)
     if isinstance(f, GPP):
         ev = GppAdhocMoments(f, theta, model.alpha, model.link_distance)
-        return gil_pelaez_ccdf(lambda u: ev(1j * u), x)
+        return gil_pelaez_ccdf(_on_grid(lambda u: ev(1j * u)), x)
     if isinstance(f, MCP):
         # MCP imaginary moments need the 2-D integral per u; adaptive but slow
         return gil_pelaez_ccdf(
-            lambda u: _moments_mcp_adhoc(f, 1j * u, theta, model.alpha, model.link_distance),
+            _on_grid(lambda u: _moments_mcp_adhoc(f, 1j * u, theta, model.alpha, model.link_distance)),
             x,
         )
     raise TypeError(f"unknown field type: {type(f)!r}")

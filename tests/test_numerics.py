@@ -176,7 +176,7 @@ def test_integrate_nan_propagates():
 
 def test_gil_pelaez_point_mass_step():
     p = 0.6
-    moment = lambda u: cmath.exp(1j * u * math.log(p))
+    moment = lambda c, d: np.exp(1j * np.add.outer(c, d) * math.log(p))
     assert gil_pelaez_ccdf(moment, 0.3) == pytest.approx(1.0, abs=5e-3)
     assert gil_pelaez_ccdf(moment, 0.9) == pytest.approx(0.0, abs=5e-3)
 
@@ -184,7 +184,7 @@ def test_gil_pelaez_point_mass_step():
 def test_gil_pelaez_monotone_in_x():
     # smooth CSP-style moment function: M(ju) for exp(-E) with E ~ Exp(2)
     # (a genuinely [0,1]-supported variable, M(b) = 2/(2+b))
-    moment = lambda u: 2.0 / (2.0 + 1j * u)
+    moment = lambda c, d: 2.0 / (2.0 + 1j * np.add.outer(c, d))
     xs = np.linspace(0.05, 0.95, 13)
     vals = [gil_pelaez_ccdf(moment, float(x)) for x in xs]
     assert all(a >= b - 1e-6 for a, b in zip(vals, vals[1:]))
@@ -193,9 +193,18 @@ def test_gil_pelaez_monotone_in_x():
         assert v == pytest.approx(1.0 - x**2, abs=1e-6)
 
 
+def test_gil_pelaez_flags_a_panel_bisection_cannot_resolve():
+    # both moments pass the tail cut-off by u = 128, below the cap; a jump in
+    # M at u = 100.3 defeats the panel rule at every bisection depth
+    smooth = lambda c, d: np.exp(-np.add.outer(c, d) ** 2 / 100.0) + 0j
+    jump = lambda c, d: (np.add.outer(c, d) < 100.3) + 0j
+    assert gil_pelaez_ccdf(smooth, 0.5, full_output=True)[1]
+    assert not gil_pelaez_ccdf(jump, 0.5, full_output=True)[1]
+
+
 def test_gil_pelaez_domain():
     with pytest.raises(ValueError):
-        gil_pelaez_ccdf(lambda u: 1.0, 1.5)
+        gil_pelaez_ccdf(lambda c, d: np.ones((len(c), len(d))), 1.5)
 
 
 # ---------------------------------------------------------------- fixed point

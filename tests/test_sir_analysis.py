@@ -6,9 +6,12 @@ import pytest
 from scipy import integrate as sciint
 
 from stochgeo.core import ToleranceError, theta_from_mh, theta_mh
+from stochgeo.location_users import lsu_moments
+from stochgeo.numerics import gamma_ratio
 from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
 from stochgeo.simengine import SimConfig, estimate_meta, estimate_moment, estimate_success
 from stochgeo.sir_analysis import (
+    DownlinkImagMoments,
     GppAdhocMoments,
     downlink_2f1,
     meta_distribution,
@@ -111,6 +114,36 @@ def test_downlink_moment_value():
     assert got == pytest.approx(1.0 / (1.0 + math.pi / 4.0), rel=1e-12)
 
 
+def test_downlink_moment_real_order_given_as_complex():
+    # a complex order with zero imaginary part is a real order
+    got = moments_downlink_ppp(1 + 0j, 1.0, 4.0)
+    assert got == moments_downlink_ppp(1.0, 1.0, 4.0)
+    assert got == lsu_moments("general", 1 + 0j, 1.0, 4.0)
+
+
+def test_downlink_imag_moments_grid_matches_node_sum():
+    # the separable product equals the direct node sum
+    # F(ju) = 1 + 2 sum_k w_k (1 - e^(-j u t_k)); 400 rows make the node loop
+    # take more than one block at theta = 1
+    ev = DownlinkImagMoments(1.0, 4.0)
+    rng = np.random.default_rng(10)
+    c = rng.uniform(0.0, DownlinkImagMoments.U_CAP, 400)
+    d = rng.uniform(-30.0, 30.0, 192)
+    assert DownlinkImagMoments.BLOCK // len(c) < len(ev._t)
+    grid = ev(c, d)
+    assert grid.shape == (400, 192)
+
+    def direct(u):
+        return 1.0 + 2.0 * np.sum(ev._w * (1.0 - np.exp(-1j * u * ev._t)))
+
+    for p in (0, 199, 399):
+        ref = np.array([direct(c[p] + di) for di in d])
+        assert np.max(np.abs(1.0 / grid[p] - ref) / np.abs(ref)) < 1e-12
+    probe = ev(np.array([4000.0]), np.zeros(1))  # the tail cut-off's 1-element call
+    assert probe.shape == (1, 1)
+    assert abs(1.0 / probe[0, 0] - direct(4000.0)) < 1e-12 * abs(direct(4000.0))
+
+
 def test_downlink_theta_zero():
     assert moments_downlink_ppp(1.0, 0.0, 4.0) == 1.0
 
@@ -185,6 +218,68 @@ def test_meta_downlink_monotone():
     assert vals[0] > vals[1] > vals[2]
 
 
+def _quad_panel_ccdf(moment, x, u_max_cap=1e4):
+    """Gil-Pelaez inversion as it was before the panel rule: adaptive QUADPACK
+    on each panel of one oscillation period, with a scalar u -> M(ju)."""
+    log_x = math.log(x)
+    u_max = 64.0
+    while abs(moment(u_max)) / u_max >= 1e-8:
+        u_max *= 2.0
+        if u_max > u_max_cap:
+            u_max = u_max_cap
+            break
+    f = lambda u: (cmath.exp(-1j * u * log_x) * moment(u)).imag / u
+    panel = max(2.0 * math.pi / max(abs(log_x), 1e-3), u_max / 2000.0)
+    total, u_lo, small = 0.0, 1e-6, 0
+    while u_lo < u_max:
+        u_hi = min(u_lo + panel, u_max)
+        val = sciint.quad(f, u_lo, u_hi, epsabs=1e-11, epsrel=1e-9, limit=100)[0]
+        total += val
+        u_lo = u_hi
+        small = small + 1 if abs(val) < 1e-10 else 0
+        if small >= 4 and u_lo > 200.0:
+            break
+    return min(1.0, max(0.0, 0.5 + total / math.pi))
+
+
+def _ppp_scalar_moment(u):
+    # PPP_MODEL at theta = 1: pi lambda theta^delta r_t^2 Gamma(1 - delta)
+    return cmath.exp(-math.pi * 0.1 * math.gamma(0.5) * gamma_ratio(1j * u + 0.5, 1j * u))
+
+
+def _downlink_scalar_moment(theta):
+    # 1 / F(ju) with F the node sum 1 + 2 sum_k w_k (1 - cos(u t_k) + j sin(u t_k))
+    ev = DownlinkImagMoments(theta, 4.0)
+
+    def moment(u):
+        ut = u * ev._t
+        return 1.0 / complex(1.0 + 2.0 * np.dot(ev._w, 1.0 - np.cos(ut)), 2.0 * np.dot(ev._w, np.sin(ut)))
+
+    return moment
+
+
+@pytest.mark.parametrize(
+    "geometry, theta, x",
+    [("ppp", 1.0, 0.1), ("ppp", 1.0, 0.5), ("ppp", 1.0, 0.9),
+     ("downlink", 2.0 / 3.0, 0.5), ("downlink", 10.0, 0.5), ("downlink", 10.0, 0.9),
+     ("ginibre", 1.0, 0.5)],
+)
+def test_meta_matches_quad_panel_oracle(geometry, theta, x):
+    # theta = 10, x = 0.9 needs the bisection: one 64-point rule per panel
+    # misses there by about 2e-6
+    if geometry == "ppp":
+        got = meta_distribution(PPP_MODEL, theta, x)
+        ref = _quad_panel_ccdf(_ppp_scalar_moment, x)
+    elif geometry == "downlink":
+        got = meta_distribution(NetworkModel(PPP(1.0), alpha=4.0), theta, x, geometry="downlink")
+        ref = _quad_panel_ccdf(_downlink_scalar_moment(theta), x, DownlinkImagMoments.U_CAP)
+    else:
+        ev = GppAdhocMoments(GPP_MODEL.field, theta, 4.0, 1.0)
+        got = meta_distribution(GPP_MODEL, theta, x)
+        ref = _quad_panel_ccdf(lambda u: ev(1j * u), x)
+    assert abs(got - ref) < 1e-9
+
+
 def test_meta_gpp_moment_function_consistency():
     # imaginary-order evaluator must agree with the real-order path at u -> -jb
     ev = GppAdhocMoments(GPP(0.1, 1.0), 1.0, 4.0, 1.0)
@@ -257,4 +352,5 @@ def test_downlink_moment_cache_is_lru(monkeypatch):
     DownlinkImagMoments(2.0, 4.0)  # evicts (0.5, 4), the least recently used
     assert list(DownlinkImagMoments._cache) == [(1.0, 4.0), (2.0, 4.0)]
     rebuilt = DownlinkImagMoments(0.5, 4.0)
-    assert rebuilt is not second and rebuilt(3.0) == second(3.0)
+    u, zero = np.array([3.0]), np.zeros(1)
+    assert rebuilt is not second and np.array_equal(rebuilt(u, zero), second(u, zero))
