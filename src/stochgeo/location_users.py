@@ -14,7 +14,7 @@ import numpy as np
 
 from .pointprocess import PPP, NetworkModel
 from . import simengine
-from .sir_analysis import _downlink_hyp2f1
+from .sir_analysis import _real_order, downlink_hyp2f1
 
 __all__ = [
     "UserClass",
@@ -57,32 +57,27 @@ def lsu_moments(cls, b, theta, alpha, rho=None):
     vertex:   1 / ((1+theta)^(2b) F(theta)^2)
     """
     c = _as_class(cls, rho)
+    b = _real_order(b)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if theta == 0.0:
         return 1.0
     if c.kind == "general":
-        return _to_like(1.0 / _downlink_hyp2f1(b, theta, alpha), b)
+        return 1.0 / downlink_hyp2f1(b, theta, alpha)
     if c.kind == "cell_center":
-        return _to_like(1.0 / _downlink_hyp2f1(b, c.rho**alpha * theta, alpha), b)
+        return 1.0 / downlink_hyp2f1(b, c.rho**alpha * theta, alpha)
     if c.kind == "cell_boundary":
         if c.rho >= 1.0 - 1e-12:
             # 0/0 mixture at rho = 1; use the edge closed form
             return lsu_moments("edge", b, theta, alpha)
-        m = 1.0 / _downlink_hyp2f1(b, theta, alpha)
-        mc = 1.0 / _downlink_hyp2f1(b, c.rho**alpha * theta, alpha)
-        return _to_like((m - c.rho**2 * mc) / (1.0 - c.rho**2), b)
+        m = 1.0 / downlink_hyp2f1(b, theta, alpha)
+        mc = 1.0 / downlink_hyp2f1(b, c.rho**alpha * theta, alpha)
+        return (m - c.rho**2 * mc) / (1.0 - c.rho**2)
     if c.kind == "edge":
-        return _to_like((1.0 + theta) ** -complex(b) / _downlink_hyp2f1(b, theta, alpha) ** 2, b)
+        return (1.0 + theta) ** -b / downlink_hyp2f1(b, theta, alpha) ** 2
     if c.kind == "vertex":
-        return _to_like((1.0 + theta) ** (-2.0 * complex(b)) / _downlink_hyp2f1(b, theta, alpha) ** 2, b)
+        return (1.0 + theta) ** (-2.0 * b) / downlink_hyp2f1(b, theta, alpha) ** 2
     raise AssertionError
-
-
-def _to_like(value, b):
-    if isinstance(b, complex) and b.imag != 0:
-        return complex(value)
-    return float(complex(value).real)
 
 
 def lsu_misr(cls, alpha, rho=None):
@@ -124,10 +119,10 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
     interferers form a PPP beyond it.
     """
     c = _as_class(cls, rho)
-    model = NetworkModel(PPP(density), alpha=alpha)
+    model = NetworkModel(PPP(density), alpha=alpha)  # validates density and alpha
     if c.kind in ("edge", "vertex"):
         return _equidistant_mc(c, b, theta, alpha, density, cfg)
-    radius = cfg.window_radius or simengine.default_window(model)
+    radius = cfg.window_radius or simengine.default_window(model.intensity)
     keep_samples = []
     for rng, size in simengine.batches(cfg, "lsu"):
         counts = rng.poisson(density * math.pi * radius**2, size)
@@ -158,8 +153,7 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
 
 def _equidistant_mc(c, b, theta, alpha, density, cfg):
     n_extra = 1 if c.kind == "edge" else 2
-    model = NetworkModel(PPP(density), alpha=alpha)
-    radius = cfg.window_radius or simengine.default_window(model)
+    radius = cfg.window_radius or simengine.default_window(density)
     a = density * math.pi
     samples = []
     for rng, size in simengine.batches(cfg, "lsu_equidistant"):

@@ -109,7 +109,7 @@ def _csp_downlink_at(points, pos, theta, alpha):
 def _mobility_samples(spec, density, theta, alpha, cfg):
     """Per-trial (csp1, csp2, handoff) samples."""
     v = spec.speed * spec.slot_gap
-    radius = simengine.default_window_density(density) + v
+    radius = simengine.default_window(density) + v
     area = math.pi * radius**2
     out1, out2, hand = [], [], []
     for rng, size in simengine.batches(cfg, "mobility"):
@@ -165,7 +165,7 @@ def jsp_mobility_mc_raw_fading(spec, density, theta, alpha, cfg):
     """Consistency oracle: joint Bernoulli success with explicitly drawn
     fading (checks the conditional-independence factorization)."""
     v = spec.speed * spec.slot_gap
-    radius = simengine.default_window_density(density) + v
+    radius = simengine.default_window(density) + v
     area = math.pi * radius**2
     hits = []
     for rng, size in simengine.batches(cfg, "mobility_raw"):

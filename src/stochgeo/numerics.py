@@ -2,9 +2,8 @@
 
 Everything here is pure and stateless.  Complex arguments are supported
 exactly where the downstream analysis needs them: the gamma ratio on the
-whole plane (minus poles), and the Gauss hypergeometric with a complex first
-parameter and real argument z <= 0.  The gamma function and Lambert W come
-from scipy.special.
+whole plane (minus poles), and complex-valued integrands.  The gamma
+function and Lambert W come from scipy.special.
 """
 
 import cmath
@@ -25,7 +24,6 @@ __all__ = [
     "FixedPointResult",
     "DEFAULT_QUAD",
     "gamma_ratio",
-    "gauss_2f1",
     "lambert_w0",
     "integrate_1d",
     "gil_pelaez_ccdf",
@@ -37,14 +35,10 @@ __all__ = [
 class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200
-    semi_infinite_transform: bool = True
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -96,50 +90,6 @@ def gamma_ratio(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 for complex a, real b, c and z <= 0
-# ---------------------------------------------------------------------------
-
-
-def gauss_2f1(a, b, c, z, tol=1e-14, max_terms=200000):
-    """2F1(a, b; c; z) for z <= 0, real b and c, complex a allowed.
-
-    Pfaff transform 2F1(a,b;c;z) = (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) moves
-    the series argument into [0, 1); the series is truncated once a term is
-    below tol relative to the running sum.
-    """
-    if z > 0:
-        raise ValueError("gauss_2f1 requires z <= 0")
-    if _is_nonpositive_int(c):
-        raise ValueError("c must not be a non-positive integer")
-    a = complex(a)
-    if z == 0.0:
-        return _maybe_real(complex(1.0, 0.0), a)
-    w = z / (z - 1.0)  # in (0, 1)
-    # series for 2F1(a, c-b; c; w)
-    b2 = c - b
-    term = complex(1.0, 0.0)
-    total = complex(1.0, 0.0)
-    n = 0
-    while n < max_terms:
-        ratio = (a + n) * (b2 + n) / ((c + n) * (n + 1.0)) * w
-        term = term * ratio
-        total += term
-        n += 1
-        if abs(term) < tol * abs(total):
-            break
-    else:
-        raise ToleranceError("2F1 series did not converge within the iteration cap")
-    out = cmath.exp(-a * math.log1p(-z)) * total
-    return _maybe_real(out, a)
-
-
-def _maybe_real(value, a):
-    if isinstance(a, complex) and a.imag != 0:
-        return value
-    return value.real
-
-
-# ---------------------------------------------------------------------------
 # Lambert W, principal branch
 # ---------------------------------------------------------------------------
 
@@ -163,13 +113,16 @@ def lambert_w0(x):
 # ---------------------------------------------------------------------------
 
 
+_QUAD_LIMIT = 200  # QUADPACK subinterval limit
+
+
 def _quad_real(f, a, b, spec):
     # QUADPACK's convergence heuristics are reported through the returned
     # error estimate and our `converged` flag, not through warnings
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", _sciint.IntegrationWarning)
         val, err = _sciint.quad(
-            f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_subdivisions
+            f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=_QUAD_LIMIT
         )
     if math.isnan(val):
         raise ToleranceError("integrand produced NaN")
@@ -186,8 +139,6 @@ def integrate_1d(f, a, b, spec=None, complex_valued=False):
     """
     spec = spec or DEFAULT_QUAD
     if np.isinf(b):
-        if not spec.semi_infinite_transform:
-            raise ValueError("semi-infinite domain requires the rational transform")
         g = lambda t: f(a + t / (1.0 - t)) / (1.0 - t) ** 2
         lo, hi = 0.0, 1.0
     else:

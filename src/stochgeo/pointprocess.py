@@ -294,7 +294,7 @@ def contact_pdf(field, r):
             return 0.0
         rd = field.cluster_radius
         area = math.pi * rd * rd
-        expo, _ = _mcp_void_exponent(field, r)
+        expo, res = _mcp_void_exponent(field, r)
 
         # d/dr of the void exponent: boundary arc length inside B(x, R_d)
         def integrand(x):
@@ -302,8 +302,10 @@ def contact_pdf(field, r):
             darc = _arc_inside(r, rd, x)
             return math.exp(-field.mean_daughters * frac) * field.mean_daughters * darc / area * x
 
-        res = integrate_1d(integrand, max(0.0, r - rd) * 0.0, r + rd)
-        dexpo = 2.0 * math.pi * field.parent_density * res.value
+        dres = integrate_1d(integrand, 0.0, r + rd)
+        if not (res.converged and dres.converged):
+            raise ToleranceError("MCP contact PDF quadrature did not converge")
+        dexpo = 2.0 * math.pi * field.parent_density * dres.value
         return math.exp(-expo) * dexpo
     raise TypeError("contact distribution implemented for PPP and MCP fields")
 

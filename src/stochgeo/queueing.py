@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import fixed_point_solve, gauss_2f1, lambert_w0
+from .numerics import fixed_point_solve, lambert_w0
+from .sir_analysis import downlink_hyp2f1, ppp_link_exponent
 from . import simengine
 
 __all__ = [
@@ -84,10 +85,9 @@ def downlink_success(xi_u, theta, alpha, ratio, damping=0.5, tol=1e-10):
         raise ValueError("arrival probability must lie in [0, 1]")
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    delta = 2.0 / alpha
     if theta == 0.0 or xi_u == 0.0:
         return QueueSolution(1.0, 0.0 if xi_u == 0.0 else min(xi_u / _mean_inverse_load(ratio), 1.0), True)
-    f = float(gauss_2f1(1.0, -delta, 1.0 - delta, -theta))
+    f = downlink_hyp2f1(1.0, theta, alpha)
     s = _mean_inverse_load(ratio)
 
     def step(ps):
@@ -103,22 +103,14 @@ def downlink_success(xi_u, theta, alpha, ratio, damping=0.5, tol=1e-10):
 def bipolar_success(xi, theta, alpha, density, r_t):
     """Bipolar success probability with infinite buffers.
 
-    P_s = max{exp(W(-xi C)), exp(-C)} with
-    C = lam pi r_t^2 theta^delta Gamma(1+delta) Gamma(1-delta); the W branch
-    exists iff xi C <= 1/e, and the max picks the saturated branch exactly
-    when the arrival rate exceeds the saturated service rate.
+    P_s = max{exp(W(-xi C)), exp(-C)} with C the Poisson link exponent at
+    b = 1, lam pi r_t^2 theta^delta Gamma(1+delta) Gamma(1-delta); the W
+    branch exists iff xi C <= 1/e, and the max picks the saturated branch
+    exactly when the arrival rate exceeds the saturated service rate.
     """
     if not (0.0 <= xi <= 1.0):
         raise ValueError("arrival probability must lie in [0, 1]")
-    delta = 2.0 / alpha
-    c = (
-        density
-        * math.pi
-        * r_t**2
-        * theta**delta
-        * math.gamma(1.0 + delta)
-        * math.gamma(1.0 - delta)
-    )
+    c = ppp_link_exponent(density, 1.0, theta, alpha, r_t)
     saturated = math.exp(-c)
     if xi * c <= 1.0 / math.e:
         unsaturated = math.exp(lambert_w0(-xi * c))

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ToleranceError
-from .numerics import QuadratureSpec, gamma_ratio, integrate_1d
+from .numerics import QuadratureSpec, integrate_1d
 from .pointprocess import _uniform_disk
+from .sir_analysis import _real_order, ppp_link_exponent
 from . import simengine
 
-_HARQ_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7, max_subdivisions=200)
+_HARQ_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
 
 __all__ = [
     "RelayRoute",
@@ -85,14 +86,6 @@ def linear_route(n_hops, hop_len):
 _PSI_NODES = np.polynomial.legendre.leggauss(96)
 
 
-def _hop_integral_radial(b, theta, alpha, d_m):
-    """int_R2 (1 - (1 + theta d^a |x - z|^-a)^-b) dx, single hop (closed form
-    via the Poisson single-link exponent)."""
-    delta = 2.0 / alpha
-    factor = math.gamma(1.0 - delta) * gamma_ratio(b + delta, b)
-    return math.pi * theta**delta * d_m**2 * complex(factor).real
-
-
 def relay_moments(b, route, theta, alpha, density, regime):
     """Moments of the end-to-end conditional success probability.
 
@@ -102,14 +95,14 @@ def relay_moments(b, route, theta, alpha, density, regime):
     midpoint with the truncated tail restored by the single-hop expansion.
     """
     _check_regime(regime)
+    b = _real_order(b)
     if b <= 0:
         raise ValueError("b must be positive")
     if theta == 0.0:
         return 1.0
     dists = route.hop_distances
     if regime == "fvi" or route.n_hops == 1:
-        expo = sum(_hop_integral_radial(b, theta, alpha, d) for d in dists)
-        return math.exp(-density * expo)
+        return math.exp(-sum(ppp_link_exponent(density, b, theta, alpha, d) for d in dists))
     mid = route.midpoint()
     z = np.array([route.receivers[m] for m in range(route.n_hops)], dtype=float) - mid
     c_m = theta * np.asarray(dists) ** alpha
@@ -145,30 +138,18 @@ def relay_moments(b, route, theta, alpha, density, regime):
 # ---------------------------------------------------------------------------
 
 
-def _c_const(delta):
-    return math.pi * math.gamma(1.0 + delta) * math.gamma(1.0 - delta)
-
-
-def _dk(k, delta):
-    # D_K = Gamma(K + delta) / (Gamma(K) Gamma(1 + delta))
-    return math.exp(
-        math.lgamma(k + delta) - math.lgamma(k) - math.lgamma(1.0 + delta)
-    )
-
-
 def jsp_retx(k, regime, theta, alpha, density, r_t):
     """Probability of K successes in a row over one link.
 
-    qsi: exp(-c lam theta^d r^2 D_K(d)); fvi: exp(-c lam theta^d r^2 K).
+    qsi: the K-th CSP moment exp(-E(K)); fvi: exp(-K E(1)), where E(b) is
+    the Poisson link exponent.
     """
     _check_regime(regime)
     if k < 1:
         raise ValueError("K must be >= 1")
-    delta = 2.0 / alpha
-    base = _c_const(delta) * density * theta**delta * r_t**2
     if regime == "qsi":
-        return math.exp(-base * _dk(k, delta))
-    return math.exp(-base * k)
+        return math.exp(-ppp_link_exponent(density, k, theta, alpha, r_t))
+    return math.exp(-k * ppp_link_exponent(density, 1.0, theta, alpha, r_t))
 
 
 def csp_retx(k, regime, theta, alpha, density, r_t):
@@ -184,17 +165,16 @@ def csp_retx(k, regime, theta, alpha, density, r_t):
 def corr_coeff_retx(theta, alpha, density, r_t, regime="qsi"):
     """Correlation coefficient of two success indicators.
 
-    qsi: (exp(y (1-delta)) - 1)/(exp(y) - 1) with y = c lam theta^d r^2;
-    fvi: exactly zero (independent patterns).
+    qsi: (exp(y (1-delta)) - 1)/(exp(y) - 1) with y = E(1), the Poisson link
+    exponent; fvi: exactly zero (independent patterns).
     """
     _check_regime(regime)
     if regime == "fvi":
         return 0.0
     if min(theta, density, r_t) <= 0:
         raise ValueError("parameters must be positive")
-    delta = 2.0 / alpha
-    y = _c_const(delta) * density * theta**delta * r_t**2
-    return math.expm1(y * (1.0 - delta)) / math.expm1(y)
+    y = ppp_link_exponent(density, 1.0, theta, alpha, r_t)
+    return math.expm1(y * (1.0 - 2.0 / alpha)) / math.expm1(y)
 
 
 def p_retx(k, regime, theta, alpha, density, r_t):
@@ -218,15 +198,16 @@ def harq_type1(theta, alpha, density, r_t, regime):
 def harq_type2_cc(theta, alpha, density, r_t, regime):
     """Type-II chase-combining HARQ success with one retransmission.
 
-    First term exp(-c lam theta^d r^2) plus the maximal-ratio-combining gain
-    term, a double integral over the residual threshold u in [0, theta]
-    (substituted u = theta(1 - t^2) to tame the (theta-u)^delta endpoint) and
-    an inner radial profile.
+    First term exp(-c theta^delta), with c the Poisson link exponent at b = 1
+    and theta = 1, plus the maximal-ratio-combining gain term, a double
+    integral over the residual threshold u in [0, theta] (substituted
+    u = theta(1 - t^2) to tame the (theta-u)^delta endpoint) and an inner
+    radial profile.
     """
     _check_regime(regime)
     delta = 2.0 / alpha
-    c = _c_const(delta)
-    first = math.exp(-c * density * theta**delta * r_t**2)
+    c = ppp_link_exponent(density, 1.0, 1.0, alpha, r_t)
+    first = math.exp(-c * theta**delta)
     ra = r_t**alpha
 
     def inner_gain(u, include_j):
@@ -257,9 +238,7 @@ def harq_type2_cc(theta, alpha, density, r_t, regime):
             ex = math.exp(-2.0 * math.pi * density * inner_exp_qsi(u))
         else:
             gain = inner_gain(u, include_j=False)
-            ex = math.exp(
-                -c * density * r_t**2 * (u**delta + (theta - u) ** delta)
-            )
+            ex = math.exp(-c * (u**delta + (theta - u) ** delta))
         return 2.0 * math.pi * density * gain * ex * du
 
     res = integrate_1d(outer, 0.0, 1.0, _HARQ_QUAD)
@@ -282,7 +261,7 @@ def estimate_relay_jsp(route, theta, alpha, density, regime, cfg, b=1.0):
     mid = route.midpoint()
     z = np.array(route.receivers, dtype=float) - mid
     dists = np.asarray(route.hop_distances)
-    radius = (cfg.window_radius or simengine.default_window_density(density)) + route.extent()
+    radius = (cfg.window_radius or simengine.default_window(density)) + route.extent()
     area = math.pi * radius**2
     # per-hop far-field completion (leading order)
     corr = sum(
@@ -308,7 +287,7 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
     {SIR1 > theta} or {SIR1 + SIR2 > theta} is not product form, so fading is
     sampled explicitly here (the engine's only raw-fading mode)."""
     _check_regime(regime)
-    radius = cfg.window_radius or simengine.default_window_density(density)
+    radius = cfg.window_radius or simengine.default_window(density)
     area = math.pi * radius**2
     ra = r_t**alpha
     hits = []

@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sps
 
 from . import simengine
+from .sir_analysis import _real_order
 
 __all__ = [
     "ShadowGrid",
@@ -88,15 +90,12 @@ def _poisson_weights(mu, tail=1e-12):
     if mu == 0.0:
         return np.array([1.0])
     n_max = max(8, int(mu + 12.0 * math.sqrt(mu) + 12))
-    n = np.arange(n_max + 1)
-    logp = n * math.log(mu) - mu - np.cumsum(np.concatenate([[0.0], np.log(np.maximum(n[1:], 1))]))
-    p = np.exp(logp)
-    while p.sum() < 1.0 - tail:
-        n_max *= 2
+    while True:
         n = np.arange(n_max + 1)
-        logp = n * math.log(mu) - mu - np.cumsum(np.concatenate([[0.0], np.log(np.maximum(n[1:], 1))]))
-        p = np.exp(logp)
-    return p
+        p = np.exp(_sps.xlogy(n, mu) - mu - _sps.gammaln(n + 1.0))
+        if p.sum() >= 1.0 - tail:
+            return p
+        n_max *= 2
 
 
 class _CellTable:
@@ -210,6 +209,7 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     T expectation sits outside (correlated) or inside (independent) the cell
     exponential.
     """
+    b = _real_order(b)
     if mode not in ("correlated", "independent"):
         raise ValueError("mode must be 'correlated' or 'independent'")
     if theta == 0.0:

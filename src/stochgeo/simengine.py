@@ -109,13 +109,10 @@ def confidence(samples, seed):
     return Estimate(mean=mean, stderr=stderr, n=n, seed=seed)
 
 
-def default_window(model):
-    """Default observation radius: about twenty mean nearest distances."""
-    return 20.0 / math.sqrt(math.pi * model.intensity)
-
-
-def default_window_density(density):
-    return 20.0 / math.sqrt(math.pi * density)
+def default_window(intensity):
+    """Default observation radius: about twenty mean nearest distances of a
+    field of the given intensity."""
+    return 20.0 / math.sqrt(math.pi * intensity)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +212,7 @@ def csp_sample_batches(model, theta, geometry, cfg, event=0):
     fixed link distance (ad hoc).  Far-field completion is left to callers
     because its exponent depends on the moment order requested.
     """
-    radius = cfg.window_radius or default_window(model)
+    radius = cfg.window_radius or default_window(model.intensity)
     alpha = model.alpha
     for rng, size in batches(cfg, "csp", event):
         radii, counts = _radii_batch(model, radius, rng, size)
@@ -244,7 +241,7 @@ def csp_sample_batches(model, theta, geometry, cfg, event=0):
 
 
 def _collect_csp(model, theta, geometry, cfg, b=1.0, event=0):
-    radius = cfg.window_radius or default_window(model)
+    radius = cfg.window_radius or default_window(model.intensity)
     alpha = model.alpha
     chunks = []
     for csp, r_serv in csp_sample_batches(model, theta, geometry, cfg, event):
@@ -297,7 +294,7 @@ def estimate_interference_moments(model, pl, u, cfg):
     negligible at the default window).  Returns Estimates keyed by
     'mean', 'second_moment', 'mean_product'.
     """
-    radius = cfg.window_radius or default_window(model)
+    radius = cfg.window_radius or default_window(model.intensity)
     lam = model.intensity
     tail_mean = 2.0 * math.pi * lam * integrate_1d(lambda r: pl.ell(r) * r, radius, np.inf).require()
     means, seconds, products = [], [], []

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ToleranceError
-from .numerics import gamma_ratio, gauss_2f1, gil_pelaez_ccdf, integrate_1d
+from .numerics import gamma_ratio, gil_pelaez_ccdf, integrate_1d
 from .pointprocess import GPP, MCP, PPP, NetworkModel, sample_pattern
 from . import simengine
 
@@ -25,7 +25,6 @@ __all__ = [
     "misr_ppp",
     "misr_estimate",
     "sir_gain_g0",
-    "downlink_2f1",
 ]
 
 
@@ -34,10 +33,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _moments_ppp_adhoc(lam, b, theta, alpha, r_t):
+def ppp_link_exponent(density, b, theta, alpha, r_t):
+    """lam pi r_t^2 theta^delta Gamma(1-delta) Gamma(b+delta)/Gamma(b): minus
+    the log of the b-th CSP moment of a link of length r_t over a Poisson
+    field.  b may be a complex array; the value is real for a real b."""
+    b = np.asarray(b)
+    bc = b.astype(complex)
+    if np.any((bc.imag == 0) & (bc.real <= 0) & (bc.real == np.round(bc.real))):
+        raise ValueError(f"gamma pole at order b = {b}")
     delta = 2.0 / alpha
-    factor = math.gamma(1.0 - delta) * gamma_ratio(b + delta, b)
-    return cmath.exp(-math.pi * lam * theta**delta * r_t**2 * factor)
+    scale = math.pi * density * theta**delta * r_t**2 * math.gamma(1.0 - delta)
+    out = scale * np.exp(_sps.loggamma(bc + delta) - _sps.loggamma(bc))
+    return out if np.iscomplexobj(b) else out.real
+
+
+def _real_order(b):
+    """The moment order b as a float; a non-zero imaginary part raises
+    ValueError (imaginary orders are inverted by `meta_distribution`)."""
+    b = complex(b)
+    if b.imag != 0:
+        raise ValueError(f"moment order must be real, got {b}")
+    return b.real
 
 
 def _mcp_vb_nodes(field, theta, alpha, r_t, n_rho=48, n_psi=64):
@@ -170,7 +186,8 @@ class GppAdhocMoments:
 
 
 def moments_adhoc(model, b, theta):
-    """b-th moment of the ad hoc CSP over the model's interferer field."""
+    """b-th moment of the ad hoc CSP over the model's interferer field (real b)."""
+    b = _real_order(b)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
     if theta == 0.0:
@@ -180,16 +197,12 @@ def moments_adhoc(model, b, theta):
         raise ValueError("ad hoc moments need model.link_distance")
     f = model.field
     if isinstance(f, PPP):
-        out = _moments_ppp_adhoc(f.density, complex(b), theta, model.alpha, r_t)
-    elif isinstance(f, MCP):
-        out = _moments_mcp_adhoc(f, complex(b) if (isinstance(b, complex) and b.imag) else float(b), theta, model.alpha, r_t)
-    elif isinstance(f, GPP):
-        out = GppAdhocMoments(f, theta, model.alpha, r_t)(b)
-    else:
-        raise TypeError(f"unknown field type: {type(f)!r}")
-    if isinstance(b, complex) and b.imag != 0:
-        return out
-    return float(out.real) if isinstance(out, complex) else float(out)
+        return math.exp(-ppp_link_exponent(f.density, b, theta, model.alpha, r_t))
+    if isinstance(f, MCP):
+        return _moments_mcp_adhoc(f, b, theta, model.alpha, r_t).real
+    if isinstance(f, GPP):
+        return GppAdhocMoments(f, theta, model.alpha, r_t)(b).real
+    raise TypeError(f"unknown field type: {type(f)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +210,11 @@ def moments_adhoc(model, b, theta):
 # ---------------------------------------------------------------------------
 
 
-def downlink_2f1(b, delta, theta):
-    """2F1(b, -delta; 1-delta; -theta) via the relative-distance-process
-    integral 1 + 2 int_0^1 (1 - (1+theta v^alpha)^-b) v^-3 dv.
-
-    Equivalent to the hypergeometric series but conditioned well for large
-    imaginary b, which the meta-distribution inversion needs.  Raises
-    ToleranceError when the quadrature misses its tolerance.
-    """
-    alpha = 2.0 / delta
-    b = complex(b)
-
-    def integrand(v):
-        return (1.0 - np.exp(-b * math.log1p(theta * v**alpha))) * v**-3.0
-
-    return 1.0 + 2.0 * integrate_1d(integrand, 0.0, 1.0, complex_valued=True).require()
-
-
-def _downlink_hyp2f1(b, theta, alpha):
-    """2F1(b, -delta; 1-delta; -theta): the integral `downlink_2f1` for
-    complex b with |b| > 30, where the series is ill-conditioned, else the
-    series `gauss_2f1`."""
+def downlink_hyp2f1(b, theta, alpha):
+    """2F1(b, -delta; 1-delta; -theta) for a real order b: the reciprocal of
+    the b-th downlink CSP moment."""
     delta = 2.0 / alpha
-    if isinstance(b, complex) and b.imag != 0 and abs(b) > 30.0:
-        return downlink_2f1(b, delta, theta)
-    return gauss_2f1(b, -delta, 1.0 - delta, -theta)
+    return float(_sps.hyp2f1(b, -delta, 1.0 - delta, -theta))
 
 
 class DownlinkImagMoments:
@@ -303,14 +296,14 @@ def _one_minus_exp(x):
 
 
 def moments_downlink_ppp(b, theta, alpha):
-    """Moments of the typical downlink user's CSP: 1 / 2F1(b,-d;1-d;-theta)."""
+    """Moments of the typical downlink user's CSP: 1 / 2F1(b,-d;1-d;-theta)
+    (real b)."""
+    b = _real_order(b)
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
     if theta == 0.0:
         return 1.0
-    if isinstance(b, complex):
-        if b.imag != 0:
-            return 1.0 / _downlink_hyp2f1(b, theta, alpha)
-        b = b.real
-    return float(1.0 / _downlink_hyp2f1(float(b), theta, alpha))
+    return 1.0 / downlink_hyp2f1(b, theta, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +328,10 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
         return gil_pelaez_ccdf(moment, x, u_max_cap=DownlinkImagMoments.U_CAP)
     f = model.field
     if isinstance(f, PPP):
-        delta = model.delta
-        r_t = model.link_distance
-        scale = math.pi * f.density * theta**delta * r_t**2 * math.gamma(1.0 - delta)
 
         def moment(c, d):
             b = 1j * np.add.outer(c, d)
-            return np.exp(-scale * np.exp(_sps.loggamma(b + delta) - _sps.loggamma(b)))
+            return np.exp(-ppp_link_exponent(f.density, b, theta, model.alpha, model.link_distance))
 
         return gil_pelaez_ccdf(moment, x)
     if isinstance(f, GPP):
@@ -375,7 +365,7 @@ def misr_estimate(model, alpha, cfg):
     formula: E[sum_{r_k > R} (r_1/r_k)^alpha] = 2 pi lam E[r_1^alpha]
     R^(2-alpha)/(alpha-2).
     """
-    radius = cfg.window_radius or simengine.default_window(model)
+    radius = cfg.window_radius or simengine.default_window(model.intensity)
     sums = []
     r1a = []
     for rng, size in simengine.batches(cfg, "misr"):

@@ -218,11 +218,12 @@ def test_criterion_08_queueing():
 
 
 def test_criterion_09_retransmission_algebra():
-    from stochgeo.relay_retx import _dk
+    from stochgeo.sir_analysis import ppp_link_exponent
 
     ok = True
     for d in (0.2, 0.5, 0.8):
-        ok = ok and abs(_dk(2, d) - (1.0 + d)) < 1e-12
+        e1, e2 = (ppp_link_exponent(0.1, b, 1.0, 2.0 / d, 1.0) for b in (1.0, 2.0))
+        ok = ok and abs(e2 / e1 - (1.0 + d)) < 1e-12
     ok = ok and abs(
         jsp_retx(1, "qsi", 1.0, 4.0, 0.1, 1.0) - jsp_retx(1, "fvi", 1.0, 4.0, 0.1, 1.0)
     ) < 1e-15

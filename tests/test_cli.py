@@ -199,10 +199,13 @@ def test_validate_mutation_sanity(monkeypatch):
     checks = dict(validate._checks(quick=True, seed=5))
     assert checks["retransmission_algebra_vs_mc"]()["pass"]
 
-    def corrupted(delta):
-        return math.pi * math.gamma(1.0 - delta)  # Gamma(1+delta) dropped
+    exponent = relay_retx.ppp_link_exponent
 
-    monkeypatch.setattr(relay_retx, "_c_const", corrupted)
+    def corrupted(density, b, theta, alpha, r_t):
+        # Gamma(1-delta) dropped
+        return exponent(density, b, theta, alpha, r_t) / math.gamma(1.0 - 2.0 / alpha)
+
+    monkeypatch.setattr(relay_retx, "ppp_link_exponent", corrupted)
     checks = dict(validate._checks(quick=True, seed=5))
     assert not checks["retransmission_algebra_vs_mc"]()["pass"]
 

@@ -233,6 +233,26 @@ def test_mcp_contact_pdf_is_cdf_derivative():
         assert contact_pdf(field, r) == pytest.approx(num, rel=1e-4)
 
 
+@pytest.mark.parametrize("failing_call", [0, 1])
+def test_mcp_contact_pdf_raises_when_a_quadrature_misses_tolerance(monkeypatch, failing_call):
+    # contact_pdf integrates twice (the void exponent, then its derivative);
+    # either one unconverged must raise, not return a density
+    from stochgeo import pointprocess
+    from stochgeo.core import ToleranceError
+
+    integrate = pointprocess.integrate_1d
+    calls = []
+
+    def flagged(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        calls.append(None)
+        return res._replace(converged=res.converged and len(calls) - 1 != failing_call)
+
+    monkeypatch.setattr(pointprocess, "integrate_1d", flagged)
+    with pytest.raises(ToleranceError):
+        contact_pdf(MCP(0.1, 5.0, 1.0), 1.1)
+
+
 # -------------------------------------------------------------- distance ratios
 
 

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hyp2f1
 
-from stochgeo.numerics import gauss_2f1
 from stochgeo.queueing import (
     _mean_inverse_load,
     bipolar_success,
@@ -43,7 +43,7 @@ def _downlink_linear_oracle(xi_u, theta, alpha, ratio):
     # the fixed point collapses to P = 1 - xi (F-1)/S on the unsaturated
     # branch and 1/F when saturated (derived by eliminating p_A)
     delta = 2.0 / alpha
-    f = float(gauss_2f1(1.0, -delta, 1.0 - delta, -theta))
+    f = hyp2f1(1.0, -delta, 1.0 - delta, -theta)
     s = _mean_inverse_load(ratio)
     return max(1.0 - xi_u * (f - 1.0) / s, 1.0 / f)
 

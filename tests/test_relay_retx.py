@@ -114,11 +114,12 @@ def test_jsp_k1_regime_independent():
 
 
 def test_d2_gamma_recurrence():
-    # D_2(delta) = 1 + delta exactly
-    from stochgeo.relay_retx import _dk
+    # D_2(delta) = E(2) / E(1) = 1 + delta exactly, E the Poisson link exponent
+    from stochgeo.sir_analysis import ppp_link_exponent
 
     for delta in (0.2, 0.5, 0.9):
-        assert _dk(2, delta) == pytest.approx(1.0 + delta, rel=1e-12)
+        e1, e2 = (ppp_link_exponent(LAM, b, 1.0, 2.0 / delta, RT) for b in (1.0, 2.0))
+        assert e2 / e1 == pytest.approx(1.0 + delta, rel=1e-12)
 
 
 def test_jsp_qsi_above_fvi():

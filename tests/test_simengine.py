@@ -178,7 +178,7 @@ def test_bit_identical_reruns():
 
 def test_window_doubling_stays_unbiased():
     m = ADHOC_PPP
-    r0 = default_window(m)
+    r0 = default_window(m.intensity)
     target = _ppp_adhoc_success(0.1, 1.0, 4.0, 1.0)
     e1 = estimate_success(m, 1.0, "adhoc", SimConfig(trials=20000, master_seed=52, window_radius=r0))
     e2 = estimate_success(m, 1.0, "adhoc", SimConfig(trials=20000, master_seed=52, window_radius=2 * r0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sciint
 
-from stochgeo.core import ToleranceError, theta_from_mh, theta_mh
+from stochgeo.core import theta_from_mh, theta_mh
 from stochgeo.location_users import lsu_moments
 from stochgeo.numerics import gamma_ratio
 from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
@@ -13,7 +13,6 @@ from stochgeo.simengine import SimConfig, estimate_meta, estimate_moment, estima
 from stochgeo.sir_analysis import (
     DownlinkImagMoments,
     GppAdhocMoments,
-    downlink_2f1,
     meta_distribution,
     misr_estimate,
     misr_ppp,
@@ -112,6 +111,41 @@ def test_moment_jensen_and_bound_invariants():
 def test_downlink_moment_value():
     got = moments_downlink_ppp(1.0, 1.0, 4.0)
     assert got == pytest.approx(1.0 / (1.0 + math.pi / 4.0), rel=1e-12)
+    # alpha=4: 2F1(1, -1/2; 1/2; -theta) = 1 + sqrt(theta) arctan sqrt(theta)
+    for theta in (0.25, 9.0, 1e4):
+        expected = 1.0 + math.sqrt(theta) * math.atan(math.sqrt(theta))
+        assert moments_downlink_ppp(1.0, theta, 4.0) == pytest.approx(1.0 / expected, rel=1e-12)
+
+
+def test_downlink_moment_vs_mpmath():
+    # oracle: mpmath's 2F1 at 40 digits, theta from -10 to 30 dB
+    mp = pytest.importorskip("mpmath")
+    for alpha in (3.0, 4.0, 6.0):
+        delta = 2.0 / alpha
+        for b in (1.0, 2.0):
+            for theta_db in range(-10, 31, 5):
+                theta = 10.0 ** (theta_db / 10.0)
+                with mp.workdps(40):
+                    ref = float(1 / mp.hyp2f1(b, -mp.mpf(delta), 1 - mp.mpf(delta), -mp.mpf(theta)))
+                assert moments_downlink_ppp(b, theta, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
+                assert lsu_moments("general", b, theta, alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_moment_orders_must_be_real():
+    # imaginary orders reach the library only through meta_distribution
+    from stochgeo.relay_retx import linear_route, relay_moments
+    from stochgeo.shadowing import BlockageModel, ShadowGrid, moments_shadowed
+
+    grid, blockage = ShadowGrid(4.0, 1.0), BlockageModel(0.5, 0.1)
+    for moment in (
+        lambda b: moments_adhoc(PPP_MODEL, b, 1.0),
+        lambda b: moments_downlink_ppp(b, 1.0, 4.0),
+        lambda b: lsu_moments("general", b, 1.0, 4.0),
+        lambda b: relay_moments(b, linear_route(2, 1.0), 1.0, 4.0, 0.1, "fvi"),
+        lambda b: moments_shadowed(b, 1.0, 1.0, grid, blockage, 0.1, 4.0, "correlated"),
+    ):
+        with pytest.raises(ValueError):
+            moment(1.0 + 0.5j)
 
 
 def test_downlink_moment_real_order_given_as_complex():
@@ -161,26 +195,6 @@ def test_downlink_moment_vs_mc():
         ana = moments_downlink_ppp(1.0, theta, 4.0)
         est = estimate_success(model, theta, "downlink", cfg)
         assert est.within(ana, atol=1e-3)
-
-
-def test_downlink_2f1_matches_series_versions():
-    for theta in (0.5, 1.0, 10.0):
-        for b in (1.0, 2.0, 0.5 + 3.0j):
-            via_int = downlink_2f1(b, 0.5, theta)
-            exp = 1.0 + math.sqrt(theta) * math.atan(math.sqrt(theta)) if b == 1.0 else None
-            if exp is not None:
-                assert complex(via_int).real == pytest.approx(exp, rel=1e-8)
-            from stochgeo.numerics import gauss_2f1
-
-            ref = gauss_2f1(b, -0.5, 0.5, -theta)
-            assert cmath.isclose(complex(via_int), complex(ref), rel_tol=1e-7)
-
-
-def test_downlink_2f1_raises_when_quadrature_misses_tolerance():
-    # at |b| = 3000 the oscillating integrand defeats the adaptive rule
-    # (error estimate about 1.1); the value must not leave unflagged
-    with pytest.raises(ToleranceError):
-        downlink_2f1(3000j, 0.5, 10.0)
 
 
 # ------------------------------------------------------------------- meta
