@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import hyp2f1
 
+from stochgeo import queueing, simengine
 from stochgeo.queueing import (
     _mean_inverse_load,
     bipolar_success,
@@ -193,3 +194,186 @@ def test_simulate_validation():
         simulate_queues("bipolar", 0.5, 1.0, 4.0, cfg, slots=100, warmup=200)
     with pytest.raises(ValueError):
         simulate_queues("carrier", 0.5, 1.0, 4.0, cfg)
+
+
+# --------------------------------------------- one-trial reference loops
+#
+# The simulator steps its bipolar trials together and draws each slot's
+# downlink schedule in one call.  These loops step one trial at a time and
+# one cell at a time; each trial draws from the same stream, so every
+# Estimate must agree exactly.
+
+
+def _ref_bipolar_layout(rng, theta, alpha, density, r_t, n_target):
+    half = 0.5 * math.sqrt(n_target / density)
+    n = rng.poisson(density * (2.0 * half) ** 2)
+    tx = rng.random((n, 2)) * 2.0 * half - half
+    ang = rng.random(n) * 2.0 * math.pi
+    rx = tx + r_t * np.column_stack([np.cos(ang), np.sin(ang)])
+    tx = np.vstack([[0.0, 0.0], tx])
+    rx = np.vstack([[r_t, 0.0], rx])
+    rx = (rx + half) % (2.0 * half) - half
+    gains = queueing._torus_gains(tx, rx, half, alpha)
+    own = np.diag(gains).copy()
+    return np.log1p(theta * gains / own[None, :])
+
+
+def _ref_bipolar_trial(rng, xi, theta, alpha, density, r_t, slots, warmup, n_target):
+    return _ref_bipolar_slots(rng, _ref_bipolar_layout(rng, theta, alpha, density, r_t, n_target), xi, slots, warmup)
+
+
+def _ref_bipolar_slots(rng, lg, xi, slots, warmup):
+    own_lg = np.diag(lg).copy()
+    n_tot = len(lg)
+    queues = np.zeros(n_tot, dtype=np.int64)
+    p_sum = np.zeros(n_tot)
+    p_cnt = np.zeros(n_tot, dtype=np.int64)
+    for t in range(slots):
+        queues += rng.random(n_tot) < xi
+        idx = np.flatnonzero(queues > 0)
+        if len(idx) == 0:
+            continue
+        logs = lg[idx, :].sum(axis=0)[idx] - own_lg[idx]
+        p = np.exp(-logs)
+        queues[idx[rng.random(len(idx)) < p]] -= 1
+        if t >= warmup:
+            p_sum[idx] += p
+            p_cnt[idx] += 1
+    seen = p_cnt > 0
+    return list(p_sum[seen] / p_cnt[seen])
+
+
+def _ref_downlink_layout(rng, theta, alpha, ratio, n_bs_target):
+    half = 0.5 * math.sqrt(n_bs_target)
+    n_bs = max(rng.poisson((2.0 * half) ** 2), 2)
+    bs = rng.random((n_bs, 2)) * 2.0 * half - half
+    n_u = rng.poisson(ratio * (2.0 * half) ** 2)
+    users = rng.random((n_u, 2)) * 2.0 * half - half
+    users = np.vstack([[0.0, 0.0], users])
+    d = np.abs(users[:, None, :] - bs[None, :, :])
+    d = np.minimum(d, 2.0 * half - d)
+    dist = np.hypot(d[..., 0], d[..., 1])
+    serving = np.argmin(dist, axis=1)
+    gain_to_user = dist**-alpha
+    own_gain = gain_to_user[np.arange(len(users)), serving]
+    return np.log1p(theta * gain_to_user / own_gain[:, None]), serving, n_bs
+
+
+def _ref_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs_target):
+    lg, serving, n_bs = _ref_downlink_layout(rng, theta, alpha, ratio, n_bs_target)
+    n_users = len(serving)
+    own_lg = lg[np.arange(n_users), serving]
+    queues = np.zeros(n_users, dtype=np.int64)
+    members = [np.flatnonzero(serving == b) for b in range(n_bs)]
+    p_sum = np.zeros(n_users)
+    p_cnt = np.zeros(n_users, dtype=np.int64)
+    for t in range(slots):
+        queues += rng.random(n_users) < xi_u
+        scheduled = np.full(n_bs, -1)
+        for b, mem in enumerate(members):
+            if len(mem):
+                scheduled[b] = mem[rng.integers(0, len(mem))]
+        candidate = scheduled >= 0
+        active = candidate & (queues[np.maximum(scheduled, 0)] > 0)
+        idx_bs = np.flatnonzero(active)
+        if len(idx_bs) == 0:
+            continue
+        rx_users = scheduled[idx_bs]
+        logs = lg[np.ix_(rx_users, idx_bs)].sum(axis=1) - own_lg[rx_users]
+        p = np.exp(-logs)
+        queues[rx_users[rng.random(len(rx_users)) < p]] -= 1
+        if t >= warmup:
+            p_sum[rx_users] += p
+            p_cnt[rx_users] += 1
+    seen = p_cnt > 0
+    return list(p_sum[seen] / p_cnt[seen])
+
+
+def _ref_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=None, slots=2500, warmup=500,
+                n_target=128):
+    probs = []
+    for rng, _ in simengine.batches(cfg, "queue"):
+        if mode == "bipolar":
+            p = _ref_bipolar_trial(rng, xi, theta, alpha, density, r_t, slots, warmup, n_target)
+        else:
+            p = _ref_downlink_trial(rng, xi, theta, alpha, ratio, slots, warmup, n_target)
+        if p:
+            probs.append(float(np.mean(p)))
+    return simengine.confidence(np.asarray(probs), cfg.master_seed)
+
+
+def _trial_streams(cfg):
+    return [rng for rng, _ in simengine.batches(cfg, "queue")]
+
+
+def _count_stacks(monkeypatch):
+    sizes = []
+    stack = queueing._bipolar_stack
+
+    def counted(rngs, lgs, *args):
+        sizes.append(len(lgs))
+        return stack(rngs, lgs, *args)
+
+    monkeypatch.setattr(queueing, "_bipolar_stack", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("xi, theta", [(0.5, 1.0), (1.0, 100.0)])
+def test_bipolar_stacks_match_one_trial_loop(monkeypatch, xi, theta):
+    sizes = _count_stacks(monkeypatch)
+    cfg = SimConfig(trials=24, master_seed=211)
+    kw = dict(density=0.001, r_t=2.0, slots=300, warmup=100, n_target=200)
+    assert simulate_queues("bipolar", xi, theta, 4.0, cfg, **kw) == _ref_queues("bipolar", xi, theta, 4.0, cfg, **kw)
+    assert len(sizes) > 1 and sum(sizes) == cfg.trials
+
+
+def test_bipolar_without_interferers_matches_one_trial_loop():
+    # a torus of side 4.5 around links of length 2, so the interference is strong
+    cfg = SimConfig(trials=30, master_seed=212)
+    kw = dict(density=0.05, r_t=2.0, slots=200, warmup=50, n_target=1)
+    layouts = [_ref_bipolar_layout(rng, 1.0, 4.0, 0.05, 2.0, 1) for rng in _trial_streams(cfg)]
+    assert min(map(len, layouts)) == 1 < max(map(len, layouts))  # some trial is the tagged pair alone
+    assert simulate_queues("bipolar", 0.3, 1.0, 4.0, cfg, **kw) == _ref_queues("bipolar", 0.3, 1.0, 4.0, cfg, **kw)
+
+
+def test_bipolar_idle_trials_match_one_trial_loop():
+    # so few arrivals that some trials see no transmission after warm-up
+    cfg = SimConfig(trials=30, master_seed=213)
+    kw = dict(density=0.05, r_t=2.0, slots=80, warmup=60, n_target=2)
+    est = simulate_queues("bipolar", 0.002, 1.0, 4.0, cfg, **kw)
+    assert 0 < est.n < cfg.trials
+    assert est == _ref_queues("bipolar", 0.002, 1.0, 4.0, cfg, **kw)
+
+
+def test_bipolar_infinite_gain_matches_one_trial_loop():
+    # transmitter 2 sits on receiver 0: its log factor there is infinite
+    lg = np.log1p(np.array([[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [np.inf, 0.1, 1.0]]))
+    lgs = [lg, lg[:2, :2]]
+    got = list(queueing._bipolar_stack([np.random.default_rng(k) for k in (1, 2)], lgs, 0.6, 60, 10))
+    want = [_ref_bipolar_slots(np.random.default_rng(k), g, 0.6, 60, 10) for k, g in zip((1, 2), lgs)]
+    assert [list(v) for v in got] == want
+    assert not np.isnan(got[0]).any()
+
+
+def test_downlink_schedule_matches_per_cell_loop():
+    cfg = SimConfig(trials=4, master_seed=214)
+    kw = dict(ratio=0.3, slots=300, warmup=100, n_target=16)
+    for rng in _trial_streams(cfg):
+        _, serving, n_bs = _ref_downlink_layout(rng, 1.0, 4.0, 0.3, 16)
+        assert np.bincount(serving, minlength=n_bs).min() == 0  # a cell serves no user
+    for xi, theta in ((0.3, 1.0), (0.05, 10.0)):
+        assert simulate_queues("downlink", xi, theta, 4.0, cfg, **kw) == _ref_queues(
+            "downlink", xi, theta, 4.0, cfg, **kw
+        )
+
+
+def test_bipolar_result_does_not_depend_on_stack_cap(monkeypatch):
+    sizes = _count_stacks(monkeypatch)
+    cfg = SimConfig(trials=6, master_seed=215)
+    kw = dict(density=0.001, r_t=2.0, slots=200, warmup=50, n_target=100)
+    ests = []
+    for cap in (queueing._STACK_ENTRIES, 0, 1 << 62):
+        monkeypatch.setattr(queueing, "_STACK_ENTRIES", cap)
+        ests.append(simulate_queues("bipolar", 0.85, 10.0, 4.0, cfg, **kw))
+    assert ests[0] == ests[1] == ests[2]
+    assert sizes == [6, 1, 1, 1, 1, 1, 1, 6]
