@@ -270,7 +270,7 @@ def _exp_moments(cfg, geometry):
     else:
         model = _model_from_params(p, require_link=True)
         analytic = lambda t: sir_analysis.moments_adhoc(model, b, t)
-    est = [simengine.estimate_moment(model, b, float(t), geometry, cfg["sim"]) for t in grid]
+    est = simengine.estimate_moment(model, b, grid, geometry, cfg["sim"])
     cols = {
         "analytic": [analytic(float(t)) for t in grid],
         "mc_mean": [e.mean for e in est],
@@ -475,7 +475,7 @@ def _fig_adhoc(sim):
     cols = {}
     for name, m in _fields(4.0, 1.0).items():
         cols[f"{name}_analytic"] = [sir_analysis.moments_adhoc(m, 1.0, float(t)) for t in _THETA_11]
-        cols[f"{name}_mc"] = [simengine.estimate_success(m, float(t), "adhoc", sim).mean for t in _THETA_11]
+        cols[f"{name}_mc"] = [e.mean for e in simengine.estimate_success(m, _THETA_11, "adhoc", sim)]
     return [_curve("fig11_adhoc", _THETA_11, cols, "Ad hoc fields")]
 
 
@@ -490,7 +490,7 @@ def _fig_asappp(sim):
     g0 = sir_analysis.sir_gain_g0(model, 4.0)
     cols = {
         "asappp_shifted": [sir_analysis.moments_downlink_ppp(1.0, float(t) / g0, 4.0) for t in _THETA_9],
-        "gpp_mc": [simengine.estimate_success(model, float(t), "downlink", sim).mean for t in _THETA_9],
+        "gpp_mc": [e.mean for e in simengine.estimate_success(model, _THETA_9, "downlink", sim)],
     }
     return [_curve("fig14_asappp", _THETA_9, cols, "ASAPPP shift of the Ginibre downlink",
                    [("asappp_shifted", "shifted poisson"), ("gpp_mc", "ginibre simulation")])]

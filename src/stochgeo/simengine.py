@@ -204,73 +204,110 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
     return -2.0 * math.pi * lam * val
 
 
-def csp_sample_batches(model, theta, geometry, cfg, event=0):
-    """Yield (csp_window, r_serving) arrays per batch.
+def _link_distance(model):
+    if model.link_distance is None:
+        raise ValueError("ad hoc geometry requires a link distance")
+    return model.link_distance
 
-    csp_window is the fading-averaged conditional success probability over the
-    windowed pattern; r_serving is the serving distance (downlink) or the
-    fixed link distance (ad hoc).  Far-field completion is left to callers
+
+def _theta_grid(theta):
+    """theta as a list of floats: a scalar is a grid of one."""
+    if np.ndim(theta) > 1:
+        raise ValueError("theta must be a scalar or a 1-D grid")
+    return [float(t) for t in np.atleast_1d(theta)]
+
+
+def csp_sample_batches(model, thetas, geometry, cfg, event=0):
+    """Yield (csps, r_serving) per batch: csps[k] is the array for thetas[k].
+
+    csps[k] is the fading-averaged conditional success probability over the
+    windowed pattern at threshold thetas[k]; r_serving is the serving distance
+    (downlink) or the fixed link distance (ad hoc).  Each batch draws its
+    patterns once for the whole grid.  Far-field completion is left to callers
     because its exponent depends on the moment order requested.
     """
     radius = cfg.window_radius or default_window(model.intensity)
     alpha = model.alpha
+    if geometry == "adhoc":
+        r_t = _link_distance(model)
+    elif geometry != "downlink":
+        raise ValueError(f"unknown geometry: {geometry}")
+    ra_buf = logf_buf = np.empty(0)
     for rng, size in batches(cfg, "csp", event):
         radii, counts = _radii_batch(model, radius, rng, size)
+        n = len(radii)
+        if n > ra_buf.size:  # reused: a fresh points-sized array per batch costs page faults
+            ra_buf, logf_buf = np.empty(n), np.empty(n)
+        ra = np.power(radii, -alpha, out=ra_buf[:n])
+        logf = logf_buf[:n]
+        csps = []
         if geometry == "adhoc":
-            r_t = model.link_distance
-            if r_t is None:
-                raise ValueError("ad hoc geometry requires a link distance")
-            logf = np.log1p(theta * r_t**alpha * radii**-alpha)
-            csp = np.exp(-_segment_sums(logf, counts))
+            for theta in thetas:
+                np.multiply(ra, theta * r_t**alpha, out=logf)
+                np.log1p(logf, out=logf)
+                csps.append(np.exp(-_segment_sums(logf, counts)))
             r_serving = np.full(size, r_t)
-        elif geometry == "downlink":
+        else:
             if np.any(counts == 0):
                 raise ValueError("downlink pattern with no points; enlarge the window")
             # serving distance = min radius per pattern
             ends = np.cumsum(counts)
             starts = ends - counts
-            r1 = np.minimum.reduceat(radii, starts)
-            c = theta * np.repeat(r1, counts) ** alpha
-            logf = np.log1p(c * radii**-alpha)
-            # product over all points includes the serving one: divide it out
-            csp = np.exp(-_segment_sums(logf, counts)) * (1.0 + theta)
-            r_serving = r1
-        else:
-            raise ValueError(f"unknown geometry: {geometry}")
-        yield csp, r_serving
+            r_serving = np.minimum.reduceat(radii, starts)
+            r1a = np.repeat(r_serving**alpha, counts)
+            for theta in thetas:
+                np.multiply(r1a, theta, out=logf)
+                np.multiply(logf, ra, out=logf)
+                np.log1p(logf, out=logf)
+                # product over all points includes the serving one: divide it out
+                csps.append(np.exp(-_segment_sums(logf, counts)) * (1.0 + theta))
+        yield csps, r_serving
 
 
-def _collect_csp(model, theta, geometry, cfg, b=1.0, event=0):
+def _collect_csp(model, thetas, geometry, cfg, b=1.0, event=0):
+    """Far-field completed samples of CSP^b, one array per theta of `thetas`."""
     radius = cfg.window_radius or default_window(model.intensity)
     alpha = model.alpha
-    chunks = []
-    for csp, r_serv in csp_sample_batches(model, theta, geometry, cfg, event):
-        if geometry == "adhoc":
-            corr = math.exp(_far_field_log_corr(model, theta, b, radius, model.link_distance))
-        else:
-            # leading-order per-pattern far field: exponent linear in b
-            coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
-            corr = np.exp(-coef * r_serv**alpha * radius ** (2.0 - alpha))
-        chunks.append(csp**b * corr)
-    return np.concatenate(chunks)
+    if geometry == "adhoc":
+        r_t = _link_distance(model)
+        corrs = [math.exp(_far_field_log_corr(model, t, b, radius, r_t)) for t in thetas]
+    chunks = [[] for _ in thetas]
+    for csps, r_serv in csp_sample_batches(model, thetas, geometry, cfg, event):
+        for k, (theta, csp) in enumerate(zip(thetas, csps)):
+            if geometry == "adhoc":
+                corr = corrs[k]
+            else:
+                # leading-order per-pattern far field: exponent linear in b
+                coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
+                corr = np.exp(-coef * r_serv**alpha * radius ** (2.0 - alpha))
+            chunks[k].append(csp**b * corr)
+    return [np.concatenate(c) for c in chunks]
+
+
+def _estimates(model, b, theta, geometry, cfg):
+    samples = _collect_csp(model, _theta_grid(theta), geometry, cfg, b=b)
+    ests = [confidence(s, cfg.master_seed) for s in samples]
+    return ests if np.ndim(theta) else ests[0]
 
 
 def estimate_success(model, theta, geometry, cfg):
     """Mean success probability: average of the conditional success
-    probability over fresh patterns (fading integrated analytically)."""
-    samples = _collect_csp(model, theta, geometry, cfg, b=1.0)
-    return confidence(samples, cfg.master_seed)
+    probability over fresh patterns (fading integrated analytically).
+
+    theta is a scalar (one Estimate) or a 1-D grid (a list of Estimates, one
+    per threshold, every threshold evaluated on the same patterns)."""
+    return _estimates(model, 1.0, theta, geometry, cfg)
 
 
 def estimate_moment(model, b, theta, geometry, cfg):
-    """b-th moment of the conditional success probability (real b)."""
-    samples = _collect_csp(model, theta, geometry, cfg, b=float(b))
-    return confidence(samples, cfg.master_seed)
+    """b-th moment of the conditional success probability (real b); theta
+    as in estimate_success."""
+    return _estimates(model, float(b), theta, geometry, cfg)
 
 
 def estimate_meta(model, theta, x_grid, cfg, geometry="adhoc"):
     """Empirical meta distribution: CCDF of the per-pattern CSP on x_grid."""
-    samples = _collect_csp(model, theta, geometry, cfg)
+    (samples,) = _collect_csp(model, [theta], geometry, cfg)
     x_grid = np.asarray(x_grid, dtype=float)
     n = samples.size
     ccdf = np.array([(samples > x).mean() for x in x_grid])
@@ -350,12 +387,12 @@ def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):
     if k < 1:
         raise ValueError("K must be >= 1")
     if regime == "qsi":
-        samples = _collect_csp(model, theta, geometry, cfg, b=float(k))
+        (samples,) = _collect_csp(model, [theta], geometry, cfg, b=float(k))
         return confidence(samples, cfg.master_seed)
     if regime == "fvi":
         if k > FVI_EVENTS:
             raise ValueError(f"FVI takes at most {FVI_EVENTS} events, one substream each")
-        per_event = [_collect_csp(model, theta, geometry, cfg, event=j + 1) for j in range(k)]
+        per_event = [_collect_csp(model, [theta], geometry, cfg, event=j + 1)[0] for j in range(k)]
         samples = np.prod(per_event, axis=0)
         return confidence(samples, cfg.master_seed)
     raise ValueError("regime must be 'qsi' or 'fvi'")

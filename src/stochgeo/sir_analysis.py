@@ -95,6 +95,18 @@ def _moments_mcp_adhoc(field, b, theta, alpha, r_t):
     return cmath.exp(-2.0 * math.pi * field.parent_density * res.value)
 
 
+def _lru_get(cache, key, size, build):
+    """cache[key], built by build() on a miss; the cache keeps its `size`
+    most recently used entries."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > size:
+        cache.popitem(last=False)
+    return value
+
+
 class GppAdhocMoments:
     """Evaluator for the b-th CSP moment over a beta-Ginibre field.
 
@@ -112,33 +124,47 @@ class GppAdhocMoments:
     J_NUMERIC = 4000
     TAIL_CUT = 0.02
     TRUNC = 1e-10
+    CACHE_SIZE = 4
+    _cache = OrderedDict()  # (beta, density, alpha) -> theta-free table
 
-    def __init__(self, field, theta, alpha, r_t):
-        from scipy import stats as _st
-
-        self.beta = field.beta
-        self.lam = field.density
-        self.theta, self.alpha, self.r_t = theta, alpha, r_t
-        self.scale = field.beta / (math.pi * field.density)
-        c = theta * r_t**alpha
-        xg, wg = np.polynomial.legendre.leggauss(self.N_NODES)
-        j = np.arange(1, self.J_NUMERIC + 1)
-        lo = _st.gamma.ppf(1e-15, j) * self.scale
-        hi = _st.gamma.isf(1e-15, j) * self.scale
+    @classmethod
+    def _table(cls, beta, density, alpha):
+        """The theta-free part of the evaluator, read only: lo^(-alpha/2) at
+        the lower gamma quantiles, the (J, N) quadrature weights times the
+        gamma density, and mid^(-alpha/2) at the (J, N) nodes.  The
+        quantiles and the density are the scipy.special calls that
+        scipy.stats.gamma makes, so the table equals its build."""
+        scale = beta / (math.pi * density)
+        xg, wg = np.polynomial.legendre.leggauss(cls.N_NODES)
+        j = np.arange(1, cls.J_NUMERIC + 1)
+        lo = _sps.gammaincinv(j, 1e-15) * scale
+        hi = _sps.gammainccinv(j, 1e-15) * scale
         mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * xg[None, :]
         w = 0.5 * (hi - lo)[:, None] * wg[None, :]
-        dens = _st.gamma.pdf(mid / self.scale, j[:, None]) / self.scale
-        self._w = w * dens  # (J, N): quadrature weights including the density
-        self._g = np.log1p(c * mid ** (-alpha / 2.0))  # (J, N)
+        q = mid / scale
+        dens = np.exp(_sps.xlogy(j[:, None] - 1.0, q) - q - _sps.gammaln(j[:, None])) / scale
+        table = (lo ** (-alpha / 2.0), w * dens, mid ** (-alpha / 2.0))
+        for a in table:
+            a.flags.writeable = False
+        return table
+
+    def __init__(self, field, theta, alpha, r_t):
+        self.beta = field.beta
+        scale = field.beta / (math.pi * field.density)
+        # the tables of the CACHE_SIZE most recently used fields are kept
+        key = (field.beta, field.density, alpha)
+        lo_pow, self._w, mid_pow = _lru_get(self._cache, key, self.CACHE_SIZE, lambda: self._table(*key))
+        c = theta * r_t**alpha
+        self._g = np.log1p(c * mid_pow)  # (J, N)
         # per-index tail moments E[g^m] and their products for the log expansion
         m1 = np.sum(self._w * self._g, axis=1)
         m2 = np.sum(self._w * self._g**2, axis=1)
         m3 = np.sum(self._w * self._g**3, axis=1)
         # upper envelope of g at the lower gamma quantile (g is decreasing in q)
-        self._g_upper = np.log1p(c * lo ** (-alpha / 2.0))
+        self._g_upper = np.log1p(c * lo_pow)
         # super-tail (j > J_NUMERIC): leading order sum of E[Q^(-alpha/2)]
         a1 = alpha / 2.0
-        pref = (1.0 / self.scale) ** a1
+        pref = (1.0 / scale) ** a1
         jbig = self.J_NUMERIC + 1
         self._m1_super = c * pref * abs(gamma_ratio(jbig - a1, jbig - 1)) / (a1 - 1.0)
 
@@ -234,20 +260,11 @@ class DownlinkImagMoments:
     _cache = OrderedDict()
 
     def __new__(cls, theta, alpha):
-        key = (theta, alpha)
-        if key in cls._cache:
-            cls._cache.move_to_end(key)
-            return cls._cache[key]
-        obj = super().__new__(cls)
-        cls._cache[key] = obj
-        if len(cls._cache) > cls.CACHE_SIZE:
-            cls._cache.popitem(last=False)
-        return obj
+        return _lru_get(cls._cache, (theta, alpha), cls.CACHE_SIZE, lambda: object.__new__(cls))
 
     def __init__(self, theta, alpha):
         if hasattr(self, "_w"):
             return
-        self.theta = theta
         self.delta = 2.0 / alpha
         t_top = math.log1p(theta)
         n = max(512, int(self.NODES_PER_PERIOD * self.U_CAP * t_top / (2.0 * math.pi)))

@@ -59,9 +59,9 @@ def _checks(quick, seed):
     def check_ppp_adhoc():
         worst = 0.0
         ok = True
-        for t in theta_from_db(np.array([-10.0, 0.0, 10.0, 20.0])):
+        thetas = theta_from_db(np.array([-10.0, 0.0, 10.0, 20.0]))
+        for t, e in zip(thetas, estimate_success(ppp, thetas, "adhoc", cfg)):
             a = sa.moments_adhoc(ppp, 1.0, float(t))
-            e = estimate_success(ppp, float(t), "adhoc", cfg)
             gap = abs(e.mean - a)
             worst = max(worst, gap)
             ok = ok and gap <= 3 * e.stderr + 1e-4
@@ -82,12 +82,13 @@ def _checks(quick, seed):
 
     def check_fig11_ordering():
         ok = True
-        for t in theta_from_db(np.array([-5.0, 0.0, 5.0])):
+        thetas = theta_from_db(np.array([-5.0, 0.0, 5.0]))
+        ems = estimate_success(mcp, thetas, "adhoc", cfg)
+        egs = estimate_success(gpp, thetas, "adhoc", cfg)
+        for t, em, eg in zip(thetas, ems, egs):
             mm = sa.moments_adhoc(mcp, 1.0, float(t))
             mp = sa.moments_adhoc(ppp, 1.0, float(t))
             mg = sa.moments_adhoc(gpp, 1.0, float(t))
-            em = estimate_success(mcp, float(t), "adhoc", cfg)
-            eg = estimate_success(gpp, float(t), "adhoc", cfg)
             ok = ok and (mm > mp > mg)
             ok = ok and abs(em.mean - mm) < 3 * em.stderr + 2e-3
             ok = ok and abs(eg.mean - mg) < 3 * eg.stderr + 2e-3

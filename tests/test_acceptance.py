@@ -72,12 +72,11 @@ def test_criterion_02_ppp_adhoc_success():
     cfg = SimConfig(trials=100000, master_seed=SEED)
     worst = 0.0
     ok = True
-    for db in (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0):
-        t = float(theta_from_db(db))
+    thetas = [float(theta_from_db(db)) for db in (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)]
+    for t, est in zip(thetas, estimate_success(PPP_ADHOC, thetas, "adhoc", cfg)):
         ana = math.exp(
             -0.1 * math.pi * t**0.5 * math.gamma(1.5) * math.gamma(0.5)
         )
-        est = estimate_success(PPP_ADHOC, t, "adhoc", cfg)
         gap_se = abs(est.mean - ana) / max(est.stderr, 1e-12)
         worst = max(worst, gap_se)
         ok = ok and gap_se <= 3.0
@@ -103,14 +102,14 @@ def test_criterion_03_interference_correlation():
 def test_criterion_04_field_orderings():
     cfg = SimConfig(trials=50000, master_seed=SEED)
     ok = True
-    for db in (-10.0, -5.0, 0.0, 5.0, 10.0):
-        t = float(theta_from_db(db))
+    thetas = [float(theta_from_db(db)) for db in (-10.0, -5.0, 0.0, 5.0, 10.0)]
+    sweeps = [estimate_success(model, thetas, "adhoc", cfg) for model in (MCP_ADHOC, PPP_ADHOC, GPP_ADHOC)]
+    for t, ests in zip(thetas, zip(*sweeps)):
         mm = sa.moments_adhoc(MCP_ADHOC, 1.0, t)
         mp = sa.moments_adhoc(PPP_ADHOC, 1.0, t)
         mg = sa.moments_adhoc(GPP_ADHOC, 1.0, t)
         ok = ok and (mm > mp > mg)
-        for model, ana in ((MCP_ADHOC, mm), (PPP_ADHOC, mp), (GPP_ADHOC, mg)):
-            est = estimate_success(model, t, "adhoc", cfg)
+        for est, ana in zip(ests, (mm, mp, mg)):
             ok = ok and abs(est.mean - ana) <= 3.0 * est.stderr + 5e-4
     _report(4, ok, "M_MCP(1) > M_PPP(1) > M_GPP(1), analytic = MC within 3 s.e.")
 

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from stochgeo import simengine
+from stochgeo.core import Estimate
 from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
 from stochgeo.simengine import (
     FVI_EVENTS,
@@ -196,3 +198,84 @@ def test_mcp_and_gpp_geometries_run():
     ep = estimate_success(ADHOC_PPP, 1.0, "adhoc", cfg)
     # Fig. 11 ordering: clustering helps, repulsion hurts (ad hoc)
     assert em.mean > ep.mean > eg.mean
+
+
+# ------------------------------------------------- theta sweep vs one theta
+
+
+def _one_theta_csp_batches(model, theta, geometry, cfg, event=0):
+    """The one-threshold batch kernel that the sweep replaced, kept as the
+    reference: each call redraws every batch."""
+    radius = cfg.window_radius or default_window(model.intensity)
+    alpha = model.alpha
+    for rng, size in batches(cfg, "csp", event):
+        radii, counts = simengine._radii_batch(model, radius, rng, size)
+        if geometry == "adhoc":
+            r_t = model.link_distance
+            logf = np.log1p(theta * r_t**alpha * radii**-alpha)
+            csp = np.exp(-simengine._segment_sums(logf, counts))
+            r_serving = np.full(size, r_t)
+        else:
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            r1 = np.minimum.reduceat(radii, starts)
+            c = theta * np.repeat(r1, counts) ** alpha
+            logf = np.log1p(c * radii**-alpha)
+            csp = np.exp(-simengine._segment_sums(logf, counts)) * (1.0 + theta)
+            r_serving = r1
+        yield csp, r_serving
+
+
+def _one_theta_estimate(model, b, theta, geometry, cfg):
+    radius = cfg.window_radius or default_window(model.intensity)
+    alpha = model.alpha
+    chunks = []
+    for csp, r_serv in _one_theta_csp_batches(model, theta, geometry, cfg):
+        if geometry == "adhoc":
+            corr = math.exp(simengine._far_field_log_corr(model, theta, b, radius, model.link_distance))
+        else:
+            coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
+            corr = np.exp(-coef * r_serv**alpha * radius ** (2.0 - alpha))
+        chunks.append(csp**b * corr)
+    return confidence(np.concatenate(chunks), cfg.master_seed)
+
+
+SWEEP_CASES = {
+    "ppp-adhoc": (ADHOC_PPP, "adhoc"),
+    "mcp-adhoc": (NetworkModel(MCP(0.02, 5.0, 1.0), alpha=4.0, link_distance=1.0), "adhoc"),
+    "gpp-adhoc": (NetworkModel(GPP(0.1, 1.0), alpha=4.0, link_distance=1.0), "adhoc"),
+    "ppp-downlink": (NetworkModel(PPP(0.5), alpha=4.0), "downlink"),
+    "gpp-downlink": (NetworkModel(GPP(0.1, 1.0), alpha=3.5), "downlink"),
+}
+# theta = 0, the grid of the figures, and 1e6, where the ad hoc far field
+# leaves its series for the quadrature
+SWEEP_THETAS = np.array([0.0, 0.1, 1.0, 10.0, 1e6])
+
+
+@pytest.mark.parametrize("b", [1.0, 2.0])
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_theta_sweep_matches_one_theta_kernel(case, b):
+    model, geometry = SWEEP_CASES[case]
+    cfg = SimConfig(trials=1500, master_seed=57)
+    assert cfg.trials > STREAMS["csp"][1]  # two batches, the second partial
+    if b == 1.0:
+        got = estimate_success(model, SWEEP_THETAS, geometry, cfg)
+    else:
+        got = estimate_moment(model, b, SWEEP_THETAS, geometry, cfg)
+    ref = [_one_theta_estimate(model, b, t, geometry, cfg) for t in SWEEP_THETAS]
+    assert got == ref
+    assert got[0].mean == 1.0
+
+
+def test_scalar_theta_returns_one_estimate():
+    cfg = SimConfig(trials=1500, master_seed=58)
+    est = estimate_success(ADHOC_PPP, 1.0, "adhoc", cfg)
+    assert isinstance(est, Estimate)
+    assert est == _one_theta_estimate(ADHOC_PPP, 1.0, 1.0, "adhoc", cfg)
+    (one,) = estimate_success(ADHOC_PPP, [1.0], "adhoc", cfg)
+    assert one == est
+
+
+def test_theta_grid_must_be_one_dimensional():
+    with pytest.raises(ValueError):
+        estimate_success(ADHOC_PPP, np.ones((2, 2)), "adhoc", SimConfig(trials=10))

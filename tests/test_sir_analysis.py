@@ -191,9 +191,9 @@ def test_downlink_moment_monotone_in_b():
 def test_downlink_moment_vs_mc():
     cfg = SimConfig(trials=30000, master_seed=64)
     model = NetworkModel(PPP(0.5), alpha=4.0)
-    for theta in (0.3, 1.0, 5.0):
+    thetas = (0.3, 1.0, 5.0)
+    for theta, est in zip(thetas, estimate_success(model, thetas, "downlink", cfg)):
         ana = moments_downlink_ppp(1.0, theta, 4.0)
-        est = estimate_success(model, theta, "downlink", cfg)
         assert est.within(ana, atol=1e-3)
 
 
@@ -347,9 +347,9 @@ def test_asappp_gpp_downlink_vs_mc():
     cfg = SimConfig(trials=20000, master_seed=68)
     g0 = 1.5
     model = NetworkModel(GPP(0.1, 1.0), alpha=4.0)
-    for theta in (0.25, 0.5, 1.0):
+    thetas = (0.25, 0.5, 1.0)
+    for theta, est in zip(thetas, estimate_success(model, thetas, "downlink", cfg)):
         approx = moments_downlink_ppp(1.0, theta / g0, 4.0)
-        est = estimate_success(model, theta, "downlink", cfg)
         assert abs(est.mean - approx) < 0.02
 
 
@@ -368,3 +368,71 @@ def test_downlink_moment_cache_is_lru(monkeypatch):
     rebuilt = DownlinkImagMoments(0.5, 4.0)
     u, zero = np.array([3.0]), np.zeros(1)
     assert rebuilt is not second and np.array_equal(rebuilt(u, zero), second(u, zero))
+
+
+# ----------------------------------------------------------- Ginibre table
+
+
+def _stats_gpp_table(beta, density, alpha):
+    """The theta-free Ginibre table built with scipy.stats.gamma, as the
+    evaluator built it before taking the scipy.special calls directly."""
+    from scipy import stats
+
+    scale = beta / (math.pi * density)
+    xg, wg = np.polynomial.legendre.leggauss(GppAdhocMoments.N_NODES)
+    j = np.arange(1, GppAdhocMoments.J_NUMERIC + 1)
+    lo = stats.gamma.ppf(1e-15, j) * scale
+    hi = stats.gamma.isf(1e-15, j) * scale
+    mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * xg[None, :]
+    w = 0.5 * (hi - lo)[:, None] * wg[None, :]
+    dens = stats.gamma.pdf(mid / scale, j[:, None]) / scale
+    return lo ** (-alpha / 2.0), w * dens, mid ** (-alpha / 2.0)
+
+
+@pytest.mark.parametrize("beta, density, alpha", [(1.0, 0.1, 4.0), (0.5, 1.0, 3.0)])
+def test_gpp_table_equals_scipy_stats_build(beta, density, alpha):
+    got = GppAdhocMoments._table(beta, density, alpha)
+    for a, b in zip(got, _stats_gpp_table(beta, density, alpha)):
+        assert np.array_equal(a, b)
+
+
+def test_gpp_table_cache_is_bounded_and_keyed_by_every_input(monkeypatch):
+    from collections import OrderedDict
+
+    monkeypatch.setattr(GppAdhocMoments, "_cache", OrderedDict())
+    monkeypatch.setattr(GppAdhocMoments, "CACHE_SIZE", 2)
+    # fields that differ only in beta, and one field at two path-loss exponents
+    cases = [(GPP(0.1, 1.0), 4.0), (GPP(0.1, 0.5), 4.0), (GPP(0.1, 1.0), 4.0), (GPP(0.1, 1.0), 3.0)]
+    warm = []
+    for field, alpha in cases:
+        ev = GppAdhocMoments(field, 2.0, alpha, 1.0)
+        warm.append((ev(1.0), ev(2.0), ev(0.5j)))
+        assert len(GppAdhocMoments._cache) <= 2
+    # the third case was a hit, the fourth evicted the beta = 0.5 table
+    assert list(GppAdhocMoments._cache) == [(1.0, 0.1, 4.0), (1.0, 0.1, 3.0)]
+    assert len(set(warm)) == 3
+    for (field, alpha), values in zip(cases, warm):
+        GppAdhocMoments._cache.clear()
+        ev = GppAdhocMoments(field, 2.0, alpha, 1.0)
+        assert (ev(1.0), ev(2.0), ev(0.5j)) == values
+
+
+def test_ginibre_moment_leaves_scipy_stats_unimported():
+    import os
+    import subprocess
+    import sys
+
+    import stochgeo
+
+    code = (
+        "import sys, stochgeo.cli\n"
+        "from stochgeo.pointprocess import GPP, NetworkModel\n"
+        "from stochgeo.sir_analysis import moments_adhoc\n"
+        "moments_adhoc(NetworkModel(GPP(0.1, 1.0), 4.0, 1.0), 1.0, 1.0)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochgeo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
