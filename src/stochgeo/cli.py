@@ -54,6 +54,16 @@ def _require_keys(obj, allowed, where):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _env_worker_hint():
+    """STOCHGEO_THREADS as a worker hint, 1 when unset; the one place the CLI
+    reads it."""
+    raw = os.environ.get("STOCHGEO_THREADS", "1")
+    try:
+        return SimConfig(worker_hint=int(raw)).worker_hint
+    except ValueError:
+        raise ConfigError(f"STOCHGEO_THREADS must be an integer >= 1, not {raw!r}") from None
+
+
 def parse_config(raw):
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -66,7 +76,7 @@ def parse_config(raw):
     _require_keys(sim_raw, _SIM_KEYS, "sim")
     worker_hint = sim_raw.get("worker_hint")
     if worker_hint is None:
-        worker_hint = int(os.environ.get("STOCHGEO_THREADS", "1"))
+        worker_hint = _env_worker_hint()
     sim = SimConfig(
         trials=int(sim_raw.get("trials", 10000)),
         master_seed=int(sim_raw.get("master_seed", 2024)),
@@ -312,7 +322,7 @@ def _exp_queueing_bipolar(cfg):
     mc_trials = int(p.get("mc_trials", 0))
     if mc_trials > 0:
         # queue-simulation markers on a theta subset, in the estimate format
-        qcfg = SimConfig(trials=mc_trials, master_seed=cfg["sim"].master_seed)
+        qcfg = SimConfig(trials=mc_trials, master_seed=cfg["sim"].master_seed, worker_hint=cfg["sim"].worker_hint)
         rows = []
         for xi in xis:
             for t in grid[:: max(len(grid) // 4, 1)]:
@@ -608,7 +618,7 @@ def cmd_figure(key, seed, trials, out_dir):
         if entry is None:
             raise ConfigError(f"unknown figure key: {key}")
         if callable(entry):
-            return entry(SimConfig(trials=trials, master_seed=seed))
+            return entry(SimConfig(trials=trials, master_seed=seed, worker_hint=_env_worker_hint()))
         cfg = parse_config({"version": 1, "sim": {"trials": trials, "master_seed": seed}, **entry})
         return _EXPERIMENTS[cfg["experiment"]](cfg)
 
@@ -644,7 +654,12 @@ def main(argv=None):
     if args.command == "figure":
         return cmd_figure(args.key, args.seed, args.trials, args.out)
     if args.command == "validate":
-        return _validate.run(quick=args.quick, seed=args.seed, out_dir=args.out)
+        try:
+            hint = _env_worker_hint()
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        return _validate.run(quick=args.quick, seed=args.seed, out_dir=args.out, worker_hint=hint)
     return EXIT_CONFIG
 
 

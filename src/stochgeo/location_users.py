@@ -123,8 +123,17 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
     if c.kind in ("edge", "vertex"):
         return _equidistant_mc(c, b, theta, alpha, density, cfg)
     radius = cfg.window_radius or simengine.default_window(model.intensity)
+    (samples,) = simengine.run_batches(cfg, "lsu", _lsu_chunk, c, b, theta, alpha, density, radius)
+    if not samples.size:
+        raise ValueError(f"no samples fell in class {c.kind}; check rho")
+    return simengine.confidence(samples, cfg.master_seed)
+
+
+def _lsu_chunk(batch_iter, c, b, theta, alpha, density, radius):
+    """Far-field completed CSP^b of each sampled pattern whose typical user
+    falls in class c (general, cell center or cell boundary)."""
     keep_samples = []
-    for rng, size in simengine.batches(cfg, "lsu"):
+    for rng, size in batch_iter:
         counts = rng.poisson(density * math.pi * radius**2, size)
         total = int(counts.sum())
         r = radius * np.sqrt(rng.random(total))
@@ -146,17 +155,23 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
                 * radius ** (2.0 - alpha) / (alpha - 2.0)
             )
             keep_samples.append(csp**b * corr)
-    if not keep_samples:
-        raise ValueError(f"no samples fell in class {c.kind}; check rho")
-    return simengine.confidence(np.asarray(keep_samples), cfg.master_seed)
+    return (np.asarray(keep_samples, dtype=float),)
 
 
 def _equidistant_mc(c, b, theta, alpha, density, cfg):
-    n_extra = 1 if c.kind == "edge" else 2
     radius = cfg.window_radius or simengine.default_window(density)
+    (samples,) = simengine.run_batches(cfg, "lsu_equidistant", _equidistant_chunk, c, b, theta, alpha, density,
+                                       radius)
+    return simengine.confidence(samples, cfg.master_seed)
+
+
+def _equidistant_chunk(batch_iter, c, b, theta, alpha, density, radius):
+    """Far-field completed CSP^b of edge (one extra interferer at the serving
+    distance) or vertex (two) users."""
+    n_extra = 1 if c.kind == "edge" else 2
     a = density * math.pi
     samples = []
-    for rng, size in simengine.batches(cfg, "lsu_equidistant"):
+    for rng, size in batch_iter:
         # r1 ~ 2 a^2 r^3 e^(-a r^2): a r^2 ~ Gamma(2, 1)
         r1 = np.sqrt(rng.standard_gamma(2.0, size) / a)
         for r in r1:
@@ -171,4 +186,4 @@ def _equidistant_mc(c, b, theta, alpha, density, cfg):
                 * radius ** (2.0 - alpha) / (alpha - 2.0)
             )
             samples.append(csp**b * corr)
-    return simengine.confidence(np.asarray(samples), cfg.master_seed)
+    return (np.asarray(samples),)

@@ -106,13 +106,13 @@ def _csp_downlink_at(points, pos, theta, alpha):
     return math.exp(-float(np.log1p(theta * r_serv**alpha * rest**-alpha).sum())), j
 
 
-def _mobility_samples(spec, density, theta, alpha, cfg):
+def _mobility_chunk(batch_iter, spec, density, theta, alpha):
     """Per-trial (csp1, csp2, handoff) samples."""
     v = spec.speed * spec.slot_gap
     radius = simengine.default_window(density) + v
     area = math.pi * radius**2
     out1, out2, hand = [], [], []
-    for rng, size in simengine.batches(cfg, "mobility"):
+    for rng, size in batch_iter:
         for _ in range(size):
             n = max(int(rng.poisson(density * area)), 2)
             pts = _uniform_disk(n, radius, rng)
@@ -141,7 +141,7 @@ def mobility_report(spec, density, theta, alpha, cfg):
     """All mobility observables from one sample set: JSP, the two marginal
     success probabilities, the CSP with a batch-resampled standard error, and
     the empirical handoff frequency (Model I)."""
-    c1, c2, hand = _mobility_samples(spec, density, theta, alpha, cfg)
+    c1, c2, hand = simengine.run_batches(cfg, "mobility", _mobility_chunk, spec, density, theta, alpha)
     jsp = simengine.confidence(c1 * c2, cfg.master_seed)
     p1 = simengine.confidence(c1, cfg.master_seed)
     p2 = simengine.confidence(c2, cfg.master_seed)
@@ -164,11 +164,17 @@ def mobility_report(spec, density, theta, alpha, cfg):
 def jsp_mobility_mc_raw_fading(spec, density, theta, alpha, cfg):
     """Consistency oracle: joint Bernoulli success with explicitly drawn
     fading (checks the conditional-independence factorization)."""
+    (hits,) = simengine.run_batches(cfg, "mobility_raw", _raw_fading_chunk, spec, density, theta, alpha)
+    return simengine.confidence(hits, cfg.master_seed)
+
+
+def _raw_fading_chunk(batch_iter, spec, density, theta, alpha):
+    """1.0 or 0.0 per trial: both slots' SIRs, with drawn fading, clear theta."""
     v = spec.speed * spec.slot_gap
     radius = simengine.default_window(density) + v
     area = math.pi * radius**2
     hits = []
-    for rng, size in simengine.batches(cfg, "mobility_raw"):
+    for rng, size in batch_iter:
         for _ in range(size):
             n = max(int(rng.poisson(density * area)), 2)
             pts = _uniform_disk(n, radius, rng)
@@ -196,4 +202,4 @@ def jsp_mobility_mc_raw_fading(spec, density, theta, alpha, cfg):
                 s1 = rng.standard_exponential() * d0**-alpha / max(float((h1 * dd**-alpha).sum()), 1e-300)
                 s2 = rng.standard_exponential() * d0**-alpha / max(float((h2 * dm**-alpha).sum()), 1e-300)
             hits.append(1.0 if (s1 > theta and s2 > theta) else 0.0)
-    return simengine.confidence(np.asarray(hits), cfg.master_seed)
+    return (np.asarray(hits),)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate as _sciint
 from scipy import special as _sps
 
 from .core import ToleranceError
@@ -117,11 +116,14 @@ _QUAD_LIMIT = 200  # QUADPACK subinterval limit
 
 
 def _quad_real(f, a, b, spec):
+    # imported on first use: scipy.integrate alone doubles the package's import time
+    from scipy import integrate
+
     # QUADPACK's convergence heuristics are reported through the returned
     # error estimate and our `converged` flag, not through warnings
     with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sciint.IntegrationWarning)
-        val, err = _sciint.quad(
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(
             f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=_QUAD_LIMIT
         )
     if math.isnan(val):

@@ -144,11 +144,11 @@ def _torus_gains(tx, rx, half, alpha):
 _STACK_ENTRIES = 1 << 20  # padded log-gain entries (8 MB) per stack of bipolar trials
 
 
-def _simulate_bipolar(cfg, xi, theta, alpha, density, r_t, slots, warmup, n_target):
+def _simulate_bipolar(batch_iter, xi, theta, alpha, density, r_t, slots, warmup, n_target):
     """Per-link values of each trial, stepped in stacks of at most _STACK_ENTRIES."""
     half = 0.5 * math.sqrt(n_target / density)
     rngs, lgs, n_max = [], [], 0
-    for rng, _ in simengine.batches(cfg, "queue"):
+    for rng, _ in batch_iter:
         n = rng.poisson(density * (2.0 * half) ** 2)
         tx = rng.random((n, 2)) * 2.0 * half - half
         ang = rng.random(n) * 2.0 * math.pi
@@ -269,15 +269,23 @@ def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=N
     if mode == "bipolar":
         if density is None or r_t is None:
             raise ValueError("bipolar mode needs density and r_t")
-        per_trial = _simulate_bipolar(cfg, xi, theta, alpha, density, r_t, slots, warmup, n_target)
     elif mode == "downlink":
         if ratio is None:
             raise ValueError("downlink mode needs the density ratio")
-        per_trial = (_simulate_downlink_trial(rng, xi, theta, alpha, ratio, slots, warmup, n_target)
-                     for rng, _ in simengine.batches(cfg, "queue"))
     else:
         raise ValueError("mode must be 'bipolar' or 'downlink'")
-    probs = [float(np.mean(p)) for p in per_trial if len(p)]
-    if not probs:
+    (probs,) = simengine.run_batches(cfg, "queue", _queue_chunk, mode, xi, theta, alpha, density, ratio, r_t, slots,
+                                     warmup, n_target)
+    if not probs.size:
         raise ValueError("no link transmitted after warmup; increase slots or xi")
-    return simengine.confidence(np.asarray(probs), cfg.master_seed)
+    return simengine.confidence(probs, cfg.master_seed)
+
+
+def _queue_chunk(batch_iter, mode, xi, theta, alpha, density, ratio, r_t, slots, warmup, n_target):
+    """Mean per-link success of each trial in which some link transmitted."""
+    if mode == "bipolar":
+        per_trial = _simulate_bipolar(batch_iter, xi, theta, alpha, density, r_t, slots, warmup, n_target)
+    else:
+        per_trial = (_simulate_downlink_trial(rng, xi, theta, alpha, ratio, slots, warmup, n_target)
+                     for rng, _ in batch_iter)
+    return (np.asarray([float(np.mean(p)) for p in per_trial if len(p)]),)

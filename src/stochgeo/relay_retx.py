@@ -258,28 +258,34 @@ def estimate_relay_jsp(route, theta, alpha, density, regime, cfg, b=1.0):
     qsi: all hops share each trial's pattern; fvi: fresh pattern per hop.
     """
     _check_regime(regime)
-    mid = route.midpoint()
-    z = np.array(route.receivers, dtype=float) - mid
+    z = np.array(route.receivers, dtype=float) - route.midpoint()
     dists = np.asarray(route.hop_distances)
     radius = (cfg.window_radius or simengine.default_window(density)) + route.extent()
-    area = math.pi * radius**2
     # per-hop far-field completion (leading order)
     corr = sum(
         b * theta * d**alpha * 2.0 * math.pi * density
         * (radius - route.extent()) ** (2.0 - alpha) / (alpha - 2.0)
         for d in dists
     )
+    (samples,) = simengine.run_batches(cfg, "relay", _relay_chunk, z, dists, theta, alpha, density, regime, radius,
+                                       b, corr)
+    return simengine.confidence(samples, cfg.master_seed)
+
+
+def _relay_chunk(batch_iter, z, dists, theta, alpha, density, regime, radius, b, corr):
+    """Far-field completed end-to-end JSP^b of each trial; hop m ends at z[m]."""
+    area = math.pi * radius**2
     samples = []
-    for rng, size in simengine.batches(cfg, "relay"):
+    for rng, size in batch_iter:
         for _ in range(size):
             log_total = 0.0
-            for m in range(route.n_hops):
+            for m in range(len(dists)):
                 if m == 0 or regime == "fvi":  # qsi: every hop sees the first pattern
                     pts = _uniform_disk(rng.poisson(density * area), radius, rng)
                 dd = np.hypot(pts[:, 0] - z[m, 0], pts[:, 1] - z[m, 1])
                 log_total += np.log1p(theta * dists[m] ** alpha * dd**-alpha).sum() * b
             samples.append(math.exp(-log_total - corr))
-    return simengine.confidence(np.asarray(samples), cfg.master_seed)
+    return (np.asarray(samples),)
 
 
 def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
@@ -288,17 +294,23 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
     sampled explicitly here (the engine's only raw-fading mode)."""
     _check_regime(regime)
     radius = cfg.window_radius or simengine.default_window(density)
-    area = math.pi * radius**2
-    ra = r_t**alpha
-    hits = []
-    for rng, size in simengine.batches(cfg, "harq_mrc"):
-        for _ in range(size):
-            def draw_sir():
-                n = rng.poisson(density * area)
-                r = radius * np.sqrt(rng.random(n))
-                inter = float((rng.standard_exponential(n) * r**-alpha).sum())
-                return rng.standard_exponential() * r_t**-alpha / max(inter, 1e-300), r
+    (hits,) = simengine.run_batches(cfg, "harq_mrc", _harq_chunk, theta, alpha, density, r_t, regime, radius)
+    return simengine.confidence(hits, cfg.master_seed)
 
+
+def _harq_chunk(batch_iter, theta, alpha, density, r_t, regime, radius):
+    """1.0 or 0.0 per trial: the MRC success event with drawn fading."""
+    area = math.pi * radius**2
+
+    def draw_sir(rng):
+        n = rng.poisson(density * area)
+        r = radius * np.sqrt(rng.random(n))
+        inter = float((rng.standard_exponential(n) * r**-alpha).sum())
+        return rng.standard_exponential() * r_t**-alpha / max(inter, 1e-300)
+
+    hits = []
+    for rng, size in batch_iter:
+        for _ in range(size):
             if regime == "qsi":
                 n = rng.poisson(density * area)
                 r = radius * np.sqrt(rng.random(n))
@@ -307,7 +319,7 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
                 s1 = rng.standard_exponential() * r_t**-alpha / max(i1, 1e-300)
                 s2 = rng.standard_exponential() * r_t**-alpha / max(i2, 1e-300)
             else:
-                s1, _ = draw_sir()
-                s2, _ = draw_sir()
+                s1 = draw_sir(rng)
+                s2 = draw_sir(rng)
             hits.append(1.0 if (s1 > theta or s1 + s2 > theta) else 0.0)
-    return simengine.confidence(np.asarray(hits), cfg.master_seed)
+    return (np.asarray(hits),)

@@ -229,7 +229,7 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     return math.exp(log_out)
 
 
-def _shadowed_trials(grid, blockage, density, mode, cfg, stream):
+def _shadowed_trials(batch_iter, grid, blockage, density, mode):
     """Yield (rng, r, t) per trial: the trial's generator, and the distances
     and shadowing gains of a PPP on the square cell union.
 
@@ -243,7 +243,7 @@ def _shadowed_trials(grid, blockage, density, mode, cfg, stream):
     kap = blockage.kappa
     centers = grid.cell_centers()
     d_cells = np.hypot(centers[:, 0], centers[:, 1])
-    for rng, size in simengine.batches(cfg, stream):
+    for rng, size in batch_iter:
         for _ in range(size):
             n = rng.poisson(density * area)
             pts = rng.random((n, 2)) * 2.0 * half - half
@@ -257,23 +257,33 @@ def _shadowed_trials(grid, blockage, density, mode, cfg, stream):
             yield rng, r, t
 
 
+def _shadowed_csp_chunk(batch_iter, grid, blockage, density, alpha, theta, r_t, mode, b):
+    return (np.asarray([
+        math.exp(-float(np.log1p(theta * r_t**alpha * t * r**-alpha).sum())) ** b
+        for _, r, t in _shadowed_trials(batch_iter, grid, blockage, density, mode)
+    ]),)
+
+
+def _shadowed_interference_chunk(batch_iter, grid, blockage, density, alpha, eps, mode):
+    return (np.asarray([
+        float(np.sum(rng.standard_exponential(len(r)) * t / (eps + r**alpha)))
+        for rng, r, t in _shadowed_trials(batch_iter, grid, blockage, density, mode)
+    ]),)
+
+
 def simulate_shadowed(grid, blockage, density, alpha, theta, r_t, mode, cfg, b=1.0):
     """Monte Carlo b-th CSP moment over the cell window; fading is integrated
     analytically."""
-    samples = [
-        math.exp(-float(np.log1p(theta * r_t**alpha * t * r**-alpha).sum())) ** b
-        for _, r, t in _shadowed_trials(grid, blockage, density, mode, cfg, "shadowed")
-    ]
-    return simengine.confidence(np.asarray(samples), cfg.master_seed)
+    (samples,) = simengine.run_batches(cfg, "shadowed", _shadowed_csp_chunk, grid, blockage, density, alpha, theta,
+                                       r_t, mode, b)
+    return simengine.confidence(samples, cfg.master_seed)
 
 
 def simulate_shadowed_interference(grid, blockage, density, alpha, eps, mode, cfg):
     """Empirical mean and variance of the shadowed interference (fresh
     Rayleigh fading per draw) for the Remark-level ordering checks."""
-    vals = np.asarray([
-        float(np.sum(rng.standard_exponential(len(r)) * t / (eps + r**alpha)))
-        for rng, r, t in _shadowed_trials(grid, blockage, density, mode, cfg, "shadowed_interference")
-    ])
+    (vals,) = simengine.run_batches(cfg, "shadowed_interference", _shadowed_interference_chunk, grid, blockage,
+                                    density, alpha, eps, mode)
     mean = simengine.confidence(vals, cfg.master_seed)
     var = simengine.confidence((vals - vals.mean()) ** 2, cfg.master_seed)
     return mean, var

@@ -7,13 +7,18 @@ instead of a Bernoulli draw.  A raw-fading mode exists only for the HARQ
 maximal-ratio-combining oracle, where the sum-SIR event is not product form.
 
 Randomness is counter based (Philox) and keyed by (master_seed, batch index,
-substream).  Every Monte Carlo estimator draws its batches through `batches`
-from a stream named in `STREAMS`, which fixes the stream's substream id and
-trials per batch, so results are a pure function of (trials, master_seed,
-model parameters) and never of scheduling or the advisory worker hint.
+substream).  Every Monte Carlo estimator maps a chunk function over the
+batches of a stream named in `STREAMS` through `run_batches`; the stream
+fixes its substream id and trials per batch, so results are a pure function
+of (trials, master_seed, model parameters) and never of scheduling or of the
+worker hint, which only sets how many processes share the batches.
 """
 
+import atexit
+import importlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +33,13 @@ __all__ = [
     "FVI_EVENTS",
     "seed_stream",
     "batches",
+    "run_batches",
     "confidence",
     "default_window",
     "estimate_success",
     "estimate_moment",
     "estimate_meta",
     "estimate_jsp",
-    "csp_sample_batches",
 ]
 
 # name -> (substream id, trials per batch).  Both are part of the determinism
@@ -64,11 +69,14 @@ class SimConfig:
     trials: int = 10000
     master_seed: int = 2024
     window_radius: float | None = None
-    worker_hint: int = 1  # advisory only; results never depend on it
+    worker_hint: int = 1  # processes that may share the batches; results never depend on it
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        hint = self.worker_hint
+        if isinstance(hint, bool) or not isinstance(hint, (int, np.integer)) or hint < 1:
+            raise ValueError(f"worker_hint must be an integer >= 1, not {hint!r}")
 
 
 def seed_stream(master_seed, trial_index, substream=0):
@@ -86,6 +94,16 @@ def seed_stream(master_seed, trial_index, substream=0):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _n_batches(cfg, name):
+    return -(-cfg.trials // STREAMS[name][1])
+
+
+def _batch_range(cfg, name, event, lo, hi):
+    substream, per_batch = STREAMS[name]
+    for i in range(lo, hi):
+        yield seed_stream(cfg.master_seed, i, substream + event), min(per_batch, cfg.trials - i * per_batch)
+
+
 def batches(cfg, name, event=0):
     """Yield (rng, size) for each batch of the cfg.trials trials of stream `name`.
 
@@ -93,9 +111,113 @@ def batches(cfg, name, event=0):
     batch depends only on (master_seed, i, stream).  `event` > 0 is used only
     by the FVI events of estimate_jsp.
     """
-    substream, per_batch = STREAMS[name]
-    for i, start in enumerate(range(0, cfg.trials, per_batch)):
-        yield seed_stream(cfg.master_seed, i, substream + event), min(per_batch, cfg.trials - start)
+    return _batch_range(cfg, name, event, 0, _n_batches(cfg, name))
+
+
+# ---------------------------------------------------------------------------
+# run_batches and its process pool
+# ---------------------------------------------------------------------------
+
+_POOL = None  # (pid, size, executor): this process's pool, made on first use
+_IN_WORKER = False
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _enter_worker():
+    global _IN_WORKER
+    _IN_WORKER = True
+
+
+def _shutdown_pool():
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():  # a forked child leaves its parent's pool alone
+        _POOL[2].shutdown()
+    _POOL = None
+
+
+atexit.register(_shutdown_pool)
+
+
+def _pool(size):
+    """This process's pool of `size` workers, or None where fork is missing
+    or another thread runs.
+
+    Forked rather than spawned: a worker inherits the imported modules
+    instead of importing them again.  The workers start before the pool's
+    own threads do (the previous pool's are joined first); a fork while
+    another thread runs could copy a lock that thread holds.
+    """
+    global _POOL
+    if _POOL is not None and _POOL[:2] == (os.getpid(), size):
+        return _POOL[2]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _shutdown_pool()
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return None
+    executor = ProcessPoolExecutor(size, mp_context=multiprocessing.get_context("fork"), initializer=_enter_worker)
+    _POOL = (os.getpid(), size, executor)
+    return executor
+
+
+def _chunk_bounds(cfg, name, w):
+    """w contiguous, non-empty batch ranges (lo, hi) of near-equal trial count."""
+    per_batch, n = STREAMS[name][1], _n_batches(cfg, name)
+    bounds = [0]
+    for k in range(1, w):
+        cut = round(k * cfg.trials / (w * per_batch))
+        bounds.append(min(max(cut, bounds[-1] + 1), n - (w - k)))
+    bounds.append(n)
+    return list(zip(bounds, bounds[1:]))
+
+
+def _run_chunk(fn_name, cfg, name, event, lo, hi, args):
+    module, qualname = fn_name
+    fn = getattr(importlib.import_module(module), qualname)
+    return fn(_batch_range(cfg, name, event, lo, hi), *args)
+
+
+def run_batches(cfg, name, fn, *args, event=0):
+    """fn(batch iterator, *args) over every batch of stream `name`, as one call.
+
+    fn is a module-level function that returns a tuple of 1-D arrays, one
+    entry per batch trial it keeps.  With p = min(cfg.worker_hint, usable
+    CPUs) and w = min(p, batches) > 1 the batches are cut into w contiguous
+    chunks of near-equal trial count: this process runs the first, and its
+    pool of p - 1 forked workers the rest, each worker rebuilding its
+    chunk's generators from the seeds; the arrays are joined in batch order.
+    Each batch's draws depend only on its seed, so the result is the serial
+    one for every hint.  A call made inside a worker runs serially.
+    """
+    procs = 1 if _IN_WORKER else min(cfg.worker_hint, _usable_cpus())
+    w = min(procs, _n_batches(cfg, name))
+    pool = _pool(procs - 1) if w > 1 else None
+    if pool is None:
+        return fn(batches(cfg, name, event), *args)
+    from concurrent.futures import BrokenExecutor
+
+    first, *rest = _chunk_bounds(cfg, name, w)
+    # by name, so the worker finds whatever the module binds at call time
+    fn_name = (fn.__module__, fn.__qualname__)
+    futures = [pool.submit(_run_chunk, fn_name, cfg, name, event, lo, hi, args) for lo, hi in rest]
+    try:
+        parts = [fn(_batch_range(cfg, name, event, *first), *args)]
+    finally:
+        for f in futures:  # no chunk outlives the call, even when the first one raises
+            f.exception()
+    try:
+        parts += [f.result() for f in futures]
+    except BrokenExecutor:  # a worker died: the next call starts a new pool
+        _shutdown_pool()
+        raise
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def confidence(samples, seed):
@@ -217,71 +339,62 @@ def _theta_grid(theta):
     return [float(t) for t in np.atleast_1d(theta)]
 
 
-def csp_sample_batches(model, thetas, geometry, cfg, event=0):
-    """Yield (csps, r_serving) per batch: csps[k] is the array for thetas[k].
+def _csp_chunk(batch_iter, model, thetas, radius, b, corrs):
+    """Far-field completed samples of CSP^b over the batches of `batch_iter`,
+    one array per theta of `thetas`.
 
-    csps[k] is the fading-averaged conditional success probability over the
-    windowed pattern at threshold thetas[k]; r_serving is the serving distance
-    (downlink) or the fixed link distance (ad hoc).  Each batch draws its
-    patterns once for the whole grid.  Far-field completion is left to callers
-    because its exponent depends on the moment order requested.
+    The CSP is the fading-averaged conditional success probability over the
+    windowed pattern; each batch draws its patterns once for the whole grid.
+    `corrs` holds the ad hoc far-field factor per theta, or is None for the
+    downlink, whose factor depends on each pattern's serving distance.
     """
-    radius = cfg.window_radius or default_window(model.intensity)
     alpha = model.alpha
-    if geometry == "adhoc":
-        r_t = _link_distance(model)
-    elif geometry != "downlink":
-        raise ValueError(f"unknown geometry: {geometry}")
+    out = [[] for _ in thetas]
     ra_buf = logf_buf = np.empty(0)
-    for rng, size in batches(cfg, "csp", event):
+    for rng, size in batch_iter:
         radii, counts = _radii_batch(model, radius, rng, size)
         n = len(radii)
         if n > ra_buf.size:  # reused: a fresh points-sized array per batch costs page faults
             ra_buf, logf_buf = np.empty(n), np.empty(n)
         ra = np.power(radii, -alpha, out=ra_buf[:n])
         logf = logf_buf[:n]
-        csps = []
-        if geometry == "adhoc":
-            for theta in thetas:
+        if corrs is not None:
+            r_t = model.link_distance
+            for theta, corr, samples in zip(thetas, corrs, out):
                 np.multiply(ra, theta * r_t**alpha, out=logf)
                 np.log1p(logf, out=logf)
-                csps.append(np.exp(-_segment_sums(logf, counts)))
-            r_serving = np.full(size, r_t)
-        else:
-            if np.any(counts == 0):
-                raise ValueError("downlink pattern with no points; enlarge the window")
-            # serving distance = min radius per pattern
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            r_serving = np.minimum.reduceat(radii, starts)
-            r1a = np.repeat(r_serving**alpha, counts)
-            for theta in thetas:
-                np.multiply(r1a, theta, out=logf)
-                np.multiply(logf, ra, out=logf)
-                np.log1p(logf, out=logf)
-                # product over all points includes the serving one: divide it out
-                csps.append(np.exp(-_segment_sums(logf, counts)) * (1.0 + theta))
-        yield csps, r_serving
+                samples.append(np.exp(-_segment_sums(logf, counts)) ** b * corr)
+            continue
+        if np.any(counts == 0):
+            raise ValueError("downlink pattern with no points; enlarge the window")
+        # serving distance = min radius per pattern
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        r_serv = np.minimum.reduceat(radii, starts)
+        r1a = np.repeat(r_serv**alpha, counts)
+        for theta, samples in zip(thetas, out):
+            np.multiply(r1a, theta, out=logf)
+            np.multiply(logf, ra, out=logf)
+            np.log1p(logf, out=logf)
+            # product over all points includes the serving one: divide it out
+            csp = np.exp(-_segment_sums(logf, counts)) * (1.0 + theta)
+            # leading-order per-pattern far field: exponent linear in b
+            coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
+            samples.append(csp**b * np.exp(-coef * r_serv**alpha * radius ** (2.0 - alpha)))
+    return tuple(np.concatenate(s) for s in out)
 
 
 def _collect_csp(model, thetas, geometry, cfg, b=1.0, event=0):
     """Far-field completed samples of CSP^b, one array per theta of `thetas`."""
     radius = cfg.window_radius or default_window(model.intensity)
-    alpha = model.alpha
     if geometry == "adhoc":
         r_t = _link_distance(model)
         corrs = [math.exp(_far_field_log_corr(model, t, b, radius, r_t)) for t in thetas]
-    chunks = [[] for _ in thetas]
-    for csps, r_serv in csp_sample_batches(model, thetas, geometry, cfg, event):
-        for k, (theta, csp) in enumerate(zip(thetas, csps)):
-            if geometry == "adhoc":
-                corr = corrs[k]
-            else:
-                # leading-order per-pattern far field: exponent linear in b
-                coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
-                corr = np.exp(-coef * r_serv**alpha * radius ** (2.0 - alpha))
-            chunks[k].append(csp**b * corr)
-    return [np.concatenate(c) for c in chunks]
+    elif geometry == "downlink":
+        corrs = None
+    else:
+        raise ValueError(f"unknown geometry: {geometry}")
+    return run_batches(cfg, "csp", _csp_chunk, model, thetas, radius, b, corrs, event=event)
 
 
 def _estimates(model, b, theta, geometry, cfg):
@@ -332,10 +445,19 @@ def estimate_interference_moments(model, pl, u, cfg):
     'mean', 'second_moment', 'mean_product'.
     """
     radius = cfg.window_radius or default_window(model.intensity)
-    lam = model.intensity
-    tail_mean = 2.0 * math.pi * lam * integrate_1d(lambda r: pl.ell(r) * r, radius, np.inf).require()
+    tail_mean = 2.0 * math.pi * model.intensity * integrate_1d(lambda r: pl.ell(r) * r, radius, np.inf).require()
+    means, seconds, products = run_batches(cfg, "interference", _interference_chunk, model, pl, u, radius, tail_mean)
+    return {
+        "mean": confidence(means, cfg.master_seed),
+        "second_moment": confidence(seconds, cfg.master_seed),
+        "mean_product": confidence(products, cfg.master_seed),
+    }
+
+
+def _interference_chunk(batch_iter, model, pl, u, radius, tail_mean):
+    """(I(0), I(0)^2, I(0) I(u)) per trial over the batches of `batch_iter`."""
     means, seconds, products = [], [], []
-    for rng, size in batches(cfg, "interference"):
+    for rng, size in batch_iter:
         if u == 0.0:
             radii, counts = _radii_batch(model, radius, rng, size)
             ell = pl.ell(radii)
@@ -365,14 +487,7 @@ def estimate_interference_moments(model, pl, u, cfg):
         means.append(i1)
         seconds.append(i1 * i1)
         products.append(i1 * i2)
-    means = np.concatenate(means)
-    seconds = np.concatenate(seconds)
-    products = np.concatenate(products)
-    return {
-        "mean": confidence(means, cfg.master_seed),
-        "second_moment": confidence(seconds, cfg.master_seed),
-        "mean_product": confidence(products, cfg.master_seed),
-    }
+    return np.concatenate(means), np.concatenate(seconds), np.concatenate(products)
 
 
 def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):

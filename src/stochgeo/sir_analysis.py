@@ -383,19 +383,22 @@ def misr_estimate(model, alpha, cfg):
     R^(2-alpha)/(alpha-2).
     """
     radius = cfg.window_radius or simengine.default_window(model.intensity)
-    sums = []
-    r1a = []
-    for rng, size in simengine.batches(cfg, "misr"):
+    sums, r1a = simengine.run_batches(cfg, "misr", _misr_chunk, model, alpha, radius)
+    tail = 2.0 * math.pi * model.intensity * np.mean(r1a) * radius ** (2.0 - alpha) / (alpha - 2.0)
+    return simengine.confidence(sums + tail, cfg.master_seed)
+
+
+def _misr_chunk(batch_iter, model, alpha, radius):
+    """(windowed ISR sum, r_1^alpha) of each pattern with two or more points."""
+    sums, r1a = [], []
+    for rng, size in batch_iter:
         for _ in range(size):
             d = sample_pattern(model, radius, rng).origin_distances()
             if len(d) < 2:
                 continue
             sums.append(np.sum((d[0] / d[1:]) ** alpha))
             r1a.append(d[0] ** alpha)
-    sums = np.asarray(sums)
-    tail = 2.0 * math.pi * model.intensity * np.mean(r1a) * radius ** (2.0 - alpha) / (alpha - 2.0)
-    est = simengine.confidence(sums + tail, cfg.master_seed)
-    return est
+    return np.asarray(sums, dtype=float), np.asarray(r1a, dtype=float)
 
 
 def sir_gain_g0(model, alpha, cfg=None):

@@ -18,7 +18,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 
 
-def _checks(quick, seed):
+def _checks(quick, seed, worker_hint=1):
     from .core import theta_from_db
     from .interference import PathLossSpec, corr_coefficient, interference_variance, mean_interference
     from .location_users import lsu_gain, lsu_mc_estimate, lsu_moments
@@ -41,7 +41,11 @@ def _checks(quick, seed):
 
     n = 4000 if quick else 40000
     nq = 4 if quick else 24
-    cfg = SimConfig(trials=n, master_seed=seed)
+
+    def sim(trials, **kw):
+        return SimConfig(trials=trials, master_seed=seed, worker_hint=worker_hint, **kw)
+
+    cfg = sim(n)
     ppp = NetworkModel(PPP(0.1), 4.0, 1.0)
     mcp = NetworkModel(MCP(0.02, 5.0, 1.0), 4.0, 1.0)
     gpp = NetworkModel(GPP(0.1, 1.0), 4.0, 1.0)
@@ -53,7 +57,7 @@ def _checks(quick, seed):
 
     def check_misr():
         a = sa.misr_ppp(4.0)
-        est = sa.misr_estimate(NetworkModel(PPP(1.0), 4.0), 4.0, SimConfig(trials=n, master_seed=seed))
+        est = sa.misr_estimate(NetworkModel(PPP(1.0), 4.0), 4.0, cfg)
         return {"analytic": a, "mc": est.mean, "pass": abs(est.mean - a) < tol(0.02 * a, est.stderr)}
 
     def check_ppp_adhoc():
@@ -112,7 +116,7 @@ def _checks(quick, seed):
         ok = ok and abs(0.36 * mc_ + 0.64 * mb - m) < 1e-10
         me = lsu_moments("edge", 2.0, 1.0, 4.0)
         ok = ok and abs(me - m * m / 4.0) < 1e-10
-        est = lsu_mc_estimate("vertex", 1.0, 1.0, 4.0, 1.0, SimConfig(trials=n // 2, master_seed=seed))
+        est = lsu_mc_estimate("vertex", 1.0, 1.0, 4.0, 1.0, sim(n // 2))
         ana = lsu_moments("vertex", 1.0, 1.0, 4.0)
         ok = ok and est.within(ana, atol=2e-3)
         return {"pass": bool(ok)}
@@ -122,7 +126,7 @@ def _checks(quick, seed):
         blk = BlockageModel(0.5, 1.0)
         mc_ = moments_shadowed(1.0, 1.0, 1.0, sg, blk, 1.0, 4.0, "correlated")
         mi = moments_shadowed(1.0, 1.0, 1.0, sg, blk, 1.0, 4.0, "independent")
-        est = simulate_shadowed(sg, blk, 1.0, 4.0, 1.0, 1.0, "correlated", SimConfig(trials=n // 10, master_seed=seed))
+        est = simulate_shadowed(sg, blk, 1.0, 4.0, 1.0, 1.0, "correlated", sim(n // 10))
         ok = mc_ >= mi and est.within(mc_, atol=3e-3)
         half = moments_shadowed(1.0, 1.0, 1.0, ShadowGrid(8.0, 0.5), blk, 1.0, 4.0, "correlated") - moments_shadowed(
             1.0, 1.0, 1.0, ShadowGrid(8.0, 0.5), blk, 1.0, 4.0, "independent"
@@ -131,7 +135,7 @@ def _checks(quick, seed):
         return {"gap": mc_ - mi, "pass": bool(ok)}
 
     def check_queue_bipolar():
-        qcfg = SimConfig(trials=nq, master_seed=seed)
+        qcfg = sim(nq)
         ok = True
         gaps = {}
         for xi, t in ((0.5, 1.0), (0.85, 10.0)):
@@ -148,7 +152,7 @@ def _checks(quick, seed):
         return {"gaps": gaps, "pass": ok}
 
     def check_queue_downlink():
-        qcfg = SimConfig(trials=max(nq // 2, 3), master_seed=seed)
+        qcfg = sim(max(nq // 2, 3))
         ok = True
         report = {}
         for xi, t in ((0.01, 1.0), (0.05, 0.1)):
@@ -199,7 +203,7 @@ def _checks(quick, seed):
         return {"pass": bool(ok)}
 
     def check_mobility():
-        mcfg = SimConfig(trials=n // 4, master_seed=seed)
+        mcfg = sim(n // 4)
         spec = MobilitySpec(5.0)
         rep = mobility_report(spec, 0.001, 10 ** (-0.1), 4.0, mcfg)
         ana = handoff_prob_avg(0.001, 5.0)
@@ -210,7 +214,7 @@ def _checks(quick, seed):
     def check_interference_mc():
         from .simengine import estimate_interference_moments
 
-        icfg = SimConfig(trials=n // 2, master_seed=seed, window_radius=25.0)
+        icfg = sim(n // 2, window_radius=25.0)
         m = NetworkModel(PPP(1.0), 4.0)
         est = estimate_interference_moments(m, pl, 0.0, icfg)
         a_mean = mean_interference(m, pl)
@@ -252,12 +256,12 @@ def _round_floats(obj, digits=12):
     return obj
 
 
-def run(quick=False, seed=2024, out_dir="."):
+def run(quick=False, seed=2024, out_dir=".", worker_hint=1):
     os.makedirs(out_dir, exist_ok=True)
     results = {}
     timings = {}
     all_pass = True
-    for name, fn in _checks(quick, seed):
+    for name, fn in _checks(quick, seed, worker_hint):
         t0 = time.time()
         try:
             res = fn()

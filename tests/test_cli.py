@@ -221,3 +221,74 @@ def test_cli_entry_point_runs():
 def test_main_argv_dispatch(tmp_path):
     cfg = _write_config(tmp_path)
     assert main(["analyze", str(cfg)]) == EXIT_OK
+
+
+def _hints_seen(monkeypatch):
+    """The worker hint of every SimConfig handed to simengine.run_batches."""
+    from stochgeo import simengine
+
+    seen = []
+    run = simengine.run_batches
+
+    def spy(cfg, *args, **kwargs):
+        seen.append(cfg.worker_hint)
+        return run(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(simengine, "run_batches", spy)
+    return seen
+
+
+@pytest.mark.parametrize("key", ["fig11", "fig24"])  # a figure function, and fig24's queue-simulation config
+def test_threads_variable_reaches_figures(tmp_path, monkeypatch, key):
+    seen = _hints_seen(monkeypatch)
+    monkeypatch.setenv("STOCHGEO_THREADS", "2")
+    assert cmd_figure(key, 3, 500, str(tmp_path / key)) == EXIT_OK
+    assert seen and set(seen) == {2}
+
+
+def test_threads_variable_reaches_validate(tmp_path, monkeypatch):
+    from stochgeo import cli, validate
+
+    runs = []
+    monkeypatch.setattr(cli._validate, "run", lambda **kw: runs.append(kw) or 0)
+    monkeypatch.setenv("STOCHGEO_THREADS", "2")
+    assert main(["validate", "--quick", "--out", str(tmp_path)]) == EXIT_OK
+    assert runs[0]["worker_hint"] == 2
+    seen = _hints_seen(monkeypatch)
+    checks = dict(validate._checks(quick=True, seed=5, worker_hint=2))
+    for name in ("misr_ppp_mc", "lsu_identities_and_mc", "queueing_downlink_vs_sim"):
+        checks[name]()
+    assert seen and set(seen) == {2}
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1", "2.5"])
+def test_bad_threads_variable_exits_2(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("STOCHGEO_THREADS", value)
+    assert main(["validate", "--quick", "--out", str(tmp_path / "val")]) == EXIT_CONFIG
+    assert not (tmp_path / "val" / "report.json").exists()
+    for key in ("fig11", "fig13"):  # a figure function, and a figure given as a config
+        assert main(["figure", key, "--trials", "100", "--out", str(tmp_path / key)]) == EXIT_CONFIG
+    assert cmd_analyze(str(_write_config(tmp_path))) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("hint", [-3, 0, "4", 2.5])
+def test_config_worker_hint_must_be_a_positive_integer(tmp_path, hint):
+    cfg = _write_config(tmp_path, sim={"trials": 2000, "master_seed": 7, "worker_hint": hint})
+    assert cmd_analyze(str(cfg)) == EXIT_CONFIG
+
+
+def test_cli_import_leaves_quadrature_and_pool_modules_unloaded():
+    # concurrent.futures itself comes with numpy.testing, which scipy.special loads;
+    # its process pool module and multiprocessing come only with the first pool
+    import stochgeo
+
+    code = (
+        "import sys, stochgeo.cli\n"
+        "print([m for m in ('scipy.integrate', 'multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochgeo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
