@@ -55,9 +55,11 @@ def _require_keys(obj, allowed, where):
 
 
 def _env_worker_hint():
-    """STOCHGEO_THREADS as a worker hint, 1 when unset; the one place the CLI
-    reads it."""
-    raw = os.environ.get("STOCHGEO_THREADS", "1")
+    """STOCHGEO_THREADS as a worker hint, the usable CPUs when unset; the one
+    place the CLI reads it."""
+    raw = os.environ.get("STOCHGEO_THREADS")
+    if raw is None:
+        return simengine._usable_cpus()
     try:
         return SimConfig(worker_hint=int(raw)).worker_hint
     except ValueError:
@@ -177,13 +179,15 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def write_manifest(out_dir, config_echo, outputs, seed, t_start):
+def write_manifest(out_dir, config_echo, outputs, sim, t_start):
     manifest = {
         "tool": "stochgeo",
         "version": __version__,
         "config": config_echo,
-        "master_seed": seed,
+        "master_seed": sim.master_seed,
+        # how the run went, outside the determinism contract
         "wall_clock_s": round(time.time() - t_start, 3),
+        "processes": min(sim.worker_hint, simengine._usable_cpus()),
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
     }
     tmp = os.path.join(out_dir, "manifest.json.tmp")
@@ -195,12 +199,12 @@ def write_manifest(out_dir, config_echo, outputs, seed, t_start):
     return final
 
 
-def _publish(produce, out_dir, config_echo, seed, t_start):
-    """Run `produce` for its tables, write them and the manifest, print the
-    output paths, and return the exit code."""
+def _publish(produce, out_dir, config_echo, t_start):
+    """Run `produce` for the run's SimConfig and its tables, write them and the
+    manifest, print the output paths, and return the exit code."""
     os.makedirs(out_dir, exist_ok=True)
     try:
-        tables = produce()
+        sim, tables = produce()
     except ValueError as e:  # ConfigError, or a model rejecting its parameters
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -216,7 +220,7 @@ def _publish(produce, out_dir, config_echo, seed, t_start):
             path = os.path.join(out_dir, f"{table.stem}.gp")
             write_gnuplot(path, table)
             outputs.append(path)
-    write_manifest(out_dir, config_echo, outputs, seed, t_start)
+    write_manifest(out_dir, config_echo, outputs, sim, t_start)
     for p in outputs:
         print(p)
     return EXIT_OK
@@ -321,14 +325,13 @@ def _exp_queueing_bipolar(cfg):
     tables = [_queue_curve("queueing_bipolar", grid, xis, success, "Bipolar success probability with queues")]
     mc_trials = int(p.get("mc_trials", 0))
     if mc_trials > 0:
-        # queue-simulation markers on a theta subset, in the estimate format
+        # queue-simulation markers on a theta subset, in the estimate format, from one (xi, theta) sweep
         qcfg = SimConfig(trials=mc_trials, master_seed=cfg["sim"].master_seed, worker_hint=cfg["sim"].worker_hint)
-        rows = []
-        for xi in xis:
-            for t in grid[:: max(len(grid) // 4, 1)]:
-                e = queueing.simulate_queues("bipolar", xi, float(t), alpha, qcfg, density=density,
-                                             r_t=r_t, slots=1000, warmup=250, n_target=100)
-                rows.append([f"xi={xi},theta_db={float(theta_db(t)):.2f}", e.mean, e.stderr, e.n, e.seed])
+        marks = [(xi, float(t)) for xi in xis for t in grid[:: max(len(grid) // 4, 1)]]
+        ests = queueing.simulate_queues("bipolar", *zip(*marks), alpha, qcfg, density=density, r_t=r_t,
+                                        slots=1000, warmup=250, n_target=100)
+        rows = [[f"xi={xi},theta_db={float(theta_db(t)):.2f}", e.mean, e.stderr, e.n, e.seed]
+                for (xi, t), e in zip(marks, ests)]
         tables.append(Table("queueing_bipolar_sim", ["param", "mean", "stderr", "n", "seed"], rows))
     return tables
 
@@ -440,7 +443,7 @@ def cmd_analyze(config_path):
     except (OSError, json.JSONDecodeError, ConfigError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    return _publish(lambda: fn(cfg), cfg["output_dir"], cfg["echo"], cfg["sim"].master_seed, t0)
+    return _publish(lambda: (cfg["sim"], fn(cfg)), cfg["output_dir"], cfg["echo"], t0)
 
 
 # ---------------------------------------------------------------------------
@@ -618,11 +621,12 @@ def cmd_figure(key, seed, trials, out_dir):
         if entry is None:
             raise ConfigError(f"unknown figure key: {key}")
         if callable(entry):
-            return entry(SimConfig(trials=trials, master_seed=seed, worker_hint=_env_worker_hint()))
+            sim = SimConfig(trials=trials, master_seed=seed, worker_hint=_env_worker_hint())
+            return sim, entry(sim)
         cfg = parse_config({"version": 1, "sim": {"trials": trials, "master_seed": seed}, **entry})
-        return _EXPERIMENTS[cfg["experiment"]](cfg)
+        return cfg["sim"], _EXPERIMENTS[cfg["experiment"]](cfg)
 
-    return _publish(produce, out_dir, {"figure": key, "seed": seed, "trials": trials}, seed, t0)
+    return _publish(produce, out_dir, {"figure": key, "seed": seed, "trials": trials}, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -649,18 +653,20 @@ def main(argv=None):
     p_val.add_argument("--out", default=".")
 
     args = parser.parse_args(argv)
-    if args.command == "analyze":
-        return cmd_analyze(args.config)
-    if args.command == "figure":
-        return cmd_figure(args.key, args.seed, args.trials, args.out)
-    if args.command == "validate":
+    try:
+        if args.command == "analyze":
+            return cmd_analyze(args.config)
+        if args.command == "figure":
+            return cmd_figure(args.key, args.seed, args.trials, args.out)
         try:
             hint = _env_worker_hint()
         except ConfigError as e:
             print(f"config error: {e}", file=sys.stderr)
             return EXIT_CONFIG
         return _validate.run(quick=args.quick, seed=args.seed, out_dir=args.out, worker_hint=hint)
-    return EXIT_CONFIG
+    finally:
+        # a pool forked for this command carries its module state: no later caller reuses it
+        simengine._shutdown_pool()
 
 
 if __name__ == "__main__":

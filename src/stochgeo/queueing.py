@@ -7,6 +7,7 @@ packet departs iff the per-slot SIR (fresh fading, current active set)
 clears the threshold.
 """
 
+import copy
 import math
 from typing import NamedTuple
 
@@ -144,37 +145,55 @@ def _torus_gains(tx, rx, half, alpha):
 _STACK_ENTRIES = 1 << 20  # padded log-gain entries (8 MB) per stack of bipolar trials
 
 
-def _simulate_bipolar(batch_iter, xi, theta, alpha, density, r_t, slots, warmup, n_target):
-    """Per-link values of each trial, stepped in stacks of at most _STACK_ENTRIES."""
+def _bipolar_layout(rng, alpha, density, r_t, half):
+    """Torus gains (tx, rx) of one trial's links, the tagged pair first."""
+    n = rng.poisson(density * (2.0 * half) ** 2)
+    tx = rng.random((n, 2)) * 2.0 * half - half
+    ang = rng.random(n) * 2.0 * math.pi
+    rx = tx + r_t * np.column_stack([np.cos(ang), np.sin(ang)])
+    # tagged pair at the center (Slivnyak)
+    tx = np.vstack([[0.0, 0.0], tx])
+    rx = np.vstack([[r_t, 0.0], rx])
+    rx = (rx + half) % (2.0 * half) - half
+    return _torus_gains(tx, rx, half, alpha)
+
+
+def _simulate_bipolar(batch_iter, points, alpha, density, r_t, slots, warmup, n_target):
+    """(point index, per-link values) of every trial at every (xi, theta) point.
+
+    Each trial draws its layout once, and its gains (n^2 floats) are kept for
+    the whole sweep.  Its rows, one per point, are stepped point-major in
+    stacks of at most _STACK_ENTRIES, each from its own copy of the trial's
+    stream after the layout: every row draws what a one-point call draws.
+    """
     half = 0.5 * math.sqrt(n_target / density)
-    rngs, lgs, n_max = [], [], 0
-    for rng, _ in batch_iter:
-        n = rng.poisson(density * (2.0 * half) ** 2)
-        tx = rng.random((n, 2)) * 2.0 * half - half
-        ang = rng.random(n) * 2.0 * math.pi
-        rx = tx + r_t * np.column_stack([np.cos(ang), np.sin(ang)])
-        # tagged pair at the center (Slivnyak)
-        tx = np.vstack([[0.0, 0.0], tx])
-        rx = np.vstack([[r_t, 0.0], rx])
-        rx = (rx + half) % (2.0 * half) - half
-        gains = _torus_gains(tx, rx, half, alpha)  # (tx, rx)
-        # log factors of the fading-averaged success product, L[k, i] for tx k / rx i
-        lg = np.log1p(theta * gains / np.diag(gains)[None, :])
-        n_max = max(n_max, len(lg))
-        if lgs and (len(lgs) + 1) * n_max**2 > _STACK_ENTRIES:
-            yield from _bipolar_stack(rngs, lgs, xi, slots, warmup)
-            rngs, lgs, n_max = [], [], len(lg)
-        rngs.append(rng)
-        lgs.append(lg)
-    yield from _bipolar_stack(rngs, lgs, xi, slots, warmup)
+    trials = [(rng, _bipolar_layout(rng, alpha, density, r_t, half)) for rng, _ in batch_iter]
+    rows, n_max = [], 0  # (point index, stream, log gains, xi) per row
+    for k, (xi, theta) in enumerate(points):
+        for rng, gains in trials:
+            # log factors of the fading-averaged success product, L[j, i] for tx j / rx i
+            lg = np.log1p(theta * gains / np.diag(gains)[None, :])
+            n_max = max(n_max, len(lg))
+            if rows and (len(rows) + 1) * n_max**2 > _STACK_ENTRIES:
+                yield from _step_rows(rows, slots, warmup)
+                rows, n_max = [], len(lg)
+            rows.append((k, copy.deepcopy(rng), lg, xi))
+    yield from _step_rows(rows, slots, warmup)
+
+
+def _step_rows(rows, slots, warmup):
+    ks, rngs, lgs, xis = zip(*rows)
+    return zip(ks, _bipolar_stack(rngs, lgs, xis, slots, warmup))
 
 
 def _bipolar_stack(rngs, lgs, xi, slots, warmup):
     """Step the slot loop of several trials together, each on its own stream.
 
-    Each trial reads its buffer in one-trial order (n arrival draws, then one
-    per active link), and the masked einsum adds the active rows of L in row
-    order, as lg[idx].sum(axis=0) does: every value is the one-trial value.
+    xi is one arrival probability, or one per trial.  Each trial reads its
+    buffer in one-trial order (n arrival draws, then one per active link), and
+    the masked einsum adds the active rows of L in row order, as
+    lg[idx].sum(axis=0) does: every value is the one-trial value.  A slot whose
+    active sets all equal the previous slot's reuses its p.
     """
     n = np.array([len(lg) for lg in lgs])
     k_tot, n_max = len(lgs), int(n.max())
@@ -182,12 +201,14 @@ def _bipolar_stack(rngs, lgs, xi, slots, warmup):
     stack = np.stack([np.minimum(np.pad(lg, (0, n_max - len(lg))), np.finfo(float).max) for lg in lgs])
     own = np.diagonal(stack, axis1=1, axis2=2)
     valid = np.arange(n_max) < n[:, None]
+    xi = np.reshape(xi, (-1, 1))
     rows = np.arange(k_tot)[:, None]
     width = 32 * n_max  # 16 slots of at most 2 n_max draws; n_max more columns serve padded links
     buf = np.zeros((k_tot, width + n_max))
     pos = np.full(k_tot, width)  # all read: the first slot fills every buffer
     queues, p_cnt = np.zeros((2, k_tot, n_max), dtype=np.int64)
     p_sum = np.zeros((k_tot, n_max))
+    prev = None
     for t in range(slots):
         for k in np.flatnonzero(pos + 2 * n > width):  # refill after the unread tail
             buf[k, :width] = np.concatenate([buf[k, pos[k] : width], rngs[k].random(pos[k])])
@@ -200,7 +221,9 @@ def _bipolar_stack(rngs, lgs, xi, slots, warmup):
         # conditional success probability of each active link given the
         # active set; successes are conditionally independent Bernoulli
         # (fading columns are disjoint across receivers)
-        p = np.exp(-(np.einsum("kj,kji->ki", active.astype(float), stack) - own))
+        if (key := active.tobytes()) != prev:
+            p = np.exp(-(np.einsum("kj,kji->ki", active.astype(float), stack) - own))
+            prev = key
         queues -= active & (u < p)
         if t >= warmup:
             p_sum += np.where(active, p, 0.0)
@@ -209,7 +232,9 @@ def _bipolar_stack(rngs, lgs, xi, slots, warmup):
         yield total[count > 0] / count[count > 0]
 
 
-def _simulate_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs_target):
+def _downlink_layout(rng, alpha, ratio, n_bs_target):
+    """Gains from every base station to every user (the tagged user first),
+    each user's serving station, and the station count."""
     lam_b = 1.0  # scale free: SIR depends on ratios of distances only
     half = 0.5 * math.sqrt(n_bs_target / lam_b)
     n_bs = max(rng.poisson(lam_b * (2.0 * half) ** 2), 2)
@@ -221,21 +246,25 @@ def _simulate_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs
     d = np.minimum(d, 2.0 * half - d)
     dist = np.hypot(d[..., 0], d[..., 1])
     serving = np.argmin(dist, axis=1)
-    gain_to_user = dist**-alpha  # (users, bs)
-    own_gain = gain_to_user[np.arange(len(users)), serving]
+    return dist**-alpha, serving, n_bs  # gains (users, bs)
+
+
+def _downlink_slots(rng, xi_u, theta, gain_to_user, serving, n_bs, slots, warmup):
+    n_users = len(serving)
+    own_gain = gain_to_user[np.arange(n_users), serving]
     # log factors per (user, interfering BS)
     lg = np.log1p(theta * gain_to_user / own_gain[:, None])
-    own_lg = lg[np.arange(len(users)), serving]
-    queues = np.zeros(len(users), dtype=np.int64)
+    own_lg = lg[np.arange(n_users), serving]
+    queues = np.zeros(n_users, dtype=np.int64)
     # users of cell b: order[start[b] : start[b] + counts[b]], in index order
     order = np.argsort(serving, kind="stable")
     counts = np.bincount(serving, minlength=n_bs)
     busy = np.flatnonzero(counts)  # cells that serve at least one user
     start = (np.cumsum(counts) - counts)[busy]
-    p_sum = np.zeros(len(users))
-    p_cnt = np.zeros(len(users), dtype=np.int64)
+    p_sum = np.zeros(n_users)
+    p_cnt = np.zeros(n_users, dtype=np.int64)
     for t in range(slots):
-        queues += rng.random(len(users)) < xi_u
+        queues += rng.random(n_users) < xi_u
         # random scheduling: each busy cell picks one of its users uniformly;
         # one array draw consumes the stream as one scalar draw per cell does
         scheduled = order[start + rng.integers(0, counts[busy])]
@@ -254,6 +283,15 @@ def _simulate_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs
     return p_sum[seen] / p_cnt[seen]
 
 
+def _simulate_downlink(batch_iter, points, alpha, ratio, slots, warmup, n_target):
+    """(point index, per-user values) of every trial at every (xi, theta) point;
+    each point steps its own copy of the trial's stream after the layout."""
+    for rng, _ in batch_iter:
+        layout = _downlink_layout(rng, alpha, ratio, n_target)
+        for k, (xi, theta) in enumerate(points):
+            yield k, _downlink_slots(copy.deepcopy(rng), xi, theta, *layout, slots, warmup)
+
+
 def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=None, slots=2500, warmup=500,
                     n_target=128):
     """Discrete-time interacting-queue simulation.
@@ -263,6 +301,11 @@ def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=N
     fading-averaged success probability on slots where it transmits; a trial
     averages it over every link in the window (exchangeability makes each one
     a sample of the typical link, which tames the pattern-to-pattern tail).
+
+    xi and theta are each a scalar or a 1-D sequence, broadcast to one grid of
+    (xi, theta) points.  Two scalars give one Estimate, a grid a list of
+    Estimates, one per point.  A grid draws each trial's layout once, and each
+    point's Estimate equals its one-point call's.
     """
     if slots <= warmup:
         raise ValueError("slots must exceed the warmup period")
@@ -274,18 +317,30 @@ def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=N
             raise ValueError("downlink mode needs the density ratio")
     else:
         raise ValueError("mode must be 'bipolar' or 'downlink'")
-    (probs,) = simengine.run_batches(cfg, "queue", _queue_chunk, mode, xi, theta, alpha, density, ratio, r_t, slots,
-                                     warmup, n_target)
-    if not probs.size:
+    try:
+        xis, thetas = np.broadcast_arrays(np.asarray(xi, dtype=float), np.asarray(theta, dtype=float))
+    except ValueError:
+        raise ValueError("xi and theta grids must have one length") from None
+    if xis.ndim > 1 or xis.size == 0:
+        raise ValueError("xi and theta must be scalars or non-empty 1-D grids")
+    points = list(zip(xis.ravel().tolist(), thetas.ravel().tolist()))
+    probs = simengine.run_batches(cfg, "queue", _queue_chunk, mode, points, alpha, density, ratio, r_t, slots,
+                                  warmup, n_target)
+    if not all(p.size for p in probs):
         raise ValueError("no link transmitted after warmup; increase slots or xi")
-    return simengine.confidence(probs, cfg.master_seed)
+    ests = [simengine.confidence(p, cfg.master_seed) for p in probs]
+    return ests if xis.ndim else ests[0]
 
 
-def _queue_chunk(batch_iter, mode, xi, theta, alpha, density, ratio, r_t, slots, warmup, n_target):
-    """Mean per-link success of each trial in which some link transmitted."""
+def _queue_chunk(batch_iter, mode, points, alpha, density, ratio, r_t, slots, warmup, n_target):
+    """Mean per-link success of each trial in which some link transmitted, one
+    array per (xi, theta) point."""
     if mode == "bipolar":
-        per_trial = _simulate_bipolar(batch_iter, xi, theta, alpha, density, r_t, slots, warmup, n_target)
+        per_trial = _simulate_bipolar(batch_iter, points, alpha, density, r_t, slots, warmup, n_target)
     else:
-        per_trial = (_simulate_downlink_trial(rng, xi, theta, alpha, ratio, slots, warmup, n_target)
-                     for rng, _ in batch_iter)
-    return (np.asarray([float(np.mean(p)) for p in per_trial if len(p)]),)
+        per_trial = _simulate_downlink(batch_iter, points, alpha, ratio, slots, warmup, n_target)
+    means = [[] for _ in points]
+    for k, p in per_trial:
+        if len(p):
+            means[k].append(float(np.mean(p)))
+    return tuple(np.asarray(m, dtype=float) for m in means)

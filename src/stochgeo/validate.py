@@ -138,10 +138,11 @@ def _checks(quick, seed, worker_hint=1):
         qcfg = sim(nq)
         ok = True
         gaps = {}
-        for xi, t in ((0.5, 1.0), (0.85, 10.0)):
+        points = ((0.5, 1.0), (0.85, 10.0))
+        ests = simulate_queues("bipolar", *zip(*points), 4.0, qcfg, density=0.001, r_t=2.0,
+                               slots=600 if quick else 1200, warmup=200, n_target=100)
+        for (xi, t), est in zip(points, ests):
             ana = bipolar_success(xi, t, 4.0, 0.001, 2.0).success
-            est = simulate_queues("bipolar", xi, t, 4.0, qcfg, density=0.001, r_t=2.0,
-                                  slots=600 if quick else 1200, warmup=200, n_target=100)
             gaps[f"xi{xi}_t{t}"] = est.mean - ana
             ok = ok and abs(est.mean - ana) < tol(0.02, est.stderr)
         # large-theta overlap of the saturated branch
@@ -155,10 +156,11 @@ def _checks(quick, seed, worker_hint=1):
         qcfg = sim(max(nq // 2, 3))
         ok = True
         report = {}
-        for xi, t in ((0.01, 1.0), (0.05, 0.1)):
+        points = ((0.01, 1.0), (0.05, 0.1))
+        ests = simulate_queues("downlink", *zip(*points), 4.0, qcfg, ratio=5.0,
+                               slots=1200 if quick else 2500, warmup=300, n_target=64)
+        for (xi, t), est in zip(points, ests):
             ana = downlink_success(xi, t, 4.0, 5.0).success
-            est = simulate_queues("downlink", xi, t, 4.0, qcfg, ratio=5.0,
-                                  slots=1200 if quick else 2500, warmup=300, n_target=64)
             report[f"xi{xi}_t{t}"] = est.mean - ana
             ok = ok and abs(est.mean - ana) < tol(0.03, est.stderr)
         # documented degradation at moderate load (reported, never asserted)

@@ -180,12 +180,13 @@ def test_criterion_08_queueing():
     # bipolar vs discrete-time queues at the catalog setup
     qcfg = SimConfig(trials=64, master_seed=SEED)
     worst = 0.0
-    for xi, t in ((0.5, 1.0), (0.85, 10.0), (0.85, 10.0**2.5), (1.0, 10.0**2.5)):
+    points = ((0.5, 1.0), (0.85, 10.0), (0.85, 10.0**2.5), (1.0, 10.0**2.5))
+    ests = simulate_queues(
+        "bipolar", *zip(*points), 4.0, qcfg, density=0.001, r_t=2.0, slots=1000,
+        warmup=250, n_target=100,
+    )
+    for (xi, t), est in zip(points, ests):
         ana = bipolar_success(xi, t, 4.0, 0.001, 2.0).success
-        est = simulate_queues(
-            "bipolar", xi, t, 4.0, qcfg, density=0.001, r_t=2.0, slots=1000,
-            warmup=250, n_target=100,
-        )
         worst = max(worst, abs(est.mean - ana))
         ok = ok and abs(est.mean - ana) < 0.02
     # saturated coincidence of xi = 0.85 and 1.0 at large theta
@@ -194,11 +195,12 @@ def test_criterion_08_queueing():
     ok = ok and abs(a85 - a10) < 1e-12
     # downlink fixed point vs interacting queues (lightly loaded regime)
     dcfg = SimConfig(trials=12, master_seed=SEED)
-    for xi, t in ((0.01, 1.0), (0.05, 0.1)):
+    points = ((0.01, 1.0), (0.05, 0.1))
+    ests = simulate_queues(
+        "downlink", *zip(*points), 4.0, dcfg, ratio=5.0, slots=2500, warmup=500, n_target=100
+    )
+    for (xi, t), est in zip(points, ests):
         ana = downlink_success(xi, t, 4.0, 5.0).success
-        est = simulate_queues(
-            "downlink", xi, t, 4.0, dcfg, ratio=5.0, slots=2500, warmup=500, n_target=100
-        )
         ok = ok and abs(est.mean - ana) < 0.03
     # the theta gap at P_s = 0.8 between xi_u = 0.01 and 0.05
     def theta_at(target, xi):

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -292,3 +293,78 @@ def test_cli_import_leaves_quadrature_and_pool_modules_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _only_check(monkeypatch, name):
+    """Let `validate` run the one check `name`."""
+    from stochgeo import validate
+
+    checks = validate._checks
+    monkeypatch.setattr(validate, "_checks", lambda *args: [c for c in checks(*args) if c[0] == name])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_threads_default_to_the_usable_cpus(tmp_path, monkeypatch, cpus):
+    from stochgeo import simengine
+
+    monkeypatch.delenv("STOCHGEO_THREADS", raising=False)
+    monkeypatch.setattr(simengine, "_usable_cpus", lambda: cpus)
+    seen = _hints_seen(monkeypatch)
+    assert main(["figure", "fig11", "--trials", "500", "--out", str(tmp_path / "fig11")]) == EXIT_OK
+    assert json.loads((tmp_path / "fig11" / "manifest.json").read_text())["processes"] == cpus
+    _only_check(monkeypatch, "misr_ppp_mc")
+    assert main(["validate", "--quick", "--out", str(tmp_path / "val")]) == EXIT_OK
+    assert seen and set(seen) == {cpus}
+
+
+def test_manifest_records_processes_capped_by_the_usable_cpus(tmp_path, monkeypatch):
+    from stochgeo import simengine
+
+    monkeypatch.setattr(simengine, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("STOCHGEO_THREADS", "8")
+    assert main(["figure", "fig10", "--out", str(tmp_path / "fig10")]) == EXIT_OK
+    assert json.loads((tmp_path / "fig10" / "manifest.json").read_text())["processes"] == 2
+    cfg = _write_config(tmp_path, sim={"trials": 2000, "master_seed": 7, "worker_hint": 1})
+    assert main(["analyze", str(cfg)]) == EXIT_OK  # the config's hint wins over the variable
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["processes"] == 1
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_main_leaves_no_pool_behind(tmp_path, monkeypatch):
+    from stochgeo import simengine
+
+    monkeypatch.setattr(simengine, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("STOCHGEO_THREADS", "2")
+    pools = []
+    run = simengine.run_batches
+
+    def spy(cfg, *args, **kwargs):
+        out = run(cfg, *args, **kwargs)
+        pools.append(simengine._POOL)
+        return out
+
+    monkeypatch.setattr(simengine, "run_batches", spy)
+    assert main(["figure", "fig11", "--trials", "2500", "--out", str(tmp_path / "fig11")]) == EXIT_OK
+    assert any(pool is not None for pool in pools)  # the figure ran on a pool ...
+    assert simengine._POOL is None  # ... that main shut down
+    _only_check(monkeypatch, "misr_ppp_mc")
+    assert main(["validate", "--quick", "--out", str(tmp_path / "val")]) == EXIT_OK
+    assert pools[-1] is not None and simengine._POOL is None
+
+
+def test_serial_figure_never_imports_multiprocessing(tmp_path):
+    import stochgeo
+
+    code = (
+        "import sys\n"
+        "from stochgeo.cli import main\n"
+        f"code = main(['figure', 'fig24', '--trials', '500', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochgeo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               STOCHGEO_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert json.loads((tmp_path / "manifest.json").read_text())["processes"] == 1

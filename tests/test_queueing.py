@@ -5,6 +5,7 @@ import pytest
 from scipy.special import hyp2f1
 
 from stochgeo import queueing, simengine
+from stochgeo.core import Estimate
 from stochgeo.queueing import (
     _mean_inverse_load,
     bipolar_success,
@@ -377,3 +378,95 @@ def test_bipolar_result_does_not_depend_on_stack_cap(monkeypatch):
         ests.append(simulate_queues("bipolar", 0.85, 10.0, 4.0, cfg, **kw))
     assert ests[0] == ests[1] == ests[2]
     assert sizes == [6, 1, 1, 1, 1, 1, 1, 6]
+
+
+# ------------------------------------------------- (xi, theta) sweeps
+#
+# A sweep draws each trial's layout once and steps every point from its own
+# copy of the trial's stream, so each point must equal its one-point call.
+
+
+def _assert_sweep_matches_points(mode, xis, thetas, cfg, **kw):
+    sweep = simulate_queues(mode, xis, thetas, 4.0, cfg, **kw)
+    xis, thetas = np.broadcast_arrays(xis, thetas)
+    assert sweep == [simulate_queues(mode, float(x), float(t), 4.0, cfg, **kw) for x, t in zip(xis, thetas)]
+    return sweep
+
+
+def test_bipolar_sweep_matches_points_across_stack_boundaries(monkeypatch):
+    sizes = _count_stacks(monkeypatch)
+    monkeypatch.setattr(queueing, "_STACK_ENTRIES", 4 * 110**2)  # four trials of about 100 links per stack
+    cfg = SimConfig(trials=7, master_seed=221)
+    kw = dict(density=0.001, r_t=2.0, slots=250, warmup=50, n_target=100)
+    xis, thetas = [0.5, 0.85, 1.0, 0.5], [1.0, 10.0, 100.0, 100.0]
+    sweep = simulate_queues("bipolar", xis, thetas, 4.0, cfg, **kw)
+    ends = np.cumsum(sizes)
+    assert len(sizes) > 1 and ends[-1] == 4 * cfg.trials
+    # some stack holds rows of two points, each with its own xi
+    assert any((end - size) // cfg.trials != (end - 1) // cfg.trials for end, size in zip(ends, sizes))
+    assert sweep == [simulate_queues("bipolar", x, t, 4.0, cfg, **kw) for x, t in zip(xis, thetas)]
+
+
+def test_bipolar_sweep_matches_points_without_interferers_and_idle():
+    # trials that are the tagged pair alone (side 4.5 torus, links of length 2) ...
+    cfg = SimConfig(trials=30, master_seed=212)
+    kw = dict(density=0.05, r_t=2.0, slots=200, warmup=50, n_target=1)
+    _assert_sweep_matches_points("bipolar", 0.3, [0.1, 1.0, 10.0], cfg, **kw)
+    # ... and trials with no transmission after warm-up at the lowest xi
+    cfg = SimConfig(trials=30, master_seed=213)
+    kw = dict(density=0.05, r_t=2.0, slots=80, warmup=60, n_target=2)
+    low, high = _assert_sweep_matches_points("bipolar", [0.002, 0.3], 1.0, cfg, **kw)
+    assert 0 < low.n < cfg.trials == high.n
+
+
+def test_bipolar_sweep_matches_points_with_an_infinite_gain(monkeypatch):
+    torus_gains = queueing._torus_gains
+
+    def coincident(tx, rx, half, alpha):
+        gains = torus_gains(tx, rx, half, alpha)
+        gains[-1, 0] = np.inf  # the last transmitter sits on the tagged receiver
+        return gains
+
+    monkeypatch.setattr(queueing, "_torus_gains", coincident)
+    cfg = SimConfig(trials=5, master_seed=222)
+    kw = dict(density=0.001, r_t=2.0, slots=150, warmup=50, n_target=100)
+    sweep = _assert_sweep_matches_points("bipolar", [0.4, 1.0], [1.0, 10.0], cfg, **kw)
+    assert all(0.0 <= e.mean < 1.0 for e in sweep)
+
+
+def test_downlink_sweep_matches_points():
+    cfg = SimConfig(trials=4, master_seed=214)  # a cell that serves no user, as above
+    kw = dict(ratio=0.3, slots=300, warmup=100, n_target=16)
+    _assert_sweep_matches_points("downlink", [0.3, 0.05, 0.05], [1.0, 10.0, 0.1], cfg, **kw)
+    # an idle point: no user transmits after warm-up in some trials
+    cfg = SimConfig(trials=6, master_seed=223)
+    kw = dict(ratio=0.3, slots=60, warmup=50, n_target=4)
+    low, high = _assert_sweep_matches_points("downlink", [0.01, 0.3], 1.0, cfg, **kw)
+    assert 0 < low.n < cfg.trials == high.n
+
+
+def test_sweep_shapes():
+    cfg = SimConfig(trials=2, master_seed=224)
+    kw = dict(density=0.001, r_t=2.0, slots=60, warmup=20, n_target=50)
+    est = simulate_queues("bipolar", 0.5, 1.0, 4.0, cfg, **kw)
+    assert isinstance(est, Estimate)
+    assert simulate_queues("bipolar", [0.5], 1.0, 4.0, cfg, **kw) == [est]
+    for xis, thetas in (([0.5, 0.85], [1.0, 10.0, 100.0]), ([[0.5]], 1.0), ([], 1.0)):
+        with pytest.raises(ValueError):
+            simulate_queues("bipolar", xis, thetas, 4.0, cfg, **kw)
+    with pytest.raises(ValueError):
+        simulate_queues("downlink", [0.01, 0.05], [1.0, 10.0, 0.1], 4.0, cfg, ratio=5.0)
+
+
+def test_saturated_stack_runs_one_einsum(monkeypatch):
+    # at xi = 1 every queue is busy from slot 0 on, so each stack keeps its p
+    sizes = _count_stacks(monkeypatch)
+    monkeypatch.setattr(queueing, "_STACK_ENTRIES", 4 * 110**2)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(a[0]) or einsum(*a, **kw))
+    cfg = SimConfig(trials=6, master_seed=225)
+    simulate_queues("bipolar", 1.0, [1.0, 10.0, 100.0], 4.0, cfg, density=0.001, r_t=2.0, slots=200, warmup=50,
+                    n_target=100)
+    assert len(sizes) > 1 and sum(sizes) == 3 * cfg.trials
+    assert len(calls) == len(sizes)

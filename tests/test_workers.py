@@ -73,6 +73,11 @@ ESTIMATORS = {
         "bipolar", 0.5, 1.0, 4.0, c, density=0.001, r_t=2.0, slots=300, warmup=100, n_target=100)),
     "queue-downlink": ("queue", 5, lambda c: simulate_queues(
         "downlink", 0.05, 1.0, 4.0, c, ratio=3.0, slots=300, warmup=100, n_target=16)),
+    "queue-bipolar-grid": ("queue", 7, lambda c: simulate_queues(
+        "bipolar", [0.5, 1.0, 0.85], [1.0, 1.0, 100.0], 4.0, c, density=0.001, r_t=2.0, slots=300, warmup=100,
+        n_target=100)),
+    "queue-downlink-grid": ("queue", 5, lambda c: simulate_queues(
+        "downlink", [0.05, 0.2], 1.0, 4.0, c, ratio=3.0, slots=300, warmup=100, n_target=16)),
 }
 
 
