@@ -24,7 +24,7 @@ from . import validate as _validate
 from .core import ToleranceError, theta_db, theta_from_db, theta_from_mh, theta_mh
 from .interference import PathLossSpec, corr_coefficient, interference_variance
 from .mobility import MobilitySpec, handoff_prob_avg, mobility_report
-from .pointprocess import GPP, MCP, PPP, NetworkModel, pcf_analytic, pcf_estimate, sample_mcp, sample_ppp
+from .pointprocess import GPP, MCP, PPP, NetworkModel, pcf_analytic, pcf_estimate, sample_batch
 from .shadowing import BlockageModel, ShadowGrid, moments_shadowed
 from .simengine import STREAMS, SimConfig, seed_stream
 
@@ -79,10 +79,11 @@ def parse_config(raw):
     worker_hint = sim_raw.get("worker_hint")
     if worker_hint is None:
         worker_hint = _env_worker_hint()
+    window_radius = sim_raw.get("window_radius")
     sim = SimConfig(
         trials=int(sim_raw.get("trials", 10000)),
         master_seed=int(sim_raw.get("master_seed", 2024)),
-        window_radius=sim_raw.get("window_radius"),
+        window_radius=None if window_radius is None else float(window_radius),
         worker_hint=worker_hint,
     )
     grid = None
@@ -440,7 +441,7 @@ def cmd_analyze(config_path):
         fn = _EXPERIMENTS.get(cfg["experiment"])
         if fn is None:
             raise ConfigError(f"unknown experiment id: {cfg['experiment']!r}; known: {sorted(_EXPERIMENTS)}")
-    except (OSError, json.JSONDecodeError, ConfigError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, ConfigError, ValueError, TypeError) as e:  # TypeError: a list for a number
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     return _publish(lambda: (cfg["sim"], fn(cfg)), cfg["output_dir"], cfg["echo"], t0)
@@ -464,8 +465,8 @@ def _fig_pcf(sim):
     mcp = MCP(0.2, 5.0, 1.0)
     substream, n = STREAMS["pcf_figure"]
     rng = seed_stream(sim.master_seed, 0, substream)
-    est_p = pcf_estimate([sample_ppp(1.0, 10.0, rng) for _ in range(n)], r_grid, bin_width=0.1)
-    est_m = pcf_estimate([sample_mcp(0.2, 5.0, 1.0, 10.0, rng) for _ in range(n)], r_grid, bin_width=0.1)
+    est_p, est_m = (pcf_estimate(sample_batch(f, 10.0, rng, n, planar=True), 10.0, r_grid, bin_width=0.1)
+                    for f in (PPP(1.0), mcp))
     rows = [[float(r), float(pcf_analytic(mcp, r)), 1.0, float(pcf_analytic(GPP(1.0, 0.5), r)),
              float(est_m.values[i]), float(est_p.values[i])] for i, r in enumerate(r_grid)]
     header = ["r", "mcp_analytic", "ppp_analytic", "gpp_analytic", "mcp_estimate", "ppp_estimate"]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pointprocess import PPP, NetworkModel
+from .pointprocess import PPP, NetworkModel, sample_batch
 from . import simengine
 from .sir_analysis import _real_order, downlink_hyp2f1
 
@@ -129,33 +129,29 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
     return simengine.confidence(samples, cfg.master_seed)
 
 
+def _far_field(r1, b, theta, alpha, density, radius):
+    """Leading-order far-field factor of CSP^b for serving distances r1."""
+    return np.exp(-2.0 * math.pi * density * b * theta * r1**alpha * radius ** (2.0 - alpha) / (alpha - 2.0))
+
+
 def _lsu_chunk(batch_iter, c, b, theta, alpha, density, radius):
     """Far-field completed CSP^b of each sampled pattern whose typical user
     falls in class c (general, cell center or cell boundary)."""
-    keep_samples = []
+    samples = []
     for rng, size in batch_iter:
-        counts = rng.poisson(density * math.pi * radius**2, size)
-        total = int(counts.sum())
-        r = radius * np.sqrt(rng.random(total))
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        for s, e in zip(starts, ends):
-            d = np.sort(r[s:e])
-            if len(d) < 2:
-                continue
-            ratio = d[0] / d[1]
-            if c.kind == "cell_center" and ratio > c.rho:
-                continue
-            if c.kind == "cell_boundary" and ratio <= c.rho:
-                continue
-            csp = np.exp(-np.log1p(theta * d[0] ** alpha * d[1:] ** -alpha).sum())
-            # far-field completion at order b
-            corr = math.exp(
-                -2.0 * math.pi * density * b * theta * d[0] ** alpha
-                * radius ** (2.0 - alpha) / (alpha - 2.0)
-            )
-            keep_samples.append(csp**b * corr)
-    return (np.asarray(keep_samples, dtype=float),)
+        radii, counts = sample_batch(PPP(density), radius, rng, size)
+        two = counts >= 2
+        radii, counts = radii[np.repeat(two, counts)], counts[two]
+        r1, rest = simengine._serving_split(radii, counts)
+        logf = np.log1p(theta * np.repeat(r1**alpha, counts) * rest**-alpha)
+        csp_b = np.exp(-simengine._segment_sums(logf, counts)) ** b * _far_field(r1, b, theta, alpha, density, radius)
+        ratio = r1 / simengine._segment_mins(rest, counts)
+        if c.kind == "cell_center":
+            csp_b = csp_b[ratio <= c.rho]
+        elif c.kind == "cell_boundary":
+            csp_b = csp_b[ratio > c.rho]
+        samples.append(csp_b)
+    return (np.concatenate(samples),)
 
 
 def _equidistant_mc(c, b, theta, alpha, density, cfg):
@@ -169,21 +165,15 @@ def _equidistant_chunk(batch_iter, c, b, theta, alpha, density, radius):
     """Far-field completed CSP^b of edge (one extra interferer at the serving
     distance) or vertex (two) users."""
     n_extra = 1 if c.kind == "edge" else 2
-    a = density * math.pi
     samples = []
     for rng, size in batch_iter:
-        # r1 ~ 2 a^2 r^3 e^(-a r^2): a r^2 ~ Gamma(2, 1)
-        r1 = np.sqrt(rng.standard_gamma(2.0, size) / a)
-        for r in r1:
-            # remaining points: PPP restricted outside the serving radius
-            n = rng.poisson(density * math.pi * max(radius**2 - r * r, 0.0))
-            d = np.sqrt(r * r + (radius**2 - r * r) * rng.random(n))
-            csp = (1.0 + theta) ** -float(n_extra) * np.exp(
-                -np.log1p(theta * r**alpha * d**-alpha).sum()
-            )
-            corr = math.exp(
-                -2.0 * math.pi * density * b * theta * r**alpha
-                * radius ** (2.0 - alpha) / (alpha - 2.0)
-            )
-            samples.append(csp**b * corr)
-    return (np.asarray(samples),)
+        # r1 ~ 2 a^2 r^3 e^(-a r^2) with a = lambda pi: a r1^2 ~ Gamma(2, 1)
+        r1 = np.sqrt(rng.standard_gamma(2.0, size) / (density * math.pi))
+        # remaining points: PPP on the annulus from the serving radius to the window
+        span = np.maximum(radius**2 - r1 * r1, 0.0)
+        counts = rng.poisson(density * math.pi * span)
+        d = np.sqrt(np.repeat(r1 * r1, counts) + np.repeat(span, counts) * rng.random(counts.sum()))
+        logf = np.log1p(theta * np.repeat(r1**alpha, counts) * d**-alpha)
+        csp = (1.0 + theta) ** -float(n_extra) * np.exp(-simengine._segment_sums(logf, counts))
+        samples.append(csp**b * _far_field(r1, b, theta, alpha, density, radius))
+    return (np.concatenate(samples),)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import integrate_1d
-from .pointprocess import _uniform_disk, circle_intersection_area
+from .pointprocess import PPP, circle_intersection_area, sample_batch
 from . import simengine
 
 __all__ = [
@@ -98,43 +98,46 @@ def r2_conditional_cdf(z, r1, phi, v, density):
 # ---------------------------------------------------------------------------
 
 
-def _csp_downlink_at(points, pos, theta, alpha):
-    d = np.hypot(points[:, 0] - pos[0], points[:, 1] - pos[1])
-    j = int(np.argmin(d))
-    r_serv = d[j]
-    rest = np.delete(d, j)
-    return math.exp(-float(np.log1p(theta * r_serv**alpha * rest**-alpha).sum())), j
+def _slot_distances(spec, density, rng, size):
+    """(slot-1 distances, slot-2 distances, counts) of one batch of patterns:
+    Model I moves each trial's user by v in a uniform direction, Model II
+    moves every interferer by v in its own uniform direction."""
+    v = spec.speed * spec.slot_gap
+    radius = simengine.default_window(density) + v
+    x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
+    if spec.model == "downlink_mobile_user":
+        if np.any(counts == 0):
+            raise ValueError("downlink pattern with no points; enlarge the window")
+        ang = rng.random(size) * 2.0 * math.pi
+        d2 = np.hypot(x - np.repeat(v * np.cos(ang), counts), y - np.repeat(v * np.sin(ang), counts))
+    else:
+        ang = rng.random(x.size) * 2.0 * math.pi
+        d2 = np.hypot(x + v * np.cos(ang), y + v * np.sin(ang))
+    return np.hypot(x, y), d2, counts
 
 
 def _mobility_chunk(batch_iter, spec, density, theta, alpha):
     """Per-trial (csp1, csp2, handoff) samples."""
-    v = spec.speed * spec.slot_gap
-    radius = simengine.default_window(density) + v
-    area = math.pi * radius**2
     out1, out2, hand = [], [], []
     for rng, size in batch_iter:
-        for _ in range(size):
-            n = max(int(rng.poisson(density * area)), 2)
-            pts = _uniform_disk(n, radius, rng)
-            if spec.model == "downlink_mobile_user":
-                csp1, j1 = _csp_downlink_at(pts, (0.0, 0.0), theta, alpha)
-                ang = rng.random() * 2.0 * math.pi
-                u2 = (v * math.cos(ang), v * math.sin(ang))
-                csp2, j2 = _csp_downlink_at(pts, u2, theta, alpha)
-                hand.append(1.0 if j2 != j1 else 0.0)
-            else:
-                d0 = spec.link_distance
-                dd = np.hypot(pts[:, 0] - 0.0, pts[:, 1])
-                csp1 = math.exp(-float(np.log1p(theta * d0**alpha * dd**-alpha).sum()))
-                ang = rng.random(n) * 2.0 * math.pi
-                moved = pts + v * np.column_stack([np.cos(ang), np.sin(ang)])
-                dm = np.hypot(moved[:, 0], moved[:, 1])
-                dm = dm[dm > 1e-12]
-                csp2 = math.exp(-float(np.log1p(theta * d0**alpha * dm**-alpha).sum()))
-                hand.append(0.0)
-            out1.append(csp1)
-            out2.append(csp2)
-    return np.asarray(out1), np.asarray(out2), np.asarray(hand)
+        d1, d2, counts = _slot_distances(spec, density, rng, size)
+        if spec.model == "downlink_mobile_user":
+            csps, serving = [], []
+            for d in (d1, d2):
+                r1, rest = simengine._serving_split(d, counts)
+                logf = np.log1p(theta * np.repeat(r1**alpha, counts) * rest**-alpha)
+                csps.append(np.exp(-simengine._segment_sums(logf, counts)))
+                serving.append(np.isinf(rest))
+            # a handoff leaves no point serving in both slots
+            hand.append((simengine._segment_sums(serving[0] & serving[1], counts) == 0).astype(float))
+        else:
+            c = theta * spec.link_distance**alpha
+            d2 = np.where(d2 > 1e-12, d2, np.inf)
+            csps = [np.exp(-simengine._segment_sums(np.log1p(c * d**-alpha), counts)) for d in (d1, d2)]
+            hand.append(np.zeros(size))
+        out1.append(csps[0])
+        out2.append(csps[1])
+    return np.concatenate(out1), np.concatenate(out2), np.concatenate(hand)
 
 
 def mobility_report(spec, density, theta, alpha, cfg):
@@ -170,36 +173,20 @@ def jsp_mobility_mc_raw_fading(spec, density, theta, alpha, cfg):
 
 def _raw_fading_chunk(batch_iter, spec, density, theta, alpha):
     """1.0 or 0.0 per trial: both slots' SIRs, with drawn fading, clear theta."""
-    v = spec.speed * spec.slot_gap
-    radius = simengine.default_window(density) + v
-    area = math.pi * radius**2
     hits = []
     for rng, size in batch_iter:
-        for _ in range(size):
-            n = max(int(rng.poisson(density * area)), 2)
-            pts = _uniform_disk(n, radius, rng)
+        d1, d2, counts = _slot_distances(spec, density, rng, size)
+        h1 = rng.standard_exponential(d1.size)
+        h2 = rng.standard_exponential(d1.size)
+        sirs = []
+        for d, h in ((d1, h1), (d2, h2)):
             if spec.model == "downlink_mobile_user":
-                d1 = np.hypot(pts[:, 0], pts[:, 1])
-                j1 = int(np.argmin(d1))
-                ang = rng.random() * 2.0 * math.pi
-                u2 = (v * math.cos(ang), v * math.sin(ang))
-                d2 = np.hypot(pts[:, 0] - u2[0], pts[:, 1] - u2[1])
-                j2 = int(np.argmin(d2))
-                h1 = rng.standard_exponential(n)
-                h2 = rng.standard_exponential(n)
-                i1 = float((h1 * d1**-alpha).sum()) - h1[j1] * d1[j1] ** -alpha
-                i2 = float((h2 * d2**-alpha).sum()) - h2[j2] * d2[j2] ** -alpha
-                s1 = h1[j1] * d1[j1] ** -alpha / max(i1, 1e-300)
-                s2 = h2[j2] * d2[j2] ** -alpha / max(i2, 1e-300)
+                _, rest = simengine._serving_split(d, counts)
+                signal = simengine._segment_sums(np.where(np.isinf(rest), h * d**-alpha, 0.0), counts)
+                inter = simengine._segment_sums(h * rest**-alpha, counts)
             else:
-                d0 = spec.link_distance
-                dd = np.hypot(pts[:, 0], pts[:, 1])
-                ang = rng.random(n) * 2.0 * math.pi
-                moved = pts + v * np.column_stack([np.cos(ang), np.sin(ang)])
-                dm = np.hypot(moved[:, 0], moved[:, 1])
-                h1 = rng.standard_exponential(n)
-                h2 = rng.standard_exponential(n)
-                s1 = rng.standard_exponential() * d0**-alpha / max(float((h1 * dd**-alpha).sum()), 1e-300)
-                s2 = rng.standard_exponential() * d0**-alpha / max(float((h2 * dm**-alpha).sum()), 1e-300)
-            hits.append(1.0 if (s1 > theta and s2 > theta) else 0.0)
-    return (np.asarray(hits),)
+                signal = rng.standard_exponential(size) * spec.link_distance**-alpha
+                inter = simengine._segment_sums(h * d**-alpha, counts)
+            sirs.append(signal / np.maximum(inter, 1e-300))
+        hits.append(((sirs[0] > theta) & (sirs[1] > theta)).astype(float))
+    return (np.concatenate(hits),)

@@ -164,6 +164,8 @@ def integrate_1d(f, a, b, spec=None, complex_valued=False):
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _GP_OFFSETS = np.concatenate([_GL_X, 0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
 _GP_MAX_DEPTH = 8  # bisections of a panel before it is reported as unconverged
+_GP_U_MIN = 1e-6  # lower end of the integral; the integrand is finite at 0
+_GP_TAIL_TOL = 1e-8  # |M(j u)| / u below which the tail is cut
 
 
 def _gp_panels(integrand, centres, widths):
@@ -185,15 +187,13 @@ def _gp_panels(integrand, centres, widths):
 def gil_pelaez_ccdf(
     imaginary_moment: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: float,
-    u_min: float = 1e-6,
     u_max_cap: float = 1e4,
-    tail_tol: float = 1e-8,
     full_output: bool = False,
 ):
     """CCDF of a [0,1]-supported variable from its imaginary moments.
 
     F(x) = 1/2 + (1/pi) * int_0^inf Im(exp(-j u log x) M(j u)) / u du, with the
-    tail cut at the first u where |M(j u)| / u < tail_tol (capped at u_max_cap;
+    tail cut at the first u where |M(j u)| / u < _GP_TAIL_TOL (capped at u_max_cap;
     the cap is flagged in `converged`).  Output clamped to [0, 1].
 
     `imaginary_moment(c, d)` returns M(j u) on the separable grid
@@ -211,7 +211,7 @@ def gil_pelaez_ccdf(
     # locate the tail cutoff by doubling
     u_max = 64.0
     converged = True
-    while abs(imaginary_moment(np.array([u_max]), np.zeros(1))[0, 0]) / u_max >= tail_tol:
+    while abs(imaginary_moment(np.array([u_max]), np.zeros(1))[0, 0]) / u_max >= _GP_TAIL_TOL:
         u_max *= 2.0
         if u_max > u_max_cap:
             u_max = u_max_cap
@@ -225,7 +225,7 @@ def gil_pelaez_ccdf(
     # panels of one oscillation period each, so every rule sees a smooth piece
     period = 2.0 * math.pi / max(abs(log_x), 1e-3)
     panel = max(period, u_max / 2000.0)
-    lo = u_min + panel * np.arange(math.ceil((u_max - u_min) / panel))
+    lo = _GP_U_MIN + panel * np.arange(math.ceil((u_max - _GP_U_MIN) / panel))
     widths = np.full(len(lo), panel)
     widths[-1] = u_max - lo[-1]
     hi = lo + widths

@@ -20,11 +20,7 @@ __all__ = [
     "MCP",
     "GPP",
     "NetworkModel",
-    "PointPattern",
-    "sample_ppp",
-    "sample_mcp",
-    "sample_gpp_distances",
-    "sample_pattern",
+    "sample_batch",
     "contact_pdf",
     "contact_cdf",
     "vertex_contact_pdf",
@@ -111,100 +107,78 @@ class NetworkModel:
         return self.field.intensity
 
 
-@dataclass
-class PointPattern:
-    """One realization: planar points, or origin-centric sorted distances."""
-
-    window_radius: float
-    points: np.ndarray | None = None  # (n, 2), meters
-    radii: np.ndarray | None = None  # sorted ascending, meters
-    angles: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.points is None and self.radii is None:
-            self.points = np.empty((0, 2))
-        if self.points is not None:
-            self.points = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        if self.radii is not None:
-            self.radii = np.asarray(self.radii, dtype=float)
-            if np.any(np.diff(self.radii) < 0):
-                raise ValueError("origin distances must be sorted ascending")
-
-    @property
-    def n_points(self):
-        return len(self.points) if self.points is not None else len(self.radii)
-
-    def origin_distances(self):
-        """Sorted distances to the origin (works in either representation)."""
-        if self.radii is not None:
-            return self.radii
-        return np.sort(np.hypot(self.points[:, 0], self.points[:, 1]))
-
-
 # ---------------------------------------------------------------------------
-# Samplers
+# Sampler
 # ---------------------------------------------------------------------------
 
 
-def _uniform_disk(n, radius, rng, center=(0.0, 0.0)):
-    r = radius * np.sqrt(rng.random(n))
-    t = rng.random(n) * 2.0 * np.pi
-    return np.column_stack([center[0] + r * np.cos(t), center[1] + r * np.sin(t)])
+def _uniform_radii(n, radius, rng):
+    return radius * np.sqrt(rng.random(n))
 
 
-def sample_ppp(density, window_radius, rng):
-    """Homogeneous PPP on a disk: Poisson count, i.i.d. uniform positions."""
-    if density < 0 or window_radius < 0:
-        raise ValueError("density and window radius must be nonnegative")
-    n = rng.poisson(density * math.pi * window_radius**2)
-    return PointPattern(window_radius=window_radius, points=_uniform_disk(n, window_radius, rng))
+def _polar(r, rng):
+    t = rng.random(r.size) * 2.0 * np.pi
+    return r * np.cos(t), r * np.sin(t)
 
 
-def sample_mcp(parent_density, mean_daughters, cluster_radius, window_radius, rng):
-    """Matern cluster process: parents on an inflated window (radius + R_d) so
-    daughter clipping does not bias the intensity near the boundary."""
-    r_parent = window_radius + cluster_radius
-    n_par = rng.poisson(parent_density * math.pi * r_parent**2)
-    parents = _uniform_disk(n_par, r_parent, rng)
-    counts = rng.poisson(mean_daughters, n_par)
-    total = int(counts.sum())
-    if total == 0:
-        return PointPattern(window_radius=window_radius)
-    centers = np.repeat(parents, counts, axis=0)
-    pts = centers + _uniform_disk(total, cluster_radius, rng)
-    keep = np.hypot(pts[:, 0], pts[:, 1]) <= window_radius
-    return PointPattern(window_radius=window_radius, points=pts[keep])
+def _mcp_batch(field, radius, rng, size):
+    """Matern cluster points of `size` patterns: parents on the inflated disk
+    of radius + R_d, so that clipping the daughters to the window does not
+    bias the intensity near its boundary."""
+    r_par = radius + field.cluster_radius
+    n_par = rng.poisson(field.parent_density * math.pi * r_par**2, size)
+    px, py = _polar(_uniform_radii(int(n_par.sum()), r_par, rng), rng)
+    daughters = rng.poisson(field.mean_daughters, px.size)
+    dx, dy = _polar(_uniform_radii(int(daughters.sum()), field.cluster_radius, rng), rng)
+    x = np.repeat(px, daughters) + dx
+    y = np.repeat(py, daughters) + dy
+    rad = np.hypot(x, y)
+    keep = rad <= radius
+    pattern_of_point = np.repeat(np.repeat(np.arange(size), n_par), daughters)
+    return x[keep], y[keep], rad[keep], np.bincount(pattern_of_point[keep], minlength=size)
 
 
-def sample_gpp_distances(density, beta, window_radius, rng):
-    """beta-Ginibre origin-centric distances.
+def _gpp_radii(field, radius, rng, size):
+    """beta-Ginibre origin distances of `size` patterns.
 
-    Squared distances are distributed as {Q_j ~ Gamma(j, beta/(pi lambda))}
-    thinned independently with retention probability beta; angles are
-    i.i.d. uniform.  J_max carries a safety factor of 2 over the expected
-    number of gamma variates with mass below the window.
+    Squared distances are {Q_j ~ Gamma(j, beta / (pi lambda))}, each kept
+    with probability beta; j runs to twice the expected number of variates
+    below the window, plus 8.
     """
-    if window_radius <= 0:
-        return PointPattern(window_radius=window_radius, radii=np.empty(0), angles=np.empty(0))
-    scale = beta / (math.pi * density)
-    j_max = int(math.ceil(2.0 * math.pi * density * window_radius**2 / beta)) + 8
+    scale = field.beta / (math.pi * field.density)
+    j_max = int(math.ceil(2.0 * math.pi * field.density * radius**2 / field.beta)) + 8
     shapes = np.arange(1, j_max + 1, dtype=float)
-    q = rng.standard_gamma(shapes) * scale
-    keep = (rng.random(j_max) < beta) & (q <= window_radius**2)
-    radii = np.sort(np.sqrt(q[keep]))
-    angles = rng.random(radii.size) * 2.0 * np.pi
-    return PointPattern(window_radius=window_radius, radii=radii, angles=angles)
+    q = rng.standard_gamma(np.broadcast_to(shapes, (size, j_max))) * scale
+    keep = (rng.random((size, j_max)) < field.beta) & (q <= radius**2)
+    return np.sqrt(q[keep]), keep.sum(axis=1)
 
 
-def sample_pattern(model, window_radius, rng):
-    f = model if not isinstance(model, NetworkModel) else model.field
-    if isinstance(f, PPP):
-        return sample_ppp(f.density, window_radius, rng)
-    if isinstance(f, MCP):
-        return sample_mcp(f.parent_density, f.mean_daughters, f.cluster_radius, window_radius, rng)
-    if isinstance(f, GPP):
-        return sample_gpp_distances(f.density, f.beta, window_radius, rng)
-    raise TypeError(f"unknown field type: {type(f)!r}")
+def sample_batch(field, window_radius, rng, size, planar=False):
+    """`size` independent patterns of `field` on the disk of radius
+    `window_radius` around the origin, drawn from `rng`.
+
+    Returns (radii, counts): the origin distances of every pattern's points,
+    pattern by pattern, and each pattern's point count, so pattern i holds
+    the counts[i] entries after the first sum(counts[:i]).  With `planar`,
+    returns (x, y, counts) instead.  The Poisson and Ginibre fields draw
+    their points' angles after all the radii, so a planar batch draws the
+    radii that a radial one does; the Ginibre radii and angles are the
+    origin-centric representation, exact for every statistic referred to
+    the origin.  The Matern field builds planar points either way.
+    """
+    if not window_radius >= 0:
+        raise ValueError("window radius must be nonnegative")
+    if isinstance(field, MCP):
+        x, y, radii, counts = _mcp_batch(field, window_radius, rng, size)
+        return (x, y, counts) if planar else (radii, counts)
+    if isinstance(field, PPP):
+        counts = rng.poisson(field.density * math.pi * window_radius**2, size)
+        radii = _uniform_radii(int(counts.sum()), window_radius, rng)
+    elif isinstance(field, GPP):
+        radii, counts = _gpp_radii(field, window_radius, rng, size)
+    else:
+        raise TypeError(f"unknown field type: {type(field)!r}")
+    return (*_polar(radii, rng), counts) if planar else (radii, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +353,17 @@ def pcf_analytic(field, r):
     raise TypeError(f"unknown field type: {type(field)!r}")
 
 
-def pcf_estimate(patterns, r_grid, bin_width=None):
-    """Ring-count estimator of g(r) from planar patterns.
+def pcf_estimate(batch, window_radius, r_grid, bin_width=None):
+    """Ring-count estimator of g(r) from a planar batch (x, y, counts), as
+    `sample_batch(..., planar=True)` returns it, on the disk of radius
+    `window_radius`.
 
     Pair distances are counted in annuli of width `bin_width` around each
     grid point; only centers at least max(r_grid)+bin from the boundary are
     used, which removes edge bias at the price of a smaller sample.
     """
-    if not patterns:
+    x, y, n_points = batch
+    if not len(n_points):
         raise ValueError("at least one pattern is required")
     r_grid = np.asarray(r_grid, dtype=float)
     if bin_width is None:
@@ -394,16 +371,14 @@ def pcf_estimate(patterns, r_grid, bin_width=None):
     r_max = r_grid.max() + bin_width
     counts = np.zeros_like(r_grid)
     norm = np.zeros_like(r_grid)
-    for pat in patterns:
-        if pat.points is None:
-            raise ValueError("pcf estimation needs planar patterns")
-        pts = pat.points
-        n = len(pts)
+    ends = np.cumsum(n_points)
+    for start, n in zip(ends - n_points, n_points):
         if n < 2:
             continue
-        lam_hat = n / (math.pi * pat.window_radius**2)
+        pts = np.column_stack([x[start:start + n], y[start:start + n]])
+        lam_hat = n / (math.pi * window_radius**2)
         rad = np.hypot(pts[:, 0], pts[:, 1])
-        inner = rad <= pat.window_radius - r_max
+        inner = rad <= window_radius - r_max
         if not np.any(inner):
             continue
         centers = pts[inner]

@@ -56,8 +56,10 @@ def cell_size_pmf(n, ratio):
     return math.exp(log_p)
 
 
-def _mean_inverse_load(ratio, tail=1e-10):
-    """sum_{n>=1} p(n)/n, renormalized over n >= 1."""
+def _mean_inverse_load(ratio):
+    """sum_{n>=1} p(n)/n, renormalized over n >= 1, summed until the missing
+    mass and the last term are below 1e-10."""
+    tail = 1e-10
     p0 = cell_size_pmf(0, ratio)
     total = 0.0
     mass = 0.0
@@ -74,7 +76,7 @@ def _mean_inverse_load(ratio, tail=1e-10):
     return total / (1.0 - p0)
 
 
-def downlink_success(xi_u, theta, alpha, ratio, damping=0.5, tol=1e-10):
+def downlink_success(xi_u, theta, alpha, ratio):
     """Downlink success probability with random scheduling.
 
     Damped fixed-point iteration from P_s = 1 on
@@ -95,7 +97,7 @@ def downlink_success(xi_u, theta, alpha, ratio, damping=0.5, tol=1e-10):
         p_a = min(xi_u / (max(ps, 1e-12) * s), 1.0)
         return 1.0 / (1.0 - p_a + p_a * f)
 
-    res = fixed_point_solve(step, init=1.0, damping=damping, tol=tol)
+    res = fixed_point_solve(step, init=1.0)
     ps = res.value
     p_a = min(xi_u / (ps * s), 1.0)
     return QueueSolution(ps, p_a, res.converged)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import ToleranceError
 from .numerics import QuadratureSpec, integrate_1d
-from .pointprocess import _uniform_disk
+from .pointprocess import PPP, sample_batch
 from .sir_analysis import _real_order, ppp_link_exponent
 from . import simengine
 
@@ -274,24 +274,22 @@ def estimate_relay_jsp(route, theta, alpha, density, regime, cfg, b=1.0):
 
 def _relay_chunk(batch_iter, z, dists, theta, alpha, density, regime, radius, b, corr):
     """Far-field completed end-to-end JSP^b of each trial; hop m ends at z[m]."""
-    area = math.pi * radius**2
     samples = []
     for rng, size in batch_iter:
-        for _ in range(size):
-            log_total = 0.0
-            for m in range(len(dists)):
-                if m == 0 or regime == "fvi":  # qsi: every hop sees the first pattern
-                    pts = _uniform_disk(rng.poisson(density * area), radius, rng)
-                dd = np.hypot(pts[:, 0] - z[m, 0], pts[:, 1] - z[m, 1])
-                log_total += np.log1p(theta * dists[m] ** alpha * dd**-alpha).sum() * b
-            samples.append(math.exp(-log_total - corr))
-    return (np.asarray(samples),)
+        log_total = np.zeros(size)
+        for m, d in enumerate(dists):
+            if m == 0 or regime == "fvi":  # qsi: every hop sees the first patterns
+                x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
+            dd = np.hypot(x - z[m, 0], y - z[m, 1])
+            log_total += simengine._segment_sums(np.log1p(theta * d**alpha * dd**-alpha), counts) * b
+        samples.append(np.exp(-log_total - corr))
+    return (np.concatenate(samples),)
 
 
 def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
     """Raw-fading Monte Carlo for Type-II HARQ-CC: the MRC event
     {SIR1 > theta} or {SIR1 + SIR2 > theta} is not product form, so fading is
-    sampled explicitly here (the engine's only raw-fading mode)."""
+    sampled explicitly here."""
     _check_regime(regime)
     radius = cfg.window_radius or simengine.default_window(density)
     (hits,) = simengine.run_batches(cfg, "harq_mrc", _harq_chunk, theta, alpha, density, r_t, regime, radius)
@@ -300,26 +298,15 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
 
 def _harq_chunk(batch_iter, theta, alpha, density, r_t, regime, radius):
     """1.0 or 0.0 per trial: the MRC success event with drawn fading."""
-    area = math.pi * radius**2
-
-    def draw_sir(rng):
-        n = rng.poisson(density * area)
-        r = radius * np.sqrt(rng.random(n))
-        inter = float((rng.standard_exponential(n) * r**-alpha).sum())
-        return rng.standard_exponential() * r_t**-alpha / max(inter, 1e-300)
-
     hits = []
     for rng, size in batch_iter:
-        for _ in range(size):
-            if regime == "qsi":
-                n = rng.poisson(density * area)
-                r = radius * np.sqrt(rng.random(n))
-                i1 = float((rng.standard_exponential(n) * r**-alpha).sum())
-                i2 = float((rng.standard_exponential(n) * r**-alpha).sum())
-                s1 = rng.standard_exponential() * r_t**-alpha / max(i1, 1e-300)
-                s2 = rng.standard_exponential() * r_t**-alpha / max(i2, 1e-300)
-            else:
-                s1 = draw_sir(rng)
-                s2 = draw_sir(rng)
-            hits.append(1.0 if (s1 > theta or s1 + s2 > theta) else 0.0)
-    return (np.asarray(hits),)
+        sirs = []
+        for slot in range(2):
+            if slot == 0 or regime == "fvi":  # qsi: both slots see the first patterns
+                radii, counts = sample_batch(PPP(density), radius, rng, size)
+                ra = radii**-alpha
+            inter = simengine._segment_sums(rng.standard_exponential(ra.size) * ra, counts)
+            sirs.append(rng.standard_exponential(size) * r_t**-alpha / np.maximum(inter, 1e-300))
+        s1, s2 = sirs
+        hits.append(((s1 > theta) | (s1 + s2 > theta)).astype(float))
+    return (np.concatenate(hits),)

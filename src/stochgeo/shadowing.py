@@ -85,15 +85,15 @@ def shadow_mean(blockage, d):
     return math.exp(-blockage.blockage_density * d * (1.0 - blockage.kappa))
 
 
-def _poisson_weights(mu, tail=1e-12):
-    """Poisson pmf values 0..N with the truncated tail below `tail`."""
+def _poisson_weights(mu):
+    """Poisson pmf values 0..N with the truncated tail below 1e-12."""
     if mu == 0.0:
         return np.array([1.0])
     n_max = max(8, int(mu + 12.0 * math.sqrt(mu) + 12))
     while True:
         n = np.arange(n_max + 1)
         p = np.exp(_sps.xlogy(n, mu) - mu - _sps.gammaln(n + 1.0))
-        if p.sum() >= 1.0 - tail:
+        if p.sum() >= 1.0 - 1e-12:
             return p
         n_max *= 2
 
@@ -102,10 +102,10 @@ class _CellTable:
     """Per-cell quantities: center distance, Poisson shadowing weights, and
     Gauss-Legendre nodes for integrals of radial kernels over the cell.
 
-    Cells near the origin get a denser tensor grid since the kernels vary
-    fastest there."""
+    Cells near the origin get a denser tensor grid (48 x 48 nodes, else
+    12 x 12) since the kernels vary fastest there."""
 
-    def __init__(self, grid, blockage, n_nodes=12, n_nodes_near=48):
+    def __init__(self, grid, blockage):
         self.grid = grid
         self.blockage = blockage
         self.centers = grid.cell_centers()
@@ -118,8 +118,8 @@ class _CellTable:
             off = np.column_stack([np.repeat(ox, n), np.tile(ox, n)])
             return off, np.outer(wx, wx).ravel()
 
-        self._coarse = tensor(n_nodes)
-        self._fine = tensor(n_nodes_near)
+        self._coarse = tensor(12)
+        self._fine = tensor(48)
         self._near = self.d_k < 3.0 * grid.cell_size
         # kappa^N values and weights per cell
         self.t_values = []

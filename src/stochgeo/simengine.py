@@ -3,8 +3,11 @@
 Fading is never sampled where it can be integrated out analytically: given a
 pattern, the Rayleigh-faded success probability of a link is an explicit
 product over interferers, so every trial contributes a smooth value in (0, 1]
-instead of a Bernoulli draw.  A raw-fading mode exists only for the HARQ
-maximal-ratio-combining oracle, where the sum-SIR event is not product form.
+instead of a Bernoulli draw.  Fading is drawn only where the quantity is not
+of product form: the aggregate interference moments here and in `shadowing`,
+and the Bernoulli oracles of `relay_retx._harq_chunk` (HARQ maximal-ratio
+combining) and `mobility._raw_fading_chunk`.  Every field pattern on a disk
+window comes from `pointprocess.sample_batch`, one batch sampler per field.
 
 Randomness is counter based (Philox) and keyed by (master_seed, batch index,
 substream).  Every Monte Carlo estimator maps a chunk function over the
@@ -25,7 +28,7 @@ import numpy as np
 
 from .core import Curve, Estimate
 from .numerics import integrate_1d
-from .pointprocess import GPP, MCP, PPP, sample_pattern
+from .pointprocess import sample_batch
 
 __all__ = [
     "SimConfig",
@@ -74,6 +77,9 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        r = self.window_radius
+        if r is not None and not (isinstance(r, (int, float, np.integer, np.floating)) and math.isfinite(r) and r > 0):
+            raise ValueError(f"window_radius must be None or a finite number > 0, not {r!r}")
         hint = self.worker_hint
         if isinstance(hint, bool) or not isinstance(hint, (int, np.integer)) or hint < 1:
             raise ValueError(f"worker_hint must be an integer >= 1, not {hint!r}")
@@ -250,55 +256,17 @@ def _segment_sums(values, counts):
     return csum[ends] - csum[starts]
 
 
-def _ppp_radii_batch(lam, radius, rng, size):
-    counts = rng.poisson(lam * math.pi * radius**2, size)
-    total = int(counts.sum())
-    r = radius * np.sqrt(rng.random(total))
-    return r, counts
+def _segment_mins(values, counts):
+    """Per-segment minima of a flat array; every count must be positive."""
+    return np.minimum.reduceat(values, np.cumsum(counts) - counts)
 
 
-def _mcp_radii_batch(field, radius, rng, size):
-    r_par = radius + field.cluster_radius
-    n_par = rng.poisson(field.parent_density * math.pi * r_par**2, size)
-    tot_par = int(n_par.sum())
-    pr = r_par * np.sqrt(rng.random(tot_par))
-    pt = rng.random(tot_par) * 2.0 * np.pi
-    parents = np.column_stack([pr * np.cos(pt), pr * np.sin(pt)])
-    daughters = rng.poisson(field.mean_daughters, tot_par)
-    tot_d = int(daughters.sum())
-    dr = field.cluster_radius * np.sqrt(rng.random(tot_d))
-    dt = rng.random(tot_d) * 2.0 * np.pi
-    pts = np.repeat(parents, daughters, axis=0)
-    pts[:, 0] += dr * np.cos(dt)
-    pts[:, 1] += dr * np.sin(dt)
-    rad = np.hypot(pts[:, 0], pts[:, 1])
-    keep = rad <= radius
-    # per-pattern daughter counts after clipping
-    pattern_of_parent = np.repeat(np.arange(size), n_par)
-    pattern_of_point = np.repeat(pattern_of_parent, daughters)
-    counts = np.bincount(pattern_of_point[keep], minlength=size)
-    return rad[keep], counts
-
-
-def _gpp_radii_batch(field, radius, rng, size):
-    scale = field.beta / (math.pi * field.density)
-    j_max = int(math.ceil(2.0 * math.pi * field.density * radius**2 / field.beta)) + 8
-    shapes = np.arange(1, j_max + 1, dtype=float)
-    q = rng.standard_gamma(np.broadcast_to(shapes, (size, j_max))) * scale
-    keep = (rng.random((size, j_max)) < field.beta) & (q <= radius**2)
-    counts = keep.sum(axis=1)
-    return np.sqrt(q[keep]), counts
-
-
-def _radii_batch(model, radius, rng, size):
-    f = model.field
-    if isinstance(f, PPP):
-        return _ppp_radii_batch(f.density, radius, rng, size)
-    if isinstance(f, MCP):
-        return _mcp_radii_batch(f, radius, rng, size)
-    if isinstance(f, GPP):
-        return _gpp_radii_batch(f, radius, rng, size)
-    raise TypeError(f"unknown field type: {type(f)!r}")
+def _serving_split(d, counts):
+    """(per-segment nearest distance, d with each segment's nearest entry set
+    to inf): the serving distance, and the interferers' distances with the
+    serving point dropping out of sums of d**-alpha."""
+    r1 = _segment_mins(d, counts)
+    return r1, np.where(d == np.repeat(r1, counts), np.inf, d)
 
 
 def _far_field_log_corr(model, theta, b, radius, r_t):
@@ -352,7 +320,7 @@ def _csp_chunk(batch_iter, model, thetas, radius, b, corrs):
     out = [[] for _ in thetas]
     ra_buf = logf_buf = np.empty(0)
     for rng, size in batch_iter:
-        radii, counts = _radii_batch(model, radius, rng, size)
+        radii, counts = sample_batch(model.field, radius, rng, size)
         n = len(radii)
         if n > ra_buf.size:  # reused: a fresh points-sized array per batch costs page faults
             ra_buf, logf_buf = np.empty(n), np.empty(n)
@@ -367,10 +335,7 @@ def _csp_chunk(batch_iter, model, thetas, radius, b, corrs):
             continue
         if np.any(counts == 0):
             raise ValueError("downlink pattern with no points; enlarge the window")
-        # serving distance = min radius per pattern
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        r_serv = np.minimum.reduceat(radii, starts)
+        r_serv = _segment_mins(radii, counts)  # serving distance
         r1a = np.repeat(r_serv**alpha, counts)
         for theta, samples in zip(thetas, out):
             np.multiply(r1a, theta, out=logf)
@@ -459,27 +424,12 @@ def _interference_chunk(batch_iter, model, pl, u, radius, tail_mean):
     means, seconds, products = [], [], []
     for rng, size in batch_iter:
         if u == 0.0:
-            radii, counts = _radii_batch(model, radius, rng, size)
-            ell = pl.ell(radii)
-            ell_u = ell
-        else:
-            # displaced observation needs planar geometry
-            ells, ells_u, counts = [], [], []
-            for _ in range(size):
-                pat = sample_pattern(model, radius, rng)
-                if pat.points is not None:
-                    pts = pat.points
-                else:
-                    ang = pat.angles
-                    pts = np.column_stack([pat.radii * np.cos(ang), pat.radii * np.sin(ang)])
-                d0 = np.hypot(pts[:, 0], pts[:, 1])
-                du = np.hypot(pts[:, 0] - u, pts[:, 1])
-                ells.append(pl.ell(d0))
-                ells_u.append(pl.ell(du))
-                counts.append(len(d0))
-            ell = np.concatenate(ells) if ells else np.empty(0)
-            ell_u = np.concatenate(ells_u) if ells_u else np.empty(0)
-            counts = np.asarray(counts)
+            radii, counts = sample_batch(model.field, radius, rng, size)
+            ell = ell_u = pl.ell(radii)
+        else:  # the displaced observer needs planar points
+            x, y, counts = sample_batch(model.field, radius, rng, size, planar=True)
+            ell = pl.ell(np.hypot(x, y))
+            ell_u = pl.ell(np.hypot(x - u, y))
         h1 = rng.standard_exponential(ell.shape)
         h2 = rng.standard_exponential(ell.shape)
         i1 = _segment_sums(h1 * ell, counts) + tail_mean

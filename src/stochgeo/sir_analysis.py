@@ -15,7 +15,7 @@ from scipy import special as _sps
 
 from .core import ToleranceError
 from .numerics import gamma_ratio, gil_pelaez_ccdf, integrate_1d
-from .pointprocess import GPP, MCP, PPP, NetworkModel, sample_pattern
+from .pointprocess import GPP, MCP, PPP, NetworkModel, sample_batch
 from . import simengine
 
 __all__ = [
@@ -56,15 +56,15 @@ def _real_order(b):
     return b.real
 
 
-def _mcp_vb_nodes(field, theta, alpha, r_t, n_rho=48, n_psi=64):
+def _mcp_vb_nodes(field, theta, alpha, r_t):
     """Precomputed quadrature nodes for V_b(x)/(pi R_d^2) as a function of the
     parent distance x: returns (rho nodes, psi nodes, combined weights)."""
     rd = field.cluster_radius
-    # Gauss-Legendre on [0, rd] and [0, pi] (symmetric half)
-    xg, wg = np.polynomial.legendre.leggauss(n_rho)
+    # Gauss-Legendre, 48 nodes on [0, rd] and 64 on [0, pi] (symmetric half)
+    xg, wg = np.polynomial.legendre.leggauss(48)
     rho = 0.5 * rd * (xg + 1.0)
     wr = 0.5 * rd * wg
-    xp, wp = np.polynomial.legendre.leggauss(n_psi)
+    xp, wp = np.polynomial.legendre.leggauss(64)
     psi = 0.5 * math.pi * (xp + 1.0)
     wpsi = 0.5 * math.pi * wp
     # daughter-position measure over the disk: (2 / (pi rd^2)) rho drho dpsi on the half circle
@@ -392,13 +392,14 @@ def _misr_chunk(batch_iter, model, alpha, radius):
     """(windowed ISR sum, r_1^alpha) of each pattern with two or more points."""
     sums, r1a = [], []
     for rng, size in batch_iter:
-        for _ in range(size):
-            d = sample_pattern(model, radius, rng).origin_distances()
-            if len(d) < 2:
-                continue
-            sums.append(np.sum((d[0] / d[1:]) ** alpha))
-            r1a.append(d[0] ** alpha)
-    return np.asarray(sums, dtype=float), np.asarray(r1a, dtype=float)
+        radii, counts = sample_batch(model.field, radius, rng, size)
+        keep = counts >= 2
+        radii, counts = radii[np.repeat(keep, counts)], counts[keep]
+        r1 = simengine._segment_mins(radii, counts)
+        # the serving term (r_1 / r_1)^alpha is exactly 1
+        sums.append(simengine._segment_sums((np.repeat(r1, counts) / radii) ** alpha, counts) - 1.0)
+        r1a.append(r1**alpha)
+    return np.concatenate(sums), np.concatenate(r1a)
 
 
 def sir_gain_g0(model, alpha, cfg=None):

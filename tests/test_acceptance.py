@@ -58,11 +58,11 @@ def _report(n, ok, detail=""):
     assert ok, f"criterion {n} failed: {detail}"
 
 
-def test_criterion_01_misr_constants():
+def test_criterion_01_misr_constants(usable_cpus):
     ok = sa.misr_ppp(4.0) == 1.0
     ok = ok and abs(sa.sir_gain_g0(NetworkModel(GPP(1.0, 1.0), 4.0), 4.0) - 1.5) < 1e-12
     est = sa.misr_estimate(
-        NetworkModel(PPP(1.0), 4.0), 4.0, SimConfig(trials=100000, master_seed=SEED)
+        NetworkModel(PPP(1.0), 4.0), 4.0, SimConfig(trials=100000, master_seed=SEED, worker_hint=usable_cpus)
     )
     ok = ok and abs(est.mean - 1.0) < 0.02
     _report(1, ok, f"misr_ppp(4)=1, G0(beta=1)=1.5, MC misr={est.mean:.4f}")
@@ -99,8 +99,8 @@ def test_criterion_03_interference_correlation():
     _report(3, ok, "zeta_PPP(0)=1/2 to 1e-4 at alpha in {3,4,6}; orderings on [0,5]")
 
 
-def test_criterion_04_field_orderings():
-    cfg = SimConfig(trials=50000, master_seed=SEED)
+def test_criterion_04_field_orderings(usable_cpus):
+    cfg = SimConfig(trials=50000, master_seed=SEED, worker_hint=usable_cpus)
     ok = True
     thetas = [float(theta_from_db(db)) for db in (-10.0, -5.0, 0.0, 5.0, 10.0)]
     sweeps = [estimate_success(model, thetas, "adhoc", cfg) for model in (MCP_ADHOC, PPP_ADHOC, GPP_ADHOC)]
@@ -245,13 +245,13 @@ def test_criterion_09_retransmission_algebra():
     _report(9, ok, "D2 = 1+delta; FVI algebra to 1e-12; all JSPs match MC in 3 s.e.")
 
 
-def test_criterion_10_harq():
+def test_criterion_10_harq(usable_cpus):
     ok = True
     for regime in ("qsi", "fvi"):
         for t in (0.2, 1.0, 5.0):
             ok = ok and harq_type2_cc(t, 4.0, 0.1, 1.0, regime) >= \
                 harq_type1(t, 4.0, 0.1, 1.0, regime) - 1e-9
-    cfg = SimConfig(trials=100000, master_seed=SEED)
+    cfg = SimConfig(trials=100000, master_seed=SEED, worker_hint=usable_cpus)
     gaps = []
     for regime in ("qsi", "fvi"):
         ana = harq_type2_cc(1.0, 4.0, 0.1, 1.0, regime)
@@ -261,7 +261,7 @@ def test_criterion_10_harq():
     _report(10, ok, f"Type-II >= Type-I; MRC sim gaps {gaps[0]:.2f}, {gaps[1]:.2f} s.e.")
 
 
-def test_criterion_11_relaying():
+def test_criterion_11_relaying(usable_cpus):
     ok = True
     one = linear_route(1, 1.0)
     ok = ok and abs(
@@ -273,7 +273,7 @@ def test_criterion_11_relaying():
         ok = ok and abs(relay_moments(1.0, route, 1.0, 4.0, 0.1, "fvi") - m1**m) < 1e-8
         ok = ok and relay_moments(1.0, route, 1.0, 4.0, 0.1, "qsi") > \
             relay_moments(1.0, route, 1.0, 4.0, 0.1, "fvi")
-    cfg = SimConfig(trials=50000, master_seed=SEED)
+    cfg = SimConfig(trials=50000, master_seed=SEED, worker_hint=usable_cpus)
     for m in (2, 3):
         route = linear_route(m, 1.0)
         for regime in ("qsi", "fvi"):
@@ -283,8 +283,8 @@ def test_criterion_11_relaying():
     _report(11, ok, "M=1 equality; FVI product identity; QSI > FVI; MC 3 s.e.")
 
 
-def test_criterion_12_mobility():
-    cfg = SimConfig(trials=30000, master_seed=SEED)
+def test_criterion_12_mobility(usable_cpus):
+    cfg = SimConfig(trials=30000, master_seed=SEED, worker_hint=usable_cpus)
     theta = 10 ** (-0.1)
     reports = {}
     for v in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0):
@@ -300,7 +300,7 @@ def test_criterion_12_mobility():
         ok = ok and gap >= -2.0 * (rep["csp"].stderr + rep["p2"].stderr)
     g50 = reports[50.0]["csp"].mean - reports[50.0]["p2"].mean
     ok = ok and g50 <= 2.0 * (reports[50.0]["csp"].stderr + reports[50.0]["p2"].stderr)
-    hcfg = SimConfig(trials=20000, master_seed=SEED)
+    hcfg = SimConfig(trials=20000, master_seed=SEED, worker_hint=usable_cpus)
     for v in (5.0, 10.0):
         rep = mobility_report(MobilitySpec(v), 0.001, theta, 4.0, hcfg)
         ana = handoff_prob_avg(0.001, v)

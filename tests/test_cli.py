@@ -86,6 +86,19 @@ def test_analyze_experiment_config_error_exit2(tmp_path, overrides):
     assert cmd_analyze(str(_write_config(tmp_path, **overrides))) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("radius", [-5.0, 0.0, "abc", [5.0]])
+def test_analyze_bad_window_radius_exit2(tmp_path, capsys, radius):
+    # a radius the samplers cannot use is rejected where the config enters
+    cfg = _write_config(
+        tmp_path,
+        experiment="moments_adhoc",
+        params={"field": "ppp", "alpha": 3.5, "r_t": 1.0},
+        sim={"trials": 200, "master_seed": 7, "window_radius": radius},
+    )
+    assert cmd_analyze(str(cfg)) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_analyze_bad_json_exit2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -92,8 +92,8 @@ def test_mean_product_symmetric_in_u():
     assert mean_product(PPP_M, 2.0, PL4) == pytest.approx(mean_product(PPP_M, -2.0, PL4), rel=1e-12)
 
 
-def test_mean_product_vs_mc():
-    cfg = SimConfig(trials=30000, master_seed=73, window_radius=25.0)
+def test_mean_product_vs_mc(usable_cpus):
+    cfg = SimConfig(trials=30000, master_seed=73, window_radius=25.0, worker_hint=usable_cpus)
     est = estimate_interference_moments(PPP_M, PL4, 2.0, cfg)
     ana = mean_product(PPP_M, 2.0, PL4)
     assert abs(est["mean_product"].mean - ana) < 3 * est["mean_product"].stderr + 0.02 * ana

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from stochgeo import location_users, simengine
 from stochgeo.location_users import (
     UserClass,
     lsu_gain,
@@ -149,3 +151,25 @@ def test_mc_empty_class_flagged():
     cfg = SimConfig(trials=200, master_seed=85)
     with pytest.raises(ValueError):
         lsu_mc_estimate("cell_center", 1.0, 1.0, 4.0, 1.0, cfg, rho=0.0)
+
+
+@pytest.mark.parametrize("kind", ["general", "cell_center", "cell_boundary"])
+def test_lsu_chunk_matches_a_pattern_loop(kind):
+    # the sorted-distance loop the batch reduction replaced, on the same draws
+    c = UserClass(kind, 0.6 if kind.startswith("cell_") else None)
+    b, theta, alpha, density, radius = 2.0, 1.0, 4.0, 1.0, 6.0
+    cfg = SimConfig(trials=400, master_seed=77)
+    (got,) = location_users._lsu_chunk(simengine.batches(cfg, "lsu"), c, b, theta, alpha, density, radius)
+    ((rng, size),) = simengine.batches(cfg, "lsu")
+    radii, counts = location_users.sample_batch(location_users.PPP(density), radius, rng, size)
+    ends = np.cumsum(counts)
+    want = []
+    for lo, hi in zip(ends - counts, ends):
+        d = np.sort(radii[lo:hi])
+        if len(d) < 2 or (kind == "cell_center" and d[0] / d[1] > c.rho) or (
+                kind == "cell_boundary" and d[0] / d[1] <= c.rho):
+            continue
+        csp = math.exp(-np.log1p(theta * d[0] ** alpha * d[1:] ** -alpha).sum())
+        corr = math.exp(-2.0 * math.pi * density * b * theta * d[0] ** alpha * radius ** (2.0 - alpha) / (alpha - 2.0))
+        want.append(csp**b * corr)
+    assert got == pytest.approx(want, rel=1e-12)

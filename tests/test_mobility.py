@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stochgeo import mobility, simengine
 from stochgeo.mobility import (
     MobilitySpec,
     disk_difference_area,
@@ -70,8 +71,8 @@ def test_handoff_avg_monotone_in_speed_and_density():
     assert handoff_prob_avg(2 * LAM, 5.0) > handoff_prob_avg(LAM, 5.0)
 
 
-def test_handoff_empirical_vs_analytic():
-    cfg = SimConfig(trials=6000, master_seed=121)
+def test_handoff_empirical_vs_analytic(usable_cpus):
+    cfg = SimConfig(trials=6000, master_seed=121, worker_hint=usable_cpus)
     for v in (5.0, 10.0):
         spec = MobilitySpec(v)
         rep = mobility_report(spec, LAM, 10 ** (-0.1), 4.0, cfg)
@@ -125,8 +126,8 @@ def test_r2_cdf_empirical():
 # --------------------------------------------------------------------- JSP/CSP
 
 
-def test_model2_v0_is_second_moment():
-    cfg = SimConfig(trials=20000, master_seed=122)
+def test_model2_v0_is_second_moment(usable_cpus):
+    cfg = SimConfig(trials=20000, master_seed=122, worker_hint=usable_cpus)
     spec = MobilitySpec(0.0, model="bipolar_mobile_interferers", link_distance=8.0)
     jsp = mobility_report(spec, LAM, 1.0, 4.0, cfg)["jsp"]
     model = NetworkModel(PPP(LAM), alpha=4.0, link_distance=8.0)
@@ -134,8 +135,8 @@ def test_model2_v0_is_second_moment():
     assert abs(jsp.mean - m2.mean) < 3 * (jsp.stderr + m2.stderr)
 
 
-def test_baseline_speed_independent():
-    cfg = SimConfig(trials=15000, master_seed=123)
+def test_baseline_speed_independent(usable_cpus):
+    cfg = SimConfig(trials=15000, master_seed=123, worker_hint=usable_cpus)
     theta = 10 ** (-0.1)
     base = []
     for v in (0.0, 10.0, 50.0):
@@ -146,8 +147,8 @@ def test_baseline_speed_independent():
         assert abs(a.mean - base[0].mean) < 2 * (a.stderr + base[0].stderr)
 
 
-def test_csp_above_baseline_and_converges():
-    cfg = SimConfig(trials=15000, master_seed=124)
+def test_csp_above_baseline_and_converges(usable_cpus):
+    cfg = SimConfig(trials=15000, master_seed=124, worker_hint=usable_cpus)
     theta = 10 ** (-0.1)
     gaps = []
     for v in (0.0, 2.0, 10.0, 50.0):
@@ -163,8 +164,8 @@ def test_csp_above_baseline_and_converges():
     assert gaps[0][0] > gaps[-1][0]
 
 
-def test_model1_csp_above_baseline():
-    cfg = SimConfig(trials=12000, master_seed=125)
+def test_model1_csp_above_baseline(usable_cpus):
+    cfg = SimConfig(trials=12000, master_seed=125, worker_hint=usable_cpus)
     theta = 10 ** (-0.1)
     spec = MobilitySpec(2.0)
     rep = mobility_report(spec, LAM, theta, 4.0, cfg)
@@ -173,9 +174,46 @@ def test_model1_csp_above_baseline():
     assert abs(rep["p1"].mean - rep["p2"].mean) < 3 * (rep["p1"].stderr + rep["p2"].stderr)
 
 
-def test_factorized_vs_raw_fading_jsp():
-    cfg = SimConfig(trials=20000, master_seed=126)
+def test_factorized_vs_raw_fading_jsp(usable_cpus):
+    cfg = SimConfig(trials=20000, master_seed=126, worker_hint=usable_cpus)
     spec = MobilitySpec(5.0)
     a = mobility_report(spec, LAM, 1.0, 4.0, cfg)["jsp"]
     b = jsp_mobility_mc_raw_fading(spec, LAM, 1.0, 4.0, cfg)
     assert abs(a.mean - b.mean) < 3 * (a.stderr + b.stderr)
+
+
+# ------------------------------------------- batch reductions vs trial loops
+
+
+def _trial_segments(spec, cfg):
+    """(slot-1, slot-2 distances) per trial of the first batch, and the
+    batch's generator after its patterns were drawn."""
+    ((rng, size),) = simengine.batches(cfg, "mobility")
+    d1, d2, counts = mobility._slot_distances(spec, 0.01, rng, size)
+    ends = np.cumsum(counts)
+    return [(d1[lo:hi], d2[lo:hi]) for lo, hi in zip(ends - counts, ends)], rng
+
+
+def test_downlink_chunks_match_a_trial_loop():
+    # each trial's serving point and handoff, found by argmin one trial at a time
+    spec, theta, alpha = MobilitySpec(5.0), 1.0, 4.0
+    cfg = SimConfig(trials=300, master_seed=127)
+    c1, c2, hand = mobility._mobility_chunk(simengine.batches(cfg, "mobility"), spec, 0.01, theta, alpha)
+    (hits,) = mobility._raw_fading_chunk(simengine.batches(cfg, "mobility"), spec, 0.01, theta, alpha)
+    trials, rng = _trial_segments(spec, cfg)
+    n = sum(len(a) for a, _ in trials)
+    h1, h2 = rng.standard_exponential(n), rng.standard_exponential(n)
+    start = 0
+    for i, (a, b) in enumerate(trials):
+        j1, j2 = int(np.argmin(a)), int(np.argmin(b))
+        for d, j, got in ((a, j1, c1[i]), (b, j2, c2[i])):
+            rest = np.delete(d, j)
+            assert got == pytest.approx(math.exp(-np.log1p(theta * d[j] ** alpha * rest**-alpha).sum()), rel=1e-12)
+        assert hand[i] == (j1 != j2)
+        sirs = []
+        for d, j, h in ((a, j1, h1[start:start + len(a)]), (b, j2, h2[start:start + len(a)])):
+            p = h * d**-alpha
+            sirs.append(p[j] / max(p.sum() - p[j], 1e-300))
+        assert hits[i] == (sirs[0] > theta and sirs[1] > theta)
+        start += len(a)
+    assert 0 < hand.sum() < len(hand)

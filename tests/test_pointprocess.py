@@ -18,9 +18,7 @@ from stochgeo.pointprocess import (
     lens_area,
     pcf_analytic,
     pcf_estimate,
-    sample_gpp_distances,
-    sample_mcp,
-    sample_ppp,
+    sample_batch,
     vertex_contact_pdf,
 )
 from stochgeo.simengine import seed_stream
@@ -29,14 +27,28 @@ from stochgeo.simengine import seed_stream
 # ------------------------------------------------------------------ samplers
 
 
+def _pattern(field, radius, rng):
+    """Sorted origin distances of one pattern, drawn as a planar batch of
+    one, so that every pattern in a loop also consumes its angles."""
+    x, y, _ = sample_batch(field, radius, rng, 1, planar=True)
+    return np.sort(np.hypot(x, y))
+
+
+def _stacked(field, radius, rng, n):
+    """n patterns drawn one at a time, joined into one planar batch."""
+    parts = [sample_batch(field, radius, rng, 1, planar=True) for _ in range(n)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+
 def test_ppp_zero_density_empty():
-    pat = sample_ppp(0.0, 10.0, seed_stream(1, 0))
-    assert pat.n_points == 0
+    _, counts = sample_batch(PPP(0.0), 10.0, seed_stream(1, 0), 1)
+    assert counts[0] == 0
 
 
 def test_ppp_mean_count():
     rng = seed_stream(11, 0)
-    counts = [sample_ppp(1.0, 10.0, rng).n_points for _ in range(10000)]
+    counts = [len(_pattern(PPP(1.0), 10.0, rng)) for _ in range(10000)]
     mean = np.mean(counts)
     expected = 100.0 * math.pi
     # Poisson: 3 sigma / sqrt(n) band
@@ -48,9 +60,9 @@ def test_ppp_contact_distance_ks():
     lam = 0.5
     nearest = []
     for _ in range(10000):
-        pat = sample_ppp(lam, 6.0, rng)
-        if pat.n_points:
-            nearest.append(pat.origin_distances()[0])
+        d = _pattern(PPP(lam), 6.0, rng)
+        if len(d):
+            nearest.append(d[0])
     # KS against 1 - exp(-lam pi r^2) (CDF form of the printed CCDF density)
     stat, _ = stats.kstest(nearest, lambda r: 1.0 - np.exp(-lam * math.pi * np.asarray(r) ** 2))
     assert stat < 0.02
@@ -63,7 +75,7 @@ def test_ppp_joint_two_nearest_law():
     lam = 1.0
     e1, e2 = [], []
     for _ in range(8000):
-        d = sample_ppp(lam, 5.0, rng).origin_distances()
+        d = _pattern(PPP(lam), 5.0, rng)
         if len(d) >= 2:
             e1.append(lam * math.pi * d[0] ** 2)
             e2.append(lam * math.pi * (d[1] ** 2 - d[0] ** 2))
@@ -74,27 +86,27 @@ def test_ppp_joint_two_nearest_law():
 
 
 def test_mcp_zero_daughters_empty():
-    pat = sample_mcp(0.1, 0.0, 1.0, 10.0, seed_stream(2, 0))
-    assert pat.n_points == 0
+    _, counts = sample_batch(MCP(0.1, 0.0, 1.0), 10.0, seed_stream(2, 0), 1)
+    assert counts[0] == 0
 
 
 def test_mcp_intensity():
     rng = seed_stream(21, 0)
     lam_p, cbar, rd, R = 0.1, 5.0, 1.0, 12.0
-    counts = [sample_mcp(lam_p, cbar, rd, R, rng).n_points for _ in range(10000)]
+    counts = [len(_pattern(MCP(lam_p, cbar, rd), R, rng)) for _ in range(10000)]
     target = lam_p * cbar * math.pi * R * R
     assert abs(np.mean(counts) / target - 1.0) < 0.02
 
 
 def test_gpp_empty_window():
-    pat = sample_gpp_distances(1.0, 0.5, 0.0, seed_stream(3, 0))
-    assert pat.n_points == 0
+    _, counts = sample_batch(GPP(1.0, 0.5), 0.0, seed_stream(3, 0), 1)
+    assert counts[0] == 0
 
 
 def test_gpp_intensity():
     rng = seed_stream(31, 0)
     lam, beta, R = 1.0, 0.5, 8.0
-    counts = [sample_gpp_distances(lam, beta, R, rng).n_points for _ in range(4000)]
+    counts = [len(_pattern(GPP(lam, beta), R, rng)) for _ in range(4000)]
     target = lam * math.pi * R * R
     assert abs(np.mean(counts) / target - 1.0) < 0.03
 
@@ -115,8 +127,8 @@ def test_gpp_contact_distance_below_ppp():
     lam = 1.0
     g, p = [], []
     for _ in range(4000):
-        dg = sample_gpp_distances(lam, 1.0, 5.0, rng).origin_distances()
-        dp = sample_ppp(lam, 5.0, rng).origin_distances()
+        dg = _pattern(GPP(lam, 1.0), 5.0, rng)
+        dp = _pattern(PPP(lam), 5.0, rng)
         if len(dg) and len(dp):
             g.append(dg[0])
             p.append(dp[0])
@@ -128,7 +140,7 @@ def test_gpp_contact_ccdf_matches_representation_oracle():
     lam, beta = 1.0, 1.0
     near = []
     for _ in range(8000):
-        d = sample_gpp_distances(lam, beta, 5.0, rng).origin_distances()
+        d = _pattern(GPP(lam, beta), 5.0, rng)
         near.append(d[0] if len(d) else np.inf)
     near = np.asarray(near)
     for r in (0.2, 0.4, 0.6, 0.9):
@@ -140,9 +152,10 @@ def test_gpp_contact_ccdf_matches_representation_oracle():
 
 
 def test_sampler_determinism():
-    a = sample_ppp(1.0, 5.0, seed_stream(77, 4, 2)).points
-    b = sample_ppp(1.0, 5.0, seed_stream(77, 4, 2)).points
-    np.testing.assert_array_equal(a, b)
+    a = sample_batch(PPP(1.0), 5.0, seed_stream(77, 4, 2), 1, planar=True)
+    b = sample_batch(PPP(1.0), 5.0, seed_stream(77, 4, 2), 1, planar=True)
+    for col_a, col_b in zip(a, b):
+        np.testing.assert_array_equal(col_a, col_b)
 
 
 # ------------------------------------------------------------- two-circle geometry
@@ -213,9 +226,9 @@ def test_mcp_contact_cdf_vs_empirical():
     rng = seed_stream(41, 0)
     nearest = []
     for _ in range(4000):
-        pat = sample_mcp(0.15, 4.0, 1.0, 10.0, rng)
-        if pat.n_points:
-            nearest.append(pat.origin_distances()[0])
+        d = _pattern(MCP(0.15, 4.0, 1.0), 10.0, rng)
+        if len(d):
+            nearest.append(d[0])
         else:
             nearest.append(np.inf)
     nearest = np.asarray(nearest)
@@ -271,7 +284,7 @@ def test_distance_ratio_empirical_ks():
     rng = seed_stream(42, 0)
     ratios = []
     for _ in range(6000):
-        d = sample_ppp(1.0, 6.0, rng).origin_distances()
+        d = _pattern(PPP(1.0), 6.0, rng)
         if len(d) >= 3:
             ratios.append(d[0] / d[2])
     stat, _ = stats.kstest(ratios, lambda x: distance_ratio_cdf(3, np.asarray(x)))
@@ -314,22 +327,22 @@ def test_pcf_gpp_kernel_form():
 
 def test_pcf_estimate_ppp_near_one():
     rng = seed_stream(43, 0)
-    pats = [sample_ppp(1.0, 10.0, rng) for _ in range(150)]
-    curve = pcf_estimate(pats, np.array([0.5, 1.0, 2.0]), bin_width=0.25)
+    pats = _stacked(PPP(1.0), 10.0, rng, 150)
+    curve = pcf_estimate(pats, 10.0, np.array([0.5, 1.0, 2.0]), bin_width=0.25)
     np.testing.assert_allclose(curve.values, 1.0, atol=0.1)
 
 
 def test_pcf_estimate_mcp_shape():
     rng = seed_stream(44, 0)
-    pats = [sample_mcp(0.1, 5.0, 1.0, 12.0, rng) for _ in range(150)]
-    curve = pcf_estimate(pats, np.array([0.3, 3.0]), bin_width=0.3)
+    pats = _stacked(MCP(0.1, 5.0, 1.0), 12.0, rng, 150)
+    curve = pcf_estimate(pats, 12.0, np.array([0.3, 3.0]), bin_width=0.3)
     assert curve.values[0] > 1.5  # strong clustering inside the cluster radius
     assert curve.values[1] == pytest.approx(1.0, abs=0.15)
 
 
 def test_pcf_estimate_empty_raises():
     with pytest.raises(ValueError):
-        pcf_estimate([], np.array([1.0]))
+        pcf_estimate((np.empty(0), np.empty(0), np.empty(0, dtype=int)), 10.0, np.array([1.0]))
 
 
 # ------------------------------------------------------------------ misc

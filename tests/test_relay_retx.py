@@ -95,8 +95,8 @@ def test_relay_temporal_csp_decreases_with_hops():
         prev = ratio
 
 
-def test_relay_vs_mc_qsi_and_fvi():
-    cfg = SimConfig(trials=20000, master_seed=111)
+def test_relay_vs_mc_qsi_and_fvi(usable_cpus):
+    cfg = SimConfig(trials=20000, master_seed=111, worker_hint=usable_cpus)
     r = linear_route(3, 1.0)
     for regime in ("qsi", "fvi"):
         ana = relay_moments(1.0, r, 1.0, ALPHA, LAM, regime)
@@ -136,8 +136,8 @@ def test_jsp_log_linear_in_density_and_rt2():
     assert math.log(j3) == pytest.approx(2.0 * math.log(j1), rel=1e-12)
 
 
-def test_jsp_vs_mc():
-    cfg = SimConfig(trials=20000, master_seed=112)
+def test_jsp_vs_mc(usable_cpus):
+    cfg = SimConfig(trials=20000, master_seed=112, worker_hint=usable_cpus)
     model = NetworkModel(PPP(LAM), alpha=ALPHA, link_distance=RT)
     for k in (2, 3):
         for regime in ("qsi", "fvi"):
@@ -240,8 +240,8 @@ def test_harq_gap_small_at_low_threshold():
         assert 0.0 <= gap < 0.01
 
 
-def test_harq_type2_vs_mrc_simulation():
-    cfg = SimConfig(trials=30000, master_seed=113)
+def test_harq_type2_vs_mrc_simulation(usable_cpus):
+    cfg = SimConfig(trials=30000, master_seed=113, worker_hint=usable_cpus)
     for regime in ("qsi", "fvi"):
         ana = harq_type2_cc(1.0, ALPHA, LAM, RT, regime)
         est = estimate_harq_mrc(1.0, ALPHA, LAM, RT, regime, cfg)

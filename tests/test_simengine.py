@@ -5,7 +5,9 @@ import pytest
 
 from stochgeo import simengine
 from stochgeo.core import Estimate
-from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
+from stochgeo.interference import PathLossSpec
+from stochgeo.location_users import lsu_mc_estimate
+from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel, sample_batch
 from stochgeo.simengine import (
     FVI_EVENTS,
     STREAMS,
@@ -209,7 +211,7 @@ def _one_theta_csp_batches(model, theta, geometry, cfg, event=0):
     radius = cfg.window_radius or default_window(model.intensity)
     alpha = model.alpha
     for rng, size in batches(cfg, "csp", event):
-        radii, counts = simengine._radii_batch(model, radius, rng, size)
+        radii, counts = sample_batch(model.field, radius, rng, size)
         if geometry == "adhoc":
             r_t = model.link_distance
             logf = np.log1p(theta * r_t**alpha * radii**-alpha)
@@ -279,3 +281,58 @@ def test_scalar_theta_returns_one_estimate():
 def test_theta_grid_must_be_one_dimensional():
     with pytest.raises(ValueError):
         estimate_success(ADHOC_PPP, np.ones((2, 2)), "adhoc", SimConfig(trials=10))
+
+
+# ------------------------------------------- estimates pinned across commits
+
+# (mean, stderr) recorded before the field samplers were merged into
+# pointprocess.sample_batch; the csp, interference (u = 0) and lsu streams
+# must keep drawing these numbers.  lsu sums its log factors in another
+# order since its loop was vectorised, hence rel 1e-12 instead of equality.
+PINNED_FIELDS = {"ppp": PPP(0.1), "mcp": MCP(0.02, 5.0, 1.0), "gpp": GPP(0.1, 1.0)}
+PINNED_SUCCESS = {
+    ("ppp", "adhoc"): (0.6084424289115452, 0.008415878763689684),
+    ("ppp", "downlink"): (0.5651732350907268, 0.008105305926746464),
+    ("mcp", "adhoc"): (0.7518351153124339, 0.008512468988429072),
+    ("mcp", "downlink"): (0.18994883800247833, 0.006935599842933596),
+    ("gpp", "adhoc"): (0.5669451126257876, 0.007678705496730227),
+    ("gpp", "downlink"): (0.6435049447697768, 0.007443876567006017),
+}
+PINNED_INTERFERENCE = {
+    "ppp": {"mean": (0.4890209163572477, 0.02717045757596482),
+            "second_moment": (0.6813434818023775, 0.09066310873871915),
+            "mean_product": (0.4805851840753805, 0.047189929403800006)},
+    "mcp": {"mean": (0.5872721522237253, 0.05472730046616802),
+            "second_moment": (2.138939953149713, 0.38033640775347577),
+            "mean_product": (1.8241256675725601, 0.26650863682254156)},
+    "gpp": {"mean": (0.4428676636467668, 0.02391953041913912),
+            "second_moment": (0.5388459848517466, 0.09011799674722243),
+            "mean_product": (0.3180244863660121, 0.03313145040867291)},
+}
+PINNED_LSU_CELL_CENTER = (0.8868341244662842, 0.005132030868352833)
+
+
+def _assert_pinned(est, pinned):
+    assert (est.mean, est.stderr) == pytest.approx(pinned, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("key", list(PINNED_SUCCESS))
+def test_success_draws_are_pinned(key):
+    field, geometry = key
+    model = NetworkModel(PINNED_FIELDS[field], 4.0, 1.0 if geometry == "adhoc" else None)
+    _assert_pinned(estimate_success(model, 1.0, geometry, SimConfig(trials=1500, master_seed=61)),
+                   PINNED_SUCCESS[key])
+
+
+@pytest.mark.parametrize("field", list(PINNED_INTERFERENCE))
+def test_interference_draws_at_u0_are_pinned(field):
+    model = NetworkModel(PINNED_FIELDS[field], 4.0)
+    got = simengine.estimate_interference_moments(model, PathLossSpec(4.0, 1.0), 0.0,
+                                                  SimConfig(trials=600, master_seed=61))
+    for name, pinned in PINNED_INTERFERENCE[field].items():
+        _assert_pinned(got[name], pinned)
+
+
+def test_lsu_draws_are_pinned():
+    est = lsu_mc_estimate("cell_center", 1.0, 1.0, 4.0, 1.0, SimConfig(trials=1500, master_seed=61), rho=0.6)
+    _assert_pinned(est, PINNED_LSU_CELL_CENTER)

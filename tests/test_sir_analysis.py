@@ -67,8 +67,10 @@ def test_gpp_moment_vs_mc():
 def test_gpp_moment_vs_bruteforce_factors():
     # independent oracle: direct per-index quadrature of the factors
     # 1 - beta(1 - E[v(Q_j)^b]) up to J, then the alpha=4 telescoping tail
-    # sum_{j>J} E[Q_j^-2] = scale^-2 / (J-1) for the remaining log factors
-    from scipy import stats
+    # sum_{j>J} E[Q_j^-2] = scale^-2 / (J-1) for the remaining log factors.
+    # The Gamma(j, scale) density is written out in logs, which is the same
+    # function as scipy.stats.gamma.pdf at a small share of the call cost.
+    from scipy import special
 
     field, theta, alpha, r_t, b = GPP(0.2, 0.6), 0.8, 4.0, 1.0, 2.0
     c = theta * r_t**alpha
@@ -76,10 +78,12 @@ def test_gpp_moment_vs_bruteforce_factors():
     log_m = 0.0
     J = 3000
     for j in range(1, J + 1):
+        log_gamma_j = float(special.gammaln(j))
         val, _ = sciint.quad(
-            lambda q: stats.gamma.pdf(q / scale, j) / scale * (1 + c * q ** (-alpha / 2)) ** -b,
-            stats.gamma.ppf(1e-12, j) * scale,
-            stats.gamma.isf(1e-12, j) * scale,
+            lambda q: math.exp((j - 1) * math.log(q / scale) - q / scale - log_gamma_j) / scale
+            * (1 + c * q ** (-alpha / 2)) ** -b,
+            special.gammaincinv(j, 1e-12) * scale,
+            special.gammainccinv(j, 1e-12) * scale,
         )
         log_m += math.log(1.0 - field.beta * (1.0 - val))
     log_m += -field.beta * b * c * scale**-2 / (J - 1)
@@ -319,6 +323,28 @@ def test_mh_trivia_and_roundtrip():
 def test_misr_ppp_alpha4():
     assert misr_ppp(4.0) == pytest.approx(1.0)
     assert misr_ppp(3.0) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("field", [PPP(1.0), GPP(1.0, 0.5)])
+def test_misr_chunk_matches_a_pattern_loop(field):
+    # the sorted-distance loop the batch reduction replaced, on the same draws
+    # (radius 1.2 leaves some patterns with fewer than two points)
+    from stochgeo import simengine
+    from stochgeo.pointprocess import sample_batch
+    from stochgeo.sir_analysis import _misr_chunk
+
+    cfg = SimConfig(trials=300, master_seed=65)
+    model = NetworkModel(field, alpha=4.0)
+    sums, r1a = _misr_chunk(simengine.batches(cfg, "misr"), model, 4.0, 1.2)
+    ((rng, size),) = simengine.batches(cfg, "misr")
+    radii, counts = sample_batch(field, 1.2, rng, size)
+    ends = np.cumsum(counts)
+    patterns = [np.sort(radii[lo:hi]) for lo, hi in zip(ends - counts, ends) if hi - lo >= 2]
+    assert len(patterns) < size
+    # segment sums difference one running total over the batch: their error
+    # is absolute, a few eps times that total (here a few hundred)
+    assert sums == pytest.approx([np.sum((d[0] / d[1:]) ** 4.0) for d in patterns], rel=1e-12, abs=1e-12)
+    assert r1a == pytest.approx([d[0] ** 4.0 for d in patterns], rel=1e-12)
 
 
 def test_misr_estimate_ppp_self_consistency():
