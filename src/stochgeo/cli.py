@@ -303,7 +303,9 @@ def _exp_meta(cfg):
     model = _model_from_params(p, require_link=True)
     theta = float(p.get("theta", 1.0))
     x_grid = np.asarray(p.get("x_grid", np.arange(0.1, 0.95, 0.1)), dtype=float)
-    ana = [sir_analysis.meta_distribution(model, theta, float(x)) for x in x_grid]
+    if x_grid.ndim != 1:
+        raise ConfigError("params.x_grid must be a list of numbers")
+    ana = sir_analysis.meta_distribution(model, theta, x_grid)
     emp = simengine.estimate_meta(model, theta, x_grid, cfg["sim"])
     rows = [[float(x), float(a), float(e), float(lo), float(hi)]
             for x, a, e, lo, hi in zip(x_grid, ana, emp.values, emp.ci_low, emp.ci_high)]
@@ -475,12 +477,15 @@ def _fig_pcf(sim):
     return [Table("fig9_pcf", header, rows, Plot("r", series, "r", "g(r)"))]
 
 
+def _variance_row(alpha):
+    pl = PathLossSpec(alpha=alpha, epsilon=1.0)
+    fields = (MCP(0.2, 5.0, 1.0), PPP(1.0), GPP(1.0, 1.0))
+    return [alpha, *(interference_variance(NetworkModel(f, alpha), pl) for f in fields)]
+
+
 def _fig_variance(sim):
-    rows = []
-    for alpha in np.linspace(2.5, 6.0, 8):
-        pl = PathLossSpec(alpha=float(alpha), epsilon=1.0)
-        fields = (MCP(0.2, 5.0, 1.0), PPP(1.0), GPP(1.0, 1.0))
-        rows.append([float(alpha), *(interference_variance(NetworkModel(f, float(alpha)), pl) for f in fields)])
+    # one _DisplacedCross table per row: the rows share nothing, so they share the workers
+    rows = simengine.run_points(sim, _variance_row, [float(a) for a in np.linspace(2.5, 6.0, 8)])
     header = ["alpha", "var_mcp", "var_ppp", "var_gpp"]
     return [Table("fig10_variance", header, rows, Plot("alpha", _field_series(header[1:]), "alpha", "variance"))]
 
@@ -515,7 +520,7 @@ def _fig_asappp_meta(sim):
     ppp = NetworkModel(PPP(0.1), 4.0)
     gpp = NetworkModel(GPP(0.1, 1.0), 4.0)
     g0 = sir_analysis.sir_gain_g0(gpp, 4.0)
-    shifted = [sir_analysis.meta_distribution(ppp, 1.0 / g0, float(x), geometry="downlink") for x in xs]
+    shifted = sir_analysis.meta_distribution(ppp, 1.0 / g0, xs, geometry="downlink")
     emp = simengine.estimate_meta(gpp, 1.0, xs, sim, geometry="downlink")
     rows = [[float(x), float(s), float(e)] for x, s, e in zip(xs, shifted, emp.values)]
     plot = Plot("x", [("asappp_shifted", "shifted poisson", "linespoints"),

@@ -168,29 +168,46 @@ _GP_U_MIN = 1e-6  # lower end of the integral; the integrand is finite at 0
 _GP_TAIL_TOL = 1e-8  # |M(j u)| / u below which the tail is cut
 
 
-def _gp_panels(integrand, centres, widths):
-    """Value of each panel (centre, width) by the halves rule, and whether it
-    agrees with the whole-panel rule within the per-panel tolerance (absolute
-    1e-11, relative 1e-9).  One integrand call per distinct width."""
-    values = np.empty(len(centres))
-    ok = np.empty(len(centres), dtype=bool)
+def _unit_grid(x):
+    """x as a list of floats and whether it was a scalar.  x is a scalar or a
+    non-empty 1-D grid inside (0, 1); anything else raises ValueError."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1 or xs.size == 0:
+        raise ValueError(f"x must be a scalar or a non-empty 1-D grid, got shape {xs.shape}")
+    if not np.all((xs > 0.0) & (xs < 1.0)):
+        raise ValueError("x must lie in (0, 1)")
+    return [float(v) for v in xs.reshape(-1)], xs.ndim == 0
+
+
+def _gp_panels(imaginary_moment, log_xs, centres, widths):
+    """Value of each panel (centre, width) by the halves rule, one row per
+    log x, and whether every x agrees with the whole-panel rule within the
+    per-panel tolerance (absolute 1e-11, relative 1e-9).  One moment call per
+    distinct width; the integrand is formed one x at a time."""
+    values = np.empty((len(log_xs), len(centres)))
+    ok = np.ones(len(centres), dtype=bool)
     for h in np.unique(widths):
         sel = widths == h
-        f = integrand(centres[sel], 0.5 * h * _GP_OFFSETS)
-        whole = 0.5 * h * (f[:, :64] @ _GL_W)
-        halves = 0.25 * h * ((f[:, 64:128] + f[:, 128:]) @ _GL_W)
-        values[sel] = halves
-        ok[sel] = np.abs(whole - halves) <= 1e-11 + 1e-9 * np.abs(halves)
+        c, d = centres[sel], 0.5 * h * _GP_OFFSETS
+        u = c[:, None] + d[None, :]
+        m = imaginary_moment(c, d)
+        for row, log_x in zip(values, log_xs):
+            f = (np.exp(-1j * log_x * u) * m).imag / u
+            whole = 0.5 * h * (f[:, :64] @ _GL_W)
+            halves = 0.25 * h * ((f[:, 64:128] + f[:, 128:]) @ _GL_W)
+            row[sel] = halves
+            ok[sel] &= np.abs(whole - halves) <= 1e-11 + 1e-9 * np.abs(halves)
     return values, ok
 
 
 def gil_pelaez_ccdf(
     imaginary_moment: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: float,
+    x,
     u_max_cap: float = 1e4,
     full_output: bool = False,
 ):
-    """CCDF of a [0,1]-supported variable from its imaginary moments.
+    """CCDF of a [0,1]-supported variable from its imaginary moments, at a
+    scalar x (a float) or on a 1-D grid of x (an array).
 
     F(x) = 1/2 + (1/pi) * int_0^inf Im(exp(-j u log x) M(j u)) / u du, with the
     tail cut at the first u where |M(j u)| / u < _GP_TAIL_TOL (capped at u_max_cap;
@@ -198,15 +215,16 @@ def gil_pelaez_ccdf(
 
     `imaginary_moment(c, d)` returns M(j u) on the separable grid
     u[p, i] = c[p] + d[i] as a complex (len(c), len(d)) array.  The integral is
-    split into panels of one oscillation period; each is integrated by a
-    64-point Gauss-Legendre rule on its two halves, checked against the same
-    rule on the whole panel, and a panel that fails the check is bisected.  A
-    panel still failing after _GP_MAX_DEPTH bisections is flagged in
-    `converged`, like the cap.
+    split into panels of one oscillation period of the x farthest from 1;
+    each is integrated by a 64-point Gauss-Legendre rule on its two halves,
+    checked against the same rule on the whole panel, and a panel that fails
+    the check for any x is bisected.  A panel still failing after
+    _GP_MAX_DEPTH bisections is flagged in `converged`, like the cap.  M is
+    evaluated once per node for the whole grid, so a grid costs about what
+    its smallest x costs alone; a grid of one is the scalar call.
     """
-    if not (0.0 < x < 1.0):
-        raise ValueError("x must lie in (0, 1)")
-    log_x = math.log(x)
+    xs, scalar = _unit_grid(x)
+    log_xs = [math.log(v) for v in xs]
 
     # locate the tail cutoff by doubling
     u_max = 64.0
@@ -218,12 +236,8 @@ def gil_pelaez_ccdf(
             converged = False
             break
 
-    def integrand(c, d):
-        u = c[:, None] + d[None, :]
-        return (np.exp(-1j * log_x * u) * imaginary_moment(c, d)).imag / u
-
     # panels of one oscillation period each, so every rule sees a smooth piece
-    period = 2.0 * math.pi / max(abs(log_x), 1e-3)
+    period = 2.0 * math.pi / max(max(abs(v) for v in log_xs), 1e-3)
     panel = max(period, u_max / 2000.0)
     lo = _GP_U_MIN + panel * np.arange(math.ceil((u_max - _GP_U_MIN) / panel))
     widths = np.full(len(lo), panel)
@@ -234,7 +248,7 @@ def gil_pelaez_ccdf(
     # bisect failed pieces, all of one round together; `owner` maps each
     # piece to its panel
     owner = np.arange(len(lo))
-    values, ok = _gp_panels(integrand, centres, widths)
+    values, ok = _gp_panels(imaginary_moment, log_xs, centres, widths)
     for _ in range(_GP_MAX_DEPTH):
         if ok.all():
             break
@@ -242,21 +256,25 @@ def gil_pelaez_ccdf(
         quarter = 0.25 * widths[bad]
         c_new = np.concatenate([centres[bad] - quarter, centres[bad] + quarter])
         w_new = np.tile(0.5 * widths[bad], 2)
-        v_new, ok_new = _gp_panels(integrand, c_new, w_new)
+        v_new, ok_new = _gp_panels(imaginary_moment, log_xs, c_new, w_new)
         owner = np.concatenate([owner[ok], np.tile(owner[bad], 2)])
         centres = np.concatenate([centres[ok], c_new])
         widths = np.concatenate([widths[ok], w_new])
-        values = np.concatenate([values[ok], v_new])
+        values = np.concatenate([values[:, ok], v_new], axis=1)
         ok = np.concatenate([ok[ok], ok_new])
-    panel_values = np.bincount(owner, weights=values, minlength=len(lo))
 
-    # stop after four consecutive negligible panels beyond u = 200
-    small = np.abs(panel_values) < 1e-10
-    run4 = small[3:] & small[2:-1] & small[1:-2] & small[:-3]
-    stops = np.flatnonzero(run4 & (hi[3:] > 200.0))
-    end = stops[0] + 4 if stops.size else len(lo)
-    converged = converged and not (owner[~ok] < end).any()
-    value = min(1.0, max(0.0, 0.5 + float(panel_values[:end].sum()) / math.pi))
+    out, last = [], 0
+    for row in values:
+        panel_values = np.bincount(owner, weights=row, minlength=len(lo))
+        # stop after four consecutive negligible panels beyond u = 200
+        small = np.abs(panel_values) < 1e-10
+        run4 = small[3:] & small[2:-1] & small[1:-2] & small[:-3]
+        stops = np.flatnonzero(run4 & (hi[3:] > 200.0))
+        end = stops[0] + 4 if stops.size else len(lo)
+        last = max(last, end)
+        out.append(min(1.0, max(0.0, 0.5 + float(panel_values[:end].sum()) / math.pi)))
+    converged = converged and not (owner[~ok] < last).any()
+    value = out[0] if scalar else np.array(out)
     if full_output:
         return value, converged
     return value

@@ -37,6 +37,7 @@ __all__ = [
     "seed_stream",
     "batches",
     "run_batches",
+    "run_points",
     "confidence",
     "default_window",
     "estimate_success",
@@ -184,10 +185,54 @@ def _chunk_bounds(cfg, name, w):
     return list(zip(bounds, bounds[1:]))
 
 
-def _run_chunk(fn_name, cfg, name, event, lo, hi, args):
+def _procs(cfg):
+    """Processes a call may use: min(cfg.worker_hint, usable CPUs), or 1
+    inside a worker."""
+    return 1 if _IN_WORKER else min(cfg.worker_hint, _usable_cpus())
+
+
+def _run_chunk(fn_name, call, lo, hi, args):
     module, qualname = fn_name
-    fn = getattr(importlib.import_module(module), qualname)
+    return call(getattr(importlib.import_module(module), qualname), lo, hi, *args)
+
+
+def _map_chunks(procs, bounds, fn, call, *args):
+    """[call(fn, lo, hi, *args) for (lo, hi) in bounds], in chunk order: this
+    process runs the first chunk and its pool of procs - 1 forked workers the
+    rest.  None for a single chunk or where no pool can be had; the caller
+    then runs serially.
+
+    A worker finds fn by (module, qualname), so fn must be module level; a
+    module run as a script is `__main__` in the worker too, which fork
+    copies.  An exception in any chunk reaches the caller, after every
+    chunk has ended.
+    """
+    pool = _pool(procs - 1) if len(bounds) > 1 else None
+    if pool is None:
+        return None
+    from concurrent.futures import BrokenExecutor
+
+    first, *rest = bounds
+    fn_name = (fn.__module__, fn.__qualname__)
+    futures = [pool.submit(_run_chunk, fn_name, call, lo, hi, args) for lo, hi in rest]
+    try:
+        parts = [call(fn, *first, *args)]
+    finally:
+        for f in futures:  # no chunk outlives the call, even when the first one raises
+            f.exception()
+    try:
+        return parts + [f.result() for f in futures]
+    except BrokenExecutor:  # a worker died: the next call starts a new pool
+        _shutdown_pool()
+        raise
+
+
+def _batch_chunk(fn, lo, hi, cfg, name, event, args):
     return fn(_batch_range(cfg, name, event, lo, hi), *args)
+
+
+def _point_chunk(fn, lo, hi, points, args):
+    return [fn(p, *args) for p in points[lo:hi]]
 
 
 def run_batches(cfg, name, fn, *args, event=0):
@@ -202,28 +247,32 @@ def run_batches(cfg, name, fn, *args, event=0):
     Each batch's draws depend only on its seed, so the result is the serial
     one for every hint.  A call made inside a worker runs serially.
     """
-    procs = 1 if _IN_WORKER else min(cfg.worker_hint, _usable_cpus())
+    procs = _procs(cfg)
     w = min(procs, _n_batches(cfg, name))
-    pool = _pool(procs - 1) if w > 1 else None
-    if pool is None:
+    parts = _map_chunks(procs, _chunk_bounds(cfg, name, w), fn, _batch_chunk, cfg, name, event, args)
+    if parts is None:
         return fn(batches(cfg, name, event), *args)
-    from concurrent.futures import BrokenExecutor
-
-    first, *rest = _chunk_bounds(cfg, name, w)
-    # by name, so the worker finds whatever the module binds at call time
-    fn_name = (fn.__module__, fn.__qualname__)
-    futures = [pool.submit(_run_chunk, fn_name, cfg, name, event, lo, hi, args) for lo, hi in rest]
-    try:
-        parts = [fn(_batch_range(cfg, name, event, *first), *args)]
-    finally:
-        for f in futures:  # no chunk outlives the call, even when the first one raises
-            f.exception()
-    try:
-        parts += [f.result() for f in futures]
-    except BrokenExecutor:  # a worker died: the next call starts a new pool
-        _shutdown_pool()
-        raise
     return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def run_points(cfg, fn, points, *args):
+    """[fn(p, *args) for p in points], as one call.
+
+    For independent deterministic work, such as one table row per point.
+    With w = min(p, len(points)) > 1 (p as in run_batches) the points are
+    cut into w contiguous chunks of near-equal length: this process runs the
+    first and the pool of run_batches the rest, and the results come back
+    in point order.  fn is a module-level function; each result is the
+    serial one for every hint.  A call made inside a worker runs serially.
+    """
+    points = list(points)
+    procs = _procs(cfg)
+    w = min(procs, len(points))
+    bounds = [(len(points) * k // w, len(points) * (k + 1) // w) for k in range(w)]
+    parts = _map_chunks(procs, bounds, fn, _point_chunk, points, args)
+    if parts is None:
+        return [fn(p, *args) for p in points]
+    return [r for part in parts for r in part]
 
 
 def confidence(samples, seed):
@@ -301,10 +350,14 @@ def _link_distance(model):
 
 
 def _theta_grid(theta):
-    """theta as a list of floats: a scalar is a grid of one."""
+    """theta as a list of floats: a scalar is a grid of one.  Every theta
+    must be nonnegative."""
     if np.ndim(theta) > 1:
         raise ValueError("theta must be a scalar or a 1-D grid")
-    return [float(t) for t in np.atleast_1d(theta)]
+    thetas = [float(t) for t in np.atleast_1d(theta)]
+    if any(t < 0 for t in thetas):
+        raise ValueError("theta must be nonnegative")
+    return thetas
 
 
 def _csp_chunk(batch_iter, model, thetas, radius, b, corrs):
@@ -385,7 +438,7 @@ def estimate_moment(model, b, theta, geometry, cfg):
 
 def estimate_meta(model, theta, x_grid, cfg, geometry="adhoc"):
     """Empirical meta distribution: CCDF of the per-pattern CSP on x_grid."""
-    (samples,) = _collect_csp(model, [theta], geometry, cfg)
+    (samples,) = _collect_csp(model, _theta_grid(theta), geometry, cfg)
     x_grid = np.asarray(x_grid, dtype=float)
     n = samples.size
     ccdf = np.array([(samples > x).mean() for x in x_grid])
@@ -452,12 +505,12 @@ def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):
     if k < 1:
         raise ValueError("K must be >= 1")
     if regime == "qsi":
-        (samples,) = _collect_csp(model, [theta], geometry, cfg, b=float(k))
+        (samples,) = _collect_csp(model, _theta_grid(theta), geometry, cfg, b=float(k))
         return confidence(samples, cfg.master_seed)
     if regime == "fvi":
         if k > FVI_EVENTS:
             raise ValueError(f"FVI takes at most {FVI_EVENTS} events, one substream each")
-        per_event = [_collect_csp(model, [theta], geometry, cfg, event=j + 1)[0] for j in range(k)]
+        per_event = [_collect_csp(model, _theta_grid(theta), geometry, cfg, event=j + 1)[0] for j in range(k)]
         samples = np.prod(per_event, axis=0)
         return confidence(samples, cfg.master_seed)
     raise ValueError("regime must be 'qsi' or 'fvi'")

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ToleranceError
-from .numerics import gamma_ratio, gil_pelaez_ccdf, integrate_1d
+from .numerics import _unit_grid, gamma_ratio, gil_pelaez_ccdf, integrate_1d
 from .pointprocess import GPP, MCP, PPP, NetworkModel, sample_batch
 from . import simengine
 
@@ -335,9 +335,13 @@ def _on_grid(moment):
 
 def meta_distribution(model, theta, x, geometry="adhoc"):
     """SIR meta distribution: P[CSP > x], by Gil-Pelaez inversion of the
-    imaginary moments b = ju."""
-    if not (0.0 < x < 1.0):
-        raise ValueError("x must lie in (0, 1)")
+    imaginary moments b = ju.  x is a scalar (a float) or a 1-D grid (an
+    array, inverted in one pass that evaluates each moment node once)."""
+    xs, scalar = _unit_grid(x)
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
+    if theta == 0.0:  # every link succeeds: the CSP is 1
+        return 1.0 if scalar else np.ones(len(xs))
     if geometry == "downlink":
         alpha = model.alpha if isinstance(model, NetworkModel) else model
         moment = DownlinkImagMoments(theta, alpha)

@@ -99,6 +99,29 @@ def test_analyze_bad_window_radius_exit2(tmp_path, capsys, radius):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"theta": -1.0}, {"x_grid": 0.5}, {"x_grid": []}, {"x_grid": [[0.5, 0.7]]}, {"x_grid": [0.5, 1.5]},
+     {"x_grid": [0.2, 0.0]}],
+    ids=["negative_theta", "scalar_grid", "empty_grid", "2d_grid", "x_above_1", "x_at_0"],
+)
+def test_analyze_meta_config_error_exit2(tmp_path, capsys, params):
+    # rejected before any inversion or Monte Carlo work, with nothing written
+    cfg = _write_config(tmp_path, experiment="meta_distribution", params={"r_t": 1.0, **params},
+                        theta_grid=None, sim={"trials": 200, "master_seed": 7})
+    assert cmd_analyze(str(cfg)) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "meta_distribution.csv").exists()
+
+
+def test_analyze_meta_theta_zero_is_one(tmp_path):
+    cfg = _write_config(tmp_path, experiment="meta_distribution", params={"r_t": 1.0, "theta": 0.0},
+                        theta_grid=None, sim={"trials": 200, "master_seed": 7})
+    assert cmd_analyze(str(cfg)) == EXIT_OK
+    rows = (tmp_path / "out" / "meta_distribution.csv").read_text().splitlines()[1:]
+    assert len(rows) == 9 and all(r.split(",")[1] == "1.0" and r.split(",")[2] == "1.0" for r in rows)
+
+
 def test_analyze_bad_json_exit2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -155,11 +155,63 @@ def test_gil_pelaez_flags_a_panel_bisection_cannot_resolve():
     jump = lambda c, d: (np.add.outer(c, d) < 100.3) + 0j
     assert gil_pelaez_ccdf(smooth, 0.5, full_output=True)[1]
     assert not gil_pelaez_ccdf(jump, 0.5, full_output=True)[1]
+    # one flag for a whole grid: true only while every x resolves
+    assert gil_pelaez_ccdf(smooth, [0.2, 0.5, 0.8], full_output=True)[1] is True
+    assert gil_pelaez_ccdf(jump, [0.2, 0.5, 0.8], full_output=True)[1] is False
 
 
 def test_gil_pelaez_domain():
     with pytest.raises(ValueError):
         gil_pelaez_ccdf(lambda c, d: np.ones((len(c), len(d))), 1.5)
+
+
+def _exp2_moment(c, d):
+    # M(ju) of exp(-E) with E ~ Exp(2): the CCDF is 1 - x^2
+    return 2.0 / (2.0 + 1j * np.add.outer(c, d))
+
+
+def test_gil_pelaez_grid_of_one_is_the_scalar_call():
+    scalar = gil_pelaez_ccdf(_exp2_moment, 0.3)
+    grid = gil_pelaez_ccdf(_exp2_moment, [0.3])
+    assert type(scalar) is float
+    assert isinstance(grid, np.ndarray) and grid.shape == (1,)
+    assert grid[0] == scalar
+    # this moment decays like 2/u, so the tail search stops at the cap
+    values, converged = gil_pelaez_ccdf(_exp2_moment, np.array([0.3, 0.6]), full_output=True)
+    assert isinstance(values, np.ndarray) and values.shape == (2,)
+    assert converged is False
+
+
+@pytest.mark.parametrize("x", [[0.2, 1.0], [0.5, float("nan")], [], [[0.5]], -0.1],
+                         ids=["one_outside", "nan", "empty", "2d", "scalar_outside"])
+def test_gil_pelaez_rejects_a_bad_grid_before_any_moment_call(x):
+    def moment(c, d):
+        raise AssertionError("the moment was called")
+
+    with pytest.raises(ValueError):
+        gil_pelaez_ccdf(moment, x)
+
+
+def test_gil_pelaez_grid_calls_the_moment_no_more_than_its_smallest_x():
+    calls = []
+
+    def counted(c, d):
+        calls.append(len(c) * len(d))
+        return _exp2_moment(c, d)
+
+    xs = np.linspace(0.1, 0.9, 9)
+    gil_pelaez_ccdf(counted, float(xs[0]))
+    one = len(calls)
+    calls.clear()
+    gil_pelaez_ccdf(counted, xs)
+    assert len(calls) <= one
+
+
+def test_gil_pelaez_grid_matches_the_closed_form():
+    xs = np.linspace(0.05, 0.95, 13)
+    vals = gil_pelaez_ccdf(_exp2_moment, xs)
+    assert np.all(np.diff(vals) <= 1e-6)
+    assert np.abs(vals - (1.0 - xs**2)).max() < 1e-6
 
 
 # ---------------------------------------------------------------- fixed point

@@ -115,6 +115,17 @@ def test_estimate_success_theta_to_zero():
     assert est.mean == pytest.approx(1.0, abs=1e-4)
 
 
+def test_estimates_reject_a_negative_theta():
+    cfg = SimConfig(trials=200, master_seed=43)
+    for call in (lambda: estimate_success(ADHOC_PPP, [1.0, -1.0], "adhoc", cfg),
+                 lambda: estimate_moment(ADHOC_PPP, 2.0, -0.5, "downlink", cfg),
+                 lambda: estimate_meta(ADHOC_PPP, -1.0, [0.5], cfg),
+                 lambda: estimate_jsp(ADHOC_PPP, 2, "qsi", -1.0, cfg),
+                 lambda: estimate_jsp(ADHOC_PPP, 2, "fvi", -1.0, cfg)):
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            call()
+
+
 def test_estimate_success_downlink_vs_arctan_identity():
     cfg = SimConfig(trials=20000, master_seed=44)
     model = NetworkModel(PPP(0.5), alpha=4.0)

@@ -298,6 +298,45 @@ def test_meta_matches_quad_panel_oracle(geometry, theta, x):
     assert abs(got - ref) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "geometry, theta, xs, tol",
+    [("downlink", 1.0 / 1.5, np.arange(0.1, 0.95, 0.1), 1e-12),
+     ("downlink", 10.0, np.array([0.5, 0.9]), 1e-12),
+     # the one-x stop rule (four panels below 1e-10 beyond u = 200) cuts
+     # x = 0.2 to 0.4 near u = 850; the grid's narrower panels keep their tail
+     ("adhoc", 1.0, np.arange(0.1, 0.95, 0.1), 5e-9)],
+)
+def test_meta_grid_matches_the_one_x_calls(geometry, theta, xs, tol):
+    model = NetworkModel(PPP(1.0), alpha=4.0) if geometry == "downlink" else PPP_MODEL
+    grid = meta_distribution(model, theta, xs, geometry)
+    one = [meta_distribution(model, theta, float(x), geometry) for x in xs]
+    assert isinstance(grid, np.ndarray) and grid.shape == xs.shape
+    assert np.abs(grid - one).max() < tol
+
+
+@pytest.mark.parametrize("x", [[], [[0.5, 0.7]], [0.5, 1.0], "half"], ids=["empty", "2d", "x_at_1", "text"])
+def test_meta_rejects_a_bad_x_grid(x):
+    for geometry in ("adhoc", "downlink"):
+        with pytest.raises(ValueError):
+            meta_distribution(PPP_MODEL, 1.0, x, geometry)
+
+
+def test_meta_rejects_a_negative_theta():
+    for geometry in ("adhoc", "downlink"):
+        with pytest.raises(ValueError, match="theta must be nonnegative"):
+            meta_distribution(PPP_MODEL, -1.0, 0.5, geometry=geometry)
+
+
+def test_meta_at_theta_zero_is_exactly_one():
+    # every link succeeds at theta = 0, so P[CSP > x] = 1 for each x
+    assert meta_distribution(PPP_MODEL, 0.0, 0.5) == 1.0
+    assert meta_distribution(GPP_MODEL, 0.0, 0.99) == 1.0
+    assert meta_distribution(PPP_MODEL, 0.0, 0.5, geometry="downlink") == 1.0
+    assert np.all(meta_distribution(MCP_MODEL, 0.0, [0.1, 0.5, 0.9]) == 1.0)
+    with pytest.raises(ValueError):
+        meta_distribution(PPP_MODEL, 0.0, 1.5)
+
+
 def test_meta_gpp_moment_function_consistency():
     # imaginary-order evaluator must agree with the real-order path at u -> -jb
     ev = GppAdhocMoments(GPP(0.1, 1.0), 1.0, 4.0, 1.0)

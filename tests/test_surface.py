@@ -7,8 +7,10 @@ A name counts as reached when some other code in `src/stochgeo` loads it
 
 The scan covers top-level definitions only.  Members that the benchmark's
 tracer (`perfbench/tracer.py`) hooks are kept as well, though the scan does
-not see them: `gil_pelaez_ccdf(full_output=)` and the two `_cache` LRUs
-(`_DisplacedCross`, `DownlinkImagMoments`).  The tracer's hooks on
+not see them: `gil_pelaez_ccdf(full_output=)`, whose flag is one bool for
+a scalar x or a whole x-grid, the fourth positional argument (`geometry`)
+of `meta_distribution`, and the two `_cache` LRUs (`_DisplacedCross`,
+`DownlinkImagMoments`).  The tracer's hooks on
 `simengine._radii_batch` and the per-pattern `sample_*` samplers find
 nothing since `pointprocess.sample_batch` replaced them; it skips a name it
 does not find.

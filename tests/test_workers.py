@@ -1,6 +1,7 @@
-"""The process pool behind simengine.run_batches: every estimator gives the
-same value for every worker hint, errors cross from the workers unchanged,
-and no worker outlives its interpreter."""
+"""The process pool behind simengine.run_batches and run_points: every
+estimator and every pooled figure gives the same value for every worker
+hint, errors cross from the workers unchanged, and no worker outlives its
+interpreter."""
 
 import multiprocessing
 import os
@@ -28,6 +29,7 @@ from stochgeo.simengine import (
     estimate_moment,
     estimate_success,
     run_batches,
+    run_points,
 )
 from stochgeo.sir_analysis import misr_estimate
 
@@ -202,6 +204,14 @@ def test_no_pool_is_forked_while_another_thread_runs():
     assert est == estimate_success(ADHOC["ppp"], 1.0, "adhoc", SimConfig(trials=2500, master_seed=138))
 
 
+def _run_script(code):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochgeo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 def test_no_worker_outlives_the_interpreter():
     code = (
         "import multiprocessing\n"
@@ -210,15 +220,61 @@ def test_no_worker_outlives_the_interpreter():
         "estimate_success(NetworkModel(PPP(0.1), 4.0, 1.0), 1.0, 'adhoc', SimConfig(2500, 1, worker_hint=2))\n"
         "print(' '.join(str(p.pid) for p in multiprocessing.active_children()))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(stochgeo.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    pids = [int(p) for p in proc.stdout.split()]
+    pids = [int(p) for p in _run_script(code)]
     assert len(pids) == min(2, simengine._usable_cpus()) - 1
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def test_fig10_rows_are_the_same_at_hint_1_and_2():
+    from stochgeo.cli import _fig_variance
+    from stochgeo.interference import _DisplacedCross
+
+    _DisplacedCross._cache.clear()  # each run builds its own tables
+    (serial,) = _fig_variance(SimConfig(trials=1))
+    _DisplacedCross._cache.clear()
+    (pooled,) = _fig_variance(SimConfig(trials=1, worker_hint=2))
+    assert len(serial.rows) == 8 and pooled.rows == serial.rows
+
+
+def _pid_or_raise(point, parent_pid):
+    if os.getpid() != parent_pid:
+        raise ToleranceError(f"quadrature tolerance not met (value={point}, err=0.5)")
+    return point
+
+
+@needs_a_worker
+def test_run_points_worker_error_reaches_the_caller():
+    cfg = SimConfig(worker_hint=2)
+    with pytest.raises(ToleranceError, match=r"^quadrature tolerance not met \(value=3, err=0.5\)$"):
+        run_points(cfg, _pid_or_raise, range(6), os.getpid())
+    assert run_points(SimConfig(), _pid_or_raise, range(6), os.getpid()) == list(range(6))
+
+
+def test_run_points_at_hint_1_imports_no_multiprocessing():
+    code = (
+        "import sys\n"
+        "from stochgeo.simengine import SimConfig, run_points\n"
+        "def square(p, k):\n"
+        "    return k * p * p\n"
+        "print(run_points(SimConfig(), square, [1, 2, 3], 2) == [2, 8, 18], 'multiprocessing' in sys.modules)\n"
+    )
+    assert _run_script(code) == ["True", "False"]
+
+
+@needs_a_worker
+def test_run_points_finds_a_function_of_main_in_the_workers():
+    # a script run as `python -m stochgeo.cli` or `python -c` is the module __main__
+    code = (
+        "import os\n"
+        "from stochgeo.simengine import SimConfig, run_points\n"
+        "def tag(p):\n"
+        "    return (p, os.getpid())\n"
+        "out = run_points(SimConfig(worker_hint=2), tag, range(5))\n"
+        "print([p for p, _ in out] == list(range(5)), len({pid for _, pid in out}))\n"
+    )
+    assert _run_script(code) == ["True", "2"]
 
 
 @pytest.mark.parametrize("hint", [0, -3, "4", 2.5, True, None])
