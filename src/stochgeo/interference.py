@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .pointprocess import GPP, MCP, PPP, NetworkModel
+from .numerics import gauss_legendre, lru_get
+from .pointprocess import GPP, MCP, PPP, NetworkModel, lens_area
 
 __all__ = [
     "PathLossSpec",
@@ -83,12 +84,11 @@ def _l2_integral(pl):
 def _cross_integral_gauss(pl, a, n_r=220, r_max_factor=40.0):
     """II(exp(-a d^2)) = 4 pi^2 int int r l(r) s l(s) e^(-a(r-s)^2) I0e(2 a r s) dr ds."""
     r_max = r_max_factor * max(1.0, pl.epsilon ** (1.0 / pl.alpha))
-    # geometric-ish node layout: dense near zero where l^2 mass sits
-    x, w = np.polynomial.legendre.leggauss(n_r)
-    # map [-1,1] -> [0, r_max] with quadratic clustering at 0
-    t = 0.5 * (x + 1.0)
+    # geometric-ish node layout: dense near zero where l^2 mass sits, by
+    # r = r_max t^2 with t on [0, 1]
+    t, wt = gauss_legendre(n_r, 0.0, 1.0)
     r = r_max * t * t
-    wr = w * 0.5 * r_max * 2.0 * t
+    wr = wt * r_max * 2.0 * t
     f = r * pl.ell(r) * wr
     rr, ss = np.meshgrid(r, r, indexing="ij")
     kern = np.exp(-a * (rr - ss) ** 2) * _sp.i0e(2.0 * a * rr * ss)
@@ -98,14 +98,12 @@ def _cross_integral_gauss(pl, a, n_r=220, r_max_factor=40.0):
 def _cross_integral_lens(pl, rd, n_r=200, n_psi=96, r_max_factor=40.0):
     """II(A_Rd(d)) with the lens kernel supported on d < 2 R_d."""
     r_max = r_max_factor * max(1.0, pl.epsilon ** (1.0 / pl.alpha)) + 2.0 * rd
-    x, w = np.polynomial.legendre.leggauss(n_r)
-    t = 0.5 * (x + 1.0)
+    t, wt = gauss_legendre(n_r, 0.0, 1.0)
     r = r_max * t * t
-    wr = w * 0.5 * r_max * 2.0 * t
+    wr = wt * r_max * 2.0 * t
     f = r * pl.ell(r) * wr
-    xp, wp = np.polynomial.legendre.leggauss(n_psi)
-    psi = 0.5 * math.pi * (xp + 1.0)
-    wpsi = 0.5 * math.pi * wp
+    t, wt = gauss_legendre(n_psi, 0.0, 1.0)
+    psi, wpsi = math.pi * t, math.pi * wt
     rr, ss = np.meshgrid(r, r, indexing="ij")
     # angular integral of the lens kernel: nonzero only where |r-s| < 2 R_d
     kern = np.zeros_like(rr)
@@ -115,13 +113,7 @@ def _cross_integral_lens(pl, rd, n_r=200, n_psi=96, r_max_factor=40.0):
         acc = np.zeros(rm.shape)
         for p, wq in zip(psi, wpsi):
             d = np.sqrt(np.maximum(rm * rm + sm * sm - 2.0 * rm * sm * math.cos(p), 0.0))
-            lens = np.zeros_like(d)
-            inside = d < 2.0 * rd
-            di = d[inside]
-            lens[inside] = 2.0 * rd * rd * np.arccos(di / (2.0 * rd)) - di * np.sqrt(
-                np.maximum(rd * rd - di * di / 4.0, 0.0)
-            )
-            acc += wq * lens
+            acc += wq * lens_area(rd, d)
         kern[mask] = 2.0 * acc  # angle symmetric: 2 * int_0^pi
     return float(2.0 * math.pi * (f @ kern @ f))
 
@@ -136,16 +128,10 @@ _C1_W_PER_BLOCK = 4  # about 2000 radial nodes: a (2000, 128) float64 block is 2
 
 
 @functools.cache
-def _c1_rules():
-    """Angular rule on [0, pi] as (sin^2(psi/2), weight), and the radial and
-    tail Gauss-Legendre rules on [-1, 1]."""
-    x, wx = np.polynomial.legendre.leggauss(_C1_ANGLE_NODES)
-    psi = 0.5 * math.pi * (x + 1.0)
-    return (
-        (np.sin(0.5 * psi) ** 2, 0.5 * math.pi * wx),
-        np.polynomial.legendre.leggauss(_C1_PANEL_NODES),
-        np.polynomial.legendre.leggauss(_C1_TAIL_NODES),
-    )
+def _c1_angle_rule():
+    """The angular rule on [0, pi] as (sin^2(psi/2), weight)."""
+    t, wt = gauss_legendre(_C1_ANGLE_NODES, 0.0, 1.0)
+    return np.sin(0.5 * math.pi * t) ** 2, math.pi * wt
 
 
 def _c1_radial_nodes(w, scale):
@@ -157,7 +143,6 @@ def _c1_radial_nodes(w, scale):
     r = w (so h = 2^k/4 at eps = 1).  The cap is 4096 max(1, scale, w); past
     it, r = cap / (1 - t) maps the tail onto t in [0, 1).
     """
-    _, (x, wx), (t, wt) = _c1_rules()
     cap = _C1_CAP * np.maximum(max(1.0, scale), w)[:, None]
     steps = scale * 2.0 ** np.arange(math.ceil(math.log2(4.0 * cap.max() / scale)) + 1) / 4.0
     col = w[:, None]
@@ -168,13 +153,12 @@ def _c1_radial_nodes(w, scale):
     b = np.sort(np.clip(b, 0.0, cap), axis=1)
     lo, hi = b[:, :-1], b[:, 1:]
     keep = hi > lo  # breakpoints clipped or repeated leave empty panels
-    half = 0.5 * (hi - lo)[keep]
-    r = (lo[keep] + half)[:, None] + half[:, None] * x
-    s = 0.5 * (t + 1.0)
+    r, wr = gauss_legendre(_C1_PANEL_NODES, lo[keep], hi[keep])
+    s, ws = gauss_legendre(_C1_TAIL_NODES, 0.0, 1.0)
     r_tail = cap / (1.0 - s)
-    owner = np.concatenate([np.repeat(np.nonzero(keep)[0], x.size), np.repeat(np.arange(w.size), t.size)])
+    owner = np.concatenate([np.repeat(np.nonzero(keep)[0], _C1_PANEL_NODES), np.repeat(np.arange(w.size), s.size)])
     nodes = np.concatenate([r.ravel(), r_tail.ravel()])
-    weights = np.concatenate([(half[:, None] * wx).ravel(), (0.5 * wt * r_tail / (1.0 - s)).ravel()])
+    weights = np.concatenate([wr.ravel(), (ws * r_tail / (1.0 - s)).ravel()])
     return nodes, weights, owner
 
 
@@ -188,7 +172,7 @@ def _c1(pl, w):
     flat = w.ravel()
     out = np.full(flat.shape, _l2_integral(pl))
     pos = np.flatnonzero(flat)
-    (sin2, wpsi), _, _ = _c1_rules()
+    sin2, wpsi = _c1_angle_rule()
     scale = pl.epsilon ** (1.0 / pl.alpha)
     for i in range(0, pos.size, _C1_W_PER_BLOCK):
         block = pos[i : i + _C1_W_PER_BLOCK]
@@ -225,19 +209,14 @@ class _DisplacedCross:
 
     def __init__(self, pl):
         self.pl = pl
-        key = (pl.alpha, pl.epsilon)
-        if key in self._cache:
-            self._cache.move_to_end(key)
-        else:
-            dense = np.linspace(0.0, 4.0, 81)
-            coarse = np.linspace(4.0, self.W_MAX, 300)[1:]
-            w = np.concatenate([dense, coarse])
-            g = _c1(pl, w)
-            w.flags.writeable = g.flags.writeable = False  # shared by every evaluator
-            self._cache[key] = (w, g)
-            if len(self._cache) > self.CACHE_SIZE:
-                self._cache.popitem(last=False)
-        self.w, self.g = self._cache[key]
+        self.w, self.g = lru_get(self._cache, (pl.alpha, pl.epsilon), self.CACHE_SIZE, lambda: self._table(pl))
+
+    @classmethod
+    def _table(cls, pl):
+        w = np.concatenate([np.linspace(0.0, 4.0, 81), np.linspace(4.0, cls.W_MAX, 300)[1:]])
+        g = _c1(pl, w)
+        w.flags.writeable = g.flags.writeable = False  # shared by every evaluator
+        return w, g
 
     def _integrate(self, angular_kernel):
         # trapezoid over the cached radial grid; integrand = w C1(w) x angular
@@ -252,22 +231,15 @@ class _DisplacedCross:
 
     def lens(self, rd, u):
         u = abs(float(u))
-        xp, wp = np.polynomial.legendre.leggauss(64)
-        psi = 0.5 * math.pi * (xp + 1.0)
-        wpsi = 0.5 * math.pi * wp
+        t, wt = gauss_legendre(64, 0.0, 1.0)
+        psi, wpsi = math.pi * t, math.pi * wt
 
         def angular(w):
             w = np.atleast_1d(w)
             d = np.sqrt(
                 np.maximum(w[:, None] ** 2 + u * u - 2.0 * w[:, None] * u * np.cos(psi)[None, :], 0.0)
             )
-            lens = np.zeros_like(d)
-            inside = d < 2.0 * rd
-            di = d[inside]
-            lens[inside] = 2.0 * rd * rd * np.arccos(di / (2.0 * rd)) - di * np.sqrt(
-                np.maximum(rd * rd - di * di / 4.0, 0.0)
-            )
-            return 2.0 * lens @ wpsi
+            return 2.0 * lens_area(rd, d) @ wpsi
 
         return self._integrate(angular)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import integrate_1d
+from .numerics import gauss_legendre, integrate_1d
 from .pointprocess import PPP, circle_intersection_area, sample_batch
 from . import simengine
 
@@ -69,9 +69,9 @@ def handoff_prob_avg(density, v):
     motion angle on [0, pi] (symmetry)."""
     if v == 0.0:
         return 0.0
-    xg, wg = np.polynomial.legendre.leggauss(48)
-    phi = 0.5 * math.pi * (xg + 1.0)
-    wphi = 0.5 * math.pi * wg / math.pi  # uniform density 1/pi
+    t, wt = gauss_legendre(48, 0.0, 1.0)
+    phi = math.pi * t
+    wphi = math.pi * wt / math.pi  # the rule on [0, pi] times the uniform density 1/pi
 
     def outer(r):
         val = sum(w * handoff_prob(density, r, v, p) for p, w in zip(phi, wphi))

@@ -1,12 +1,15 @@
 """Special functions and generic numerical machinery.
 
-Everything here is pure and stateless.  Complex arguments are supported
-exactly where the downstream analysis needs them: the gamma ratio on the
-whole plane (minus poles), and complex-valued integrands.  The gamma
-function and Lambert W come from scipy.special.
+Everything here is pure, apart from the Gauss-Legendre base rules, built
+once per order, and `lru_get`, which updates the cache it is handed.
+Complex arguments are supported exactly where the downstream analysis needs
+them: the gamma ratio on the whole plane (minus poles), and the imaginary
+moments of the Gil-Pelaez inversion.  The gamma function and Lambert W come
+from scipy.special.
 """
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,6 +27,8 @@ __all__ = [
     "DEFAULT_QUAD",
     "gamma_ratio",
     "lambert_w0",
+    "gauss_legendre",
+    "lru_get",
     "integrate_1d",
     "gil_pelaez_ccdf",
     "fixed_point_solve",
@@ -44,7 +49,7 @@ DEFAULT_QUAD = QuadratureSpec()
 
 
 class QuadResult(NamedTuple):
-    value: complex | float
+    value: float
     error: float
     converged: bool
 
@@ -112,6 +117,40 @@ def lambert_w0(x):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _legendre_base(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(n, lo=-1.0, hi=1.0):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]
+    (Golub-Welsch; the base rule on [-1, 1] is built once per n).
+
+    `lo` and `hi` may be arrays of panel ends: the nodes and weights then
+    have shape lo.shape + (n,), one row per panel.  The map is the midpoint
+    form 0.5 (hi + lo) + 0.5 (hi - lo) x, and the weights are 0.5 (hi - lo) w.
+    """
+    x, w = _legendre_base(n)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * x, half * w
+
+
+def lru_get(cache, key, size, build):
+    """cache[key] of an OrderedDict, built by build() on a miss; the cache
+    keeps its `size` most recently used entries."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > size:
+        cache.popitem(last=False)
+    return value
+
+
 _QUAD_LIMIT = 200  # QUADPACK subinterval limit
 
 
@@ -132,12 +171,12 @@ def _quad_real(f, a, b, spec):
     return val, err, ok
 
 
-def integrate_1d(f, a, b, spec=None, complex_valued=False):
-    """Integrate f over [a, b]; b may be numpy.inf.
+def integrate_1d(f, a, b, spec=None):
+    """Integrate a real f over [a, b]; b may be numpy.inf.
 
-    Semi-infinite domains are mapped to (0, 1) with x = a + t/(1-t).  Complex
-    integrands are split into real and imaginary parts.  Returns a QuadResult
-    whose `converged` flag records whether the error estimate met the spec.
+    Semi-infinite domains are mapped to (0, 1) with x = a + t/(1-t).  Returns
+    a QuadResult whose `converged` flag records whether the error estimate
+    met the spec.
     """
     spec = spec or DEFAULT_QUAD
     if np.isinf(b):
@@ -146,10 +185,6 @@ def integrate_1d(f, a, b, spec=None, complex_valued=False):
     else:
         g = f
         lo, hi = a, b
-    if complex_valued:
-        vr, er, okr = _quad_real(lambda t: g(t).real, lo, hi, spec)
-        vi, ei, oki = _quad_real(lambda t: complex(g(t)).imag, lo, hi, spec)
-        return QuadResult(complex(vr, vi), er + ei, okr and oki)
     val, err, ok = _quad_real(g, lo, hi, spec)
     return QuadResult(val, err, ok)
 
@@ -161,7 +196,7 @@ def integrate_1d(f, a, b, spec=None, complex_valued=False):
 
 # A 64-point Gauss-Legendre rule applied to a whole panel and to each of its
 # halves: 192 offsets from the panel centre, in units of the half-width
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
+_GL_X, _GL_W = gauss_legendre(64)
 _GP_OFFSETS = np.concatenate([_GL_X, 0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
 _GP_MAX_DEPTH = 8  # bisections of a panel before it is reported as unconverged
 _GP_U_MIN = 1e-6  # lower end of the integral; the integrand is finite at 0
@@ -242,7 +277,6 @@ def gil_pelaez_ccdf(
     lo = _GP_U_MIN + panel * np.arange(math.ceil((u_max - _GP_U_MIN) / panel))
     widths = np.full(len(lo), panel)
     widths[-1] = u_max - lo[-1]
-    hi = lo + widths
     centres = lo + 0.5 * widths
 
     # bisect failed pieces, all of one round together; `owner` maps each
@@ -263,17 +297,9 @@ def gil_pelaez_ccdf(
         values = np.concatenate([values[:, ok], v_new], axis=1)
         ok = np.concatenate([ok[ok], ok_new])
 
-    out, last = [], 0
-    for row in values:
-        panel_values = np.bincount(owner, weights=row, minlength=len(lo))
-        # stop after four consecutive negligible panels beyond u = 200
-        small = np.abs(panel_values) < 1e-10
-        run4 = small[3:] & small[2:-1] & small[1:-2] & small[:-3]
-        stops = np.flatnonzero(run4 & (hi[3:] > 200.0))
-        end = stops[0] + 4 if stops.size else len(lo)
-        last = max(last, end)
-        out.append(min(1.0, max(0.0, 0.5 + float(panel_values[:end].sum()) / math.pi)))
-    converged = converged and not (owner[~ok] < last).any()
+    # every panel up to u_max is summed: its tail mass is already computed
+    out = [min(1.0, max(0.0, 0.5 + float(np.bincount(owner, weights=row).sum()) / math.pi)) for row in values]
+    converged = converged and bool(ok.all())
     value = out[0] if scalar else np.array(out)
     if full_output:
         return value, converged

@@ -207,16 +207,20 @@ def circle_intersection_area(r1, r2, d):
 
 def lens_area(cluster_radius, r):
     """Intersection area of two equal disks of radius R_d a distance r apart:
-    2 R_d^2 arccos(r / 2R_d) - r sqrt(R_d^2 - r^2/4) on [0, 2 R_d], else 0."""
+    2 R_d^2 arccos(r / 2R_d) - r sqrt(R_d^2 - r^2/4) on [0, 2 R_d], else 0.
+
+    r is a scalar (a float is returned) or an array (an array of its shape)."""
     if cluster_radius <= 0:
         raise ValueError("cluster radius must be positive")
-    if r < 0:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
         raise ValueError("distance must be nonnegative")
-    if r >= 2.0 * cluster_radius:
-        return 0.0
-    return 2.0 * cluster_radius**2 * math.acos(r / (2.0 * cluster_radius)) - r * math.sqrt(
-        cluster_radius**2 - r * r / 4.0
-    )
+    rd = cluster_radius
+    out = np.zeros(r.shape)
+    inside = r < 2.0 * rd
+    ri = r[inside]
+    out[inside] = 2.0 * rd * rd * np.arccos(ri / (2.0 * rd)) - ri * np.sqrt(np.maximum(rd * rd - ri * ri / 4.0, 0.0))
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +350,7 @@ def pcf_analytic(field, r):
     if isinstance(field, MCP):
         lam = field.intensity
         rd = field.cluster_radius
-        a = np.vectorize(lambda rr: lens_area(rd, rr))(r)
-        return 1.0 + field.mean_daughters * a / (lam * math.pi**2 * rd**4)
+        return 1.0 + field.mean_daughters * lens_area(rd, r) / (lam * math.pi**2 * rd**4)
     if isinstance(field, GPP):
         return 1.0 - np.exp(-math.pi * field.density * r**2 / field.beta)
     raise TypeError(f"unknown field type: {type(field)!r}")

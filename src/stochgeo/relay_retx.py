@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ToleranceError
-from .numerics import QuadratureSpec, integrate_1d
+from .numerics import QuadratureSpec, gauss_legendre, integrate_1d
 from .pointprocess import PPP, sample_batch
 from .sir_analysis import _real_order, ppp_link_exponent
 from . import simengine
@@ -83,7 +83,7 @@ def linear_route(n_hops, hop_len):
 # End-to-end CSP moments
 # ---------------------------------------------------------------------------
 
-_PSI_NODES = np.polynomial.legendre.leggauss(96)
+_PSI_NODES = tuple(2.0 * math.pi * a for a in gauss_legendre(96, 0.0, 1.0))  # full circle
 
 
 def relay_moments(b, route, theta, alpha, density, regime):
@@ -98,6 +98,8 @@ def relay_moments(b, route, theta, alpha, density, regime):
     b = _real_order(b)
     if b <= 0:
         raise ValueError("b must be positive")
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
     if theta == 0.0:
         return 1.0
     dists = route.hop_distances
@@ -106,9 +108,7 @@ def relay_moments(b, route, theta, alpha, density, regime):
     mid = route.midpoint()
     z = np.array([route.receivers[m] for m in range(route.n_hops)], dtype=float) - mid
     c_m = theta * np.asarray(dists) ** alpha
-    xg, wg = _PSI_NODES
-    psi = math.pi * (xg + 1.0)  # full circle
-    wpsi = math.pi * wg
+    psi, wpsi = _PSI_NODES
     cos_p, sin_p = np.cos(psi), np.sin(psi)
 
     # radius beyond which the product collapses to the sum of single-hop tails

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special as _sps
 
 from . import simengine
+from .numerics import gauss_legendre
 from .sir_analysis import _real_order
 
 __all__ = [
@@ -113,8 +114,7 @@ class _CellTable:
         half = grid.cell_size / 2.0
 
         def tensor(n):
-            x, w = np.polynomial.legendre.leggauss(n)
-            ox, wx = half * x, half * w
+            ox, wx = gauss_legendre(n, -half, half)
             off = np.column_stack([np.repeat(ox, n), np.tile(ox, n)])
             return off, np.outer(wx, wx).ravel()
 
@@ -143,29 +143,13 @@ class _CellTable:
 def laplace_interference(s, grid, blockage, density, alpha, mode):
     """Laplace transform of the shadowed aggregate interference at the origin.
 
-    Correlated mode averages each cell's exponential over the shared draw;
-    independent mode averages the kernel inside the integrand instead.
+    With Rayleigh fading, E[exp(-s I)] is the first CSP moment of a unit link
+    at threshold s: the per-cell kernel 1 - 1/(1 + s l(r) T) is the one of
+    `moments_shadowed` at b = 1, theta r_t^alpha = s.
     """
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if mode not in ("correlated", "independent"):
-        raise ValueError("mode must be 'correlated' or 'independent'")
-    if s == 0.0:
-        return 1.0
-    table = _CellTable(grid, blockage)
-    log_out = 0.0
-    for k in range(len(table.d_k)):
-        tv, tw = table.t_values[k], table.t_weights[k]
-        r, w = table.node_radii(k)
-        ell = r**-alpha
-        # kernel(T) = 1 - 1/(1 + s l(r) T), integrated over the cell
-        x = s * np.outer(tv, ell)
-        integ = (x / (1.0 + x)) @ w  # per T value
-        if mode == "correlated":
-            log_out += math.log(float(np.dot(tw, np.exp(-density * integ))))
-        else:
-            log_out += -density * float(np.dot(tw, integ))
-    return math.exp(log_out)
+    return moments_shadowed(1.0, s, 1.0, grid, blockage, density, alpha, mode)
 
 
 def interference_variance_shadowed(grid, blockage, density, alpha, eps, mode):
@@ -212,6 +196,8 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     b = _real_order(b)
     if mode not in ("correlated", "independent"):
         raise ValueError("mode must be 'correlated' or 'independent'")
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
     if theta == 0.0:
         return 1.0
     table = _CellTable(grid, blockage)

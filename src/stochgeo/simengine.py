@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Curve, Estimate
 from .numerics import integrate_1d
-from .pointprocess import sample_batch
+from .pointprocess import GPP, sample_batch
 
 __all__ = [
     "SimConfig",
@@ -460,8 +460,11 @@ def estimate_interference_moments(model, pl, u, cfg):
     The windowed mean is completed by the analytic far-field mean
     2 pi lam int_R^inf l_eps(r) r dr (its variance contribution is
     negligible at the default window).  Returns Estimates keyed by
-    'mean', 'second_moment', 'mean_product'.
+    'mean', 'second_moment', 'mean_product'.  The Ginibre sampler is
+    origin-centric, so a Ginibre field takes u = 0 only.
     """
+    if u != 0.0 and isinstance(model.field, GPP):
+        raise ValueError("the Ginibre sampler is exact only at the origin: a displaced observer needs u = 0")
     radius = cfg.window_radius or default_window(model.intensity)
     tail_mean = 2.0 * math.pi * model.intensity * integrate_1d(lambda r: pl.ell(r) * r, radius, np.inf).require()
     means, seconds, products = run_batches(cfg, "interference", _interference_chunk, model, pl, u, radius, tail_mean)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ToleranceError
-from .numerics import _unit_grid, gamma_ratio, gil_pelaez_ccdf, integrate_1d
+from .numerics import _unit_grid, gamma_ratio, gauss_legendre, gil_pelaez_ccdf, integrate_1d, lru_get
 from .pointprocess import GPP, MCP, PPP, NetworkModel, sample_batch
 from . import simengine
 
@@ -37,6 +37,8 @@ def ppp_link_exponent(density, b, theta, alpha, r_t):
     """lam pi r_t^2 theta^delta Gamma(1-delta) Gamma(b+delta)/Gamma(b): minus
     the log of the b-th CSP moment of a link of length r_t over a Poisson
     field.  b may be a complex array; the value is real for a real b."""
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
     b = np.asarray(b)
     bc = b.astype(complex)
     if np.any((bc.imag == 0) & (bc.real <= 0) & (bc.real == np.round(bc.real))):
@@ -61,12 +63,10 @@ def _mcp_vb_nodes(field, theta, alpha, r_t):
     parent distance x: returns (rho nodes, psi nodes, combined weights)."""
     rd = field.cluster_radius
     # Gauss-Legendre, 48 nodes on [0, rd] and 64 on [0, pi] (symmetric half)
-    xg, wg = np.polynomial.legendre.leggauss(48)
-    rho = 0.5 * rd * (xg + 1.0)
-    wr = 0.5 * rd * wg
-    xp, wp = np.polynomial.legendre.leggauss(64)
-    psi = 0.5 * math.pi * (xp + 1.0)
-    wpsi = 0.5 * math.pi * wp
+    t, wt = gauss_legendre(48, 0.0, 1.0)
+    rho, wr = rd * t, rd * wt
+    t, wt = gauss_legendre(64, 0.0, 1.0)
+    psi, wpsi = math.pi * t, math.pi * wt
     # daughter-position measure over the disk: (2 / (pi rd^2)) rho drho dpsi on the half circle
     w = (rho * wr)[:, None] * wpsi[None, :] * (2.0 / (math.pi * rd * rd))
     return rho, psi, w
@@ -81,30 +81,18 @@ def _mcp_mean_vb(field, x, theta, alpha, r_t, b, nodes):
 
 
 def _moments_mcp_adhoc(field, b, theta, alpha, r_t):
+    """The b-th moment (real b) of the ad hoc CSP over a Matern cluster field."""
     nodes = _mcp_vb_nodes(field, theta, alpha, r_t)
     cbar = field.mean_daughters
-    is_complex = isinstance(b, complex) and b.imag != 0
 
     def integrand(x):
         vfrac = _mcp_mean_vb(field, x, theta, alpha, r_t, b, nodes)
         return (1.0 - np.exp(-cbar * (1.0 - vfrac))) * x
 
-    res = integrate_1d(integrand, 0.0, np.inf, complex_valued=is_complex)
+    res = integrate_1d(integrand, 0.0, np.inf)
     if not res.converged:
         raise ToleranceError("MCP moment quadrature did not converge")
-    return cmath.exp(-2.0 * math.pi * field.parent_density * res.value)
-
-
-def _lru_get(cache, key, size, build):
-    """cache[key], built by build() on a miss; the cache keeps its `size`
-    most recently used entries."""
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    value = cache[key] = build()
-    if len(cache) > size:
-        cache.popitem(last=False)
-    return value
+    return math.exp(-2.0 * math.pi * field.parent_density * res.value)
 
 
 class GppAdhocMoments:
@@ -135,12 +123,10 @@ class GppAdhocMoments:
         quantiles and the density are the scipy.special calls that
         scipy.stats.gamma makes, so the table equals its build."""
         scale = beta / (math.pi * density)
-        xg, wg = np.polynomial.legendre.leggauss(cls.N_NODES)
         j = np.arange(1, cls.J_NUMERIC + 1)
         lo = _sps.gammaincinv(j, 1e-15) * scale
         hi = _sps.gammainccinv(j, 1e-15) * scale
-        mid = 0.5 * (hi + lo)[:, None] + 0.5 * (hi - lo)[:, None] * xg[None, :]
-        w = 0.5 * (hi - lo)[:, None] * wg[None, :]
+        mid, w = gauss_legendre(cls.N_NODES, lo, hi)
         q = mid / scale
         dens = np.exp(_sps.xlogy(j[:, None] - 1.0, q) - q - _sps.gammaln(j[:, None])) / scale
         table = (lo ** (-alpha / 2.0), w * dens, mid ** (-alpha / 2.0))
@@ -153,7 +139,7 @@ class GppAdhocMoments:
         scale = field.beta / (math.pi * field.density)
         # the tables of the CACHE_SIZE most recently used fields are kept
         key = (field.beta, field.density, alpha)
-        lo_pow, self._w, mid_pow = _lru_get(self._cache, key, self.CACHE_SIZE, lambda: self._table(*key))
+        lo_pow, self._w, mid_pow = lru_get(self._cache, key, self.CACHE_SIZE, lambda: self._table(*key))
         c = theta * r_t**alpha
         self._g = np.log1p(c * mid_pow)  # (J, N)
         # per-index tail moments E[g^m] and their products for the log expansion
@@ -225,7 +211,7 @@ def moments_adhoc(model, b, theta):
     if isinstance(f, PPP):
         return math.exp(-ppp_link_exponent(f.density, b, theta, model.alpha, r_t))
     if isinstance(f, MCP):
-        return _moments_mcp_adhoc(f, b, theta, model.alpha, r_t).real
+        return _moments_mcp_adhoc(f, b, theta, model.alpha, r_t)
     if isinstance(f, GPP):
         return GppAdhocMoments(f, theta, model.alpha, r_t)(b).real
     raise TypeError(f"unknown field type: {type(f)!r}")
@@ -260,7 +246,7 @@ class DownlinkImagMoments:
     _cache = OrderedDict()
 
     def __new__(cls, theta, alpha):
-        return _lru_get(cls._cache, (theta, alpha), cls.CACHE_SIZE, lambda: object.__new__(cls))
+        return lru_get(cls._cache, (theta, alpha), cls.CACHE_SIZE, lambda: object.__new__(cls))
 
     def __init__(self, theta, alpha):
         if hasattr(self, "_w"):
@@ -336,7 +322,12 @@ def _on_grid(moment):
 def meta_distribution(model, theta, x, geometry="adhoc"):
     """SIR meta distribution: P[CSP > x], by Gil-Pelaez inversion of the
     imaginary moments b = ju.  x is a scalar (a float) or a 1-D grid (an
-    array, inverted in one pass that evaluates each moment node once)."""
+    array, inverted in one pass that evaluates each moment node once).
+
+    Downlink, and ad hoc over the Poisson and Ginibre fields.  The Matern
+    cluster field has no analytic imaginary moments here, so its ad hoc
+    meta distribution raises ValueError (apart from theta = 0, where it is
+    exactly 1); `simengine.estimate_meta` estimates it."""
     xs, scalar = _unit_grid(x)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
@@ -359,11 +350,7 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
         ev = GppAdhocMoments(f, theta, model.alpha, model.link_distance)
         return gil_pelaez_ccdf(_on_grid(lambda u: ev(1j * u)), x)
     if isinstance(f, MCP):
-        # MCP imaginary moments need the 2-D integral per u; adaptive but slow
-        return gil_pelaez_ccdf(
-            _on_grid(lambda u: _moments_mcp_adhoc(f, 1j * u, theta, model.alpha, model.link_distance)),
-            x,
-        )
+        raise ValueError("no analytic meta distribution for the Matern cluster field")
     raise TypeError(f"unknown field type: {type(f)!r}")
 
 

@@ -102,11 +102,12 @@ def test_analyze_bad_window_radius_exit2(tmp_path, capsys, radius):
 @pytest.mark.parametrize(
     "params",
     [{"theta": -1.0}, {"x_grid": 0.5}, {"x_grid": []}, {"x_grid": [[0.5, 0.7]]}, {"x_grid": [0.5, 1.5]},
-     {"x_grid": [0.2, 0.0]}],
-    ids=["negative_theta", "scalar_grid", "empty_grid", "2d_grid", "x_above_1", "x_at_0"],
+     {"x_grid": [0.2, 0.0]}, {"field": "mcp"}],
+    ids=["negative_theta", "scalar_grid", "empty_grid", "2d_grid", "x_above_1", "x_at_0", "mcp_field"],
 )
 def test_analyze_meta_config_error_exit2(tmp_path, capsys, params):
-    # rejected before any inversion or Monte Carlo work, with nothing written
+    # rejected before any inversion or Monte Carlo work, with nothing written;
+    # the cluster field has no analytic meta distribution
     cfg = _write_config(tmp_path, experiment="meta_distribution", params={"r_t": 1.0, **params},
                         theta_grid=None, sim={"trials": 200, "master_seed": 7})
     assert cmd_analyze(str(cfg)) == EXIT_CONFIG

@@ -10,6 +10,7 @@ from stochgeo.numerics import (
     QuadratureSpec,
     fixed_point_solve,
     gamma_ratio,
+    gauss_legendre,
     gil_pelaez_ccdf,
     integrate_1d,
     lambert_w0,
@@ -102,6 +103,20 @@ def test_lambert_w_domain_error():
 # ----------------------------------------------------------------- quadrature
 
 
+@pytest.mark.parametrize("n", [1, 5, 12, 64])
+def test_gauss_legendre_panels_are_the_scalar_calls_and_exact_to_degree_2n_minus_1(n):
+    lo = np.array([[-1.0, 0.0], [0.25, 3.0]])
+    hi = np.array([[2.0, 0.5], [2.0, 10.0]])
+    x, w = gauss_legendre(n, lo, hi)
+    assert x.shape == w.shape == (2, 2, n)
+    for idx in np.ndindex(lo.shape):
+        xs, ws = gauss_legendre(n, lo[idx], hi[idx])
+        assert np.array_equal(x[idx], xs) and np.array_equal(w[idx], ws)
+        k = 2 * n - 1
+        exact = (hi[idx] ** (k + 1) - lo[idx] ** (k + 1)) / (k + 1)
+        assert np.dot(ws, xs**k) == pytest.approx(exact, rel=1e-12)
+
+
 def test_integrate_exponential():
     res = integrate_1d(lambda x: math.exp(-x), 0.0, np.inf)
     assert res.converged
@@ -114,11 +129,6 @@ def test_integrate_pathloss_tails():
     assert res1.value == pytest.approx(math.pi / 4.0, rel=1e-9)
     res2 = integrate_1d(lambda r: r / (1 + r**4) ** 2, 0.0, np.inf)
     assert res2.value == pytest.approx(math.pi / 8.0, rel=1e-9)
-
-
-def test_integrate_complex_valued():
-    res = integrate_1d(lambda x: cmath.exp((1j - 1.0) * x), 0.0, np.inf, complex_valued=True)
-    assert res.value == pytest.approx((1.0 + 1j) / 2.0, rel=1e-9)
 
 
 def test_integrate_nan_propagates():

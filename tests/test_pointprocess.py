@@ -176,6 +176,16 @@ def test_lens_area_half_distance():
     assert lens_area(1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
+def test_lens_area_of_an_array_is_the_scalar_values():
+    r = np.array([[0.0, 0.5, 1.0], [1.9, 2.0, 2.5]])
+    got = lens_area(1.0, r)
+    assert isinstance(got, np.ndarray) and got.shape == r.shape
+    assert np.array_equal(got, [[lens_area(1.0, float(v)) for v in row] for row in r])
+    assert isinstance(lens_area(1.0, 0.5), float)
+    with pytest.raises(ValueError):
+        lens_area(1.0, np.array([0.5, -0.1]))
+
+
 def test_circle_intersection_matches_lens_for_equal_radii():
     for d in (0.0, 0.5, 1.0, 1.9, 2.5):
         assert circle_intersection_area(1.0, 1.0, d) == pytest.approx(

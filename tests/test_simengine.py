@@ -344,6 +344,13 @@ def test_interference_draws_at_u0_are_pinned(field):
         _assert_pinned(got[name], pinned)
 
 
+def test_interference_of_a_ginibre_field_takes_only_an_origin_observer():
+    # the Ginibre sampler is exact for statistics referred to the origin only
+    model = NetworkModel(GPP(1.0, 1.0), 4.0)
+    with pytest.raises(ValueError, match="u = 0"):
+        simengine.estimate_interference_moments(model, PathLossSpec(4.0, 1.0), 2.0, SimConfig(trials=10, master_seed=1))
+
+
 def test_lsu_draws_are_pinned():
     est = lsu_mc_estimate("cell_center", 1.0, 1.0, 4.0, 1.0, SimConfig(trials=1500, master_seed=61), rho=0.6)
     _assert_pinned(est, PINNED_LSU_CELL_CENTER)

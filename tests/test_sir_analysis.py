@@ -9,6 +9,9 @@ from stochgeo.core import theta_from_mh, theta_mh
 from stochgeo.location_users import lsu_moments
 from stochgeo.numerics import gamma_ratio
 from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
+from stochgeo.queueing import bipolar_success
+from stochgeo.relay_retx import harq_type1, jsp_retx, linear_route, p_retx, relay_moments
+from stochgeo.shadowing import BlockageModel, ShadowGrid, moments_shadowed
 from stochgeo.simengine import SimConfig, estimate_meta, estimate_moment, estimate_success
 from stochgeo.sir_analysis import (
     DownlinkImagMoments,
@@ -137,9 +140,6 @@ def test_downlink_moment_vs_mpmath():
 
 def test_moment_orders_must_be_real():
     # imaginary orders reach the library only through meta_distribution
-    from stochgeo.relay_retx import linear_route, relay_moments
-    from stochgeo.shadowing import BlockageModel, ShadowGrid, moments_shadowed
-
     grid, blockage = ShadowGrid(4.0, 1.0), BlockageModel(0.5, 0.1)
     for moment in (
         lambda b: moments_adhoc(PPP_MODEL, b, 1.0),
@@ -302,8 +302,8 @@ def test_meta_matches_quad_panel_oracle(geometry, theta, x):
     "geometry, theta, xs, tol",
     [("downlink", 1.0 / 1.5, np.arange(0.1, 0.95, 0.1), 1e-12),
      ("downlink", 10.0, np.array([0.5, 0.9]), 1e-12),
-     # the one-x stop rule (four panels below 1e-10 beyond u = 200) cuts
-     # x = 0.2 to 0.4 near u = 850; the grid's narrower panels keep their tail
+     # both sum every panel to the tail cut; the grid's panels are one period
+     # of x = 0.1, narrower than each larger x's own
      ("adhoc", 1.0, np.arange(0.1, 0.95, 0.1), 5e-9)],
 )
 def test_meta_grid_matches_the_one_x_calls(geometry, theta, xs, tol):
@@ -325,6 +325,25 @@ def test_meta_rejects_a_negative_theta():
     for geometry in ("adhoc", "downlink"):
         with pytest.raises(ValueError, match="theta must be nonnegative"):
             meta_distribution(PPP_MODEL, -1.0, 0.5, geometry=geometry)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: jsp_retx(2, "qsi", -1.0, 4.0, 0.1, 1.0),
+     lambda: jsp_retx(2, "fvi", -1.0, 4.0, 0.1, 1.0),
+     lambda: p_retx(2, "qsi", -1.0, 4.0, 0.1, 1.0),
+     lambda: harq_type1(-1.0, 4.0, 0.1, 1.0, "fvi"),
+     lambda: bipolar_success(0.5, -1.0, 4.0, 0.001, 2.0),
+     lambda: relay_moments(1.0, linear_route(2, 1.0), -1.0, 4.0, 0.1, "fvi"),
+     lambda: relay_moments(1.0, linear_route(2, 1.0), -1.0, 4.0, 0.1, "qsi"),
+     lambda: moments_shadowed(1.0, -1.0, 1.0, ShadowGrid(4.0, 1.0), BlockageModel(0.5, 0.3), 0.1, 4.0,
+                              "correlated")],
+    ids=["jsp_qsi", "jsp_fvi", "p_retx", "harq_type1", "bipolar_success", "relay_fvi",
+         "relay_qsi", "moments_shadowed"],
+)
+def test_a_negative_theta_is_rejected(call):
+    with pytest.raises(ValueError, match="theta must be nonnegative"):
+        call()
 
 
 def test_meta_at_theta_zero_is_exactly_one():

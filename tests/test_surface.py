@@ -1,5 +1,6 @@
 """Every top-level function and class in `src/stochgeo` is named by other
-code in the package, or is kept on purpose with its reason below.
+code in the package, or is kept on purpose with its reason below.  And every
+Gauss-Legendre rule is built by `numerics.gauss_legendre`.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
@@ -66,6 +67,12 @@ def _unreached():
 def test_every_definition_is_reached_or_kept():
     stray = [f"{f}: {name}" for f, name in _unreached() if name not in KEEP]
     assert not stray, "unreached by src/stochgeo; call, delete or list in KEEP: " + ", ".join(stray)
+
+
+def test_gauss_legendre_rules_are_built_only_in_numerics():
+    # one rule builder: other modules call numerics.gauss_legendre
+    builders = sorted(p.name for p in SRC.glob("*.py") if "leggauss" in p.read_text() and p.name != "numerics.py")
+    assert builders == []
 
 
 def test_keep_list_is_current():
