@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sps
 
 from .core import Curve, ToleranceError
 from .numerics import integrate_1d
@@ -111,6 +112,9 @@ class NetworkModel:
 # Sampler
 # ---------------------------------------------------------------------------
 
+# The Ginibre sampler draws Q_j only while P(Q_j <= R^2) >= GPP_TAIL.
+GPP_TAIL = 1e-16
+
 
 def _uniform_radii(n, radius, rng):
     return radius * np.sqrt(rng.random(n))
@@ -138,18 +142,37 @@ def _mcp_batch(field, radius, rng, size):
     return x[keep], y[keep], rad[keep], np.bincount(pattern_of_point[keep], minlength=size)
 
 
+def _gpp_last_index(y):
+    """The last index j with P(Gamma(j, 1) <= y) >= GPP_TAIL, or 0 when even
+    j = 1 falls below it.  The probability falls as j grows, so the doubling
+    and the bisection need about 2 log2(j) calls of `gammainc`."""
+    lo, hi = 0, 1
+    while _sps.gammainc(hi, y) >= GPP_TAIL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _sps.gammainc(mid, y) >= GPP_TAIL else (lo, mid)
+    return lo
+
+
 def _gpp_radii(field, radius, rng, size):
     """beta-Ginibre origin distances of `size` patterns.
 
     Squared distances are {Q_j ~ Gamma(j, beta / (pi lambda))}, each kept
-    with probability beta; j runs to twice the expected number of variates
-    below the window, plus 8.
+    with probability beta.  j runs to the last index whose
+    P(Q_j <= R^2) = gammainc(j, pi lambda R^2 / beta) is at least GPP_TAIL,
+    so the indices left out hold below 1e-15 expected points per pattern
+    (j = 575 at pi lambda R^2 = 400 and beta = 1, the default window; j = 0
+    at R = 0).  The gammas are drawn pattern-major, then, for beta < 1 only,
+    the thinning uniforms.
     """
     scale = field.beta / (math.pi * field.density)
-    j_max = int(math.ceil(2.0 * math.pi * field.density * radius**2 / field.beta)) + 8
-    shapes = np.arange(1, j_max + 1, dtype=float)
-    q = rng.standard_gamma(np.broadcast_to(shapes, (size, j_max))) * scale
-    keep = (rng.random((size, j_max)) < field.beta) & (q <= radius**2)
+    n = _gpp_last_index(math.pi * field.density * radius**2 / field.beta)
+    q = rng.standard_gamma(np.broadcast_to(np.arange(1.0, n + 1), (size, n)))
+    q *= scale
+    keep = q <= radius**2
+    if field.beta < 1.0:
+        keep &= rng.random((size, n)) < field.beta
     return np.sqrt(q[keep]), keep.sum(axis=1)
 
 
@@ -164,10 +187,13 @@ def sample_batch(field, window_radius, rng, size, planar=False):
     their points' angles after all the radii, so a planar batch draws the
     radii that a radial one does; the Ginibre radii and angles are the
     origin-centric representation, exact for every statistic referred to
-    the origin.  The Matern field builds planar points either way.
+    the origin.  The Ginibre field draws Q_j only while P(Q_j <= R^2) is at
+    least GPP_TAIL, which leaves out below 1e-15 expected points per
+    pattern, and draws its thinning uniforms only for beta < 1.  The Matern
+    field builds planar points either way.
     """
-    if not window_radius >= 0:
-        raise ValueError("window radius must be nonnegative")
+    if not 0.0 <= window_radius < math.inf:
+        raise ValueError("window radius must be finite and nonnegative")
     if isinstance(field, MCP):
         x, y, radii, counts = _mcp_batch(field, window_radius, rng, size)
         return (x, y, counts) if planar else (radii, counts)

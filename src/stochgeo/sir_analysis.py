@@ -58,10 +58,10 @@ def _real_order(b):
     return b.real
 
 
-def _mcp_vb_nodes(field, theta, alpha, r_t):
+def _mcp_vb_nodes(rd):
     """Precomputed quadrature nodes for V_b(x)/(pi R_d^2) as a function of the
-    parent distance x: returns (rho nodes, psi nodes, combined weights)."""
-    rd = field.cluster_radius
+    parent distance x, for cluster radius `rd`: returns (rho nodes, psi nodes,
+    combined weights)."""
     # Gauss-Legendre, 48 nodes on [0, rd] and 64 on [0, pi] (symmetric half)
     t, wt = gauss_legendre(48, 0.0, 1.0)
     rho, wr = rd * t, rd * wt
@@ -72,7 +72,7 @@ def _mcp_vb_nodes(field, theta, alpha, r_t):
     return rho, psi, w
 
 
-def _mcp_mean_vb(field, x, theta, alpha, r_t, b, nodes):
+def _mcp_mean_vb(x, theta, alpha, r_t, b, nodes):
     rho, psi, w = nodes
     d2 = rho[:, None] ** 2 + x * x - 2.0 * x * rho[:, None] * np.cos(psi[None, :])
     d = np.sqrt(np.maximum(d2, 1e-300))
@@ -82,11 +82,11 @@ def _mcp_mean_vb(field, x, theta, alpha, r_t, b, nodes):
 
 def _moments_mcp_adhoc(field, b, theta, alpha, r_t):
     """The b-th moment (real b) of the ad hoc CSP over a Matern cluster field."""
-    nodes = _mcp_vb_nodes(field, theta, alpha, r_t)
+    nodes = _mcp_vb_nodes(field.cluster_radius)
     cbar = field.mean_daughters
 
     def integrand(x):
-        vfrac = _mcp_mean_vb(field, x, theta, alpha, r_t, b, nodes)
+        vfrac = _mcp_mean_vb(x, theta, alpha, r_t, b, nodes)
         return (1.0 - np.exp(-cbar * (1.0 - vfrac))) * x
 
     res = integrate_1d(integrand, 0.0, np.inf)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate as sciint
 from scipy import stats
+from scipy.special import gammainc
 
+from stochgeo import pointprocess
 from stochgeo.pointprocess import (
     GPP,
     MCP,
@@ -21,7 +23,7 @@ from stochgeo.pointprocess import (
     sample_batch,
     vertex_contact_pdf,
 )
-from stochgeo.simengine import seed_stream
+from stochgeo.simengine import default_window, seed_stream
 
 
 # ------------------------------------------------------------------ samplers
@@ -103,6 +105,13 @@ def test_gpp_empty_window():
     assert counts[0] == 0
 
 
+@pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+def test_sampler_rejects_a_bad_window(radius):
+    for field in (PPP(1.0), MCP(0.1, 5.0, 1.0), GPP(1.0, 0.5)):
+        with pytest.raises(ValueError, match="window radius"):
+            sample_batch(field, radius, seed_stream(3, 0), 1)
+
+
 def test_gpp_intensity():
     rng = seed_stream(31, 0)
     lam, beta, R = 1.0, 0.5, 8.0
@@ -149,6 +158,70 @@ def test_gpp_contact_ccdf_matches_representation_oracle():
         se = math.sqrt(max(ana * (1 - ana), 1e-4) / len(near))
         assert abs(emp - ana) < 4.0 * se
         assert ana < math.exp(-lam * math.pi * r * r)  # strictly below PPP
+
+
+def _gpp_index_probs(lam, beta, radius):
+    """P(Q_j <= R^2) for j out to four times the expected number of Q_j
+    below the window (plus 64, so that R = 0 still has indices), with the
+    sampler's last index."""
+    y = math.pi * lam * radius**2 / beta
+    j = np.arange(1.0, 4 * math.ceil(y) + 65)
+    return gammainc(j, y), pointprocess._gpp_last_index(y)
+
+
+@pytest.mark.parametrize("lam, beta, radius", [
+    (1.0, 1.0, default_window(1.0)),
+    (1.0, 0.5, default_window(1.0)),
+    (0.1, 1.0, default_window(0.1)),
+    (0.1, 0.5, 3.0),
+    (1.0, 1.0, 0.0),
+    (1.0, 0.5, 0.0),
+])
+def test_gpp_indices_left_out_hold_below_1e15_points(lam, beta, radius):
+    p, last = _gpp_index_probs(lam, beta, radius)
+    assert last == np.count_nonzero(p >= pointprocess.GPP_TAIL)
+    assert p[last:].sum() * beta <= 1e-15
+    if radius == 0.0:
+        assert last == 0
+
+
+def test_gpp_last_index_at_the_default_window():
+    # pi lambda R^2 = 400 at the default window
+    assert pointprocess._gpp_last_index(400.0) == 575
+
+
+def test_gpp_draw_order():
+    # gammas pattern-major, thinning uniforms only for beta < 1, then angles
+    radius, size = 4.0, 3
+    for beta in (0.5, 1.0):
+        field = GPP(1.0, beta)
+        scale = beta / math.pi
+        last = pointprocess._gpp_last_index(radius**2 / scale)
+        x, y, counts = sample_batch(field, radius, seed_stream(35, 0), size, planar=True)
+        twin = seed_stream(35, 0)
+        q = twin.standard_gamma(np.broadcast_to(np.arange(1.0, last + 1), (size, last))) * scale
+        keep = q <= radius**2
+        if beta < 1.0:
+            keep &= twin.random((size, last)) < beta
+        t = twin.random(int(keep.sum())) * 2.0 * np.pi
+        r = np.sqrt(q[keep])
+        np.testing.assert_array_equal(counts, keep.sum(axis=1))
+        np.testing.assert_array_equal(x, r * np.cos(t))
+        np.testing.assert_array_equal(y, r * np.sin(t))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_gpp_window_count_law(beta):
+    # the window count is a sum of independent Bernoulli(beta P_j)
+    radius, n = default_window(1.0), 4000
+    p, _ = _gpp_index_probs(1.0, beta, radius)
+    bp = beta * p
+    mean, var = bp.sum(), (bp * (1.0 - bp)).sum()
+    kurt = (bp * (1.0 - bp) * (1.0 - 6.0 * bp * (1.0 - bp))).sum()
+    _, counts = sample_batch(GPP(1.0, beta), radius, seed_stream(36, 0), n)
+    assert abs(counts.mean() - mean) < 4.0 * math.sqrt(var / n)
+    # SE of the sample variance: (mu_4 - sigma^4) / n, mu_4 = kappa_4 + 3 sigma^4
+    assert abs(counts.var(ddof=1) - var) < 4.0 * math.sqrt((kurt + 2.0 * var**2) / n)
 
 
 def test_sampler_determinism():

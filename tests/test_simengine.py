@@ -300,14 +300,17 @@ def test_theta_grid_must_be_one_dimensional():
 # pointprocess.sample_batch; the csp, interference (u = 0) and lsu streams
 # must keep drawing these numbers.  lsu sums its log factors in another
 # order since its loop was vectorised, hence rel 1e-12 instead of equality.
+# The Ginibre entries were recorded again when its sampler stopped drawing
+# the gamma variates beyond GPP_TAIL and the thinning uniforms at beta = 1;
+# each new mean lies within 1.05 stderr of the value it replaced.
 PINNED_FIELDS = {"ppp": PPP(0.1), "mcp": MCP(0.02, 5.0, 1.0), "gpp": GPP(0.1, 1.0)}
 PINNED_SUCCESS = {
     ("ppp", "adhoc"): (0.6084424289115452, 0.008415878763689684),
     ("ppp", "downlink"): (0.5651732350907268, 0.008105305926746464),
     ("mcp", "adhoc"): (0.7518351153124339, 0.008512468988429072),
     ("mcp", "downlink"): (0.18994883800247833, 0.006935599842933596),
-    ("gpp", "adhoc"): (0.5669451126257876, 0.007678705496730227),
-    ("gpp", "downlink"): (0.6435049447697768, 0.007443876567006017),
+    ("gpp", "adhoc"): (0.5749636097216853, 0.007654835652093135),
+    ("gpp", "downlink"): (0.6464187146916621, 0.007339756592073619),
 }
 PINNED_INTERFERENCE = {
     "ppp": {"mean": (0.4890209163572477, 0.02717045757596482),
@@ -316,9 +319,9 @@ PINNED_INTERFERENCE = {
     "mcp": {"mean": (0.5872721522237253, 0.05472730046616802),
             "second_moment": (2.138939953149713, 0.38033640775347577),
             "mean_product": (1.8241256675725601, 0.26650863682254156)},
-    "gpp": {"mean": (0.4428676636467668, 0.02391953041913912),
-            "second_moment": (0.5388459848517466, 0.09011799674722243),
-            "mean_product": (0.3180244863660121, 0.03313145040867291)},
+    "gpp": {"mean": (0.457111956826865, 0.02042850374693389),
+            "second_moment": (0.45892827651184254, 0.04481745242102445),
+            "mean_product": (0.3348044629098364, 0.029244370489707697)},
 }
 PINNED_LSU_CELL_CENTER = (0.8868341244662842, 0.005132030868352833)
 
