@@ -166,10 +166,11 @@ def _gpp_radii(field, radius, rng, size):
     at R = 0).  The gammas are drawn pattern-major, then, for beta < 1 only,
     the thinning uniforms.
     """
-    scale = field.beta / (math.pi * field.density)
     n = _gpp_last_index(math.pi * field.density * radius**2 / field.beta)
+    if n == 0:  # an empty field or window: no draws
+        return np.empty(0), np.zeros(size, dtype=int)
     q = rng.standard_gamma(np.broadcast_to(np.arange(1.0, n + 1), (size, n)))
-    q *= scale
+    q *= field.beta / (math.pi * field.density)
     keep = q <= radius**2
     if field.beta < 1.0:
         keep &= rng.random((size, n)) < field.beta

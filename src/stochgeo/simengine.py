@@ -288,8 +288,8 @@ def confidence(samples, seed):
 
 def default_window(intensity):
     """Default observation radius: about twenty mean nearest distances of a
-    field of the given intensity."""
-    return 20.0 / math.sqrt(math.pi * intensity)
+    field of the given intensity (an empty field takes unit intensity's)."""
+    return 20.0 / math.sqrt(math.pi * (intensity or 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ that does not contain the serving transmitter) and "downlink" (nearest-point
 association; interferers are the remaining points).
 """
 
-import cmath
 import math
 from collections import OrderedDict
 
@@ -102,7 +101,7 @@ class GppAdhocMoments:
     1 - beta (1 - E[v(Q_j)^b]) with Q_j ~ Gamma(j, beta / (pi lambda)) and
     v(q) = 1/(1 + theta r_t^alpha q^(-alpha/2)).  Factors are evaluated
     exactly (Gauss-Legendre on the concentrated gamma mass) out to the index
-    where |b| log(1 + theta r_t^alpha q^(-alpha/2)) < 0.05, and the remaining
+    where |b| log(1 + theta r_t^alpha q^(-alpha/2)) < 0.02, and the remaining
     tail is summed through a cubic expansion in b with closed-form gamma-ratio
     super-tails; the product is truncated where factors differ from one by
     less than 1e-10.
@@ -142,59 +141,64 @@ class GppAdhocMoments:
         lo_pow, self._w, mid_pow = lru_get(self._cache, key, self.CACHE_SIZE, lambda: self._table(*key))
         c = theta * r_t**alpha
         self._g = np.log1p(c * mid_pow)  # (J, N)
-        # per-index tail moments E[g^m] and their products for the log expansion
-        m1 = np.sum(self._w * self._g, axis=1)
-        m2 = np.sum(self._w * self._g**2, axis=1)
-        m3 = np.sum(self._w * self._g**3, axis=1)
         # upper envelope of g at the lower gamma quantile (g is decreasing in q)
         self._g_upper = np.log1p(c * lo_pow)
         # super-tail (j > J_NUMERIC): leading order sum of E[Q^(-alpha/2)]
         a1 = alpha / 2.0
-        pref = (1.0 / scale) ** a1
         jbig = self.J_NUMERIC + 1
-        self._m1_super = c * pref * abs(gamma_ratio(jbig - a1, jbig - 1)) / (a1 - 1.0)
+        self._m1_super = c * (1.0 / scale) ** a1 * abs(gamma_ratio(jbig - a1, jbig - 1)) / (a1 - 1.0)
+        # per-index tail moments E[g^m] and their products for the log
+        # expansion, summed from each index on (an empty sum at J_NUMERIC)
+        m1, m2, m3 = (np.sum(self._w * self._g**p, axis=1) for p in (1, 2, 3))
+        terms = np.pad([m1, m2, m3, m1 * m1, m1 * m2, m1**3], ((0, 0), (0, 1)))
+        self._cum = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
 
-        def revcum(a):
-            return np.cumsum(a[::-1])[::-1]
+    def _j_exact(self, b):
+        """The count of exact factors per order: those where |b| g could exceed TAIL_CUT."""
+        return np.clip(np.searchsorted(-self._g_upper, -self.TAIL_CUT / np.maximum(np.abs(b), 1.0)), 4, self.J_NUMERIC)
 
-        self._cum = {
-            "m1": revcum(m1),
-            "m2": revcum(m2),
-            "m3": revcum(m3),
-            "m1m1": revcum(m1 * m1),
-            "m1m2": revcum(m1 * m2),
-            "m1m1m1": revcum(m1**3),
-        }
-
-    def __call__(self, b):
-        b = complex(b)
-        mag = max(abs(b), 1.0)
-        # exact factors while |b| g could exceed TAIL_CUT
-        j_exact = int(np.searchsorted(-self._g_upper, -self.TAIL_CUT / mag))
-        j_exact = min(max(j_exact, 4), self.J_NUMERIC)
-        ev = np.sum(self._w[:j_exact] * np.exp(-b * self._g[:j_exact]), axis=1)
-        factors = 1.0 - self.beta * (1.0 - ev)
-        keep = np.abs(factors - 1.0) >= self.TRUNC
-        if not np.all(keep):
-            last = int(np.argmin(keep))
-            log_m = complex(np.sum(np.log(factors[:last].astype(complex))))
-            return cmath.exp(log_m)
-        log_m = complex(np.sum(np.log(factors.astype(complex))))
+    def _moment(self, s, b, j_exact):
+        """M(b) from the node sums s[j] = sum_k w_jk (1 - e^(-b g_jk)) of the first
+        len(s) indices, overwriting s; b and j_exact have the shape of s[0].  The
+        product runs over each order's first j_exact factors, plus the expansion
+        tail from there, or stops before the first factor within TRUNC of one."""
+        j = np.arange(len(s)).reshape((-1,) + (1,) * np.ndim(b))
+        s += (1.0 - self._w[: len(s)].sum(axis=1)).reshape(j.shape)  # 1 - E[v^b]: S plus the missing mass
+        small = (j < j_exact) & (self.beta * np.abs(s) < self.TRUNC)
+        stopped = small.any(axis=0)
+        used = j < np.where(stopped, small.argmax(axis=0), j_exact)
+        factors = np.subtract(1.0, np.multiply(self.beta, s, out=s), out=s)
+        log_m = np.sum(np.log(factors, out=factors, where=used), axis=0, where=used)
         # expansion tail over j_exact..J_NUMERIC plus the analytic super-tail:
         # per factor log(1 - beta x) with x = E[1 - v^b] expanded through
         # third order in b g (|b| g < TAIL_CUT there)
-        if j_exact < self.J_NUMERIC:
-            c = {k: v[j_exact] for k, v in self._cum.items()}
-            c["m1"] += self._m1_super
-        else:
-            c = {k: 0.0 for k in self._cum}
-            c["m1"] = self._m1_super
+        m1, m2, m3, m11, m12, m111 = self._cum[:, j_exact]
         bt = self.beta
-        x1 = b * c["m1"] - b * b * c["m2"] / 2.0 + b**3 * c["m3"] / 6.0
-        x2 = b * b * c["m1m1"] - b**3 * c["m1m2"]
-        x3 = b**3 * c["m1m1m1"]
-        log_m += -bt * x1 - bt * bt * x2 / 2.0 - bt**3 * x3 / 3.0
-        return cmath.exp(log_m)
+        x1 = b * (m1 + self._m1_super) - b * b * m2 / 2.0 + b**3 * m3 / 6.0
+        x2 = b * b * m11 - b**3 * m12
+        x3 = b**3 * m111
+        log_m += np.where(stopped, 0.0, -bt * x1 - bt * bt * x2 / 2.0 - bt**3 * x3 / 3.0)
+        return np.exp(log_m)
+
+    def at(self, b):
+        """M(b) at one order b, from its row of node sums formed directly."""
+        j = self._j_exact(b)
+        return self._moment(np.sum(self._w[:j] * -np.expm1(-b * self._g[:j]), axis=1), b, j)
+
+    def __call__(self, c, d):
+        """M(ju) on the grid u[p, i] = c[p] + d[i], one node-sum group per index
+        j.  The rows needing the most indices go first, in blocks whose node
+        sums stay within _FACTOR_CAP entries."""
+        c = np.asarray(c, dtype=float)
+        u = np.add.outer(c, d)
+        j_exact = self._j_exact(u)
+        out = np.empty(u.shape, dtype=complex)
+        rows = np.argsort(-j_exact.max(axis=1), kind="stable")
+        while rows.size:
+            n = j_exact[rows[0]].max()
+            block, rows = np.split(rows, [max(1, _FACTOR_CAP // (n * len(d)))])
+            out[block] = self._moment(_node_sums(self._g[:n], self._w[:n], c[block], d), 1j * u[block], j_exact[block])
+        return out
 
 
 def moments_adhoc(model, b, theta):
@@ -202,7 +206,7 @@ def moments_adhoc(model, b, theta):
     b = _real_order(b)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
+    if theta == 0.0 or model.field.intensity == 0.0:  # no interference: the CSP is 1
         return 1.0
     r_t = model.link_distance
     if r_t is None:
@@ -213,7 +217,7 @@ def moments_adhoc(model, b, theta):
     if isinstance(f, MCP):
         return _moments_mcp_adhoc(f, b, theta, model.alpha, r_t)
     if isinstance(f, GPP):
-        return GppAdhocMoments(f, theta, model.alpha, r_t)(b).real
+        return float(GppAdhocMoments(f, theta, model.alpha, r_t).at(b).real)
     raise TypeError(f"unknown field type: {type(f)!r}")
 
 
@@ -242,7 +246,6 @@ class DownlinkImagMoments:
     U_CAP = 4.0e3
     NODES_PER_PERIOD = 8.0
     CACHE_SIZE = 16
-    BLOCK = 1 << 19  # complex entries (8 MB) per factor of the product
     _cache = OrderedDict()
 
     def __new__(cls, theta, alpha):
@@ -265,37 +268,9 @@ class DownlinkImagMoments:
         self._w = scale * w * g_td
 
     def __call__(self, c, d):
-        """M(ju) = 1/F on the grid u[p, i] = c[p] + d[i].
-
-        F = 2F1(ju, -delta; 1-delta; -theta) = 1 + 2 sum_k w_k (1 - a_pk b_ki)
-        with a_pk = e^(-j c_p t_k) and b_ki = e^(-j d_i t_k).  Splitting
-        1 - a b = (1 - a) + a (1 - b) gives a row sum plus one complex matrix
-        product, with P n + n D exponentials in place of P D n.  The factors
-        1 - e^(-jx) are formed without cancellation, so the large weights
-        near t = 0 keep their digits.  The node loop runs in blocks so that
-        no factor exceeds BLOCK entries.
-        """
-        c = np.asarray(c, dtype=float)
-        d = np.asarray(d, dtype=float)
-        f = np.zeros((len(c), len(d)), dtype=complex)
-        step = max(1, self.BLOCK // max(len(c), len(d)))
-        for k in range(0, len(self._t), step):
-            t, w = self._t[k : k + step], self._w[k : k + step]
-            one_minus_a = _one_minus_exp(np.outer(c, t))
-            f += (one_minus_a @ w)[:, None]
-            a = 1.0 - one_minus_a
-            a *= w
-            f += a @ _one_minus_exp(np.outer(t, d))
-        return 1.0 / (1.0 + 2.0 * f)
-
-
-def _one_minus_exp(x):
-    """1 - e^(-jx) = 2 sin^2(x/2) + j sin(x) for real x, accurate at small x."""
-    out = np.empty(x.shape, dtype=complex)
-    half = np.sin(0.5 * x)
-    np.multiply(2.0 * half, half, out=out.real)
-    np.sin(x, out=out.imag)
-    return out
+        """M(ju) = 1/F on the grid u[p, i] = c[p] + d[i], where
+        F = 2F1(ju, -delta; 1-delta; -theta) = 1 + 2 sum_k w_k (1 - e^(-j u t_k))."""
+        return 1.0 / (1.0 + 2.0 * _node_sums(self._t[None], self._w[None], c, d)[0])
 
 
 def moments_downlink_ppp(b, theta, alpha):
@@ -313,10 +288,38 @@ def moments_downlink_ppp(b, theta, alpha):
 # Meta distribution
 # ---------------------------------------------------------------------------
 
+_FACTOR_CAP = 1 << 19  # complex entries (8 MB) per node-sum factor, and per Ginibre block of node sums
 
-def _on_grid(moment):
-    """Grid form (c, d) -> M(j (c[p] + d[i])) of a scalar u -> M(ju)."""
-    return lambda c, d: np.array([[moment(ci + di) for di in d] for ci in c], dtype=complex)
+
+def _node_sums(t, w, c, d):
+    """S[g, p, i] = sum_k w[g, k] (1 - e^(-j (c[p] + d[i]) t[g, k])) for the
+    node groups t, w of shape (G, n), on the grid u[p, i] = c[p] + d[i].
+
+    With a_pk = e^(-j c_p t_k) and b_ki = e^(-j d_i t_k), the split
+    1 - a b = (1 - a) + a (1 - b) gives each group a row sum plus one complex
+    matrix product: P n + n D exponentials in place of P D n.  The factors
+    1 - e^(-jx) are formed without cancellation, so large weights near t = 0
+    keep their digits.  No factor exceeds _FACTOR_CAP entries."""
+    s = np.zeros((len(t), len(c), len(d)), dtype=complex)
+    step = max(1, _FACTOR_CAP // max(len(c), len(d)))
+    for tg, wg, sg in zip(t, w, s):
+        for k in range(0, len(tg), step):
+            tk, wk = tg[k : k + step], wg[k : k + step]
+            one_minus_a = _one_minus_exp(np.outer(c, tk))
+            sg += (one_minus_a @ wk)[:, None]
+            a = 1.0 - one_minus_a
+            a *= wk
+            sg += a @ _one_minus_exp(np.outer(tk, d))
+    return s
+
+
+def _one_minus_exp(x):
+    """1 - e^(-jx) = 2 sin^2(x/2) + j sin(x) for real x, accurate at small x."""
+    out = np.empty(x.shape, dtype=complex)
+    half = np.sin(0.5 * x)
+    np.multiply(2.0 * half, half, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def meta_distribution(model, theta, x, geometry="adhoc"):
@@ -326,12 +329,13 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
 
     Downlink, and ad hoc over the Poisson and Ginibre fields.  The Matern
     cluster field has no analytic imaginary moments here, so its ad hoc
-    meta distribution raises ValueError (apart from theta = 0, where it is
-    exactly 1); `simengine.estimate_meta` estimates it."""
+    meta distribution raises ValueError (apart from theta = 0 and an empty
+    field, where it is exactly 1); `simengine.estimate_meta` estimates it."""
     xs, scalar = _unit_grid(x)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    if theta == 0.0:  # every link succeeds: the CSP is 1
+    # every link succeeds at theta = 0 and over an empty field: the CSP is 1
+    if theta == 0.0 or (geometry != "downlink" and model.field.intensity == 0.0):
         return 1.0 if scalar else np.ones(len(xs))
     if geometry == "downlink":
         alpha = model.alpha if isinstance(model, NetworkModel) else model
@@ -340,15 +344,10 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
         return gil_pelaez_ccdf(moment, x, u_max_cap=DownlinkImagMoments.U_CAP)
     f = model.field
     if isinstance(f, PPP):
-
-        def moment(c, d):
-            b = 1j * np.add.outer(c, d)
-            return np.exp(-ppp_link_exponent(f.density, b, theta, model.alpha, model.link_distance))
-
-        return gil_pelaez_ccdf(moment, x)
+        expo = lambda b: ppp_link_exponent(f.density, b, theta, model.alpha, model.link_distance)
+        return gil_pelaez_ccdf(lambda c, d: np.exp(-expo(1j * np.add.outer(c, d))), x)
     if isinstance(f, GPP):
-        ev = GppAdhocMoments(f, theta, model.alpha, model.link_distance)
-        return gil_pelaez_ccdf(_on_grid(lambda u: ev(1j * u)), x)
+        return gil_pelaez_ccdf(GppAdhocMoments(f, theta, model.alpha, model.link_distance), x)
     if isinstance(f, MCP):
         raise ValueError("no analytic meta distribution for the Matern cluster field")
     raise TypeError(f"unknown field type: {type(f)!r}")

@@ -123,6 +123,17 @@ def test_analyze_meta_theta_zero_is_one(tmp_path):
     assert len(rows) == 9 and all(r.split(",")[1] == "1.0" and r.split(",")[2] == "1.0" for r in rows)
 
 
+@pytest.mark.parametrize("experiment, columns", [("moments_adhoc", (3, 4)), ("meta_distribution", (1, 2))])
+def test_analyze_an_empty_ginibre_field_exit0(tmp_path, experiment, columns):
+    # no interferers: the analytic and simulated values are exactly 1
+    grid = {"kind": "db", "start": -10, "stop": 10, "num": 3} if experiment == "moments_adhoc" else None
+    cfg = _write_config(tmp_path, experiment=experiment, params={"field": "gpp", "density": 0, "r_t": 1.0},
+                        theta_grid=grid, sim={"trials": 200, "master_seed": 7})
+    assert cmd_analyze(str(cfg)) == EXIT_OK
+    rows = (tmp_path / "out" / f"{experiment}.csv").read_text().splitlines()[1:]
+    assert rows and all(r.split(",")[i] == "1.0" for r in rows for i in columns)
+
+
 def test_analyze_bad_json_exit2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

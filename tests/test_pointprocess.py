@@ -105,6 +105,14 @@ def test_gpp_empty_window():
     assert counts[0] == 0
 
 
+@pytest.mark.parametrize("field", [PPP(0.0), MCP(0.0, 5.0, 1.0), GPP(0.0, 1.0), GPP(0.0, 0.5)])
+def test_an_empty_field_draws_empty_patterns(field):
+    radii, counts = sample_batch(field, 10.0, seed_stream(3, 0), 4)
+    assert radii.size == 0 and np.array_equal(counts, np.zeros(4))
+    x, y, counts = sample_batch(field, 10.0, seed_stream(3, 0), 4, planar=True)
+    assert x.size == y.size == 0 and np.array_equal(counts, np.zeros(4))
+
+
 @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
 def test_sampler_rejects_a_bad_window(radius):
     for field in (PPP(1.0), MCP(0.1, 5.0, 1.0), GPP(1.0, 0.5)):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sciint
 
+from stochgeo import sir_analysis
 from stochgeo.core import theta_from_mh, theta_mh
 from stochgeo.location_users import lsu_moments
 from stochgeo.numerics import gamma_ratio
@@ -167,7 +168,7 @@ def test_downlink_imag_moments_grid_matches_node_sum():
     rng = np.random.default_rng(10)
     c = rng.uniform(0.0, DownlinkImagMoments.U_CAP, 400)
     d = rng.uniform(-30.0, 30.0, 192)
-    assert DownlinkImagMoments.BLOCK // len(c) < len(ev._t)
+    assert sir_analysis._FACTOR_CAP // len(c) < len(ev._t)
     grid = ev(c, d)
     assert grid.shape == (400, 192)
 
@@ -292,9 +293,9 @@ def test_meta_matches_quad_panel_oracle(geometry, theta, x):
         got = meta_distribution(NetworkModel(PPP(1.0), alpha=4.0), theta, x, geometry="downlink")
         ref = _quad_panel_ccdf(_downlink_scalar_moment(theta), x, DownlinkImagMoments.U_CAP)
     else:
-        ev = GppAdhocMoments(GPP_MODEL.field, theta, 4.0, 1.0)
+        ref_ev = _ScalarGppReference(GppAdhocMoments(GPP_MODEL.field, theta, 4.0, 1.0))
         got = meta_distribution(GPP_MODEL, theta, x)
-        ref = _quad_panel_ccdf(lambda u: ev(1j * u), x)
+        ref = _quad_panel_ccdf(lambda u: ref_ev(1j * u), x)
     assert abs(got - ref) < 1e-9
 
 
@@ -356,12 +357,25 @@ def test_meta_at_theta_zero_is_exactly_one():
         meta_distribution(PPP_MODEL, 0.0, 1.5)
 
 
+@pytest.mark.parametrize("field", [PPP(0.0), MCP(0.0, 5.0, 1.0), GPP(0.0, 1.0), GPP(0.0, 0.5)])
+def test_an_empty_field_has_moments_and_meta_distribution_one(field):
+    # no interferers: every link succeeds, analytically and in simulation
+    model = NetworkModel(field, alpha=4.0, link_distance=1.0)
+    assert moments_adhoc(model, 2.0, 1.0) == 1.0
+    assert meta_distribution(model, 1.0, 0.5) == 1.0
+    assert np.all(meta_distribution(model, 1.0, [0.1, 0.9]) == 1.0)
+    assert estimate_moment(model, 1.0, 1.0, "adhoc", SimConfig(trials=200, master_seed=7)).mean == 1.0
+
+
 def test_meta_gpp_moment_function_consistency():
-    # imaginary-order evaluator must agree with the real-order path at u -> -jb
+    # the grid's node sums at imaginary orders agree with the one-order path,
+    # which at u -> -jb is the real-order moment
     ev = GppAdhocMoments(GPP(0.1, 1.0), 1.0, 4.0, 1.0)
+    u = np.array([0.5, 3.0, 40.0])
+    assert ev(u, np.zeros(1))[:, 0] == pytest.approx([ev.at(1j * v) for v in u], rel=1e-8)
     for b in (1.0, 2.0):
         direct = moments_adhoc(GPP_MODEL, b, 1.0)
-        assert complex(ev(complex(b))).real == pytest.approx(direct, rel=1e-8)
+        assert complex(ev.at(complex(b))).real == pytest.approx(direct, rel=1e-8)
 
 
 # ---------------------------------------------------------------------- MH
@@ -487,18 +501,198 @@ def test_gpp_table_cache_is_bounded_and_keyed_by_every_input(monkeypatch):
     monkeypatch.setattr(GppAdhocMoments, "CACHE_SIZE", 2)
     # fields that differ only in beta, and one field at two path-loss exponents
     cases = [(GPP(0.1, 1.0), 4.0), (GPP(0.1, 0.5), 4.0), (GPP(0.1, 1.0), 4.0), (GPP(0.1, 1.0), 3.0)]
+
+    def values(ev):
+        return ev.at(1.0), ev.at(2.0), ev(np.array([0.5]), np.zeros(1))[0, 0]
+
     warm = []
     for field, alpha in cases:
-        ev = GppAdhocMoments(field, 2.0, alpha, 1.0)
-        warm.append((ev(1.0), ev(2.0), ev(0.5j)))
+        warm.append(values(GppAdhocMoments(field, 2.0, alpha, 1.0)))
         assert len(GppAdhocMoments._cache) <= 2
     # the third case was a hit, the fourth evicted the beta = 0.5 table
     assert list(GppAdhocMoments._cache) == [(1.0, 0.1, 4.0), (1.0, 0.1, 3.0)]
     assert len(set(warm)) == 3
-    for (field, alpha), values in zip(cases, warm):
+    for (field, alpha), expected in zip(cases, warm):
         GppAdhocMoments._cache.clear()
-        ev = GppAdhocMoments(field, 2.0, alpha, 1.0)
-        assert (ev(1.0), ev(2.0), ev(0.5j)) == values
+        assert values(GppAdhocMoments(field, 2.0, alpha, 1.0)) == expected
+
+
+# ------------------------------------------------------- Ginibre evaluator
+
+
+class _ScalarGppReference:
+    """The scalar Ginibre evaluator that the grid evaluator replaced, kept
+    as an independent reference: one order b at a time, factor by factor,
+    on the nodes of a GppAdhocMoments `ev`."""
+
+    def __init__(self, ev):
+        self.ev = ev
+        m1 = np.sum(ev._w * ev._g, axis=1)
+        m2 = np.sum(ev._w * ev._g**2, axis=1)
+        m3 = np.sum(ev._w * ev._g**3, axis=1)
+
+        def revcum(a):
+            return np.cumsum(a[::-1])[::-1]
+
+        self._cum = {
+            "m1": revcum(m1),
+            "m2": revcum(m2),
+            "m3": revcum(m3),
+            "m1m1": revcum(m1 * m1),
+            "m1m2": revcum(m1 * m2),
+            "m1m1m1": revcum(m1**3),
+        }
+
+    def __call__(self, b):
+        ev = self.ev
+        b = complex(b)
+        mag = max(abs(b), 1.0)
+        # exact factors while |b| g could exceed TAIL_CUT
+        j_exact = int(np.searchsorted(-ev._g_upper, -ev.TAIL_CUT / mag))
+        j_exact = min(max(j_exact, 4), ev.J_NUMERIC)
+        evj = np.sum(ev._w[:j_exact] * np.exp(-b * ev._g[:j_exact]), axis=1)
+        factors = 1.0 - ev.beta * (1.0 - evj)
+        keep = np.abs(factors - 1.0) >= ev.TRUNC
+        if not np.all(keep):
+            last = int(np.argmin(keep))
+            log_m = complex(np.sum(np.log(factors[:last].astype(complex))))
+            return cmath.exp(log_m)
+        log_m = complex(np.sum(np.log(factors.astype(complex))))
+        # expansion tail over j_exact..J_NUMERIC plus the analytic super-tail
+        if j_exact < ev.J_NUMERIC:
+            c = {k: v[j_exact] for k, v in self._cum.items()}
+            c["m1"] += ev._m1_super
+        else:
+            c = {k: 0.0 for k in self._cum}
+            c["m1"] = ev._m1_super
+        bt = ev.beta
+        x1 = b * c["m1"] - b * b * c["m2"] / 2.0 + b**3 * c["m3"] / 6.0
+        x2 = b * b * c["m1m1"] - b**3 * c["m1m2"]
+        x3 = b**3 * c["m1m1m1"]
+        log_m += -bt * x1 - bt * bt * x2 / 2.0 - bt**3 * x3 / 3.0
+        return cmath.exp(log_m)
+
+
+def _rel_err(got, ref):
+    got, ref = np.asarray(got, dtype=complex), np.asarray(ref, dtype=complex)
+    return float(np.max(np.abs(got - ref) / np.abs(ref)))
+
+
+# At beta = 1 a factor is E[v^(ju)] itself, which comes within 5e-3 of zero
+# at u near 1000, and the phases u g of the first index reach 1e4 rad.
+# Rounding those phases limits any double evaluation there: against a
+# 40-digit sum over the same nodes at u = 1002.36, the reference is off by
+# 2.5e-12 and the grid (which rounds c g and d g, not (c + d) g) by 5.8e-12.
+# At beta = 0.5 every factor stays above 0.5 in modulus.
+@pytest.mark.parametrize("beta, tol", [(0.5, 1e-12), (1.0, 2e-11)])
+def test_gpp_grid_matches_the_scalar_reference(monkeypatch, beta, tol):
+    # u from 0 to 1100, the reach of the inversion, over more than one row
+    # block; every c + d is exact, so both evaluate the same u
+    ev = GppAdhocMoments(GPP(0.1, beta), 1.0, 4.0, 1.0)
+    ref = _ScalarGppReference(ev)
+    blocks = []
+    kernel = sir_analysis._node_sums
+    monkeypatch.setattr(sir_analysis, "_node_sums", lambda *a: blocks.append(a[2]) or kernel(*a))
+    c, d = 19.625 * np.arange(56), np.arange(96) / 64.0
+    grid = ev(c, d)
+    assert len(blocks) >= 2 and sorted(np.concatenate(blocks)) == sorted(c)
+    assert _rel_err(grid, [[ref(1j * (ci + di)) for di in d] for ci in c]) < tol
+
+
+def test_gpp_grid_matches_the_scalar_reference_at_its_edges():
+    ev = GppAdhocMoments(GPP(0.1, 1.0), 1.0, 4.0, 1.0)
+    ref = _ScalarGppReference(ev)
+    # u = 1e-12: a factor within TRUNC of one stops the product
+    b = 1e-12j
+    j_exact = ev._j_exact(b)
+    evj = np.sum(ev._w[:j_exact] * np.exp(-b * ev._g[:j_exact]), axis=1)
+    assert np.any(np.abs(ev.beta * (1.0 - evj)) < ev.TRUNC)
+    assert _rel_err(ev(np.array([1e-12]), np.zeros(1))[0, 0], ref(b)) < 1e-12
+    # real orders, and one order off both axes, from their directly formed rows
+    for b in (0.5, 1.0, 2.0, 5.0, 1.0 + 3.0j):
+        assert _rel_err(ev.at(b), ref(b)) < 1e-12
+    # u = 3e6: every tabulated index is an exact factor.  Both round the same
+    # phases (up to 3e7 rad, each off by up to 2e-9 relative against a
+    # 30-digit sum) and differ in how they form and sum 4000 factors: 1.9e-12
+    assert ev._j_exact(3e6) == ev.J_NUMERIC
+    assert _rel_err(ev(np.array([3e6]), np.zeros(1))[0, 0], ref(3e6j)) < 1e-11
+
+
+def _gamma_factor_sum(field, theta, alpha, r_t, j, u):
+    """Adaptive-quad S_j(ju) = E[1 - v(Q_j)^(ju)] over the Gamma(j, scale)
+    density, between the 1e-15 quantiles that the node rule spans."""
+    from scipy import special
+
+    scale = field.beta / (math.pi * field.density)
+    c = theta * r_t**alpha
+    log_gamma_j = float(special.gammaln(j))
+
+    def dens(q):
+        return math.exp((j - 1) * math.log(q / scale) - q / scale - log_gamma_j) / scale
+
+    def phase(q):
+        return u * math.log1p(c * q ** (-alpha / 2.0))
+
+    lo, hi = special.gammaincinv(j, 1e-15) * scale, special.gammainccinv(j, 1e-15) * scale
+    kw = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+    re = sciint.quad(lambda q: dens(q) * (1.0 - math.cos(phase(q))), lo, hi, **kw)[0]
+    im = sciint.quad(lambda q: dens(q) * math.sin(phase(q)), lo, hi, **kw)[0]
+    return complex(re, im)
+
+
+@pytest.mark.parametrize(
+    "j, u",
+    [(20, 2.0), (20, 50.0), (20, 500.0), (20, 1000.0), (100, 2.0), (100, 50.0), (100, 500.0), (100, 1000.0),
+     pytest.param(1, 50.0, marks=[
+         pytest.mark.xfail(strict=True, reason="80-node rule at j = 1: E[v^(50j)] = 0.256 - 0.131j, "
+                                               "adaptive quad 0.024 - 0.145j (the Ginibre meta defect)"),
+         pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")])],
+)
+def test_gpp_imaginary_order_factor_vs_quad(j, u):
+    # the node sums S_j(ju) that the grid evaluator multiplies, one index at a time
+    field, theta, alpha, r_t = GPP(0.1, 1.0), 1.0, 4.0, 1.0
+    ev = GppAdhocMoments(field, theta, alpha, r_t)
+    got = sir_analysis._node_sums(ev._g[j - 1 : j], ev._w[j - 1 : j], np.array([u]), np.zeros(1))[0, 0, 0]
+    assert abs(got - _gamma_factor_sum(field, theta, alpha, r_t, j, u)) < 1e-10
+
+
+def test_gpp_meta_grid_calls_the_evaluator_once_per_width_and_round(monkeypatch):
+    # a 9-point x-grid: one call per tail doubling (a single u), and one per
+    # panel width in each bisection round, at most two widths a round (the
+    # panel and the short last one); the scalar path made one call per node
+    from stochgeo import numerics
+
+    calls = []
+    grid_call = GppAdhocMoments.__call__
+
+    def counted(ev, c, d):
+        calls.append(len(c) * len(d))
+        return grid_call(ev, c, d)
+
+    monkeypatch.setattr(GppAdhocMoments, "__call__", counted)
+    meta_distribution(GPP_MODEL, 10.0, np.arange(0.1, 0.95, 0.1))
+    panels = [n for n in calls if n > 1]
+    assert len(calls) - len(panels) <= math.ceil(math.log2(1e4 / 64.0)) + 1
+    assert 1 <= len(panels) <= 2 * (numerics._GP_MAX_DEPTH + 1)
+
+
+def test_node_sum_blocks_do_not_change_the_grids(monkeypatch):
+    # a smaller cap splits the Ginibre rows into smaller blocks, which leaves
+    # every value as it was while each block keeps two or more rows (a block
+    # of one goes through BLAS's matrix-vector product, which rounds
+    # differently); it splits the downlink's node sum into more steps, a
+    # regrouped sum that agrees to rounding
+    rng = np.random.default_rng(3)
+    c, d = rng.uniform(0.0, 1100.0, 40), np.linspace(-1.4, 1.4, 192)
+    gpp = GppAdhocMoments(GPP(0.1, 1.0), 1.0, 4.0, 1.0)
+    down = DownlinkImagMoments(1.0, 4.0)
+    gpp_default, down_default = gpp(c, d), down(c, d)
+    monkeypatch.setattr(sir_analysis, "_FACTOR_CAP", 1 << 17)
+    assert np.array_equal(gpp(c, d), gpp_default)
+    assert _rel_err(down(c, d), down_default) < 1e-14
+    monkeypatch.setattr(sir_analysis, "_FACTOR_CAP", 1 << 12)
+    assert _rel_err(gpp(c[:8], d), gpp_default[:8]) < 1e-12
+    assert _rel_err(down(c[:8], d), down_default[:8]) < 1e-13
 
 
 def test_ginibre_moment_leaves_scipy_stats_unimported():
