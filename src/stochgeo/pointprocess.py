@@ -21,6 +21,7 @@ __all__ = [
     "MCP",
     "GPP",
     "NetworkModel",
+    "require_base_stations",
     "sample_batch",
     "contact_pdf",
     "contact_cdf",
@@ -106,6 +107,13 @@ class NetworkModel:
     @property
     def intensity(self):
         return self.field.intensity
+
+
+def require_base_stations(model):
+    """A downlink user is served by the nearest point of the field, so a
+    downlink over a field of intensity 0 is undefined: ValueError."""
+    if model.intensity <= 0:
+        raise ValueError("a downlink needs base stations: the field's density must be positive")
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ import importlib
 import math
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sps
 
 from .core import Curve, Estimate
-from .numerics import integrate_1d
-from .pointprocess import GPP, sample_batch
+from .pointprocess import GPP, require_base_stations, sample_batch
 
 __all__ = [
     "SimConfig",
@@ -324,7 +325,11 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
     Exact for the Poisson field; used as the leading correction for MCP/GPP
     whose second-order structure is short ranged compared to the window.
     The integral int_R^inf (1-(1+c r^-a)^-b) r dr is expanded in the small
-    parameter c R^-a (well below 1e-3 for every default window).
+    parameter x = c R^-a (well below 1e-3 for every default window, where
+    the three terms are exact to about 1e-9).  From x = 0.1 on it takes its
+    closed form, by parts in y = c r^-a:
+    (c^d/a) [-x^-d/d (1-(1+x)^-b) + (b/d) x^(1-d)/(1-d) 2F1(b+1, 1-d; 2-d; -x)],
+    d = 2/a.
     """
     lam = model.intensity
     alpha = model.alpha
@@ -337,9 +342,11 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
             + b * (b + 1.0) * (b + 2.0) / 6.0 * c**3 * radius ** (2.0 - 3 * alpha) / (3 * alpha - 2.0)
         )
     else:
-        val = integrate_1d(
-            lambda r: (1.0 - (1.0 + c * r**-alpha) ** (-b)) * r, radius, np.inf
-        ).require()
+        d = 2.0 / alpha
+        val = (c**d / alpha) * (
+            -(x**-d) / d * -math.expm1(-b * math.log1p(x))
+            + (b / d) * x ** (1.0 - d) / (1.0 - d) * _sps.hyp2f1(b + 1.0, 1.0 - d, 2.0 - d, -x)
+        )
     return -2.0 * math.pi * lam * val
 
 
@@ -360,17 +367,17 @@ def _theta_grid(theta):
     return thetas
 
 
-def _csp_chunk(batch_iter, model, thetas, radius, b, corrs):
-    """Far-field completed samples of CSP^b over the batches of `batch_iter`,
-    one array per theta of `thetas`.
-
-    The CSP is the fading-averaged conditional success probability over the
-    windowed pattern; each batch draws its patterns once for the whole grid.
-    `corrs` holds the ad hoc far-field factor per theta, or is None for the
-    downlink, whose factor depends on each pattern's serving distance.
+def _csp_chunk(batch_iter, model, thetas, radius, geometry):
+    """Per-pattern log-sums S = sum log1p(theta r_t^a r^-a) over the windowed
+    pattern, one array per theta of `thetas`; for the downlink, where r_t is
+    each pattern's serving distance, the serving distances follow as a last
+    array.  The CSP is exp(-S) (ad hoc) or (1 + theta) exp(-S) (downlink,
+    whose sum includes the serving point); each batch draws its patterns
+    once for the whole grid.
     """
     alpha = model.alpha
     out = [[] for _ in thetas]
+    r_serving = []
     ra_buf = logf_buf = np.empty(0)
     for rng, size in batch_iter:
         radii, counts = sample_batch(model.field, radius, rng, size)
@@ -379,27 +386,69 @@ def _csp_chunk(batch_iter, model, thetas, radius, b, corrs):
             ra_buf, logf_buf = np.empty(n), np.empty(n)
         ra = np.power(radii, -alpha, out=ra_buf[:n])
         logf = logf_buf[:n]
-        if corrs is not None:
+        if geometry == "adhoc":
             r_t = model.link_distance
-            for theta, corr, samples in zip(thetas, corrs, out):
+            for theta, sums in zip(thetas, out):
                 np.multiply(ra, theta * r_t**alpha, out=logf)
                 np.log1p(logf, out=logf)
-                samples.append(np.exp(-_segment_sums(logf, counts)) ** b * corr)
+                sums.append(_segment_sums(logf, counts))
             continue
         if np.any(counts == 0):
             raise ValueError("downlink pattern with no points; enlarge the window")
-        r_serv = _segment_mins(radii, counts)  # serving distance
+        r_serv = _segment_mins(radii, counts)
         r1a = np.repeat(r_serv**alpha, counts)
-        for theta, samples in zip(thetas, out):
+        for theta, sums in zip(thetas, out):
             np.multiply(r1a, theta, out=logf)
             np.multiply(logf, ra, out=logf)
             np.log1p(logf, out=logf)
-            # product over all points includes the serving one: divide it out
-            csp = np.exp(-_segment_sums(logf, counts)) * (1.0 + theta)
-            # leading-order per-pattern far field: exponent linear in b
-            coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
-            samples.append(csp**b * np.exp(-coef * r_serv**alpha * radius ** (2.0 - alpha)))
+            sums.append(_segment_sums(logf, counts))
+        r_serving.append(r_serv)
+    if geometry == "downlink":
+        out.append(r_serving)
     return tuple(np.concatenate(s) for s in out)
+
+
+# (model, geometry, theta, window radius, trials, master_seed, event) -> the
+# read-only arrays _csp_chunk returned for theta: (S,) ad hoc, (S, serving
+# distances) downlink.  These depend on nothing else; worker_hint never
+# changes them.  The least recently used entries go once the cache holds more
+# than _CSP_CACHE_FLOATS floats, and a larger entry is never stored.
+_CSP_CACHE = OrderedDict()
+_CSP_CACHE_FLOATS = 1 << 20  # 8 MB
+_CSP_LOCK = threading.Lock()
+
+
+def _cache_put(key, arrays):
+    """_CSP_CACHE[key] = arrays, made read-only; the caller holds _CSP_LOCK."""
+    size = sum(a.size for a in arrays)
+    if size > _CSP_CACHE_FLOATS:
+        return
+    for a in arrays:
+        a.flags.writeable = False
+    _CSP_CACHE[key] = arrays
+    size = sum(a.size for value in _CSP_CACHE.values() for a in value)
+    while size > _CSP_CACHE_FLOATS:
+        _, old = _CSP_CACHE.popitem(last=False)
+        size -= sum(a.size for a in old)
+
+
+def _log_sums(model, thetas, geometry, radius, cfg, event):
+    """The arrays of _csp_chunk per theta of `thetas`, from _CSP_CACHE where
+    it holds them; one run over the batches draws the patterns for every
+    theta it does not."""
+    keys = {t: (model, geometry, t, radius, cfg.trials, cfg.master_seed, event) for t in thetas}
+    with _CSP_LOCK:
+        found = {t: _CSP_CACHE[key] for t, key in keys.items() if key in _CSP_CACHE}
+        for t in found:
+            _CSP_CACHE.move_to_end(keys[t])
+    missing = [t for t in keys if t not in found]
+    if missing:
+        cols = run_batches(cfg, "csp", _csp_chunk, model, missing, radius, geometry, event=event)
+        with _CSP_LOCK:
+            for t, sums in zip(missing, cols):
+                found[t] = (sums, *cols[len(missing):])
+                _cache_put(keys[t], found[t])
+    return [found[t] for t in thetas]
 
 
 def _collect_csp(model, thetas, geometry, cfg, b=1.0, event=0):
@@ -407,12 +456,22 @@ def _collect_csp(model, thetas, geometry, cfg, b=1.0, event=0):
     radius = cfg.window_radius or default_window(model.intensity)
     if geometry == "adhoc":
         r_t = _link_distance(model)
-        corrs = [math.exp(_far_field_log_corr(model, t, b, radius, r_t)) for t in thetas]
     elif geometry == "downlink":
-        corrs = None
+        require_base_stations(model)
     else:
         raise ValueError(f"unknown geometry: {geometry}")
-    return run_batches(cfg, "csp", _csp_chunk, model, thetas, radius, b, corrs, event=event)
+    alpha = model.alpha
+    out = []
+    for theta, cols in zip(thetas, _log_sums(model, thetas, geometry, radius, cfg, event)):
+        if geometry == "adhoc":
+            out.append(np.exp(-cols[0]) ** b * math.exp(_far_field_log_corr(model, theta, b, radius, r_t)))
+            continue
+        # product over all points includes the serving one: divide it out
+        csp = np.exp(-cols[0]) * (1.0 + theta)
+        # leading-order per-pattern far field: exponent linear in b
+        coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
+        out.append(csp**b * np.exp(-coef * cols[1] ** alpha * radius ** (2.0 - alpha)))
+    return out
 
 
 def _estimates(model, b, theta, geometry, cfg):
@@ -426,18 +485,25 @@ def estimate_success(model, theta, geometry, cfg):
     probability over fresh patterns (fading integrated analytically).
 
     theta is a scalar (one Estimate) or a 1-D grid (a list of Estimates, one
-    per threshold, every threshold evaluated on the same patterns)."""
+    per threshold, every threshold evaluated on the same patterns).  The
+    per-pattern log-sums are shared with estimate_moment, estimate_meta and
+    QSI estimate_jsp through _CSP_CACHE: a threshold that one of them has
+    already run with the same (model, geometry, window, trials, seed) draws
+    no pattern, and its value is the one a fresh pass gives.  A downlink
+    over an empty field raises ValueError."""
     return _estimates(model, 1.0, theta, geometry, cfg)
 
 
 def estimate_moment(model, b, theta, geometry, cfg):
     """b-th moment of the conditional success probability (real b); theta
-    as in estimate_success."""
+    and the shared pattern pass as in estimate_success: the b-th power is
+    applied to the cached log-sums, so every b reads one pass."""
     return _estimates(model, float(b), theta, geometry, cfg)
 
 
 def estimate_meta(model, theta, x_grid, cfg, geometry="adhoc"):
-    """Empirical meta distribution: CCDF of the per-pattern CSP on x_grid."""
+    """Empirical meta distribution: CCDF of the per-pattern CSP on x_grid,
+    at a scalar theta, from the pattern pass estimate_success shares."""
     (samples,) = _collect_csp(model, _theta_grid(theta), geometry, cfg)
     x_grid = np.asarray(x_grid, dtype=float)
     n = samples.size
@@ -458,21 +524,29 @@ def estimate_interference_moments(model, pl, u, cfg):
     fading per slot.
 
     The windowed mean is completed by the analytic far-field mean
-    2 pi lam int_R^inf l_eps(r) r dr (its variance contribution is
-    negligible at the default window).  Returns Estimates keyed by
-    'mean', 'second_moment', 'mean_product'.  The Ginibre sampler is
-    origin-centric, so a Ginibre field takes u = 0 only.
+    2 pi lam int_R^inf l_eps(r) r dr, in closed form (its variance
+    contribution is negligible at the default window).  Returns Estimates
+    keyed by 'mean', 'second_moment', 'mean_product'.  The Ginibre sampler
+    is origin-centric, so a Ginibre field takes u = 0 only.  Draws from the
+    "interference" stream, which no CSP estimator shares, so no pattern pass
+    is shared with them either.
     """
     if u != 0.0 and isinstance(model.field, GPP):
         raise ValueError("the Ginibre sampler is exact only at the origin: a displaced observer needs u = 0")
     radius = cfg.window_radius or default_window(model.intensity)
-    tail_mean = 2.0 * math.pi * model.intensity * integrate_1d(lambda r: pl.ell(r) * r, radius, np.inf).require()
+    tail_mean = 2.0 * math.pi * model.intensity * _tail_mean(pl, radius)
     means, seconds, products = run_batches(cfg, "interference", _interference_chunk, model, pl, u, radius, tail_mean)
     return {
         "mean": confidence(means, cfg.master_seed),
         "second_moment": confidence(seconds, cfg.master_seed),
         "mean_product": confidence(products, cfg.master_seed),
     }
+
+
+def _tail_mean(pl, radius):
+    """int_R^inf l_eps(r) r dr = R^(2-a)/(a-2) 2F1(1, 1-d; 2-d; -eps R^-a), d = 2/a."""
+    alpha, d = pl.alpha, pl.delta
+    return radius ** (2.0 - alpha) / (alpha - 2.0) * _sps.hyp2f1(1.0, 1.0 - d, 2.0 - d, -pl.epsilon * radius**-alpha)
 
 
 def _interference_chunk(batch_iter, model, pl, u, radius, tail_mean):
@@ -500,9 +574,10 @@ def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):
     """Joint success probability of K repeated transmissions of one link.
 
     QSI shares a single pattern across the K events of a trial (the estimator
-    is the K-th CSP power); FVI draws a fresh pattern per event, event j from
-    its own substream, so FVI takes at most FVI_EVENTS events.  `events` is
-    the integer K; relay routes are handled in relay_retx.
+    is the K-th CSP power, from the pattern pass estimate_success shares);
+    FVI draws a fresh pattern per event, event j from its own substream, so
+    FVI takes at most FVI_EVENTS events.  `events` is the integer K; relay
+    routes are handled in relay_retx.
     """
     k = int(events)
     if k < 1:

@@ -14,7 +14,7 @@ from scipy import special as _sps
 
 from .core import ToleranceError
 from .numerics import _unit_grid, gamma_ratio, gauss_legendre, gil_pelaez_ccdf, integrate_1d, lru_get
-from .pointprocess import GPP, MCP, PPP, NetworkModel, sample_batch
+from .pointprocess import GPP, MCP, PPP, NetworkModel, require_base_stations, sample_batch
 from . import simengine
 
 __all__ = [
@@ -330,10 +330,14 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
     Downlink, and ad hoc over the Poisson and Ginibre fields.  The Matern
     cluster field has no analytic imaginary moments here, so its ad hoc
     meta distribution raises ValueError (apart from theta = 0 and an empty
-    field, where it is exactly 1); `simengine.estimate_meta` estimates it."""
+    field, where it is exactly 1); `simengine.estimate_meta` estimates it.
+    A downlink over an empty field has no serving station: ValueError, as
+    in `simengine.estimate_meta`."""
     xs, scalar = _unit_grid(x)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
+    if geometry == "downlink" and isinstance(model, NetworkModel):
+        require_base_stations(model)
     # every link succeeds at theta = 0 and over an empty field: the CSP is 1
     if theta == 0.0 or (geometry != "downlink" and model.field.intensity == 0.0):
         return 1.0 if scalar else np.ones(len(xs))

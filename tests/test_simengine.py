@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import stochgeo
 from stochgeo import simengine
 from stochgeo.core import Estimate
 from stochgeo.interference import PathLossSpec
@@ -21,6 +26,7 @@ from stochgeo.simengine import (
     estimate_success,
     seed_stream,
 )
+from stochgeo.sir_analysis import meta_distribution
 
 ADHOC_PPP = NetworkModel(PPP(0.1), alpha=4.0, link_distance=1.0)
 
@@ -357,3 +363,245 @@ def test_interference_of_a_ginibre_field_takes_only_an_origin_observer():
 def test_lsu_draws_are_pinned():
     est = lsu_mc_estimate("cell_center", 1.0, 1.0, 4.0, 1.0, SimConfig(trials=1500, master_seed=61), rho=0.6)
     _assert_pinned(est, PINNED_LSU_CELL_CENTER)
+
+
+# ------------------------------------------------- one pattern pass, cached
+
+CACHE_MODELS = {
+    "ppp": (ADHOC_PPP, "adhoc"),
+    "mcp": (NetworkModel(MCP(0.02, 5.0, 1.0), alpha=4.0, link_distance=1.0), "adhoc"),
+    "gpp": (NetworkModel(GPP(0.1, 1.0), alpha=4.0, link_distance=1.0), "adhoc"),
+    "ppp-downlink": (NetworkModel(PPP(0.1), alpha=4.0), "downlink"),
+}
+# every CSP estimator, each reading the log-sums at theta = 1
+CACHE_CALLS = {
+    "success": lambda m, g, c: estimate_success(m, [0.5, 1.0], g, c),
+    "moment": lambda m, g, c: estimate_moment(m, 2.0, 1.0, g, c),
+    "meta": lambda m, g, c: tuple(estimate_meta(m, 1.0, [0.25, 0.5, 0.75], c, geometry=g).values),
+    "qsi": lambda m, g, c: estimate_jsp(m, 3, "qsi", 1.0, c, geometry=g),
+}
+
+
+@pytest.fixture
+def csp_cache(monkeypatch):
+    """The cache at its default cap (the autouse fixture turns it off)."""
+    monkeypatch.setattr(simengine, "_CSP_CACHE_FLOATS", 1 << 20)
+    return simengine._CSP_CACHE
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts the batches that simengine samples."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sample_batch(*args, **kwargs)
+
+    monkeypatch.setattr(simengine, "sample_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", list(CACHE_MODELS))
+def test_a_cache_hit_equals_a_fresh_computation_and_draws_nothing(key, monkeypatch, draws):
+    model, geometry = CACHE_MODELS[key]
+    cfg = SimConfig(trials=1500, master_seed=71)
+    fresh = {name: call(model, geometry, cfg) for name, call in CACHE_CALLS.items()}
+    assert len(draws) == 2 * len(CACHE_CALLS)  # with the cache off, every call draws both batches
+    monkeypatch.setattr(simengine, "_CSP_CACHE_FLOATS", 1 << 20)
+    CACHE_CALLS["success"](model, geometry, cfg)
+    draws.clear()
+    for name, call in CACHE_CALLS.items():
+        assert call(model, geometry, cfg) == fresh[name], name
+    assert draws == []
+
+
+def test_a_grid_draws_only_for_the_thresholds_it_misses(csp_cache, monkeypatch):
+    cfg = SimConfig(trials=1500, master_seed=72)
+    fresh = [estimate_success(ADHOC_PPP, t, "adhoc", cfg) for t in (0.5, 1.0, 2.0)]
+    csp_cache.clear()
+    estimate_success(ADHOC_PPP, 1.0, "adhoc", cfg)
+    drawn = []
+    chunk = simengine._csp_chunk
+    monkeypatch.setattr(simengine, "_csp_chunk", lambda it, model, thetas, *rest: (
+        drawn.append(list(thetas)), chunk(it, model, thetas, *rest))[1])
+    assert estimate_success(ADHOC_PPP, [0.5, 1.0, 2.0, 0.5], "adhoc", cfg) == fresh + fresh[:1]
+    assert drawn == [[0.5, 2.0]]
+
+
+CACHE_MISSES = {
+    "theta": lambda c: estimate_success(ADHOC_PPP, 2.0, "adhoc", c),
+    "field": lambda c: estimate_success(NetworkModel(PPP(0.2), 4.0, 1.0), 1.0, "adhoc", c),
+    "alpha": lambda c: estimate_success(NetworkModel(PPP(0.1), 3.5, 1.0), 1.0, "adhoc", c),
+    "r_t": lambda c: estimate_success(NetworkModel(PPP(0.1), 4.0, 2.0), 1.0, "adhoc", c),
+    "geometry": lambda c: estimate_success(ADHOC_PPP, 1.0, "downlink", c),
+    "window": lambda c: estimate_success(ADHOC_PPP, 1.0, "adhoc", SimConfig(c.trials, c.master_seed, 20.0)),
+    "trials": lambda c: estimate_success(ADHOC_PPP, 1.0, "adhoc", SimConfig(c.trials + 1, c.master_seed)),
+    "seed": lambda c: estimate_success(ADHOC_PPP, 1.0, "adhoc", SimConfig(c.trials, c.master_seed + 1)),
+    "event": lambda c: estimate_jsp(ADHOC_PPP, 1, "fvi", 1.0, c),
+}
+
+
+@pytest.mark.parametrize("part", list(CACHE_MISSES))
+def test_every_key_part_forces_a_miss(part, csp_cache, draws):
+    cfg = SimConfig(trials=1500, master_seed=73)
+    estimate_success(ADHOC_PPP, 1.0, "adhoc", cfg)
+    draws.clear()
+    estimate_success(ADHOC_PPP, 1.0, "adhoc", SimConfig(1500, 73, worker_hint=2))  # the hint is no key part
+    assert draws == []
+    CACHE_MISSES[part](cfg)
+    assert draws
+
+
+def test_the_float_cap_evicts_the_least_recently_used_entry(csp_cache, monkeypatch):
+    cfg = SimConfig(trials=1000, master_seed=74)
+    monkeypatch.setattr(simengine, "_CSP_CACHE_FLOATS", 3000)
+    estimate_success(ADHOC_PPP, [1.0, 2.0, 3.0], "adhoc", cfg)
+    estimate_success(ADHOC_PPP, 1.0, "adhoc", cfg)  # a hit: 1.0 becomes the most recent
+    estimate_success(ADHOC_PPP, 4.0, "adhoc", cfg)
+    assert [key[2] for key in csp_cache] == [3.0, 1.0, 4.0]
+    # a downlink entry holds the serving distances too: 2000 floats each
+    estimate_success(CACHE_MODELS["ppp-downlink"][0], 1.0, "downlink", cfg)
+    assert [key[2] for key in csp_cache] == [4.0, 1.0]
+    csp_cache.clear()
+    monkeypatch.setattr(simengine, "_CSP_CACHE_FLOATS", 999)  # one entry is larger than the cap
+    estimate_success(ADHOC_PPP, 1.0, "adhoc", cfg)
+    assert not csp_cache
+
+
+def test_cached_arrays_are_read_only(csp_cache):
+    cfg = SimConfig(trials=1500, master_seed=75)
+    estimate_success(ADHOC_PPP, 1.0, "adhoc", cfg)
+    estimate_success(CACHE_MODELS["ppp-downlink"][0], [1.0, 2.0], "downlink", cfg)
+    arrays = [a for value in csp_cache.values() for a in value]
+    assert len(arrays) == 5
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_a_raising_downlink_call_stores_nothing(csp_cache):
+    # a 1.5 window leaves a pattern with no point in batch 1
+    cfg = SimConfig(trials=2048, master_seed=8, window_radius=1.5)
+    with pytest.raises(ValueError, match="enlarge the window"):
+        estimate_success(NetworkModel(PPP(1.0), 4.0), [0.5, 1.0], "downlink", cfg)
+    assert not csp_cache
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_hints_1_and_2_agree_with_the_cache_on(first, csp_cache):
+    model, geometry = CACHE_MODELS["ppp-downlink"]
+    fresh = estimate_moment(model, 2.0, [0.5, 1.0], geometry, SimConfig(trials=2500, master_seed=76))
+    csp_cache.clear()
+    got = [estimate_moment(model, 2.0, [0.5, 1.0], geometry, SimConfig(trials=2500, master_seed=76, worker_hint=h))
+           for h in (first, 3 - first)]
+    assert got[0] == got[1] == fresh
+
+
+def test_threads_share_the_cache_without_lost_updates(monkeypatch):
+    # more threads than cores, a cap that evicts on most stores, a short switch interval
+    cfg = SimConfig(trials=300, master_seed=77)
+    thetas = [0.25 * k for k in range(1, 9)]
+    fresh = {t: estimate_success(ADHOC_PPP, t, "adhoc", cfg) for t in thetas}
+    monkeypatch.setattr(simengine, "_CSP_CACHE_FLOATS", 900)
+    got, errors = [], []
+
+    def work(k):
+        try:
+            for t in thetas[k % 8:] + thetas[: k % 8]:
+                got.append((t, estimate_success(ADHOC_PPP, t, "adhoc", cfg)))
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(got) == 64 and all(est == fresh[t] for t, est in got)
+    assert sum(a.size for value in simengine._CSP_CACHE.values() for a in value) <= 900
+
+
+# ---------------------------------------------------------- closed-form tails
+
+
+def _quad(f, a, b, **kwargs):
+    """Adaptive quadrature at epsrel 1e-13 that must report meeting it."""
+    from scipy import integrate
+
+    val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500, **kwargs)
+    assert err <= 1e-13 * abs(val)
+    return val
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("eps", [0.01, 1.0, 10.0])
+def test_interference_tail_mean_matches_quad(alpha, eps):
+    # eps R^-alpha from 1e-10 to about 1e4
+    for radius in (0.1, 0.5, 1.0, 5.0, 30.0):
+        pl = PathLossSpec(alpha, eps)
+        want = _quad(lambda r: r / (eps + r**alpha), radius, np.inf)
+        assert simengine._tail_mean(pl, radius) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 6.0])
+def test_far_field_closed_form_matches_quad(alpha, b):
+    # int_R^inf (1 - (1 + c r^-a)^-b) r dr = (c^d/a) int_0^x (1 - (1 + y)^-b) y^(-d-1) dy, x = c R^-a:
+    # the y^-d singularity goes into quad's algebraic weight
+    model, radius, d = NetworkModel(PPP(0.1), alpha, 1.0), 10.0, 2.0 / alpha
+    for x in (0.11, 0.3, 1.0, 10.0, 1e3, 1e5):  # the closed form's range, x >= 0.1
+        c = x * radius**alpha
+        inner = _quad(lambda y: -math.expm1(-b * math.log1p(y)) / y if y else b, 0.0, x, weight="alg", wvar=(-d, 0.0))
+        want = -2.0 * math.pi * 0.1 * c**d / alpha * inner
+        assert simengine._far_field_log_corr(model, c, b, radius, 1.0) == pytest.approx(want, rel=1e-12)
+
+
+def test_estimators_never_import_quadrature():
+    code = (
+        "import sys\n"
+        "from stochgeo.interference import PathLossSpec\n"
+        "from stochgeo.pointprocess import PPP, NetworkModel\n"
+        "from stochgeo.simengine import *\n"
+        "from stochgeo.simengine import estimate_interference_moments\n"
+        "m, cfg = NetworkModel(PPP(0.1), 4.0, 1.0), SimConfig(trials=300, master_seed=3)\n"
+        "estimate_success(m, [0.5, 1.0], 'adhoc', cfg)\n"
+        "estimate_success(m, 1.0, 'downlink', cfg)\n"
+        "estimate_moment(m, 2.0, 1.0, 'adhoc', SimConfig(trials=300, master_seed=4))\n"
+        "estimate_meta(m, 1.0, [0.5], SimConfig(trials=300, master_seed=5))\n"
+        "estimate_jsp(m, 2, 'qsi', 1.0, SimConfig(trials=300, master_seed=6))\n"
+        "estimate_jsp(m, 2, 'fvi', 1.0, cfg)\n"
+        "for u in (0.0, 2.0):\n"
+        "    estimate_interference_moments(m, PathLossSpec(4.0, 1.0), u, cfg)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochgeo.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# -------------------------------------------------------------- empty downlink
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_an_empty_downlink_raises_the_same_error_everywhere(theta):
+    model, cfg = NetworkModel(PPP(0.0), 4.0), SimConfig(trials=100, master_seed=1)
+    message = "a downlink needs base stations: the field's density must be positive"
+    for call in (
+        lambda: meta_distribution(model, theta, 0.5, "downlink"),
+        lambda: estimate_success(model, theta, "downlink", cfg),
+        lambda: estimate_meta(model, theta, [0.5], cfg, geometry="downlink"),
+        lambda: estimate_jsp(model, 2, "fvi", theta, cfg, geometry="downlink"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message

@@ -144,7 +144,7 @@ def test_worker_downlink_value_error_matches_the_serial_one():
     serial = SimConfig(trials=2048, master_seed=8, window_radius=1.5)
     pooled = SimConfig(trials=2048, master_seed=8, window_radius=1.5, worker_hint=2)
     assert simengine._chunk_bounds(pooled, "csp", 2) == [(0, 1), (1, 2)]
-    simengine._csp_chunk(simengine._batch_range(serial, "csp", 0, 0, 1), DOWNLINK["ppp"], [1.0], 1.5, 1.0, None)
+    simengine._csp_chunk(simengine._batch_range(serial, "csp", 0, 0, 1), DOWNLINK["ppp"], [1.0], 1.5, "downlink")
     with pytest.raises(ValueError) as want:
         estimate_success(DOWNLINK["ppp"], 1.0, "downlink", serial)
     with pytest.raises(ValueError) as got:
