@@ -144,7 +144,7 @@ def _torus_gains(tx, rx, half, alpha):
         return np.where(dist > 0, dist**-alpha, np.inf)
 
 
-_STACK_ENTRIES = 1 << 20  # padded log-gain entries (8 MB) per stack of bipolar trials
+_STACK_ENTRIES = 1 << 20  # log-gain entries (8 MB) per stack of queue rows
 
 
 def _bipolar_layout(rng, alpha, density, r_t, half):
@@ -160,77 +160,157 @@ def _bipolar_layout(rng, alpha, density, r_t, half):
     return _torus_gains(tx, rx, half, alpha)
 
 
+def _by_theta(points):
+    """{theta: ([point indices], [xi])} in order of first appearance."""
+    groups = {}
+    for k, (xi, theta) in enumerate(points):
+        ks, xis = groups.setdefault(theta, ([], []))
+        ks.append(k)
+        xis.append(xi)
+    return groups
+
+
 def _simulate_bipolar(batch_iter, points, alpha, density, r_t, slots, warmup, n_target):
     """(point index, per-link values) of every trial at every (xi, theta) point.
 
-    Each trial draws its layout once, and its gains (n^2 floats) are kept for
-    the whole sweep.  Its rows, one per point, are stepped point-major in
-    stacks of at most _STACK_ENTRIES, each from its own copy of the trial's
-    stream after the layout: every row draws what a one-point call draws.
+    Each trial draws its layout once, and its log gains L at one theta serve
+    every xi at that theta.  A row, one (point, trial), with xi >= 1 has
+    every link backlogged in every slot: its values are _saturated_values'
+    closed form, and it draws nothing.  The other rows of one (trial, theta)
+    share one L in stacks of at most _STACK_ENTRIES padded L entries, filled
+    trial by trial, each row stepped from its own copy of the trial's stream
+    after the layout: every row draws what a one-point call draws.
     """
     half = 0.5 * math.sqrt(n_target / density)
-    trials = [(rng, _bipolar_layout(rng, alpha, density, r_t, half)) for rng, _ in batch_iter]
-    rows, n_max = [], 0  # (point index, stream, log gains, xi) per row
-    for k, (xi, theta) in enumerate(points):
-        for rng, gains in trials:
+    groups = []  # (theta, saturated point indices, stepped (point index, xi) pairs)
+    for theta, (ks, xis) in _by_theta(points).items():
+        # a NaN xi never brings a packet, so only xi >= 1 saturates
+        groups.append((theta, [k for k, xi in zip(ks, xis) if xi >= 1.0],
+                       [(k, xi) for k, xi in zip(ks, xis) if not xi >= 1.0]))
+    saturated, stack, n_max = [], [], 0  # stack: (stepped pairs, stream, L) per (trial, theta)
+    for rng, _ in batch_iter:
+        gains = _bipolar_layout(rng, alpha, density, r_t, half)
+        for theta, full, live in groups:
             # log factors of the fading-averaged success product, L[j, i] for tx j / rx i
             lg = np.log1p(theta * gains / np.diag(gains)[None, :])
+            if full:
+                saturated.append((full, np.exp(-(lg.sum(axis=0) - np.diag(lg)))))
+            if not live:
+                continue
             n_max = max(n_max, len(lg))
-            if rows and (len(rows) + 1) * n_max**2 > _STACK_ENTRIES:
-                yield from _step_rows(rows, slots, warmup)
-                rows, n_max = [], len(lg)
-            rows.append((k, copy.deepcopy(rng), lg, xi))
-    yield from _step_rows(rows, slots, warmup)
+            if stack and (len(stack) + 1) * n_max**2 > _STACK_ENTRIES:
+                yield from _step_rows(stack, slots, warmup)
+                stack, n_max = [], len(lg)
+            stack.append((live, rng, lg))
+    if stack:
+        yield from _step_rows(stack, slots, warmup)
+    yield from _saturated_values(saturated, slots - warmup)
 
 
-def _step_rows(rows, slots, warmup):
-    ks, rngs, lgs, xis = zip(*rows)
-    return zip(ks, _bipolar_stack(rngs, lgs, xis, slots, warmup))
+def _step_rows(stack, slots, warmup):
+    lives, rngs, lgs = zip(*stack)
+    xis = [[xi for _, xi in live] for live in lives]
+    return zip([k for live in lives for k, _ in live], _bipolar_stack(rngs, lgs, xis, slots, warmup))
 
 
-def _bipolar_stack(rngs, lgs, xi, slots, warmup):
-    """Step the slot loop of several trials together, each on its own stream.
+def _saturated_values(saturated, count):
+    """Per-link values of every (point indices, p) row whose links are all
+    active in every slot: p = exp(-(column sums of L - diag L)), the
+    one-trial loop's lg.sum(axis=0), added once per counted slot and divided
+    by the count, as the loop accumulates it."""
+    if not saturated:
+        return
+    ps = [p for _, p in saturated]
+    flat = np.concatenate(ps)
+    total = np.zeros_like(flat)
+    for _ in range(count):
+        total += flat
+    for (ks, _), values in zip(saturated, np.split(total / count, np.cumsum(list(map(len, ps)))[:-1])):
+        for k in ks:
+            yield k, values
 
-    xi is one arrival probability, or one per trial.  Each trial reads its
-    buffer in one-trial order (n arrival draws, then one per active link), and
-    the masked einsum adds the active rows of L in row order, as
-    lg[idx].sum(axis=0) does: every value is the one-trial value.  A slot whose
-    active sets all equal the previous slot's reuses its p.
+
+def _bipolar_stack(rngs, lgs, xis, slots, warmup):
+    """Step the slot loop of several rows together.
+
+    Matrix g of lgs serves one row per arrival probability in xis[g] (a
+    scalar xis gives every matrix one row); the values come out matrix by
+    matrix.  Each row draws what the one-trial loop draws from its own copy
+    of rngs[g]: n arrival draws, then one per active link.  Copies of one
+    generator give one sequence, so the rows of matrices that share a
+    generator read one buffer of it, each at its own place.  The einsum adds
+    the active rows of L in row order, as lg[idx].sum(axis=0) does: every
+    value is the one-trial value.
     """
+    if np.isscalar(xis):
+        xis = [[xis]] * len(lgs)
     n = np.array([len(lg) for lg in lgs])
-    k_tot, n_max = len(lgs), int(n.max())
+    g_tot, k_max, n_max = len(lgs), max(map(len, xis)), int(n.max())
+    # row g * k_max + k steps matrix g at xis[g][k]; a padding row has no links
+    real = (np.arange(k_max) < np.array([len(x) for x in xis])[:, None]).ravel()
+    xi = np.array([list(x) + [0.0] * (k_max - len(x)) for x in xis]).reshape(-1, 1)
+    n_row = np.where(real, np.repeat(n, k_max), 0)
+    unique = {id(rng): rng for rng in rngs}
+    streams = [copy.deepcopy(rng) for rng in unique.values()]
+    index = {key: s for s, key in enumerate(unique)}
+    # padding rows read the empty last segment
+    row_stream = np.where(real, np.repeat([index[id(rng)] for rng in rngs], k_max), len(streams))
+    readers = [np.flatnonzero(row_stream == s) for s in range(len(streams))]
     # an infinite gain (coincident nodes) still gives p = 0, with no 0 * inf
     stack = np.stack([np.minimum(np.pad(lg, (0, n_max - len(lg))), np.finfo(float).max) for lg in lgs])
-    own = np.diagonal(stack, axis1=1, axis2=2)
-    valid = np.arange(n_max) < n[:, None]
-    xi = np.reshape(xi, (-1, 1))
-    rows = np.arange(k_tot)[:, None]
-    width = 32 * n_max  # 16 slots of at most 2 n_max draws; n_max more columns serve padded links
-    buf = np.zeros((k_tot, width + n_max))
-    pos = np.full(k_tot, width)  # all read: the first slot fills every buffer
-    queues, p_cnt = np.zeros((2, k_tot, n_max), dtype=np.int64)
-    p_sum = np.zeros((k_tot, n_max))
-    prev = None
+    own = np.diagonal(stack, axis1=1, axis2=2)[:, None, :]
+    valid = np.arange(n_max) < n_row[:, None]
+    # segment s of buf holds draws head[s] .. head[s] + cap - 1 of stream s;
+    # row r has read used[r] draws, its next is buf[off[r] + used[r]], and
+    # reads go n_max at a time through a window view
+    head = np.zeros(len(streams) + 1, dtype=np.int64)
+    used = np.zeros(len(real), dtype=np.int64)
+    buf, cap, off, end, window = np.zeros(n_max), 0, None, None, None
+
+    def grow(new_cap):
+        nonlocal buf, cap, off, end, window
+        new = np.zeros((len(streams) + 1) * new_cap + n_max)
+        for s, stream in enumerate(streams):
+            new[s * new_cap : s * new_cap + cap] = buf[s * cap : (s + 1) * cap]
+            stream.random(out=new[s * new_cap + cap : (s + 1) * new_cap])
+        buf, cap = new, new_cap
+        off = row_stream * cap - head[row_stream]
+        end = row_stream * cap + cap
+        window = np.lib.stride_tricks.sliding_window_view(buf, n_max)
+
+    grow(64 * n_max)  # 32 slots of at most 2 n_max draws
+    queues, p_cnt = np.zeros((2, len(real), n_max), dtype=np.int64)
+    p_sum = np.zeros((len(real), n_max))
     for t in range(slots):
-        for k in np.flatnonzero(pos + 2 * n > width):  # refill after the unread tail
-            buf[k, :width] = np.concatenate([buf[k, pos[k] : width], rngs[k].random(pos[k])])
-            pos[k] = 0
-        queues += valid & (buf[rows, pos[:, None] + np.arange(n_max)] < xi)
+        start = off + used
+        for s in np.unique(row_stream[start + 2 * n_row > end]).tolist():
+            # keep what the slowest reader has not read, then draw the rest
+            lo = int(used[readers[s]].min())
+            need = int((used[readers[s]] + 2 * n_row[readers[s]]).max()) - lo
+            if 2 * need > cap:
+                grow(cap << ((2 * need - 1) // cap).bit_length())
+            seg = buf[s * cap : (s + 1) * cap]
+            keep = int(head[s]) + cap - lo
+            seg[:keep] = seg[cap - keep :]
+            streams[s].random(out=seg[keep:])
+            head[s] = lo
+            off[readers[s]] = s * cap - lo
+            start = off + used
+        queues += valid & (window[start] < xi)
         active = queues > 0
         rank = np.cumsum(active, axis=1) - 1
-        u = buf[rows, (pos + n)[:, None] + rank]
-        pos += n + rank[:, -1] + 1
+        u = buf.take((start + n_row)[:, None] + rank)
+        used += n_row + rank[:, -1] + 1
         # conditional success probability of each active link given the
         # active set; successes are conditionally independent Bernoulli
         # (fading columns are disjoint across receivers)
-        if (key := active.tobytes()) != prev:
-            p = np.exp(-(np.einsum("kj,kji->ki", active.astype(float), stack) - own))
-            prev = key
+        on = active.reshape(g_tot, k_max, n_max).astype(float)
+        p = np.exp(-(np.einsum("gkj,gji->gki", on, stack) - own)).reshape(-1, n_max)
         queues -= active & (u < p)
         if t >= warmup:
             p_sum += np.where(active, p, 0.0)
             p_cnt += active
-    for total, count in zip(p_sum, p_cnt):
+    for total, count in zip(p_sum[real], p_cnt[real]):
         yield total[count > 0] / count[count > 0]
 
 
@@ -251,47 +331,109 @@ def _downlink_layout(rng, alpha, ratio, n_bs_target):
     return dist**-alpha, serving, n_bs  # gains (users, bs)
 
 
-def _downlink_slots(rng, xi_u, theta, gain_to_user, serving, n_bs, slots, warmup):
-    n_users = len(serving)
-    own_gain = gain_to_user[np.arange(n_users), serving]
-    # log factors per (user, interfering BS)
-    lg = np.log1p(theta * gain_to_user / own_gain[:, None])
-    own_lg = lg[np.arange(n_users), serving]
-    queues = np.zeros(n_users, dtype=np.int64)
-    # users of cell b: order[start[b] : start[b] + counts[b]], in index order
-    order = np.argsort(serving, kind="stable")
-    counts = np.bincount(serving, minlength=n_bs)
-    busy = np.flatnonzero(counts)  # cells that serve at least one user
-    start = (np.cumsum(counts) - counts)[busy]
-    p_sum = np.zeros(n_users)
-    p_cnt = np.zeros(n_users, dtype=np.int64)
-    for t in range(slots):
-        queues += rng.random(n_users) < xi_u
-        # random scheduling: each busy cell picks one of its users uniformly;
-        # one array draw consumes the stream as one scalar draw per cell does
-        scheduled = order[start + rng.integers(0, counts[busy])]
-        on = queues[scheduled] > 0
-        idx_bs = busy[on]
-        if len(idx_bs) == 0:
-            continue
-        rx_users = scheduled[on]
-        logs = lg[np.ix_(rx_users, idx_bs)].sum(axis=1) - own_lg[rx_users]
-        p = np.exp(-logs)
-        queues[rx_users[rng.random(len(rx_users)) < p]] -= 1
-        if t >= warmup:
-            p_sum[rx_users] += p
-            p_cnt[rx_users] += 1
-    seen = p_cnt > 0
-    return p_sum[seen] / p_cnt[seen]
-
-
 def _simulate_downlink(batch_iter, points, alpha, ratio, slots, warmup, n_target):
-    """(point index, per-user values) of every trial at every (xi, theta) point;
-    each point steps its own copy of the trial's stream after the layout."""
+    """(point index, per-user values) of every trial at every (xi, theta) point.
+
+    Each trial draws its layout once, and the log gains of one (trial, theta)
+    serve every xi at that theta.  The rows, one per (point, trial), are
+    stepped together by _downlink_slots in stacks of at most _STACK_ENTRIES
+    log-gain entries, each from its own copy of the trial's stream after the
+    layout: every row draws what a one-point call draws.
+    """
+    groups = _by_theta(points)
+    rows, entries = [], 0  # (point index, stream, xi, log gains, serving, stations) per row
     for rng, _ in batch_iter:
-        layout = _downlink_layout(rng, alpha, ratio, n_target)
-        for k, (xi, theta) in enumerate(points):
-            yield k, _downlink_slots(copy.deepcopy(rng), xi, theta, *layout, slots, warmup)
+        gain_to_user, serving, n_bs = _downlink_layout(rng, alpha, ratio, n_target)
+        own_gain = gain_to_user[np.arange(len(serving)), serving]
+        for theta, (ks, xis) in groups.items():
+            # log factors per (user, interfering BS)
+            lg = np.log1p(theta * gain_to_user / own_gain[:, None])
+            if rows and entries + lg.size > _STACK_ENTRIES:
+                yield from _step_downlink(rows, slots, warmup)
+                rows, entries = [], 0
+            rows += [(k, rng, xi, lg, serving, n_bs) for k, xi in zip(ks, xis)]
+            entries += lg.size
+    if rows:
+        yield from _step_downlink(rows, slots, warmup)
+
+
+def _step_downlink(rows, slots, warmup):
+    ks, *columns = zip(*rows)
+    return zip(ks, _downlink_slots(*columns, slots, warmup))
+
+
+def _downlink_slots(rngs, xis, lgs, servings, n_bss, slots, warmup):
+    """Step the slot loop of several rows together, each on its own stream.
+
+    Row r has arrival probability xis[r], log gains lgs[r] (users x
+    stations) and serving stations servings[r] out of n_bss[r].  It draws
+    from its own copy of rngs[r] what the one-trial loop draws, in the same
+    order each slot: random(n_users), the schedule's integers(0, counts) and
+    random(m) for its m active cells.  Queues, schedules and tallies are
+    updated for every row at once.  Each row's (m, m) block of log gains is
+    summed on its own, as numpy sums a contiguous axis pairwise and a sum
+    padded past m would round differently.
+    """
+    streams = [copy.deepcopy(rng) for rng in rngs]
+    n_users = [len(serving) for serving in servings]
+    u_max = max(n_users)
+    # user i of row r is entry r * u_max + i of the flat per-user arrays
+    offset = np.arange(len(streams)) * u_max
+    own = np.zeros(len(streams) * u_max)
+    order = np.zeros(len(streams) * u_max, dtype=np.int64)
+    cells, counts, firsts = [], [], []
+    for r, (lg, serving, n_bs) in enumerate(zip(lgs, servings, n_bss)):
+        users = slice(offset[r], offset[r] + len(serving))
+        own[users] = lg[np.arange(len(serving)), serving]
+        # users of cell b: order[first[b] : first[b] + n[b]], in index order
+        order[users] = offset[r] + np.argsort(serving, kind="stable")
+        n = np.bincount(serving, minlength=n_bs)
+        busy = np.flatnonzero(n)  # cells that serve at least one user
+        cells.append(busy)
+        counts.append(n[busy])
+        firsts.append(offset[r] + (np.cumsum(n) - n)[busy])
+    cell, first = np.concatenate(cells), np.concatenate(firsts)
+    flat_lgs = [lg.ravel() for lg in lgs]
+    n_cells = np.array([lg.shape[1] for lg in lgs])
+    row_of_cell = np.repeat(np.arange(len(streams)), [len(c) for c in cells])
+    row_end = np.cumsum([len(c) for c in cells]) - 1
+    arrive = np.ones((len(streams), u_max))  # a padding user is never scheduled
+    fills = [arrive[r, :n] for r, n in enumerate(n_users)]
+    xi = np.reshape(xis, (-1, 1))
+    queues, p_cnt = np.zeros((2, len(streams) * u_max), dtype=np.int64)
+    p_sum = np.zeros(len(streams) * u_max)
+    u = np.empty(len(cell))
+    for t in range(slots):
+        picks = []
+        for stream, fill, n in zip(streams, fills, counts):
+            stream.random(out=fill)
+            # random scheduling: each busy cell picks one of its users uniformly;
+            # one array draw consumes the stream as one scalar draw per cell does
+            picks.append(stream.integers(0, n))
+        queues += (arrive < xi).ravel()
+        scheduled = order[first + np.concatenate(picks)]
+        on = queues[scheduled] > 0
+        rx = scheduled[on]
+        if len(rx) == 0:
+            continue
+        # user i and cell b of row r are entry i * n_cells[r] + b of flat_lgs[r]
+        owner = row_of_cell[on]
+        at, bs = (rx - offset[owner]) * n_cells[owner], cell[on]
+        logs = np.empty(len(rx))
+        lo = 0
+        for lg, stream, hi in zip(flat_lgs, streams, np.cumsum(on)[row_end].tolist()):
+            if hi > lo:  # row r's active cells are entries lo .. hi - 1
+                np.add.reduce(lg.take(at[lo:hi, None] + bs[lo:hi]), axis=1, out=logs[lo:hi])
+                stream.random(out=u[lo:hi])
+            lo = hi
+        p = np.exp(-(logs - own[rx]))
+        queues[rx[u[: len(rx)] < p]] -= 1
+        if t >= warmup:
+            p_sum[rx] += p
+            p_cnt[rx] += 1
+    for r, n in enumerate(n_users):
+        total, count = p_sum[offset[r] : offset[r] + n], p_cnt[offset[r] : offset[r] + n]
+        yield total[count > 0] / count[count > 0]
 
 
 def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=None, slots=2500, warmup=500,

@@ -325,9 +325,9 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
     Exact for the Poisson field; used as the leading correction for MCP/GPP
     whose second-order structure is short ranged compared to the window.
     The integral int_R^inf (1-(1+c r^-a)^-b) r dr is expanded in the small
-    parameter x = c R^-a (well below 1e-3 for every default window, where
-    the three terms are exact to about 1e-9).  From x = 0.1 on it takes its
-    closed form, by parts in y = c r^-a:
+    parameter x = c R^-a below x = 1e-3, where the three terms are exact to
+    about 1e-9 (x stays below 1e-5 at every default window).  From x = 1e-3
+    on it takes its closed form, by parts in y = c r^-a:
     (c^d/a) [-x^-d/d (1-(1+x)^-b) + (b/d) x^(1-d)/(1-d) 2F1(b+1, 1-d; 2-d; -x)],
     d = 2/a.
     """
@@ -335,7 +335,7 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
     alpha = model.alpha
     c = theta * r_t**alpha
     x = c * radius**-alpha
-    if x < 0.1:
+    if x < 1e-3:
         val = (
             b * c * radius ** (2.0 - alpha) / (alpha - 2.0)
             - b * (b + 1.0) / 2.0 * c**2 * radius ** (2.0 - 2 * alpha) / (2 * alpha - 2.0)
@@ -504,6 +504,8 @@ def estimate_moment(model, b, theta, geometry, cfg):
 def estimate_meta(model, theta, x_grid, cfg, geometry="adhoc"):
     """Empirical meta distribution: CCDF of the per-pattern CSP on x_grid,
     at a scalar theta, from the pattern pass estimate_success shares."""
+    if np.ndim(theta) != 0:
+        raise ValueError("theta must be a scalar: the meta distribution takes one theta per call")
     (samples,) = _collect_csp(model, _theta_grid(theta), geometry, cfg)
     x_grid = np.asarray(x_grid, dtype=float)
     n = samples.size

@@ -260,7 +260,7 @@ def _ref_downlink_layout(rng, theta, alpha, ratio, n_bs_target):
     return np.log1p(theta * gain_to_user / own_gain[:, None]), serving, n_bs
 
 
-def _ref_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs_target):
+def _ref_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs_target, active_cells=None):
     lg, serving, n_bs = _ref_downlink_layout(rng, theta, alpha, ratio, n_bs_target)
     n_users = len(serving)
     own_lg = lg[np.arange(n_users), serving]
@@ -277,6 +277,8 @@ def _ref_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs_targ
         candidate = scheduled >= 0
         active = candidate & (queues[np.maximum(scheduled, 0)] > 0)
         idx_bs = np.flatnonzero(active)
+        if active_cells is not None:
+            active_cells.append(len(idx_bs))
         if len(idx_bs) == 0:
             continue
         rx_users = scheduled[idx_bs]
@@ -307,25 +309,28 @@ def _trial_streams(cfg):
     return [rng for rng, _ in simengine.batches(cfg, "queue")]
 
 
-def _count_stacks(monkeypatch):
-    sizes = []
+def _spy_stacks(monkeypatch):
+    """The rows of each _bipolar_stack call, as (stream, log gains, xi)."""
+    calls = []
     stack = queueing._bipolar_stack
 
-    def counted(rngs, lgs, *args):
-        sizes.append(len(lgs))
-        return stack(rngs, lgs, *args)
+    def spied(rngs, lgs, xis, *args):
+        calls.append([(rng, lg, xi) for rng, lg, row in zip(rngs, lgs, xis) for xi in row])
+        return stack(rngs, lgs, xis, *args)
 
-    monkeypatch.setattr(queueing, "_bipolar_stack", counted)
-    return sizes
+    monkeypatch.setattr(queueing, "_bipolar_stack", spied)
+    return calls
 
 
 @pytest.mark.parametrize("xi, theta", [(0.5, 1.0), (1.0, 100.0)])
 def test_bipolar_stacks_match_one_trial_loop(monkeypatch, xi, theta):
-    sizes = _count_stacks(monkeypatch)
+    calls = _spy_stacks(monkeypatch)
     cfg = SimConfig(trials=24, master_seed=211)
     kw = dict(density=0.001, r_t=2.0, slots=300, warmup=100, n_target=200)
     assert simulate_queues("bipolar", xi, theta, 4.0, cfg, **kw) == _ref_queues("bipolar", xi, theta, 4.0, cfg, **kw)
-    assert len(sizes) > 1 and sum(sizes) == cfg.trials
+    sizes = [len(rows) for rows in calls]
+    # at xi = 1 every link is backlogged in every slot, so no row is stepped
+    assert (len(sizes) > 1 and sum(sizes) == cfg.trials) if xi < 1.0 else sizes == []
 
 
 def test_bipolar_without_interferers_matches_one_trial_loop():
@@ -369,7 +374,7 @@ def test_downlink_schedule_matches_per_cell_loop():
 
 
 def test_bipolar_result_does_not_depend_on_stack_cap(monkeypatch):
-    sizes = _count_stacks(monkeypatch)
+    calls = _spy_stacks(monkeypatch)
     cfg = SimConfig(trials=6, master_seed=215)
     kw = dict(density=0.001, r_t=2.0, slots=200, warmup=50, n_target=100)
     ests = []
@@ -377,7 +382,7 @@ def test_bipolar_result_does_not_depend_on_stack_cap(monkeypatch):
         monkeypatch.setattr(queueing, "_STACK_ENTRIES", cap)
         ests.append(simulate_queues("bipolar", 0.85, 10.0, 4.0, cfg, **kw))
     assert ests[0] == ests[1] == ests[2]
-    assert sizes == [6, 1, 1, 1, 1, 1, 1, 6]
+    assert [len(rows) for rows in calls] == [6, 1, 1, 1, 1, 1, 1, 6]
 
 
 # ------------------------------------------------- (xi, theta) sweeps
@@ -394,17 +399,44 @@ def _assert_sweep_matches_points(mode, xis, thetas, cfg, **kw):
 
 
 def test_bipolar_sweep_matches_points_across_stack_boundaries(monkeypatch):
-    sizes = _count_stacks(monkeypatch)
-    monkeypatch.setattr(queueing, "_STACK_ENTRIES", 4 * 110**2)  # four trials of about 100 links per stack
+    calls = _spy_stacks(monkeypatch)
+    monkeypatch.setattr(queueing, "_STACK_ENTRIES", 4 * 110**2)  # four matrices of about 100 links per stack
     cfg = SimConfig(trials=7, master_seed=221)
     kw = dict(density=0.001, r_t=2.0, slots=250, warmup=50, n_target=100)
     xis, thetas = [0.5, 0.85, 1.0, 0.5], [1.0, 10.0, 100.0, 100.0]
     sweep = simulate_queues("bipolar", xis, thetas, 4.0, cfg, **kw)
-    ends = np.cumsum(sizes)
-    assert len(sizes) > 1 and ends[-1] == 4 * cfg.trials
+    # every row but the xi = 1 point's is stepped, one per (point, trial)
+    assert len(calls) > 1 and sum(map(len, calls)) == 3 * cfg.trials
+    assert all(xi < 1.0 for rows in calls for _, _, xi in rows)
     # some stack holds rows of two points, each with its own xi
-    assert any((end - size) // cfg.trials != (end - 1) // cfg.trials for end, size in zip(ends, sizes))
+    assert any(len({xi for _, _, xi in rows}) > 1 for rows in calls)
     assert sweep == [simulate_queues("bipolar", x, t, 4.0, cfg, **kw) for x, t in zip(xis, thetas)]
+
+
+def test_bipolar_sweep_shares_theta_across_stack_boundaries(monkeypatch):
+    # three xi per theta, so each (trial, theta) matrix serves three rows
+    calls = _spy_stacks(monkeypatch)
+    monkeypatch.setattr(queueing, "_STACK_ENTRIES", 3 * 130**2)  # three matrices of about 100 links per stack
+    cfg = SimConfig(trials=5, master_seed=226)
+    kw = dict(density=0.001, r_t=2.0, slots=200, warmup=50, n_target=100)
+    xis, thetas = [0.3, 0.6, 0.9] * 2, [1.0] * 3 + [30.0] * 3
+    sweep = simulate_queues("bipolar", xis, thetas, 4.0, cfg, **kw)
+    assert all(sum(lg is g for _, g, _ in rows) == 3 for rows in calls for _, lg, _ in rows)
+    streams = [{id(rng) for rng, _, _ in rows} for rows in calls]
+    # some trial's two thetas fall on both sides of a stack boundary
+    assert any(a & b for a, b in zip(streams, streams[1:]))
+    assert sweep == [simulate_queues("bipolar", x, t, 4.0, cfg, **kw) for x, t in zip(xis, thetas)]
+
+
+def test_bipolar_sweep_with_uneven_xi_counts_matches_points(monkeypatch):
+    # two xi at one theta and one at another: a stack pads the one-row matrices
+    calls = _spy_stacks(monkeypatch)
+    cfg = SimConfig(trials=4, master_seed=229)
+    kw = dict(density=0.001, r_t=2.0, slots=150, warmup=50, n_target=100)
+    sweep = simulate_queues("bipolar", [0.3, 0.6, 0.5, 1.0], [1.0, 1.0, 10.0, 10.0], 4.0, cfg, **kw)
+    assert any(len({sum(lg is g for _, g, _ in rows) for _, lg, _ in rows}) > 1 for rows in calls)
+    assert sweep == [simulate_queues("bipolar", x, t, 4.0, cfg, **kw)
+                     for x, t in ((0.3, 1.0), (0.6, 1.0), (0.5, 10.0), (1.0, 10.0))]
 
 
 def test_bipolar_sweep_matches_points_without_interferers_and_idle():
@@ -459,14 +491,70 @@ def test_sweep_shapes():
 
 
 def test_saturated_stack_runs_one_einsum(monkeypatch):
-    # at xi = 1 every queue is busy from slot 0 on, so each stack keeps its p
-    sizes = _count_stacks(monkeypatch)
+    # at xi = 1 every queue is busy from slot 0 on: p is one column sum per
+    # (trial, theta), so no row is stacked and no einsum runs
+    calls = _spy_stacks(monkeypatch)
     monkeypatch.setattr(queueing, "_STACK_ENTRIES", 4 * 110**2)
-    calls = []
+    einsums = []
     einsum = np.einsum
-    monkeypatch.setattr(np, "einsum", lambda *a, **kw: calls.append(a[0]) or einsum(*a, **kw))
+    monkeypatch.setattr(np, "einsum", lambda *a, **kw: einsums.append(a[0]) or einsum(*a, **kw))
     cfg = SimConfig(trials=6, master_seed=225)
-    simulate_queues("bipolar", 1.0, [1.0, 10.0, 100.0], 4.0, cfg, density=0.001, r_t=2.0, slots=200, warmup=50,
-                    n_target=100)
-    assert len(sizes) > 1 and sum(sizes) == 3 * cfg.trials
-    assert len(calls) == len(sizes)
+    ests = simulate_queues("bipolar", 1.0, [1.0, 10.0, 100.0], 4.0, cfg, density=0.001, r_t=2.0, slots=200,
+                           warmup=50, n_target=100)
+    assert calls == [] and einsums == []
+    assert [e.n for e in ests] == [cfg.trials] * 3
+
+
+def test_saturated_sweep_matches_one_trial_loop(monkeypatch):
+    calls = _spy_stacks(monkeypatch)
+    cfg = SimConfig(trials=6, master_seed=227)
+    kw = dict(density=0.001, r_t=2.0, slots=200, warmup=50, n_target=100)
+    thetas = [1.0, 10.0, 100.0]
+    sweep = simulate_queues("bipolar", 1.0, thetas, 4.0, cfg, **kw)
+    assert sweep == [_ref_queues("bipolar", 1.0, t, 4.0, cfg, **kw) for t in thetas]
+    # trials that are the tagged pair alone, next to stepped rows at xi = 0.3
+    cfg = SimConfig(trials=30, master_seed=212)
+    kw = dict(density=0.05, r_t=2.0, slots=200, warmup=50, n_target=1)
+    sweep = simulate_queues("bipolar", [1.0, 0.3], 1.0, 4.0, cfg, **kw)
+    assert sweep == [_ref_queues("bipolar", x, 1.0, 4.0, cfg, **kw) for x in (1.0, 0.3)]
+    assert calls and all(xi == 0.3 for rows in calls for _, _, xi in rows)
+
+
+def test_saturated_sweep_matches_one_trial_loop_with_an_infinite_gain(monkeypatch):
+    torus_gains = queueing._torus_gains
+
+    def coincident(tx, rx, half, alpha):
+        gains = torus_gains(tx, rx, half, alpha)
+        gains[-1, 0] = np.inf  # the last transmitter sits on the tagged receiver
+        return gains
+
+    monkeypatch.setattr(queueing, "_torus_gains", coincident)
+    calls = _spy_stacks(monkeypatch)
+    cfg = SimConfig(trials=5, master_seed=222)
+    kw = dict(density=0.001, r_t=2.0, slots=150, warmup=50, n_target=100)
+    sweep = simulate_queues("bipolar", 1.0, [1.0, 10.0], 4.0, cfg, **kw)
+    assert sweep == [_ref_queues("bipolar", 1.0, t, 4.0, cfg, **kw) for t in (1.0, 10.0)]
+    assert calls == [] and all(0.0 <= e.mean < 1.0 for e in sweep)
+
+
+@pytest.mark.parametrize("hint, cap", [(1, None), (2, None), (1, 10_000)])
+def test_downlink_stacks_match_per_cell_loop(monkeypatch, hint, cap):
+    stacks = []
+    if cap is not None:
+        monkeypatch.setattr(queueing, "_STACK_ENTRIES", cap)  # about two (trial, theta) log-gain matrices
+        slots = queueing._downlink_slots
+        monkeypatch.setattr(queueing, "_downlink_slots", lambda rngs, *a: stacks.append(len(rngs)) or slots(rngs, *a))
+    cfg = SimConfig(trials=4, master_seed=228, worker_hint=hint)
+    kw = dict(ratio=5.0, slots=150, warmup=50, n_target=30)
+    points = [(0.3, 1.0), (0.05, 1.0), (0.05, 10.0)]
+    sweep = simulate_queues("downlink", *zip(*points), 4.0, cfg, **kw)
+    assert sweep == [_ref_queues("downlink", x, t, 4.0, cfg, **kw) for x, t in points]
+    assert cap is None or (len(stacks) > 2 and sum(stacks) == len(points) * cfg.trials)
+    # in some slot the rows stepped together reduce blocks of different sizes,
+    # at least 9 cells wide: a sum padded to a common width would round differently
+    active = []
+    for x, t in points:
+        for rng in _trial_streams(cfg):
+            active.append([])
+            _ref_downlink_trial(rng, x, t, 4.0, 5.0, 150, 50, 30, active_cells=active[-1])
+    assert any(len(set(slot)) > 1 and max(slot) >= 9 for slot in zip(*active))

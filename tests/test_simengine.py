@@ -132,6 +132,19 @@ def test_estimates_reject_a_negative_theta():
             call()
 
 
+def test_estimate_meta_rejects_a_theta_grid_before_any_draw(monkeypatch):
+    drawn = []  # the pointprocess sampler, as simengine calls it
+    sample = simengine.sample_batch
+    monkeypatch.setattr(simengine, "sample_batch", lambda *a, **kw: drawn.append(a) or sample(*a, **kw))
+    cfg = SimConfig(trials=200, master_seed=44)
+    for theta in ([1.0, 2.0], np.array([1.0]), [[1.0]]):
+        with pytest.raises(ValueError, match="theta must be a scalar"):
+            estimate_meta(ADHOC_PPP, theta, [0.5], cfg)
+    assert drawn == []
+    estimate_meta(ADHOC_PPP, 1.0, [0.5], cfg)
+    assert drawn  # the spy sees the draws of a scalar theta
+
+
 def test_estimate_success_downlink_vs_arctan_identity():
     cfg = SimConfig(trials=20000, master_seed=44)
     model = NetworkModel(PPP(0.5), alpha=4.0)
@@ -557,7 +570,7 @@ def test_far_field_closed_form_matches_quad(alpha, b):
     # int_R^inf (1 - (1 + c r^-a)^-b) r dr = (c^d/a) int_0^x (1 - (1 + y)^-b) y^(-d-1) dy, x = c R^-a:
     # the y^-d singularity goes into quad's algebraic weight
     model, radius, d = NetworkModel(PPP(0.1), alpha, 1.0), 10.0, 2.0 / alpha
-    for x in (0.11, 0.3, 1.0, 10.0, 1e3, 1e5):  # the closed form's range, x >= 0.1
+    for x in (1e-3, 1e-2, 0.05, 0.099, 0.11, 0.3, 1.0, 10.0, 1e3, 1e5):  # the closed form's range, x >= 1e-3
         c = x * radius**alpha
         inner = _quad(lambda y: -math.expm1(-b * math.log1p(y)) / y if y else b, 0.0, x, weight="alg", wvar=(-d, 0.0))
         want = -2.0 * math.pi * 0.1 * c**d / alpha * inner
