@@ -12,7 +12,6 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,10 +20,8 @@ from scipy import special as _sps
 from .core import ToleranceError
 
 __all__ = [
-    "QuadratureSpec",
     "QuadResult",
     "FixedPointResult",
-    "DEFAULT_QUAD",
     "gamma_ratio",
     "lambert_w0",
     "gauss_legendre",
@@ -33,19 +30,6 @@ __all__ = [
     "gil_pelaez_ccdf",
     "fixed_point_solve",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 class QuadResult(NamedTuple):
@@ -152,40 +136,32 @@ def lru_get(cache, key, size, build):
 
 
 _QUAD_LIMIT = 200  # QUADPACK subinterval limit
+_QUAD_ABS_TOL, _QUAD_REL_TOL = 1e-10, 1e-9
 
 
-def _quad_real(f, a, b, spec):
+def integrate_1d(f, a, b):
+    """Integrate a real f over [a, b] by adaptive QUADPACK; b may be numpy.inf.
+
+    Semi-infinite domains are mapped to (0, 1) with x = a + t/(1-t).  Returns
+    a QuadResult whose `converged` flag records whether the error estimate
+    met absolute 1e-10 or relative 1e-9.
+    """
     # imported on first use: scipy.integrate alone doubles the package's import time
     from scipy import integrate
 
+    if np.isinf(b):
+        g = lambda t: f(a + t / (1.0 - t)) / (1.0 - t) ** 2
+        a, b = 0.0, 1.0
+    else:
+        g = f
     # QUADPACK's convergence heuristics are reported through the returned
     # error estimate and our `converged` flag, not through warnings
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=_QUAD_LIMIT
-        )
+        val, err = integrate.quad(g, a, b, epsabs=_QUAD_ABS_TOL, epsrel=_QUAD_REL_TOL, limit=_QUAD_LIMIT)
     if math.isnan(val):
         raise ToleranceError("integrand produced NaN")
-    ok = err <= spec.abs_tol + spec.rel_tol * abs(val) + 1e-300 or err <= 10 * spec.abs_tol
-    return val, err, ok
-
-
-def integrate_1d(f, a, b, spec=None):
-    """Integrate a real f over [a, b]; b may be numpy.inf.
-
-    Semi-infinite domains are mapped to (0, 1) with x = a + t/(1-t).  Returns
-    a QuadResult whose `converged` flag records whether the error estimate
-    met the spec.
-    """
-    spec = spec or DEFAULT_QUAD
-    if np.isinf(b):
-        g = lambda t: f(a + t / (1.0 - t)) / (1.0 - t) ** 2
-        lo, hi = 0.0, 1.0
-    else:
-        g = f
-        lo, hi = a, b
-    val, err, ok = _quad_real(g, lo, hi, spec)
+    ok = err <= _QUAD_ABS_TOL + _QUAD_REL_TOL * abs(val) + 1e-300 or err <= 10 * _QUAD_ABS_TOL
     return QuadResult(val, err, ok)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sps
 
-from .core import Curve, ToleranceError
-from .numerics import integrate_1d
+from .core import Curve
+from .numerics import gauss_legendre
 
 __all__ = [
     "PPP",
@@ -222,22 +222,23 @@ def sample_batch(field, window_radius, rng, size, planar=False):
 
 
 def circle_intersection_area(r1, r2, d):
-    """Area of the intersection of disks with radii r1, r2 and center gap d."""
-    if r1 < 0 or r2 < 0 or d < 0:
+    """Area of the intersection of disks with radii r1, r2 and center gap d.
+
+    The arguments are scalars (a float is returned) or arrays that broadcast
+    together (an array of their shape)."""
+    r1, r2, d = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r1, r2, d)))
+    if np.any(r1 < 0) or np.any(r2 < 0) or np.any(d < 0):
         raise ValueError("radii and distance must be nonnegative")
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        r = min(r1, r2)
-        return math.pi * r * r
-    c1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)
-    c2 = (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)
-    c1 = min(1.0, max(-1.0, c1))
-    c2 = min(1.0, max(-1.0, c2))
-    term = 0.5 * math.sqrt(
-        max(0.0, (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2))
-    )
-    return r1 * r1 * math.acos(c1) + r2 * r2 * math.acos(c2) - term
+    out = np.zeros(d.shape)
+    inner = d <= np.abs(r1 - r2)  # one disk holds the other
+    out[inner] = math.pi * np.minimum(r1, r2)[inner] ** 2
+    lens = ~inner & (d < r1 + r2)
+    a, b, g = r1[lens], r2[lens], d[lens]
+    c1 = np.clip((g * g + a * a - b * b) / (2.0 * g * a), -1.0, 1.0)
+    c2 = np.clip((g * g + b * b - a * a) / (2.0 * g * b), -1.0, 1.0)
+    term = 0.5 * np.sqrt(np.maximum(0.0, (-g + a + b) * (g + a - b) * (g - a + b) * (g + a + b)))
+    out[lens] = a * a * np.arccos(c1) + b * b * np.arccos(c2) - term
+    return out if out.ndim else float(out)
 
 
 def lens_area(cluster_radius, r):
@@ -263,6 +264,20 @@ def lens_area(cluster_radius, r):
 # ---------------------------------------------------------------------------
 
 
+_LENS_S, _LENS_W = gauss_legendre(32, 0.0, 1.0)
+
+
+def _mcp_radial_integral(h, r, rd):
+    """int_0^(r + R_d) h(x) x dx for an h of B(0, r) n B(x, R_d).  One disk
+    holds the other on [0, |r - R_d|], where h is constant; the lens range
+    takes 32 Gauss-Legendre nodes mapped by (1 - cos(pi s))/2, which clears
+    its square-root ends."""
+    lo, hi = abs(r - rd), r + rd
+    x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(math.pi * _LENS_S))
+    w = (hi - lo) * 0.5 * math.pi * np.sin(math.pi * _LENS_S) * _LENS_W
+    return float(h(0.5 * lo)) * 0.5 * lo * lo + np.dot(w, h(x) * x)
+
+
 def _mcp_void_exponent(field, r):
     # Lambda(r) = lambda_p * int_R2 (1 - exp(-cbar * p(r | x))) dx where
     # p(r | x) = |B(0,r) n B(x, R_d)| / (pi R_d^2) is a daughter's chance of
@@ -270,13 +285,10 @@ def _mcp_void_exponent(field, r):
     rd = field.cluster_radius
     area = math.pi * rd * rd
 
-    def integrand(x):
-        frac = circle_intersection_area(r, rd, x) / area
-        return (1.0 - math.exp(-field.mean_daughters * frac)) * x
+    def h(x):
+        return -np.expm1(-field.mean_daughters * circle_intersection_area(r, rd, x) / area)
 
-    hi = r + rd
-    res = integrate_1d(integrand, 0.0, hi)
-    return 2.0 * math.pi * field.parent_density * res.value, res
+    return 2.0 * math.pi * field.parent_density * _mcp_radial_integral(h, r, rd)
 
 
 def contact_cdf(field, r):
@@ -288,10 +300,7 @@ def contact_cdf(field, r):
     if isinstance(field, MCP):
         if r == 0.0:
             return 0.0
-        expo, res = _mcp_void_exponent(field, r)
-        if not res.converged:
-            raise ToleranceError("MCP contact CDF quadrature did not converge")
-        return 1.0 - math.exp(-expo)
+        return 1.0 - math.exp(-_mcp_void_exponent(field, r))
     raise TypeError("contact distribution implemented for PPP and MCP fields")
 
 
@@ -307,31 +316,27 @@ def contact_pdf(field, r):
             return 0.0
         rd = field.cluster_radius
         area = math.pi * rd * rd
-        expo, res = _mcp_void_exponent(field, r)
+        cbar = field.mean_daughters
 
         # d/dr of the void exponent: boundary arc length inside B(x, R_d)
-        def integrand(x):
+        def h(x):
             frac = circle_intersection_area(r, rd, x) / area
-            darc = _arc_inside(r, rd, x)
-            return math.exp(-field.mean_daughters * frac) * field.mean_daughters * darc / area * x
+            return np.exp(-cbar * frac) * cbar * _arc_inside(r, rd, x) / area
 
-        dres = integrate_1d(integrand, 0.0, r + rd)
-        if not (res.converged and dres.converged):
-            raise ToleranceError("MCP contact PDF quadrature did not converge")
-        dexpo = 2.0 * math.pi * field.parent_density * dres.value
-        return math.exp(-expo) * dexpo
+        dexpo = 2.0 * math.pi * field.parent_density * _mcp_radial_integral(h, r, rd)
+        return math.exp(-_mcp_void_exponent(field, r)) * dexpo
     raise TypeError("contact distribution implemented for PPP and MCP fields")
 
 
 def _arc_inside(r, rd, x):
-    # d/dr |B(0,r) n B(x,rd)|: length of the circle of radius r inside B(x,rd)
-    if x + r <= rd:
-        return 2.0 * math.pi * r  # circle entirely inside the cluster disk
-    if x >= r + rd or r >= x + rd:
-        return 0.0
-    cosv = (r * r + x * x - rd * rd) / (2.0 * r * x)
-    cosv = min(1.0, max(-1.0, cosv))
-    return 2.0 * r * math.acos(cosv)
+    """d/dr |B(0,r) n B(x,rd)|, the length of the circle of radius r inside
+    B(x,rd), at a scalar or an array of x."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x = 0 takes a branch below
+        cosv = np.clip((r * r + x * x - rd * rd) / (2.0 * r * x), -1.0, 1.0)
+        arc = np.where((x >= r + rd) | (r >= x + rd), 0.0, 2.0 * r * np.arccos(cosv))
+    # a circle entirely inside the cluster disk
+    return np.where(x + r <= rd, 2.0 * math.pi * r, arc)
 
 
 def vertex_contact_pdf(density, r):

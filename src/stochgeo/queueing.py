@@ -174,7 +174,7 @@ def _simulate_bipolar(batch_iter, points, alpha, density, r_t, slots, warmup, n_
     """(point index, per-link values) of every trial at every (xi, theta) point.
 
     Each trial draws its layout once, and its log gains L at one theta serve
-    every xi at that theta.  A row, one (point, trial), with xi >= 1 has
+    every xi at that theta.  A row, one (point, trial), with xi = 1 has
     every link backlogged in every slot: its values are _saturated_values'
     closed form, and it draws nothing.  The other rows of one (trial, theta)
     share one L in stacks of at most _STACK_ENTRIES padded L entries, filled
@@ -184,9 +184,8 @@ def _simulate_bipolar(batch_iter, points, alpha, density, r_t, slots, warmup, n_
     half = 0.5 * math.sqrt(n_target / density)
     groups = []  # (theta, saturated point indices, stepped (point index, xi) pairs)
     for theta, (ks, xis) in _by_theta(points).items():
-        # a NaN xi never brings a packet, so only xi >= 1 saturates
-        groups.append((theta, [k for k, xi in zip(ks, xis) if xi >= 1.0],
-                       [(k, xi) for k, xi in zip(ks, xis) if not xi >= 1.0]))
+        groups.append((theta, [k for k, xi in zip(ks, xis) if xi == 1.0],
+                       [(k, xi) for k, xi in zip(ks, xis) if xi < 1.0]))
     saturated, stack, n_max = [], [], 0  # stack: (stepped pairs, stream, L) per (trial, theta)
     for rng, _ in batch_iter:
         gains = _bipolar_layout(rng, alpha, density, r_t, half)
@@ -233,17 +232,15 @@ def _saturated_values(saturated, count):
 def _bipolar_stack(rngs, lgs, xis, slots, warmup):
     """Step the slot loop of several rows together.
 
-    Matrix g of lgs serves one row per arrival probability in xis[g] (a
-    scalar xis gives every matrix one row); the values come out matrix by
-    matrix.  Each row draws what the one-trial loop draws from its own copy
-    of rngs[g]: n arrival draws, then one per active link.  Copies of one
+    Matrix g of lgs serves one row per arrival probability in xis[g]; the
+    values come out matrix by matrix.  Each row draws what the one-trial
+    loop draws from its own copy of rngs[g]: n arrival draws, then one per
+    active link.  Copies of one
     generator give one sequence, so the rows of matrices that share a
     generator read one buffer of it, each at its own place.  The einsum adds
     the active rows of L in row order, as lg[idx].sum(axis=0) does: every
     value is the one-trial value.
     """
-    if np.isscalar(xis):
-        xis = [[xis]] * len(lgs)
     n = np.array([len(lg) for lg in lgs])
     g_tot, k_max, n_max = len(lgs), max(map(len, xis)), int(n.max())
     # row g * k_max + k steps matrix g at xis[g][k]; a padding row has no links
@@ -449,7 +446,8 @@ def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=N
     xi and theta are each a scalar or a 1-D sequence, broadcast to one grid of
     (xi, theta) points.  Two scalars give one Estimate, a grid a list of
     Estimates, one per point.  A grid draws each trial's layout once, and each
-    point's Estimate equals its one-point call's.
+    point's Estimate equals its one-point call's.  An xi outside [0, 1] or a
+    negative theta raises ValueError before any draw.
     """
     if slots <= warmup:
         raise ValueError("slots must exceed the warmup period")
@@ -467,6 +465,10 @@ def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=N
         raise ValueError("xi and theta grids must have one length") from None
     if xis.ndim > 1 or xis.size == 0:
         raise ValueError("xi and theta must be scalars or non-empty 1-D grids")
+    if not np.all((xis >= 0.0) & (xis <= 1.0)):
+        raise ValueError("arrival probability must lie in [0, 1]")
+    if not np.all(thetas >= 0.0):
+        raise ValueError("theta must be nonnegative")
     points = list(zip(xis.ravel().tolist(), thetas.ravel().tolist()))
     probs = simengine.run_batches(cfg, "queue", _queue_chunk, mode, points, alpha, density, ratio, r_t, slots,
                                   warmup, n_target)

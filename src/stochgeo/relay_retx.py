@@ -9,14 +9,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as _sps
 
-from .core import ToleranceError
-from .numerics import QuadratureSpec, gauss_legendre, integrate_1d
+from .numerics import gauss_legendre
 from .pointprocess import PPP, sample_batch
 from .sir_analysis import _real_order, ppp_link_exponent
 from . import simengine
-
-_HARQ_QUAD = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-7)
 
 __all__ = [
     "RelayRoute",
@@ -105,32 +103,31 @@ def relay_moments(b, route, theta, alpha, density, regime):
     dists = route.hop_distances
     if regime == "fvi" or route.n_hops == 1:
         return math.exp(-sum(ppp_link_exponent(density, b, theta, alpha, d) for d in dists))
-    mid = route.midpoint()
-    z = np.array([route.receivers[m] for m in range(route.n_hops)], dtype=float) - mid
+    z = np.array(route.receivers, dtype=float) - route.midpoint()
     c_m = theta * np.asarray(dists) ** alpha
-    psi, wpsi = _PSI_NODES
-    cos_p, sin_p = np.cos(psi), np.sin(psi)
-
     # radius beyond which the product collapses to the sum of single-hop tails
     r_cut = route.extent() + 40.0 * max(1.0, max(dists)) * max(theta, 1.0) ** (1.0 / alpha)
-
-    def ring(r):
-        x = r * cos_p
-        y = r * sin_p
-        g = np.zeros_like(psi)
-        for m in range(len(dists)):
-            dd = np.hypot(x - z[m, 0], y - z[m, 1])
-            g += np.log1p(c_m[m] * dd**-alpha)
-        return r * np.dot(wpsi, 1.0 - np.exp(-b * g))
-
-    res = integrate_1d(ring, 0.0, r_cut)
-    if not res.converged:
-        raise ToleranceError("relay moment quadrature did not converge")
     # far tail: hops are indistinguishable from the midpoint beyond r_cut
-    tail = sum(
-        b * cm * 2.0 * math.pi * r_cut ** (2.0 - alpha) / (alpha - 2.0) for cm in c_m
-    )
-    return math.exp(-density * (res.value + tail))
+    tail = sum(b * cm * 2.0 * math.pi * r_cut ** (2.0 - alpha) / (alpha - 2.0) for cm in c_m)
+    return math.exp(-density * (_ring_integral(b, z, c_m, alpha, r_cut) + tail))
+
+
+def _ring_integral(b, z, c_m, alpha, r_cut):
+    """int_0^r_cut r int_0^2pi (1 - prod_m (1 + c_m |x - z_m|^-a)^-b) dpsi dr at
+    x = r e^(i psi), receiver m at z[m], on the 96-point angle rule.  The
+    ring peaks where it passes a receiver, with width scale = max c_m^(1/a):
+    panel edges at 0, r_cut, each receiver's distance rho and rho +-
+    scale 2^k (k = -2, -1, ... up to r_cut), 16 Gauss-Legendre nodes each."""
+    rho = np.hypot(z[:, 0], z[:, 1])
+    scale = c_m.max() ** (1.0 / alpha)
+    steps = scale * 2.0 ** np.arange(-2, math.ceil(math.log2(r_cut / scale)) + 1)
+    edges = np.concatenate([[0.0, r_cut], rho, np.add.outer(rho, steps).ravel(), np.subtract.outer(rho, steps).ravel()])
+    edges = np.unique(np.clip(edges, 0.0, r_cut))
+    r, wr = gauss_legendre(16, edges[:-1], edges[1:])
+    psi, wpsi = _PSI_NODES
+    ring = np.multiply.outer(r.ravel(), np.exp(1j * psi))
+    g = sum(np.log1p(c * np.abs(ring - complex(zx, zy)) ** -alpha) for (zx, zy), c in zip(z, c_m))
+    return float(np.dot((wr * r).ravel(), -np.expm1(-b * g) @ wpsi))
 
 
 # ---------------------------------------------------------------------------
@@ -199,52 +196,57 @@ def harq_type2_cc(theta, alpha, density, r_t, regime):
     """Type-II chase-combining HARQ success with one retransmission.
 
     First term exp(-c theta^delta), with c the Poisson link exponent at b = 1
-    and theta = 1, plus the maximal-ratio-combining gain term, a double
-    integral over the residual threshold u in [0, theta] (substituted
-    u = theta(1 - t^2) to tame the (theta-u)^delta endpoint) and an inner
-    radial profile.
+    and theta = 1, plus the maximal-ratio-combining gain term, an integral
+    over the residual threshold u in [0, theta] of the closed-form radial
+    integrals below.  It splits at theta/2 into u = (theta/2) y^(2a) and
+    theta - u = (theta/2) y^(2a), each on 32 Gauss-Legendre nodes in y, which
+    clears the u^(delta-1) and (theta-u)^delta endpoints for every alpha.
     """
     _check_regime(regime)
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
+    if theta == 0.0:
+        return 1.0
     delta = 2.0 / alpha
     c = ppp_link_exponent(density, 1.0, 1.0, alpha, r_t)
     first = math.exp(-c * theta**delta)
-    ra = r_t**alpha
+    y, wy = gauss_legendre(32, 0.0, 1.0)
+    near = 0.5 * theta * y ** (2.0 * alpha)
+    du = alpha * theta * y ** (2.0 * alpha - 1.0) * wy
+    u = np.concatenate([near, theta - near])
+    rest = np.concatenate([theta - near, near])  # theta - u
+    gain = _mrc_gain(rest, u, alpha, r_t, regime)
+    if regime == "qsi":
+        # one pattern carries both slots, so one exponent holds both thresholds
+        ex = np.exp(-2.0 * math.pi * density * _qsi_exponent(rest, u, alpha, r_t))
+    else:
+        ex = np.exp(-c * (u**delta + rest**delta))
+    return first + 2.0 * math.pi * density * np.dot(np.tile(du, 2), gain * ex)
 
-    def inner_gain(u, include_j):
-        # int_0^inf r_t^a r^-a [J(r, u)] / (1 + u r_t^a r^-a)^2 r dr; the J
-        # factor appears only under quasi-static interference (same pattern
-        # carries both slots); under fvi it moves to the second pattern's
-        # own exponential
-        def f(r):
-            w = ra * r**-alpha
-            j = 1.0 / (1.0 + (theta - u) * w) if include_j else 1.0
-            return w * j / (1.0 + u * w) ** 2 * r
 
-        return integrate_1d(f, 0.0, np.inf, _HARQ_QUAD).require()
+def _mrc_gain(p, q, alpha, r_t, regime):
+    """int_0^inf w J / (1 + q w)^2 r dr, w = r_t^a r^-a, J = 1/(1 + p w) under
+    qsi (one pattern carries both slots) and 1 under fvi, in closed form
+    (Gradshteyn-Ryzhik 3.194.3, 3.197.1): (r_t^2/a) q^(delta-1) times
+    B(1-delta, 1+delta) (fvi) or B(1-delta, 2+delta) 2F1(1, 1-delta; 3; 1 - p/q)."""
+    delta = 2.0 / alpha
+    scale = r_t**2 / alpha * q ** (delta - 1.0)
+    if regime == "fvi":
+        return scale * _sps.beta(1.0 - delta, 1.0 + delta)
+    return scale * _sps.beta(1.0 - delta, 2.0 + delta) * _sps.hyp2f1(1.0, 1.0 - delta, 3.0, 1.0 - p / q)
 
-    def inner_exp_qsi(u):
-        # int_0^inf (1 - J(r,u)/(1 + u r_t^a r^-a)) r dr
-        def f(r):
-            w = ra * r**-alpha
-            return (1.0 - 1.0 / ((1.0 + (theta - u) * w) * (1.0 + u * w))) * r
 
-        return integrate_1d(f, 0.0, np.inf, _HARQ_QUAD).require()
-
-    def outer(t):
-        u = theta * (1.0 - t * t)
-        du = 2.0 * theta * t
-        if regime == "qsi":
-            gain = inner_gain(u, include_j=True)
-            ex = math.exp(-2.0 * math.pi * density * inner_exp_qsi(u))
-        else:
-            gain = inner_gain(u, include_j=False)
-            ex = math.exp(-c * (u**delta + (theta - u) ** delta))
-        return 2.0 * math.pi * density * gain * ex * du
-
-    res = integrate_1d(outer, 0.0, 1.0, _HARQ_QUAD)
-    if not res.converged:
-        raise ToleranceError("HARQ outer quadrature did not converge")
-    return first + res.value
+def _qsi_exponent(p, q, alpha, r_t):
+    """int_0^inf (1 - 1/((1 + p w)(1 + q w))) r dr, w = r_t^a r^-a, in closed
+    form: (r_t^2/2) Gamma(1+delta) Gamma(1-delta) (p^(1+delta) - q^(1+delta))/(p - q),
+    as hi^delta expm1((1+delta) x)/expm1(x) with hi = max(p, q) and
+    x = log(min/max) < 0, free of overflow and cancellation; the nodes of
+    harq_type2_cc never meet p = q, where it tends to (1+delta) q^delta."""
+    delta = 2.0 / alpha
+    hi = np.maximum(p, q)
+    x = np.log(np.minimum(p, q) / hi)
+    ratio = np.expm1((1.0 + delta) * x) / np.expm1(x)
+    return 0.5 * r_t**2 * math.gamma(1.0 + delta) * math.gamma(1.0 - delta) * hi**delta * ratio
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import integrate as sciint
 
 from stochgeo import mobility, simengine
 from stochgeo.mobility import (
@@ -69,6 +71,42 @@ def test_handoff_avg_monotone_in_speed_and_density():
     vs = [handoff_prob_avg(LAM, v) for v in (1.0, 5.0, 20.0)]
     assert vs[0] < vs[1] < vs[2]
     assert handoff_prob_avg(2 * LAM, 5.0) > handoff_prob_avg(LAM, 5.0)
+
+
+def _handoff_avg_by_quad(density, v):
+    """The contact-distance average in r by adaptive quad split at r = v, of
+    the same 48-point angle average."""
+    t, wt = np.polynomial.legendre.leggauss(48)
+    phi, wphi = 0.5 * math.pi * (t + 1.0), 0.5 * wt
+
+    def f(r):
+        return np.dot(wphi, handoff_prob(density, r, v, phi)) * 2.0 * math.pi * density * r * math.exp(-density * math.pi * r * r)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sciint.IntegrationWarning)
+        return sum(sciint.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=1000)[0]
+                   for lo, hi in ((0.0, v), (v, np.inf)))
+
+
+@pytest.mark.parametrize("density", [0.001, 0.01, 1.0])
+def test_handoff_avg_matches_adaptive_quadrature(density):
+    for v in (0.1, 1.0, 5.0, 20.0, 50.0):
+        assert handoff_prob_avg(density, v) == pytest.approx(_handoff_avg_by_quad(density, v), abs=1e-9)
+
+
+def test_handoff_avg_domain():
+    for density, v in ((0.0, 1.0), (-1.0, 1.0), (0.0, 0.0), (LAM, -1.0)):
+        with pytest.raises(ValueError):
+            handoff_prob_avg(density, v)
+
+
+def test_handoff_prob_of_arrays_is_the_scalar_values():
+    r, phi = np.array([[0.5], [3.0], [40.0]]), np.array([0.0, 1.0, math.pi])
+    got = handoff_prob(LAM, r, 5.0, phi)
+    assert got.shape == (3, 3)
+    for i, ri in enumerate(r[:, 0]):
+        for j, p in enumerate(phi):
+            assert got[i, j] == pytest.approx(handoff_prob(LAM, float(ri), 5.0, float(p)), rel=1e-15, abs=0.0)
 
 
 def test_handoff_empirical_vs_analytic(usable_cpus):

@@ -6,8 +6,6 @@ import pytest
 
 from stochgeo.core import ToleranceError
 from stochgeo.numerics import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
     fixed_point_solve,
     gamma_ratio,
     gauss_legendre,
@@ -254,8 +252,3 @@ def test_fixed_point_non_convergence_flagged():
     with pytest.raises(ToleranceError):
         res.require()
 
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    assert DEFAULT_QUAD.abs_tol > 0

@@ -274,6 +274,19 @@ def test_circle_intersection_matches_lens_for_equal_radii():
         )
 
 
+def test_circle_intersection_of_arrays_is_the_scalar_values():
+    r1 = np.array([[1.0], [0.5], [2.0]])
+    d = np.array([0.0, 0.4, 1.2, 2.9, 3.5])
+    got = circle_intersection_area(r1, 1.3, d)
+    assert isinstance(got, np.ndarray) and got.shape == (3, 5)
+    for i, a in enumerate(r1[:, 0]):
+        for j, g in enumerate(d):
+            assert got[i, j] == pytest.approx(circle_intersection_area(float(a), 1.3, float(g)), rel=1e-15, abs=0.0)
+    assert isinstance(circle_intersection_area(1.0, 1.3, 0.4), float)
+    with pytest.raises(ValueError):
+        circle_intersection_area(1.0, 1.0, np.array([0.5, -0.1]))
+
+
 def test_circle_intersection_containment():
     assert circle_intersection_area(1.0, 3.0, 0.5) == pytest.approx(math.pi, rel=1e-12)
 
@@ -337,24 +350,45 @@ def test_mcp_contact_pdf_is_cdf_derivative():
         assert contact_pdf(field, r) == pytest.approx(num, rel=1e-4)
 
 
-@pytest.mark.parametrize("failing_call", [0, 1])
-def test_mcp_contact_pdf_raises_when_a_quadrature_misses_tolerance(monkeypatch, failing_call):
-    # contact_pdf integrates twice (the void exponent, then its derivative);
-    # either one unconverged must raise, not return a density
-    from stochgeo import pointprocess
-    from stochgeo.core import ToleranceError
+def _mcp_contact_by_quad(field, r):
+    """(CDF, PDF) of the MCP contact distance from the scalar geometry, by
+    adaptive quad split where the cluster disk leaves the ball around 0."""
+    rd, cbar = field.cluster_radius, field.mean_daughters
+    area = math.pi * rd * rd
 
-    integrate = pointprocess.integrate_1d
-    calls = []
+    def integral(f):
+        return sum(
+            sciint.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+            for lo, hi in ((0.0, abs(r - rd)), (abs(r - rd), r + rd))
+        )
 
-    def flagged(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        calls.append(None)
-        return res._replace(converged=res.converged and len(calls) - 1 != failing_call)
+    def frac(x):
+        return circle_intersection_area(r, rd, x) / area
 
-    monkeypatch.setattr(pointprocess, "integrate_1d", flagged)
-    with pytest.raises(ToleranceError):
-        contact_pdf(MCP(0.1, 5.0, 1.0), 1.1)
+    expo = 2.0 * math.pi * field.parent_density * integral(lambda x: -math.expm1(-cbar * frac(x)) * x)
+    dexpo = 2.0 * math.pi * field.parent_density * integral(
+        lambda x: math.exp(-cbar * frac(x)) * cbar * float(pointprocess._arc_inside(r, rd, x)) / area * x
+    )
+    return -math.expm1(-expo), math.exp(-expo) * dexpo
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("field", [MCP(0.1, 5.0, 1.0), MCP(0.01, 20.0, 3.0)])
+def test_mcp_contact_laws_match_adaptive_quadrature(field):
+    # both ends of the lens range, r = R_d = 1 (no closed-form piece) and r far past R_d
+    for r in (0.01, 0.5, 1.0, 1.7, 3.0, 7.0):
+        cdf, pdf = _mcp_contact_by_quad(field, r)
+        assert contact_cdf(field, r) == pytest.approx(cdf, abs=1e-12)
+        assert contact_pdf(field, r) == pytest.approx(pdf, abs=1e-12)
+
+
+def test_arc_inside_of_an_array_is_the_piecewise_length():
+    # inside the cluster disk, crossing it, outside it, and holding it
+    x = np.array([0.0, 0.2, 1.0, 1.5, 2.5])
+    arc = pointprocess._arc_inside(0.5, 1.0, x)
+    crossing = 2.0 * 0.5 * np.arccos((0.25 + x[2:4] ** 2 - 1.0) / (2.0 * 0.5 * x[2:4]))
+    assert np.array_equal(arc, [math.pi, math.pi, *crossing, 0.0])
+    assert pointprocess._arc_inside(3.0, 1.0, 0.5) == 0.0
 
 
 # -------------------------------------------------------------- distance ratios

@@ -197,6 +197,19 @@ def test_simulate_validation():
         simulate_queues("carrier", 0.5, 1.0, 4.0, cfg)
 
 
+@pytest.mark.parametrize("xi, theta", [(1.5, 1.0), (-0.1, 1.0), (math.nan, 1.0), (0.5, -0.5),
+                                       ([0.2, 1.2], 1.0), (0.3, [1.0, -2.0]), ([0.2, math.nan], [1.0, 2.0])])
+@pytest.mark.parametrize("mode, kw", [("bipolar", dict(density=0.05, r_t=2.0)), ("downlink", dict(ratio=5.0))])
+def test_simulate_rejects_xi_and_theta_outside_their_domains_before_any_draw(monkeypatch, mode, kw, xi, theta):
+    # as bipolar_success and downlink_success do
+    calls = []
+    monkeypatch.setattr(simengine, "run_batches", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError):
+        simulate_queues(mode, xi, theta, 4.0, SimConfig(trials=3, master_seed=1, worker_hint=1), slots=60,
+                        warmup=20, n_target=10, **kw)
+    assert calls == []
+
+
 # --------------------------------------------- one-trial reference loops
 #
 # The simulator steps its bipolar trials together and draws each slot's
@@ -355,7 +368,7 @@ def test_bipolar_infinite_gain_matches_one_trial_loop():
     # transmitter 2 sits on receiver 0: its log factor there is infinite
     lg = np.log1p(np.array([[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [np.inf, 0.1, 1.0]]))
     lgs = [lg, lg[:2, :2]]
-    got = list(queueing._bipolar_stack([np.random.default_rng(k) for k in (1, 2)], lgs, 0.6, 60, 10))
+    got = list(queueing._bipolar_stack([np.random.default_rng(k) for k in (1, 2)], lgs, [[0.6], [0.6]], 60, 10))
     want = [_ref_bipolar_slots(np.random.default_rng(k), g, 0.6, 60, 10) for k, g in zip((1, 2), lgs)]
     assert [list(v) for v in got] == want
     assert not np.isnan(got[0]).any()

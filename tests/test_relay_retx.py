@@ -1,7 +1,12 @@
 import math
+import warnings
 
+import mpmath as mp
+import numpy as np
 import pytest
+from scipy import integrate as sciint
 
+from stochgeo import relay_retx
 from stochgeo.relay_retx import (
     RelayRoute,
     corr_coeff_retx,
@@ -93,6 +98,37 @@ def test_relay_temporal_csp_decreases_with_hops():
         if prev is not None:
             assert ratio < prev
         prev = ratio
+
+
+def _ring_by_quad(b, z, c_m, alpha, r_cut):
+    """The ring integral of relay_moments, one radius at a time on the same
+    angular rule, by adaptive quad (epsrel 1e-13) split at the receivers."""
+    psi, wpsi = relay_retx._PSI_NODES
+
+    def ring(r):
+        g = sum(np.log1p(c * np.hypot(r * np.cos(psi) - zx, r * np.sin(psi) - zy) ** -alpha)
+                for (zx, zy), c in zip(z, c_m))
+        return r * np.dot(wpsi, -np.expm1(-b * g))
+
+    edges = sorted({0.0, r_cut, *(float(v) for v in np.hypot(z[:, 0], z[:, 1]) if 0.0 < v < r_cut)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sciint.IntegrationWarning)
+        return sum(sciint.quad(ring, lo, hi, epsabs=0.0, epsrel=1e-13, limit=2000)[0]
+                   for lo, hi in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("n_hops", [2, 3, 4])
+def test_relay_ring_matches_adaptive_quadrature(n_hops):
+    # at the radius relay_moments cuts at; an even route has a receiver at its midpoint
+    route = linear_route(n_hops, 1.0)
+    z = np.array(route.receivers) - route.midpoint()
+    for theta in (0.1, 1.0, 10.0, 100.0):
+        for alpha in (3.0, 4.0):
+            c_m = theta * np.asarray(route.hop_distances) ** alpha
+            r_cut = route.extent() + 40.0 * max(1.0, max(route.hop_distances)) * max(theta, 1.0) ** (1.0 / alpha)
+            for b in (0.5, 1.0, 2.0):
+                want = _ring_by_quad(b, z, c_m, alpha, r_cut)
+                assert relay_retx._ring_integral(b, z, c_m, alpha, r_cut) == pytest.approx(want, rel=1e-10)
 
 
 def test_relay_vs_mc_qsi_and_fvi(usable_cpus):
@@ -238,6 +274,67 @@ def test_harq_gap_small_at_low_threshold():
             theta, ALPHA, LAM, RT, regime
         )
         assert 0.0 <= gap < 0.01
+
+
+def _harq_by_mpmath(theta, alpha, density, r_t, regime):
+    """30-digit Type-II HARQ-CC: the inner radial integrals as Beta and 2F1
+    closed forms, the u-integral by tanh-sinh split at theta/2."""
+    with mp.workdps(30):
+        th, a, lam, rt = map(mp.mpf, (theta, alpha, density, r_t))
+        d = 2 / a
+        c = lam * mp.pi * rt**2 * mp.gamma(1 - d) * mp.gamma(1 + d)
+        scale = 2 * mp.pi * lam * rt**2 / a * mp.beta(1 - d, 1 + d if regime == "fvi" else 2 + d)
+
+        def f(u):
+            p, q = th - u, u
+            if regime == "fvi":
+                return scale * q ** (d - 1) * mp.exp(-c * (q**d + p**d))
+            expo = c * ((p ** (1 + d) - q ** (1 + d)) / (p - q) if p != q else (1 + d) * q**d)
+            return scale * q ** (d - 1) * mp.hyp2f1(1, 1 - d, 3, 1 - p / q) * mp.exp(-expo)
+
+        return float(mp.exp(-c * th**d) + mp.quad(f, [0, th / 2, th]))
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+def test_harq_type2_matches_mpmath_reference(alpha):
+    for theta in (0.05, 0.2, 1.0, 10.0, 100.0):
+        for regime in ("qsi", "fvi"):
+            want = _harq_by_mpmath(theta, alpha, LAM, RT, regime)
+            assert harq_type2_cc(theta, alpha, LAM, RT, regime) == pytest.approx(want, rel=1e-10)
+
+
+def _radial_by_quad(k, alpha, r_t):
+    """int_0^inf w k(w) r dr with w = r_t^a r^-a, for a bounded k: [0, 1] as
+    it stands, and [1, inf) as t = 1/r, where the integrand is
+    r_t^a k(w) t^(a-3) and the t^(a-3) end is a QAWS weight."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sciint.IntegrationWarning)
+        head = sciint.quad(lambda r: r_t**alpha * r ** (1.0 - alpha) * k(r_t**alpha * r**-alpha), 0.0, 1.0,
+                           epsabs=0.0, epsrel=1e-12, limit=500)[0]
+        tail = sciint.quad(lambda t: r_t**alpha * k(r_t**alpha * t**alpha), 0.0, 1.0, weight="alg",
+                           wvar=(alpha - 3.0, 0.0), epsabs=0.0, epsrel=1e-12, limit=500)[0]
+    return head + tail
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+def test_harq_inner_closed_forms_match_quadrature(alpha):
+    r_t = 1.3
+    for p, q in ((0.3, 0.31), (2.0, 0.01), (0.01, 2.0), (50.0, 7.0)):
+        gain_fvi = _radial_by_quad(lambda w: 1.0 / (1.0 + q * w) ** 2, alpha, r_t)
+        gain_qsi = _radial_by_quad(lambda w: 1.0 / ((1.0 + p * w) * (1.0 + q * w) ** 2), alpha, r_t)
+        # 1 - 1/((1 + p w)(1 + q w)) = w (p + q + p q w)/((1 + p w)(1 + q w))
+        expo = _radial_by_quad(lambda w: (p + q + p * q * w) / ((1.0 + p * w) * (1.0 + q * w)), alpha, r_t)
+        pa, qa = np.array([p]), np.array([q])
+        assert relay_retx._mrc_gain(pa, qa, alpha, r_t, "fvi")[0] == pytest.approx(gain_fvi, rel=1e-10)
+        assert relay_retx._mrc_gain(pa, qa, alpha, r_t, "qsi")[0] == pytest.approx(gain_qsi, rel=1e-10)
+        assert relay_retx._qsi_exponent(pa, qa, alpha, r_t)[0] == pytest.approx(expo, rel=1e-10)
+
+
+def test_harq_type2_threshold_domain():
+    for regime in ("qsi", "fvi"):
+        assert harq_type2_cc(0.0, ALPHA, LAM, RT, regime) == 1.0
+        with pytest.raises(ValueError):
+            harq_type2_cc(-0.5, ALPHA, LAM, RT, regime)
 
 
 def test_harq_type2_vs_mrc_simulation(usable_cpus):

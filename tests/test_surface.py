@@ -1,6 +1,8 @@
 """Every top-level function and class in `src/stochgeo` is named by other
-code in the package, or is kept on purpose with its reason below.  And every
-Gauss-Legendre rule is built by `numerics.gauss_legendre`.
+code in the package, or is kept on purpose with its reason below.  Every
+Gauss-Legendre rule is built by `numerics.gauss_legendre`, and adaptive
+quadrature (`numerics.integrate_1d`, the one user of `scipy.integrate`) serves
+only the MCP moment of `sir_analysis`.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
@@ -18,7 +20,10 @@ does not find.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "stochgeo"
 
@@ -73,6 +78,37 @@ def test_gauss_legendre_rules_are_built_only_in_numerics():
     # one rule builder: other modules call numerics.gauss_legendre
     builders = sorted(p.name for p in SRC.glob("*.py") if "leggauss" in p.read_text() and p.name != "numerics.py")
     assert builders == []
+
+
+def test_adaptive_quadrature_serves_only_the_mcp_moment():
+    def imports(tree, module, name):
+        return any(isinstance(n, ast.ImportFrom) and (n.module or "").endswith(module)
+                   and any(a.name == name for a in n.names) for n in ast.walk(tree))
+
+    trees = {p.name: (p.read_text(), ast.parse(p.read_text())) for p in sorted(SRC.glob("*.py"))}
+    assert sorted(f for f, (_, tree) in trees.items() if imports(tree, "numerics", "integrate_1d")) == ["sir_analysis.py"]
+    naming = sorted(f for f, (text, tree) in trees.items() if "scipy.integrate" in text or imports(tree, "scipy", "integrate"))
+    assert naming == ["numerics.py"]
+
+
+def test_fixed_rule_callers_never_import_quadrature():
+    code = (
+        "import sys\n"
+        "from stochgeo.mobility import handoff_prob_avg\n"
+        "from stochgeo.pointprocess import MCP, contact_cdf, contact_pdf\n"
+        "from stochgeo.relay_retx import harq_type2_cc, linear_route, relay_moments\n"
+        "for regime in ('qsi', 'fvi'):\n"
+        "    harq_type2_cc(1.0, 4.0, 0.1, 1.0, regime)\n"
+        "relay_moments(1.0, linear_route(3, 1.0), 1.0, 4.0, 0.1, 'qsi')\n"
+        "handoff_prob_avg(0.01, 5.0)\n"
+        "contact_cdf(MCP(0.1, 5.0, 1.0), 1.1)\n"
+        "contact_pdf(MCP(0.1, 5.0, 1.0), 1.1)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_keep_list_is_current():
