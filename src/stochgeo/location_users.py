@@ -119,61 +119,43 @@ def lsu_mc_estimate(cls, b, theta, alpha, density, cfg, rho=None):
     interferers form a PPP beyond it.
     """
     c = _as_class(cls, rho)
-    model = NetworkModel(PPP(density), alpha=alpha)  # validates density and alpha
-    if c.kind in ("edge", "vertex"):
-        return _equidistant_mc(c, b, theta, alpha, density, cfg)
-    radius = cfg.window_radius or simengine.default_window(model.intensity)
-    (samples,) = simengine.run_batches(cfg, "lsu", _lsu_chunk, c, b, theta, alpha, density, radius)
+    NetworkModel(PPP(density), alpha=alpha)  # validates density and alpha
+    radius = cfg.window_radius or simengine.default_window(density)
+    stream, chunk = ("lsu_equidistant", _equidistant_chunk) if c.kind in ("edge", "vertex") else ("lsu", _lsu_chunk)
+    (samples,) = simengine.run_batches(cfg, stream, chunk, c, b, theta, alpha, density, radius)
     if not samples.size:
         raise ValueError(f"no samples fell in class {c.kind}; check rho")
     return simengine.confidence(samples, cfg.master_seed)
 
 
-def _far_field(r1, b, theta, alpha, density, radius):
-    """Leading-order far-field factor of CSP^b for serving distances r1."""
-    return np.exp(-2.0 * math.pi * density * b * theta * r1**alpha * radius ** (2.0 - alpha) / (alpha - 2.0))
-
-
-def _lsu_chunk(batch_iter, c, b, theta, alpha, density, radius):
+@simengine.batchwise
+def _lsu_chunk(rng, size, c, b, theta, alpha, density, radius):
     """Far-field completed CSP^b of each sampled pattern whose typical user
     falls in class c (general, cell center or cell boundary)."""
-    samples = []
-    for rng, size in batch_iter:
-        radii, counts = sample_batch(PPP(density), radius, rng, size)
-        two = counts >= 2
-        radii, counts = radii[np.repeat(two, counts)], counts[two]
-        r1, rest = simengine._serving_split(radii, counts)
-        logf = np.log1p(theta * np.repeat(r1**alpha, counts) * rest**-alpha)
-        csp_b = np.exp(-simengine._segment_sums(logf, counts)) ** b * _far_field(r1, b, theta, alpha, density, radius)
-        ratio = r1 / simengine._segment_mins(rest, counts)
-        if c.kind == "cell_center":
-            csp_b = csp_b[ratio <= c.rho]
-        elif c.kind == "cell_boundary":
-            csp_b = csp_b[ratio > c.rho]
-        samples.append(csp_b)
-    return (np.concatenate(samples),)
+    radii, counts = sample_batch(PPP(density), radius, rng, size)
+    two = counts >= 2
+    radii, counts = radii[np.repeat(two, counts)], counts[two]
+    r1, rest = simengine._serving_split(radii, counts)
+    csp_b = simengine._downlink_csp(r1, rest, counts, theta, alpha) ** b * simengine._downlink_far_field(
+        r1, b, theta, alpha, density, radius)
+    ratio = r1 / simengine._segment_mins(rest, counts)
+    if c.kind == "cell_center":
+        return (csp_b[ratio <= c.rho],)
+    if c.kind == "cell_boundary":
+        return (csp_b[ratio > c.rho],)
+    return (csp_b,)
 
 
-def _equidistant_mc(c, b, theta, alpha, density, cfg):
-    radius = cfg.window_radius or simengine.default_window(density)
-    (samples,) = simengine.run_batches(cfg, "lsu_equidistant", _equidistant_chunk, c, b, theta, alpha, density,
-                                       radius)
-    return simengine.confidence(samples, cfg.master_seed)
-
-
-def _equidistant_chunk(batch_iter, c, b, theta, alpha, density, radius):
+@simengine.batchwise
+def _equidistant_chunk(rng, size, c, b, theta, alpha, density, radius):
     """Far-field completed CSP^b of edge (one extra interferer at the serving
     distance) or vertex (two) users."""
     n_extra = 1 if c.kind == "edge" else 2
-    samples = []
-    for rng, size in batch_iter:
-        # r1 ~ 2 a^2 r^3 e^(-a r^2) with a = lambda pi: a r1^2 ~ Gamma(2, 1)
-        r1 = np.sqrt(rng.standard_gamma(2.0, size) / (density * math.pi))
-        # remaining points: PPP on the annulus from the serving radius to the window
-        span = np.maximum(radius**2 - r1 * r1, 0.0)
-        counts = rng.poisson(density * math.pi * span)
-        d = np.sqrt(np.repeat(r1 * r1, counts) + np.repeat(span, counts) * rng.random(counts.sum()))
-        logf = np.log1p(theta * np.repeat(r1**alpha, counts) * d**-alpha)
-        csp = (1.0 + theta) ** -float(n_extra) * np.exp(-simengine._segment_sums(logf, counts))
-        samples.append(csp**b * _far_field(r1, b, theta, alpha, density, radius))
-    return (np.concatenate(samples),)
+    # r1 ~ 2 a^2 r^3 e^(-a r^2) with a = lambda pi: a r1^2 ~ Gamma(2, 1)
+    r1 = np.sqrt(rng.standard_gamma(2.0, size) / (density * math.pi))
+    # remaining points: PPP on the annulus from the serving radius to the window
+    span = np.maximum(radius**2 - r1 * r1, 0.0)
+    counts = rng.poisson(density * math.pi * span)
+    d = np.sqrt(np.repeat(r1 * r1, counts) + np.repeat(span, counts) * rng.random(counts.sum()))
+    csp = (1.0 + theta) ** -float(n_extra) * simengine._downlink_csp(r1, d, counts, theta, alpha)
+    return (csp**b * simengine._downlink_far_field(r1, b, theta, alpha, density, radius),)

@@ -34,7 +34,6 @@ class MobilitySpec:
     speed: float
     model: str = "downlink_mobile_user"
     link_distance: float | None = None  # bipolar desired link length
-    slot_gap: float = 1.0  # displacement per step = speed * slot_gap
 
     def __post_init__(self):
         if self.speed < 0:
@@ -105,12 +104,12 @@ def r2_conditional_cdf(z, r1, phi, v, density):
 # ---------------------------------------------------------------------------
 
 
-def _slot_distances(spec, density, rng, size):
-    """(slot-1 distances, slot-2 distances, counts) of one batch of patterns:
-    Model I moves each trial's user by v in a uniform direction, Model II
-    moves every interferer by v in its own uniform direction."""
-    v = spec.speed * spec.slot_gap
-    radius = simengine.default_window(density) + v
+def _slot_distances(spec, density, radius, rng, size):
+    """(slot-1 distances, slot-2 distances, counts) of one batch of patterns
+    on a disk of the given radius: Model I moves each trial's user by the
+    speed v in a uniform direction, Model II moves every interferer by v in
+    its own uniform direction."""
+    v = spec.speed
     x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
     if spec.model == "downlink_mobile_user":
         if np.any(counts == 0):
@@ -123,35 +122,30 @@ def _slot_distances(spec, density, rng, size):
     return np.hypot(x, y), d2, counts
 
 
-def _mobility_chunk(batch_iter, spec, density, theta, alpha):
+@simengine.batchwise
+def _mobility_chunk(rng, size, spec, density, theta, alpha, radius):
     """Per-trial (csp1, csp2, handoff) samples."""
-    out1, out2, hand = [], [], []
-    for rng, size in batch_iter:
-        d1, d2, counts = _slot_distances(spec, density, rng, size)
-        if spec.model == "downlink_mobile_user":
-            csps, serving = [], []
-            for d in (d1, d2):
-                r1, rest = simengine._serving_split(d, counts)
-                logf = np.log1p(theta * np.repeat(r1**alpha, counts) * rest**-alpha)
-                csps.append(np.exp(-simengine._segment_sums(logf, counts)))
-                serving.append(np.isinf(rest))
-            # a handoff leaves no point serving in both slots
-            hand.append((simengine._segment_sums(serving[0] & serving[1], counts) == 0).astype(float))
-        else:
-            c = theta * spec.link_distance**alpha
-            d2 = np.where(d2 > 1e-12, d2, np.inf)
-            csps = [np.exp(-simengine._segment_sums(np.log1p(c * d**-alpha), counts)) for d in (d1, d2)]
-            hand.append(np.zeros(size))
-        out1.append(csps[0])
-        out2.append(csps[1])
-    return np.concatenate(out1), np.concatenate(out2), np.concatenate(hand)
+    d1, d2, counts = _slot_distances(spec, density, radius, rng, size)
+    if spec.model == "downlink_mobile_user":
+        csps, serving = [], []
+        for d in (d1, d2):
+            r1, rest = simengine._serving_split(d, counts)
+            csps.append(simengine._downlink_csp(r1, rest, counts, theta, alpha))
+            serving.append(np.isinf(rest))
+        # a handoff leaves no point serving in both slots
+        return csps[0], csps[1], (simengine._segment_sums(serving[0] & serving[1], counts) == 0).astype(float)
+    c = theta * spec.link_distance**alpha
+    d2 = np.where(d2 > 1e-12, d2, np.inf)
+    csp1, csp2 = (np.exp(-simengine._segment_sums(np.log1p(c * d**-alpha), counts)) for d in (d1, d2))
+    return csp1, csp2, np.zeros(size)
 
 
 def mobility_report(spec, density, theta, alpha, cfg):
     """All mobility observables from one sample set: JSP, the two marginal
     success probabilities, the CSP with a batch-resampled standard error, and
     the empirical handoff frequency (Model I)."""
-    c1, c2, hand = simengine.run_batches(cfg, "mobility", _mobility_chunk, spec, density, theta, alpha)
+    radius = (cfg.window_radius or simengine.default_window(density)) + spec.speed  # covers one step
+    c1, c2, hand = simengine.run_batches(cfg, "mobility", _mobility_chunk, spec, density, theta, alpha, radius)
     jsp = simengine.confidence(c1 * c2, cfg.master_seed)
     p1 = simengine.confidence(c1, cfg.master_seed)
     p2 = simengine.confidence(c2, cfg.master_seed)
@@ -174,26 +168,25 @@ def mobility_report(spec, density, theta, alpha, cfg):
 def jsp_mobility_mc_raw_fading(spec, density, theta, alpha, cfg):
     """Consistency oracle: joint Bernoulli success with explicitly drawn
     fading (checks the conditional-independence factorization)."""
-    (hits,) = simengine.run_batches(cfg, "mobility_raw", _raw_fading_chunk, spec, density, theta, alpha)
+    radius = (cfg.window_radius or simengine.default_window(density)) + spec.speed
+    (hits,) = simengine.run_batches(cfg, "mobility_raw", _raw_fading_chunk, spec, density, theta, alpha, radius)
     return simengine.confidence(hits, cfg.master_seed)
 
 
-def _raw_fading_chunk(batch_iter, spec, density, theta, alpha):
+@simengine.batchwise
+def _raw_fading_chunk(rng, size, spec, density, theta, alpha, radius):
     """1.0 or 0.0 per trial: both slots' SIRs, with drawn fading, clear theta."""
-    hits = []
-    for rng, size in batch_iter:
-        d1, d2, counts = _slot_distances(spec, density, rng, size)
-        h1 = rng.standard_exponential(d1.size)
-        h2 = rng.standard_exponential(d1.size)
-        sirs = []
-        for d, h in ((d1, h1), (d2, h2)):
-            if spec.model == "downlink_mobile_user":
-                _, rest = simengine._serving_split(d, counts)
-                signal = simengine._segment_sums(np.where(np.isinf(rest), h * d**-alpha, 0.0), counts)
-                inter = simengine._segment_sums(h * rest**-alpha, counts)
-            else:
-                signal = rng.standard_exponential(size) * spec.link_distance**-alpha
-                inter = simengine._segment_sums(h * d**-alpha, counts)
-            sirs.append(signal / np.maximum(inter, 1e-300))
-        hits.append(((sirs[0] > theta) & (sirs[1] > theta)).astype(float))
-    return (np.concatenate(hits),)
+    d1, d2, counts = _slot_distances(spec, density, radius, rng, size)
+    h1 = rng.standard_exponential(d1.size)
+    h2 = rng.standard_exponential(d1.size)
+    sirs = []
+    for d, h in ((d1, h1), (d2, h2)):
+        if spec.model == "downlink_mobile_user":
+            _, rest = simengine._serving_split(d, counts)
+            signal = simengine._segment_sums(np.where(np.isinf(rest), h * d**-alpha, 0.0), counts)
+            inter = simengine._segment_sums(h * rest**-alpha, counts)
+        else:
+            signal = rng.standard_exponential(size) * spec.link_distance**-alpha
+            inter = simengine._segment_sums(h * d**-alpha, counts)
+        sirs.append(signal / np.maximum(inter, 1e-300))
+    return (((sirs[0] > theta) & (sirs[1] > theta)).astype(float),)

@@ -274,18 +274,16 @@ def estimate_relay_jsp(route, theta, alpha, density, regime, cfg, b=1.0):
     return simengine.confidence(samples, cfg.master_seed)
 
 
-def _relay_chunk(batch_iter, z, dists, theta, alpha, density, regime, radius, b, corr):
+@simengine.batchwise
+def _relay_chunk(rng, size, z, dists, theta, alpha, density, regime, radius, b, corr):
     """Far-field completed end-to-end JSP^b of each trial; hop m ends at z[m]."""
-    samples = []
-    for rng, size in batch_iter:
-        log_total = np.zeros(size)
-        for m, d in enumerate(dists):
-            if m == 0 or regime == "fvi":  # qsi: every hop sees the first patterns
-                x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
-            dd = np.hypot(x - z[m, 0], y - z[m, 1])
-            log_total += simengine._segment_sums(np.log1p(theta * d**alpha * dd**-alpha), counts) * b
-        samples.append(np.exp(-log_total - corr))
-    return (np.concatenate(samples),)
+    log_total = np.zeros(size)
+    for m, d in enumerate(dists):
+        if m == 0 or regime == "fvi":  # qsi: every hop sees the first patterns
+            x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
+        dd = np.hypot(x - z[m, 0], y - z[m, 1])
+        log_total += simengine._segment_sums(np.log1p(theta * d**alpha * dd**-alpha), counts) * b
+    return (np.exp(-log_total - corr),)
 
 
 def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
@@ -298,17 +296,15 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
     return simengine.confidence(hits, cfg.master_seed)
 
 
-def _harq_chunk(batch_iter, theta, alpha, density, r_t, regime, radius):
+@simengine.batchwise
+def _harq_chunk(rng, size, theta, alpha, density, r_t, regime, radius):
     """1.0 or 0.0 per trial: the MRC success event with drawn fading."""
-    hits = []
-    for rng, size in batch_iter:
-        sirs = []
-        for slot in range(2):
-            if slot == 0 or regime == "fvi":  # qsi: both slots see the first patterns
-                radii, counts = sample_batch(PPP(density), radius, rng, size)
-                ra = radii**-alpha
-            inter = simengine._segment_sums(rng.standard_exponential(ra.size) * ra, counts)
-            sirs.append(rng.standard_exponential(size) * r_t**-alpha / np.maximum(inter, 1e-300))
-        s1, s2 = sirs
-        hits.append(((s1 > theta) | (s1 + s2 > theta)).astype(float))
-    return (np.concatenate(hits),)
+    sirs = []
+    for slot in range(2):
+        if slot == 0 or regime == "fvi":  # qsi: both slots see the first patterns
+            radii, counts = sample_batch(PPP(density), radius, rng, size)
+            ra = radii**-alpha
+        inter = simengine._segment_sums(rng.standard_exponential(ra.size) * ra, counts)
+        sirs.append(rng.standard_exponential(size) * r_t**-alpha / np.maximum(inter, 1e-300))
+    s1, s2 = sirs
+    return (((s1 > theta) | (s1 + s2 > theta)).astype(float),)

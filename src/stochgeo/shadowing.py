@@ -215,9 +215,9 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     return math.exp(log_out)
 
 
-def _shadowed_trials(batch_iter, grid, blockage, density, mode):
-    """Yield (rng, r, t) per trial: the trial's generator, and the distances
-    and shadowing gains of a PPP on the square cell union.
+def _shadowed_trials(rng, size, grid, blockage, density, mode):
+    """Yield (r, t) per trial of one batch: the distances and shadowing gains
+    of a PPP on the square cell union.
 
     Shadowing draws are one kappa^N per cell (correlated) or per point
     (independent), with N Poisson in the cell-center distance.  A caller may
@@ -229,31 +229,32 @@ def _shadowed_trials(batch_iter, grid, blockage, density, mode):
     kap = blockage.kappa
     centers = grid.cell_centers()
     d_cells = np.hypot(centers[:, 0], centers[:, 1])
-    for rng, size in batch_iter:
-        for _ in range(size):
-            n = rng.poisson(density * area)
-            pts = rng.random((n, 2)) * 2.0 * half - half
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            idx = grid.cell_index(pts)
-            if mode == "correlated":
-                n_blk = rng.poisson(lam_b * d_cells)
-                t = kap ** n_blk[idx].astype(float)
-            else:
-                t = kap ** rng.poisson(lam_b * d_cells[idx]).astype(float)
-            yield rng, r, t
+    for _ in range(size):
+        n = rng.poisson(density * area)
+        pts = rng.random((n, 2)) * 2.0 * half - half
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        idx = grid.cell_index(pts)
+        if mode == "correlated":
+            n_blk = rng.poisson(lam_b * d_cells)
+            t = kap ** n_blk[idx].astype(float)
+        else:
+            t = kap ** rng.poisson(lam_b * d_cells[idx]).astype(float)
+        yield r, t
 
 
-def _shadowed_csp_chunk(batch_iter, grid, blockage, density, alpha, theta, r_t, mode, b):
+@simengine.batchwise
+def _shadowed_csp_chunk(rng, size, grid, blockage, density, alpha, theta, r_t, mode, b):
     return (np.asarray([
         math.exp(-float(np.log1p(theta * r_t**alpha * t * r**-alpha).sum())) ** b
-        for _, r, t in _shadowed_trials(batch_iter, grid, blockage, density, mode)
+        for r, t in _shadowed_trials(rng, size, grid, blockage, density, mode)
     ]),)
 
 
-def _shadowed_interference_chunk(batch_iter, grid, blockage, density, alpha, eps, mode):
+@simengine.batchwise
+def _shadowed_interference_chunk(rng, size, grid, blockage, density, alpha, eps, mode):
     return (np.asarray([
         float(np.sum(rng.standard_exponential(len(r)) * t / (eps + r**alpha)))
-        for rng, r, t in _shadowed_trials(batch_iter, grid, blockage, density, mode)
+        for r, t in _shadowed_trials(rng, size, grid, blockage, density, mode)
     ]),)
 
 

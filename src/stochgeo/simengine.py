@@ -14,10 +14,14 @@ substream).  Every Monte Carlo estimator maps a chunk function over the
 batches of a stream named in `STREAMS` through `run_batches`; the stream
 fixes its substream id and trials per batch, so results are a pure function
 of (trials, master_seed, model parameters) and never of scheduling or of the
-worker hint, which only sets how many processes share the batches.
+worker hint, which only sets how many processes share the batches.  Each
+chunk function is a per-batch kernel(rng, size, *args) made one by
+`batchwise`, save two that keep state across batches: `_csp_chunk` reuses
+its buffers, and the queue chunk's simulators stack trials.
 """
 
 import atexit
+import functools
 import importlib
 import math
 import os
@@ -38,6 +42,7 @@ __all__ = [
     "seed_stream",
     "batches",
     "run_batches",
+    "batchwise",
     "run_points",
     "confidence",
     "default_window",
@@ -256,6 +261,23 @@ def run_batches(cfg, name, fn, *args, event=0):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
+def batchwise(kernel):
+    """The chunk function run_batches takes, from a per-batch kernel.
+
+    kernel(rng, size, *args) draws one batch of `size` trials from rng and
+    returns a tuple of 1-D arrays, one entry per trial it keeps; the chunk
+    joins each column in batch order.  It keeps the kernel's module and
+    qualified name, by which a worker finds a kernel decorated at module
+    level."""
+
+    @functools.wraps(kernel)
+    def chunk(batch_iter, *args):
+        parts = [kernel(rng, size, *args) for rng, size in batch_iter]
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    return chunk
+
+
 def run_points(cfg, fn, points, *args):
     """[fn(p, *args) for p in points], as one call.
 
@@ -324,30 +346,39 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
 
     Exact for the Poisson field; used as the leading correction for MCP/GPP
     whose second-order structure is short ranged compared to the window.
-    The integral int_R^inf (1-(1+c r^-a)^-b) r dr is expanded in the small
-    parameter x = c R^-a below x = 1e-3, where the three terms are exact to
-    about 1e-9 (x stays below 1e-5 at every default window).  From x = 1e-3
-    on it takes its closed form, by parts in y = c r^-a:
-    (c^d/a) [-x^-d/d (1-(1+x)^-b) + (b/d) x^(1-d)/(1-d) 2F1(b+1, 1-d; 2-d; -x)],
-    d = 2/a.
+    The integral int_R^inf (1-(1+c r^-a)^-b) r dr takes its closed form, by
+    parts in y = c r^-a, with x = c R^-a and d = 2/a:
+    (c^d/a) [-x^-d/d (1-(1+x)^-b) + (b/d) x^(1-d)/(1-d) 2F1(b+1, 1-d; 2-d; -x)].
+    It holds its relative accuracy down to the x ~ 1e-5 of the default
+    windows and below; theta = 0 (x = 0) gives 0.
     """
-    lam = model.intensity
     alpha = model.alpha
     c = theta * r_t**alpha
     x = c * radius**-alpha
-    if x < 1e-3:
-        val = (
-            b * c * radius ** (2.0 - alpha) / (alpha - 2.0)
-            - b * (b + 1.0) / 2.0 * c**2 * radius ** (2.0 - 2 * alpha) / (2 * alpha - 2.0)
-            + b * (b + 1.0) * (b + 2.0) / 6.0 * c**3 * radius ** (2.0 - 3 * alpha) / (3 * alpha - 2.0)
-        )
-    else:
-        d = 2.0 / alpha
-        val = (c**d / alpha) * (
-            -(x**-d) / d * -math.expm1(-b * math.log1p(x))
-            + (b / d) * x ** (1.0 - d) / (1.0 - d) * _sps.hyp2f1(b + 1.0, 1.0 - d, 2.0 - d, -x)
-        )
-    return -2.0 * math.pi * lam * val
+    if x == 0.0:
+        return 0.0
+    d = 2.0 / alpha
+    val = (c**d / alpha) * (
+        -(x**-d) / d * -math.expm1(-b * math.log1p(x))
+        + (b / d) * x ** (1.0 - d) / (1.0 - d) * _sps.hyp2f1(b + 1.0, 1.0 - d, 2.0 - d, -x)
+    )
+    return -2.0 * math.pi * model.intensity * val
+
+
+def _downlink_csp(r1, rest, counts, theta, alpha):
+    """Rayleigh-faded success probability of each segment's downlink: serving
+    distance r1, interferers at the segment's distances `rest` (an inf entry,
+    such as the serving point's own, drops out)."""
+    logf = np.log1p(theta * np.repeat(r1**alpha, counts) * rest**-alpha)
+    return np.exp(-_segment_sums(logf, counts))
+
+
+def _downlink_far_field(r1, b, theta, alpha, density, radius):
+    """Leading-order far-field factor of the downlink CSP^b at serving
+    distances r1: the exponent, linear in b, of the Poisson points of the
+    given density beyond the window radius."""
+    coef = 2.0 * math.pi * density * b * theta / (alpha - 2.0)
+    return np.exp(-coef * r1**alpha * radius ** (2.0 - alpha))
 
 
 def _link_distance(model):
@@ -460,7 +491,6 @@ def _collect_csp(model, thetas, geometry, cfg, b=1.0, event=0):
         require_base_stations(model)
     else:
         raise ValueError(f"unknown geometry: {geometry}")
-    alpha = model.alpha
     out = []
     for theta, cols in zip(thetas, _log_sums(model, thetas, geometry, radius, cfg, event)):
         if geometry == "adhoc":
@@ -468,9 +498,7 @@ def _collect_csp(model, thetas, geometry, cfg, b=1.0, event=0):
             continue
         # product over all points includes the serving one: divide it out
         csp = np.exp(-cols[0]) * (1.0 + theta)
-        # leading-order per-pattern far field: exponent linear in b
-        coef = 2.0 * math.pi * model.intensity * b * theta / (alpha - 2.0)
-        out.append(csp**b * np.exp(-coef * cols[1] ** alpha * radius ** (2.0 - alpha)))
+        out.append(csp**b * _downlink_far_field(cols[1], b, theta, model.alpha, model.intensity, radius))
     return out
 
 
@@ -551,25 +579,21 @@ def _tail_mean(pl, radius):
     return radius ** (2.0 - alpha) / (alpha - 2.0) * _sps.hyp2f1(1.0, 1.0 - d, 2.0 - d, -pl.epsilon * radius**-alpha)
 
 
-def _interference_chunk(batch_iter, model, pl, u, radius, tail_mean):
-    """(I(0), I(0)^2, I(0) I(u)) per trial over the batches of `batch_iter`."""
-    means, seconds, products = [], [], []
-    for rng, size in batch_iter:
-        if u == 0.0:
-            radii, counts = sample_batch(model.field, radius, rng, size)
-            ell = ell_u = pl.ell(radii)
-        else:  # the displaced observer needs planar points
-            x, y, counts = sample_batch(model.field, radius, rng, size, planar=True)
-            ell = pl.ell(np.hypot(x, y))
-            ell_u = pl.ell(np.hypot(x - u, y))
-        h1 = rng.standard_exponential(ell.shape)
-        h2 = rng.standard_exponential(ell.shape)
-        i1 = _segment_sums(h1 * ell, counts) + tail_mean
-        i2 = _segment_sums(h2 * ell_u, counts) + tail_mean
-        means.append(i1)
-        seconds.append(i1 * i1)
-        products.append(i1 * i2)
-    return np.concatenate(means), np.concatenate(seconds), np.concatenate(products)
+@batchwise
+def _interference_chunk(rng, size, model, pl, u, radius, tail_mean):
+    """(I(0), I(0)^2, I(0) I(u)) per trial."""
+    if u == 0.0:
+        radii, counts = sample_batch(model.field, radius, rng, size)
+        ell = ell_u = pl.ell(radii)
+    else:  # the displaced observer needs planar points
+        x, y, counts = sample_batch(model.field, radius, rng, size, planar=True)
+        ell = pl.ell(np.hypot(x, y))
+        ell_u = pl.ell(np.hypot(x - u, y))
+    h1 = rng.standard_exponential(ell.shape)
+    h2 = rng.standard_exponential(ell.shape)
+    i1 = _segment_sums(h1 * ell, counts) + tail_mean
+    i2 = _segment_sums(h2 * ell_u, counts) + tail_mean
+    return i1, i1 * i1, i1 * i2
 
 
 def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):

@@ -382,18 +382,15 @@ def misr_estimate(model, alpha, cfg):
     return simengine.confidence(sums + tail, cfg.master_seed)
 
 
-def _misr_chunk(batch_iter, model, alpha, radius):
+@simengine.batchwise
+def _misr_chunk(rng, size, model, alpha, radius):
     """(windowed ISR sum, r_1^alpha) of each pattern with two or more points."""
-    sums, r1a = [], []
-    for rng, size in batch_iter:
-        radii, counts = sample_batch(model.field, radius, rng, size)
-        keep = counts >= 2
-        radii, counts = radii[np.repeat(keep, counts)], counts[keep]
-        r1 = simengine._segment_mins(radii, counts)
-        # the serving term (r_1 / r_1)^alpha is exactly 1
-        sums.append(simengine._segment_sums((np.repeat(r1, counts) / radii) ** alpha, counts) - 1.0)
-        r1a.append(r1**alpha)
-    return np.concatenate(sums), np.concatenate(r1a)
+    radii, counts = sample_batch(model.field, radius, rng, size)
+    keep = counts >= 2
+    radii, counts = radii[np.repeat(keep, counts)], counts[keep]
+    r1 = simengine._segment_mins(radii, counts)
+    # the serving term (r_1 / r_1)^alpha is exactly 1
+    return simengine._segment_sums((np.repeat(r1, counts) / radii) ** alpha, counts) - 1.0, r1**alpha
 
 
 def sir_gain_g0(model, alpha, cfg=None):

@@ -15,7 +15,7 @@ from stochgeo.mobility import (
     mobility_report,
     r2_conditional_cdf,
 )
-from stochgeo.simengine import SimConfig, estimate_moment
+from stochgeo.simengine import SimConfig, default_window, estimate_moment
 from stochgeo.pointprocess import PPP, NetworkModel
 
 LAM = 0.001
@@ -223,11 +223,15 @@ def test_factorized_vs_raw_fading_jsp(usable_cpus):
 # ------------------------------------------- batch reductions vs trial loops
 
 
+def _radius(spec):
+    return simengine.default_window(0.01) + spec.speed
+
+
 def _trial_segments(spec, cfg):
     """(slot-1, slot-2 distances) per trial of the first batch, and the
     batch's generator after its patterns were drawn."""
     ((rng, size),) = simengine.batches(cfg, "mobility")
-    d1, d2, counts = mobility._slot_distances(spec, 0.01, rng, size)
+    d1, d2, counts = mobility._slot_distances(spec, 0.01, _radius(spec), rng, size)
     ends = np.cumsum(counts)
     return [(d1[lo:hi], d2[lo:hi]) for lo, hi in zip(ends - counts, ends)], rng
 
@@ -236,8 +240,9 @@ def test_downlink_chunks_match_a_trial_loop():
     # each trial's serving point and handoff, found by argmin one trial at a time
     spec, theta, alpha = MobilitySpec(5.0), 1.0, 4.0
     cfg = SimConfig(trials=300, master_seed=127)
-    c1, c2, hand = mobility._mobility_chunk(simengine.batches(cfg, "mobility"), spec, 0.01, theta, alpha)
-    (hits,) = mobility._raw_fading_chunk(simengine.batches(cfg, "mobility"), spec, 0.01, theta, alpha)
+    radius = _radius(spec)
+    c1, c2, hand = mobility._mobility_chunk(simengine.batches(cfg, "mobility"), spec, 0.01, theta, alpha, radius)
+    (hits,) = mobility._raw_fading_chunk(simengine.batches(cfg, "mobility"), spec, 0.01, theta, alpha, radius)
     trials, rng = _trial_segments(spec, cfg)
     n = sum(len(a) for a, _ in trials)
     h1, h2 = rng.standard_exponential(n), rng.standard_exponential(n)
@@ -255,3 +260,32 @@ def test_downlink_chunks_match_a_trial_loop():
         assert hits[i] == (sirs[0] > theta and sirs[1] > theta)
         start += len(a)
     assert 0 < hand.sum() < len(hand)
+
+
+# ---------------------------------------------------------- observation window
+
+
+@pytest.mark.parametrize("spec, jsp, hits", [
+    (MobilitySpec(5.0), 0.39705814155864627, 0.365),
+    (MobilitySpec(5.0, "bipolar_mobile_interferers", 8.0), 0.6225138376580349, 0.6183333333333333),
+])
+def test_window_radius_reaches_the_sampler(monkeypatch, spec, jsp, hits):
+    # a set window grows by one step of the speed, as the default one does;
+    # the default window keeps the values it gave before a set one reached
+    # the sampler (approx only for the last-bit spread of numpy's vectorised
+    # exp and log across CPUs)
+    radii, sampler = [], mobility.sample_batch
+
+    def spy(field, radius, rng, size, planar=False):
+        radii.append(radius)
+        return sampler(field, radius, rng, size, planar=planar)
+
+    monkeypatch.setattr(mobility, "sample_batch", spy)
+    means = []
+    for window in (None, 60.0):
+        cfg = SimConfig(trials=600, master_seed=128, window_radius=window)
+        means.append((mobility_report(spec, LAM, 1.0, 4.0, cfg)["jsp"].mean,
+                      jsp_mobility_mc_raw_fading(spec, LAM, 1.0, 4.0, cfg).mean))
+    assert radii == [default_window(LAM) + 5.0] * 4 + [65.0] * 4  # two batches per call
+    assert means[0] == (pytest.approx(jsp, rel=1e-12), pytest.approx(hits, rel=1e-12))
+    assert means[1] != means[0]

@@ -564,16 +564,27 @@ def test_interference_tail_mean_matches_quad(alpha, eps):
         assert simengine._tail_mean(pl, radius) == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 6.0, 10.0])
 @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 6.0])
 def test_far_field_closed_form_matches_quad(alpha, b):
-    # int_R^inf (1 - (1 + c r^-a)^-b) r dr = (c^d/a) int_0^x (1 - (1 + y)^-b) y^(-d-1) dy, x = c R^-a:
-    # the y^-d singularity goes into quad's algebraic weight
-    model, radius, d = NetworkModel(PPP(0.1), alpha, 1.0), 10.0, 2.0 / alpha
-    for x in (1e-3, 1e-2, 0.05, 0.099, 0.11, 0.3, 1.0, 10.0, 1e3, 1e5):  # the closed form's range, x >= 1e-3
+    # int_R^inf (1 - (1 + c r^-a)^-b) r dr = (c^d/a) int_0^x (1 - (1 + y)^-b) y^(-d-1) dy, x = c R^-a;
+    # y = x t^p with p = 1/(1-d) makes it p x^(1-d) int_0^1 h(x t^p) dt, h(z) = (1 - (1+z)^-b)/z smooth,
+    # which mpmath's quadrature takes at 30 digits, with a knee where x t^p = 1
+    mp = pytest.importorskip("mpmath")
+    model, radius = NetworkModel(PPP(0.1), alpha, 1.0), 10.0
+    # from far below the default windows' x ~ 1e-5 up to x = 1e5
+    for x in (1e-12, 1e-9, 1e-6, 1e-4, 9.99e-4, 1e-3, 1e-2, 0.05, 0.099, 0.11, 0.3, 1.0, 10.0, 1e3, 1e5):
         c = x * radius**alpha
-        inner = _quad(lambda y: -math.expm1(-b * math.log1p(y)) / y if y else b, 0.0, x, weight="alg", wvar=(-d, 0.0))
-        want = -2.0 * math.pi * 0.1 * c**d / alpha * inner
+        with mp.workdps(30):
+            d = mp.mpf(2) / alpha
+            p, xm = 1 / (1 - d), mp.mpf(c) / mp.mpf(radius) ** alpha
+            knee = xm ** -(1 / p)
+
+            def h(t):
+                return -mp.expm1(-b * mp.log1p(xm * t**p)) / (xm * t**p) if t else mp.mpf(b)
+
+            inner = p * xm ** (1 - d) * mp.quad(h, [0, knee, 1] if knee < 1 else [0, 1])
+            want = float(-2 * mp.pi * mp.mpf(0.1) * mp.mpf(c) ** d / alpha * inner)
         assert simengine._far_field_log_corr(model, c, b, radius, 1.0) == pytest.approx(want, rel=1e-12)
 
 

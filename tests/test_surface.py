@@ -1,8 +1,10 @@
 """Every top-level function and class in `src/stochgeo` is named by other
 code in the package, or is kept on purpose with its reason below.  Every
-Gauss-Legendre rule is built by `numerics.gauss_legendre`, and adaptive
+Gauss-Legendre rule is built by `numerics.gauss_legendre`, adaptive
 quadrature (`numerics.integrate_1d`, the one user of `scipy.integrate`) serves
-only the MCP moment of `sir_analysis`.
+only the MCP moment of `sir_analysis`, and every Monte Carlo chunk function
+is a per-batch kernel made by `simengine.batchwise`, save those that keep
+state across batches.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
@@ -109,6 +111,26 @@ def test_fixed_rule_callers_never_import_quadrature():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# the one loop over a chunk's batches, and the chunk functions that keep state
+# across batches: the CSP kernel reuses its buffers, the queue simulators stack trials
+BATCH_LOOPS = {
+    ("simengine.py", "batchwise"),
+    ("simengine.py", "_csp_chunk"),
+    ("queueing.py", "_simulate_bipolar"),
+    ("queueing.py", "_simulate_downlink"),
+}
+
+
+def test_only_batchwise_and_the_stateful_chunks_iterate_batches():
+    loops = set()
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, (ast.For, ast.comprehension)) and getattr(node.iter, "id", None) == "batch_iter":
+                    loops.add((p.name, getattr(top, "name", None)))
+    assert loops == BATCH_LOOPS, "write a per-batch kernel and decorate it with simengine.batchwise"
 
 
 def test_keep_list_is_current():

@@ -113,6 +113,22 @@ def test_chunk_bounds_are_contiguous_nonempty_and_balanced(trials, per_batch_nam
     assert max(sizes) - min(sizes) <= per_batch
 
 
+@simengine.batchwise
+def _toy_kernel(rng, size, scale):
+    # a column per trial, one per batch, and one whose length is not the batch's
+    return rng.random(size) * scale, np.array([size]), np.arange(size % 5, dtype=float)
+
+
+@pytest.mark.parametrize("hint", [1, 2])
+def test_batchwise_kernel_joins_its_columns_in_batch_order(hint):
+    cfg = SimConfig(trials=1100, master_seed=139, worker_hint=hint)  # batches of 512, 512 and 76
+    parts = [(rng.random(size) * 3.0, np.array([size]), np.arange(size % 5, dtype=float))
+             for rng, size in simengine.batches(cfg, "relay")]
+    got = run_batches(cfg, "relay", _toy_kernel, 3.0)
+    assert len(got) == 3 and all(np.array_equal(g, np.concatenate(col)) for g, col in zip(got, zip(*parts)))
+    assert list(got[1]) == [512, 512, 76]
+
+
 def _raise_in_worker(batch_iter, parent_pid):
     sizes = [size for _, size in batch_iter]
     if os.getpid() != parent_pid:
