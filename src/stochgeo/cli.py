@@ -281,13 +281,13 @@ def _exp_moments(cfg, geometry):
     if geometry == "downlink":
         alpha, density = _floats(p, alpha=4.0, density=1.0)
         model = NetworkModel(PPP(density), alpha=alpha)
-        analytic = lambda t: sir_analysis.moments_downlink_ppp(b, t, alpha)
+        analytic = sir_analysis.moments_downlink_ppp(b, grid, alpha)
     else:
         model = _model_from_params(p, require_link=True)
-        analytic = lambda t: sir_analysis.moments_adhoc(model, b, t)
+        analytic = sir_analysis.moments_adhoc(model, b, grid)
     est = simengine.estimate_moment(model, b, grid, geometry, cfg["sim"])
     cols = {
-        "analytic": [analytic(float(t)) for t in grid],
+        "analytic": analytic,
         "mc_mean": [e.mean for e in est],
         "mc_stderr": [e.stderr for e in est],
     }
@@ -376,8 +376,7 @@ def _exp_relay(cfg):
     for m in [int(m) for m in cfg["params"].get("hops", [1, 2, 4])]:
         route = relay_retx.linear_route(m, hop_len)
         for regime in ("qsi", "fvi"):
-            cols[f"{regime}_M{m}"] = [relay_retx.relay_moments(1.0, route, float(t), alpha, density, regime)
-                                      for t in grid]
+            cols[f"{regime}_M{m}"] = relay_retx.relay_moments(1.0, route, grid, alpha, density, regime)
     return [_curve("relay", grid, cols, "End-to-end relaying success probability")]
 
 
@@ -415,7 +414,7 @@ def _exp_shadowing(cfg):
         density=1.0, alpha=4.0, r_t=1.0,
     )
     grid, sg, blk = _grid(cfg), ShadowGrid(radius, cell), BlockageModel(kappa, blockage)
-    cols = {mode: [moments_shadowed(1.0, float(t), r_t, sg, blk, density, alpha, mode) for t in grid]
+    cols = {mode: moments_shadowed(1.0, grid, r_t, sg, blk, density, alpha, mode)
             for mode in ("correlated", "independent")}
     return [_curve("shadowing", grid, cols, "Success probability under cell shadowing")]
 
@@ -458,8 +457,10 @@ _THETA_11 = theta_from_db(np.linspace(-10, 15, 11))
 
 
 def _temporal_csp(moment):
-    """M2 / M1 of `moment(b)`: success given success in the previous slot."""
-    return moment(2.0) / moment(1.0)
+    """M2 / M1 from one `moment([1.0, 2.0])` call: success given success in
+    the previous slot, a float, or a list over the theta grid of `moment`."""
+    m = moment([1.0, 2.0])
+    return (m[..., 1] / m[..., 0]).tolist()
 
 
 def _fig_pcf(sim):
@@ -493,13 +494,13 @@ def _fig_variance(sim):
 def _fig_adhoc(sim):
     cols = {}
     for name, m in _fields(4.0, 1.0).items():
-        cols[f"{name}_analytic"] = [sir_analysis.moments_adhoc(m, 1.0, float(t)) for t in _THETA_11]
+        cols[f"{name}_analytic"] = sir_analysis.moments_adhoc(m, 1.0, _THETA_11)
         cols[f"{name}_mc"] = [e.mean for e in simengine.estimate_success(m, _THETA_11, "adhoc", sim)]
     return [_curve("fig11_adhoc", _THETA_11, cols, "Ad hoc fields")]
 
 
 def _fig_adhoc_csp(sim):
-    cols = {name: [_temporal_csp(lambda b: sir_analysis.moments_adhoc(m, b, float(t))) for t in _THETA_11]
+    cols = {name: _temporal_csp(lambda b: sir_analysis.moments_adhoc(m, b, _THETA_11))
             for name, m in _fields(4.0, 1.0).items()}
     return [_curve("fig12_temporal_csp", _THETA_11, cols, "Temporal conditional success")]
 
@@ -508,7 +509,7 @@ def _fig_asappp(sim):
     model = NetworkModel(GPP(0.1, 1.0), 4.0)
     g0 = sir_analysis.sir_gain_g0(model, 4.0)
     cols = {
-        "asappp_shifted": [sir_analysis.moments_downlink_ppp(1.0, float(t) / g0, 4.0) for t in _THETA_9],
+        "asappp_shifted": sir_analysis.moments_downlink_ppp(1.0, _THETA_9 / g0, 4.0),
         "gpp_mc": [e.mean for e in simengine.estimate_success(model, _THETA_9, "downlink", sim)],
     }
     return [_curve("fig14_asappp", _THETA_9, cols, "ASAPPP shift of the Ginibre downlink",
@@ -531,8 +532,7 @@ def _fig_asappp_meta(sim):
 def _fig_lsu(sim):
     classes = {"general": ("general", None), "center_rho0.5": ("cell_center", 0.5),
                "boundary_rho0.5": ("cell_boundary", 0.5), "edge": ("edge", None), "vertex": ("vertex", None)}
-    cols = {name: [lsu.lsu_moments(cls, 1.0, float(t), 4.0, rho=rho) for t in _THETA_11]
-            for name, (cls, rho) in classes.items()}
+    cols = {name: lsu.lsu_moments(cls, 1.0, _THETA_11, 4.0, rho=rho) for name, (cls, rho) in classes.items()}
     return [_curve("fig17_lsu", _THETA_11, cols, "Location-specific success probability")]
 
 
@@ -562,8 +562,7 @@ def _relay_qsi(b, hops, theta):
 
 
 def _fig_relay_spatial_csp(sim):
-    cols = {f"hop{m}_csp": [_relay_qsi(1.0, m, float(t)) / _relay_qsi(1.0, m - 1, float(t)) for t in _THETA_9]
-            for m in (2, 3, 4)}
+    cols = {f"hop{m}_csp": _relay_qsi(1.0, m, _THETA_9) / _relay_qsi(1.0, m - 1, _THETA_9) for m in (2, 3, 4)}
     return [_curve("fig28_relay_spatial_csp", _THETA_9, cols, "Per-hop conditional success")]
 
 

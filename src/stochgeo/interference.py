@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .numerics import gauss_legendre, lru_get
-from .pointprocess import GPP, MCP, PPP, NetworkModel, lens_area
+from .pointprocess import GPP, MCP, PPP, lens_area
 
 __all__ = [
     "PathLossSpec",
@@ -60,17 +60,13 @@ def _require_bounded(pl):
         raise ValueError("interference moments diverge without the bounded path loss")
 
 
-def _field_of(model):
-    return model.field if isinstance(model, NetworkModel) else model
-
-
 def mean_interference(model, pl):
     """Mean aggregate interference: delta pi^2 lam eps^(delta-1) csc(delta pi).
 
     Identical for all three fields at equal intensity (Campbell's formula sees
     only the first moment density)."""
     _require_bounded(pl)
-    lam = _field_of(model).intensity
+    lam = model.field.intensity
     d = pl.delta
     return d * math.pi**2 * lam * pl.epsilon ** (d - 1.0) / math.sin(d * math.pi)
 
@@ -273,7 +269,7 @@ def interference_variance(model, pl):
     Gaussian-kernel cross term.
     """
     _require_bounded(pl)
-    field = _field_of(model)
+    field = model.field
     lam = field.intensity
     base = 2.0 * lam * _l2_integral(pl)
     return base + lam * _extra_term(field, pl, 0.0)
@@ -282,7 +278,7 @@ def interference_variance(model, pl):
 def mean_product(model, u, pl):
     """E[I_o^(t1) I_u^(t2)] for independent fading draws at t1 != t2."""
     _require_bounded(pl)
-    field = _field_of(model)
+    field = model.field
     lam = field.intensity
     mean = mean_interference(model, pl)
     return lam * float(_c1(pl, u)) + mean * mean + lam * _extra_term(field, pl, u)
@@ -294,7 +290,7 @@ def corr_coefficient(model, u, pl):
     The displaced cross term sits in the covariance; the variance in the
     denominator carries the same term at u = 0."""
     _require_bounded(pl)
-    field = _field_of(model)
+    field = model.field
     num = float(_c1(pl, u)) + _extra_term(field, pl, u)
     den = 2.0 * _l2_integral(pl) + _extra_term(field, pl, 0.0)
     return num / den

@@ -14,7 +14,7 @@ import numpy as np
 
 from .pointprocess import PPP, NetworkModel, sample_batch
 from . import simengine
-from .sir_analysis import _real_order, downlink_hyp2f1
+from .sir_analysis import _moment_grid, downlink_hyp2f1
 
 __all__ = [
     "UserClass",
@@ -57,11 +57,11 @@ def lsu_moments(cls, b, theta, alpha, rho=None):
     vertex:   1 / ((1+theta)^(2b) F(theta)^2)
     """
     c = _as_class(cls, rho)
-    b = _real_order(b)
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 1.0
+    return _moment_grid(b, theta, lambda t: lambda b: _class_moment(c, b, t, alpha))
+
+
+def _class_moment(c, b, theta, alpha):
+    """The b-th CSP moment of class c at one theta > 0."""
     if c.kind == "general":
         return 1.0 / downlink_hyp2f1(b, theta, alpha)
     if c.kind == "cell_center":
@@ -69,7 +69,7 @@ def lsu_moments(cls, b, theta, alpha, rho=None):
     if c.kind == "cell_boundary":
         if c.rho >= 1.0 - 1e-12:
             # 0/0 mixture at rho = 1; use the edge closed form
-            return lsu_moments("edge", b, theta, alpha)
+            return _class_moment(UserClass("edge"), b, theta, alpha)
         m = 1.0 / downlink_hyp2f1(b, theta, alpha)
         mc = 1.0 / downlink_hyp2f1(b, c.rho**alpha * theta, alpha)
         return (m - c.rho**2 * mc) / (1.0 - c.rho**2)

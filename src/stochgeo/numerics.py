@@ -37,27 +37,12 @@ class QuadResult(NamedTuple):
     error: float
     converged: bool
 
-    def require(self):
-        """Return the value, raising if the tolerance was not met."""
-        if not self.converged:
-            raise ToleranceError(
-                f"quadrature tolerance not met (value={self.value}, err={self.error})"
-            )
-        return self.value
-
 
 class FixedPointResult(NamedTuple):
     value: float
     converged: bool
     iterations: int
     residual: float
-
-    def require(self):
-        if not self.converged:
-            raise ToleranceError(
-                f"fixed point not converged (x={self.value}, residual={self.residual})"
-            )
-        return self.value
 
 
 # ---------------------------------------------------------------------------

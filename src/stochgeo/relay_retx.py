@@ -13,7 +13,7 @@ from scipy import special as _sps
 
 from .numerics import gauss_legendre
 from .pointprocess import PPP, sample_batch
-from .sir_analysis import _real_order, ppp_link_exponent
+from .sir_analysis import _moment_grid, ppp_link_exponent
 from . import simengine
 
 __all__ = [
@@ -93,16 +93,18 @@ def relay_moments(b, route, theta, alpha, density, regime):
     midpoint with the truncated tail restored by the single-hop expansion.
     """
     _check_regime(regime)
-    b = _real_order(b)
-    if b <= 0:
+    if np.any(np.real(b) <= 0):
         raise ValueError("b must be positive")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 1.0
     dists = route.hop_distances
     if regime == "fvi" or route.n_hops == 1:
-        return math.exp(-sum(ppp_link_exponent(density, b, theta, alpha, d) for d in dists))
+        return _moment_grid(b, theta, lambda t: lambda b: math.exp(
+            -sum(ppp_link_exponent(density, b, t, alpha, d) for d in dists)))
+    return _moment_grid(b, theta, lambda t: lambda b: _qsi_moment(route, b, t, alpha, density))
+
+
+def _qsi_moment(route, b, theta, alpha, density):
+    """The b-th qsi end-to-end moment at one theta > 0."""
+    dists = route.hop_distances
     z = np.array(route.receivers, dtype=float) - route.midpoint()
     c_m = theta * np.asarray(dists) ** alpha
     # radius beyond which the product collapses to the sum of single-hop tails

@@ -16,7 +16,7 @@ from scipy import special as _sps
 
 from . import simengine
 from .numerics import gauss_legendre
-from .sir_analysis import _real_order
+from .sir_analysis import _moment_grid
 
 __all__ = [
     "ShadowGrid",
@@ -193,26 +193,25 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     T expectation sits outside (correlated) or inside (independent) the cell
     exponential.
     """
-    b = _real_order(b)
     if mode not in ("correlated", "independent"):
         raise ValueError("mode must be 'correlated' or 'independent'")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 1.0
     table = _CellTable(grid, blockage)
-    c = theta * r_t**alpha
-    log_out = 0.0
-    for k in range(len(table.d_k)):
-        tv, tw = table.t_values[k], table.t_weights[k]
-        r, w = table.node_radii(k)
-        g = np.log1p(c * np.outer(tv, r**-alpha))  # (T, nodes)
-        integ = (1.0 - np.exp(-b * g)) @ w
-        if mode == "correlated":
-            log_out += math.log(float(np.dot(tw, np.exp(-density * integ))))
-        else:
-            log_out += -density * float(np.dot(tw, integ))
-    return math.exp(log_out)
+
+    def at(t, b):
+        c = t * r_t**alpha
+        log_out = 0.0
+        for k in range(len(table.d_k)):
+            tv, tw = table.t_values[k], table.t_weights[k]
+            r, w = table.node_radii(k)
+            g = np.log1p(c * np.outer(tv, r**-alpha))  # (T, nodes)
+            integ = (1.0 - np.exp(-b * g)) @ w
+            if mode == "correlated":
+                log_out += math.log(float(np.dot(tw, np.exp(-density * integ))))
+            else:
+                log_out += -density * float(np.dot(tw, integ))
+        return math.exp(log_out)
+
+    return _moment_grid(b, theta, lambda t: lambda b: at(t, b))
 
 
 def _shadowed_trials(rng, size, grid, blockage, density, mode):

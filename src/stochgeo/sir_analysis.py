@@ -4,6 +4,10 @@ MISR and the SIR gain G0 of the ASAPPP threshold-shift approximation.
 Geometries: "adhoc" (dedicated link of length r_t over an interferer field
 that does not contain the serving transmitter) and "downlink" (nearest-point
 association; interferers are the remaining points).
+
+Every real-order moment function takes b and theta each as a scalar or a 1-D
+grid (`_moment_grid`): a float for two scalars, else an array of shape
+theta.shape + b.shape, each entry equal to its scalar call.
 """
 
 import math
@@ -14,7 +18,7 @@ from scipy import special as _sps
 
 from .core import ToleranceError
 from .numerics import _unit_grid, gamma_ratio, gauss_legendre, gil_pelaez_ccdf, integrate_1d, lru_get
-from .pointprocess import GPP, MCP, PPP, NetworkModel, require_base_stations, sample_batch
+from .pointprocess import GPP, MCP, PPP, require_base_stations, sample_batch
 from . import simengine
 
 __all__ = [
@@ -55,6 +59,25 @@ def _real_order(b):
     if b.imag != 0:
         raise ValueError(f"moment order must be real, got {b}")
     return b.real
+
+
+def _moment_grid(b, theta, moment):
+    """M(b) at every (theta, b) of the two grids, in the shape the module
+    docstring states.  The orders must be real and theta nonnegative.
+    theta = 0 gives exactly 1; every other theta makes one call
+    moment(theta), whose b -> M(b) function serves every order."""
+    orders = [_real_order(v) for v in np.ravel(b)]
+    thetas = np.asarray(theta, dtype=float)
+    if np.any(thetas < 0):
+        raise ValueError("theta must be nonnegative")
+    out = np.ones((thetas.size, len(orders)))
+    for row, t in zip(out, thetas.ravel()):
+        if t != 0.0:
+            m = moment(float(t))
+            row[:] = [m(v) for v in orders]
+    if np.ndim(b) == 0 and thetas.ndim == 0:
+        return float(out[0, 0])
+    return out.reshape(thetas.shape + np.shape(b))
 
 
 def _mcp_vb_nodes(rd):
@@ -201,24 +224,30 @@ class GppAdhocMoments:
         return out
 
 
-def moments_adhoc(model, b, theta):
-    """b-th moment of the ad hoc CSP over the model's interferer field (real b)."""
-    b = _real_order(b)
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0 or model.field.intensity == 0.0:  # no interference: the CSP is 1
-        return 1.0
+def _adhoc_moments(model, theta):
+    """The ad hoc CSP moments over the model's field at one theta > 0, the one
+    dispatch on the field type: a pair of b -> M(b) for a real order and the
+    M(ju) grid function (c, d) -> M(j(c + d)) that `gil_pelaez_ccdf` takes,
+    None for the Matern cluster field."""
     r_t = model.link_distance
     if r_t is None:
         raise ValueError("ad hoc moments need model.link_distance")
-    f = model.field
+    f, alpha = model.field, model.alpha
     if isinstance(f, PPP):
-        return math.exp(-ppp_link_exponent(f.density, b, theta, model.alpha, r_t))
-    if isinstance(f, MCP):
-        return _moments_mcp_adhoc(f, b, theta, model.alpha, r_t)
+        expo = lambda b: ppp_link_exponent(f.density, b, theta, alpha, r_t)
+        return (lambda b: math.exp(-expo(b))), (lambda c, d: np.exp(-expo(1j * np.add.outer(c, d))))
     if isinstance(f, GPP):
-        return float(GppAdhocMoments(f, theta, model.alpha, r_t).at(b).real)
+        gpp = GppAdhocMoments(f, theta, alpha, r_t)
+        return (lambda b: float(gpp.at(b).real)), gpp
+    if isinstance(f, MCP):
+        return (lambda b: _moments_mcp_adhoc(f, b, theta, alpha, r_t)), None
     raise TypeError(f"unknown field type: {type(f)!r}")
+
+
+def moments_adhoc(model, b, theta):
+    """b-th moment of the ad hoc CSP over the model's interferer field (real b)."""
+    empty = model.field.intensity == 0.0  # no interference: the CSP is 1
+    return _moment_grid(b, theta, lambda t: (lambda b: 1.0) if empty else _adhoc_moments(model, t)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +258,8 @@ def moments_adhoc(model, b, theta):
 def downlink_hyp2f1(b, theta, alpha):
     """2F1(b, -delta; 1-delta; -theta) for a real order b: the reciprocal of
     the b-th downlink CSP moment."""
+    if alpha <= 2:
+        raise ValueError("path-loss exponent must exceed 2")
     delta = 2.0 / alpha
     return float(_sps.hyp2f1(b, -delta, 1.0 - delta, -theta))
 
@@ -276,12 +307,7 @@ class DownlinkImagMoments:
 def moments_downlink_ppp(b, theta, alpha):
     """Moments of the typical downlink user's CSP: 1 / 2F1(b,-d;1-d;-theta)
     (real b)."""
-    b = _real_order(b)
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    if theta == 0.0:
-        return 1.0
-    return 1.0 / downlink_hyp2f1(b, theta, alpha)
+    return _moment_grid(b, theta, lambda t: lambda b: 1.0 / downlink_hyp2f1(b, t, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +362,18 @@ def meta_distribution(model, theta, x, geometry="adhoc"):
     xs, scalar = _unit_grid(x)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    if geometry == "downlink" and isinstance(model, NetworkModel):
+    if geometry == "downlink":
         require_base_stations(model)
     # every link succeeds at theta = 0 and over an empty field: the CSP is 1
     if theta == 0.0 or (geometry != "downlink" and model.field.intensity == 0.0):
         return 1.0 if scalar else np.ones(len(xs))
     if geometry == "downlink":
-        alpha = model.alpha if isinstance(model, NetworkModel) else model
-        moment = DownlinkImagMoments(theta, alpha)
         # downlink moments decay only polynomially in u: cap the inversion
-        return gil_pelaez_ccdf(moment, x, u_max_cap=DownlinkImagMoments.U_CAP)
-    f = model.field
-    if isinstance(f, PPP):
-        expo = lambda b: ppp_link_exponent(f.density, b, theta, model.alpha, model.link_distance)
-        return gil_pelaez_ccdf(lambda c, d: np.exp(-expo(1j * np.add.outer(c, d))), x)
-    if isinstance(f, GPP):
-        return gil_pelaez_ccdf(GppAdhocMoments(f, theta, model.alpha, model.link_distance), x)
-    if isinstance(f, MCP):
+        return gil_pelaez_ccdf(DownlinkImagMoments(theta, model.alpha), x, u_max_cap=DownlinkImagMoments.U_CAP)
+    imaginary = _adhoc_moments(model, theta)[1]
+    if imaginary is None:
         raise ValueError("no analytic meta distribution for the Matern cluster field")
-    raise TypeError(f"unknown field type: {type(f)!r}")
+    return gil_pelaez_ccdf(imaginary, x)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +397,8 @@ def misr_estimate(model, alpha, cfg):
     """
     radius = cfg.window_radius or simengine.default_window(model.intensity)
     sums, r1a = simengine.run_batches(cfg, "misr", _misr_chunk, model, alpha, radius)
+    if not r1a.size:
+        raise ValueError(f"no pattern in the window of radius {radius} holds two points; widen cfg.window_radius")
     tail = 2.0 * math.pi * model.intensity * np.mean(r1a) * radius ** (2.0 - alpha) / (alpha - 2.0)
     return simengine.confidence(sums + tail, cfg.master_seed)
 
@@ -399,7 +420,7 @@ def sir_gain_g0(model, alpha, cfg=None):
     Ginibre uses the 1 + beta/2 approximation; PPP is 1; the cluster model
     falls back to the Monte Carlo MISR (cfg required).
     """
-    f = model.field if isinstance(model, NetworkModel) else model
+    f = model.field
     if isinstance(f, PPP):
         return 1.0
     if isinstance(f, GPP):
@@ -407,6 +428,5 @@ def sir_gain_g0(model, alpha, cfg=None):
     if isinstance(f, MCP):
         if cfg is None:
             raise ValueError("MCP gain needs a SimConfig for the MISR estimate")
-        m = NetworkModel(f, alpha)
-        return misr_ppp(alpha) / misr_estimate(m, alpha, cfg).mean
+        return misr_ppp(alpha) / misr_estimate(model, alpha, cfg).mean
     raise TypeError(f"unknown field type: {type(f)!r}")

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from scipy import integrate as sciint
 from stochgeo import sir_analysis
 from stochgeo.core import theta_from_mh, theta_mh
 from stochgeo.location_users import lsu_moments
-from stochgeo.numerics import gamma_ratio
+from stochgeo.numerics import gamma_ratio, gauss_legendre
 from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
-from stochgeo.queueing import bipolar_success
+from stochgeo.queueing import bipolar_success, downlink_success
 from stochgeo.relay_retx import harq_type1, jsp_retx, linear_route, p_retx, relay_moments
 from stochgeo.shadowing import BlockageModel, ShadowGrid, moments_shadowed
 from stochgeo.simengine import SimConfig, estimate_meta, estimate_moment, estimate_success
@@ -153,6 +154,37 @@ def test_moment_orders_must_be_real():
             moment(1.0 + 0.5j)
 
 
+@pytest.mark.parametrize("moment", [
+    lambda b, t: moments_adhoc(GPP_MODEL, b, t),
+    lambda b, t: moments_downlink_ppp(b, t, 4.0),
+    lambda b, t: lsu_moments("cell_boundary", b, t, 4.0, rho=0.5),
+    lambda b, t: moments_shadowed(b, t, 1.0, ShadowGrid(4.0, 1.0), BlockageModel(0.5, 0.3), 0.5, 4.0, "correlated"),
+    lambda b, t: relay_moments(b, linear_route(3, 1.0), t, 4.0, 0.1, "qsi"),
+], ids=["adhoc", "downlink", "lsu", "shadowed", "relay"])
+def test_a_theta_and_order_grid_equals_the_scalar_calls(moment):
+    # one call over theta x b has shape theta.shape + b.shape, each entry
+    # bit for bit its scalar call, and a scalar call gives a float
+    thetas = np.array([0.0, 0.1, 1.0, 10.0])
+    grid = moment([1.0, 2.0], thetas)
+    assert grid.shape == (len(thetas), 2)
+    scalar = [[moment(b, float(t)) for b in (1.0, 2.0)] for t in thetas]
+    assert all(type(v) is float for row in scalar for v in row)
+    assert grid.tolist() == scalar
+    assert moment(2.0, thetas).tolist() == [row[1] for row in scalar]
+    assert moment([1.0, 2.0], 1.0).tolist() == scalar[2]
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0])
+def test_the_downlink_closed_forms_need_alpha_above_two(alpha):
+    # the hypergeometric closed form is valid only for alpha > 2: below it
+    # gave a negative probability, at 2 exactly 0
+    for call in (lambda: moments_downlink_ppp(1.0, 1.0, alpha),
+                 lambda: lsu_moments("general", 1.0, 1.0, alpha),
+                 lambda: downlink_success(0.05, 1.0, alpha, 5.0)):
+        with pytest.raises(ValueError, match="path-loss exponent must exceed 2"):
+            call()
+
+
 def test_downlink_moment_real_order_given_as_complex():
     # a complex order with zero imaginary part is a real order
     got = moments_downlink_ppp(1 + 0j, 1.0, 4.0)
@@ -226,9 +258,15 @@ def test_meta_ppp_vs_empirical_reduced():
 
 
 def test_meta_integrates_to_mean():
-    # int_0^1 F(x) dx = M(1)
-    val, _ = sciint.quad(lambda x: meta_distribution(PPP_MODEL, 1.0, x), 1e-6, 1 - 1e-6, limit=80)
-    assert val == pytest.approx(moments_adhoc(PPP_MODEL, 1.0, 1.0), abs=1e-3)
+    # int_0^1 F(x) dx = M(1) and int_0^1 2x F(x) dx = M(2), on one 24-point
+    # Gauss-Legendre x-grid per geometry; the rule leaves residuals of 2e-6
+    # to 9e-6
+    x, w = gauss_legendre(24, 0.0, 1.0)
+    for geometry, moment, tol in (("adhoc", lambda b: moments_adhoc(PPP_MODEL, b, 1.0), 1e-5),
+                                  ("downlink", lambda b: moments_downlink_ppp(b, 1.0, 4.0), 2e-5)):
+        meta = meta_distribution(PPP_MODEL, 1.0, x, geometry)
+        assert np.dot(w, meta) == pytest.approx(moment(1.0), abs=tol)
+        assert np.dot(w, 2.0 * x * meta) == pytest.approx(moment(2.0), abs=tol)
 
 
 def test_meta_downlink_monotone():
@@ -347,6 +385,12 @@ def test_a_negative_theta_is_rejected(call):
         call()
 
 
+def test_adhoc_meta_needs_a_link_distance():
+    for field in (PPP(0.1), GPP(0.1, 1.0)):
+        with pytest.raises(ValueError, match="link_distance"):
+            meta_distribution(NetworkModel(field, alpha=4.0), 1.0, 0.5)
+
+
 def test_meta_at_theta_zero_is_exactly_one():
     # every link succeeds at theta = 0, so P[CSP > x] = 1 for each x
     assert meta_distribution(PPP_MODEL, 0.0, 0.5) == 1.0
@@ -417,6 +461,14 @@ def test_misr_chunk_matches_a_pattern_loop(field):
     # is absolute, a few eps times that total (here a few hundred)
     assert sums == pytest.approx([np.sum((d[0] / d[1:]) ** 4.0) for d in patterns], rel=1e-12, abs=1e-12)
     assert r1a == pytest.approx([d[0] ** 4.0 for d in patterns], rel=1e-12)
+
+
+def test_misr_estimate_names_a_window_with_no_two_point_pattern():
+    cfg = SimConfig(trials=50, master_seed=65, window_radius=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="window of radius 0.5"):
+            misr_estimate(NetworkModel(PPP(0.1), alpha=4.0), 4.0, cfg)
 
 
 def test_misr_estimate_ppp_self_consistency():

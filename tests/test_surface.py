@@ -1,18 +1,20 @@
-"""Every top-level function and class in `src/stochgeo` is named by other
-code in the package, or is kept on purpose with its reason below.  Every
-Gauss-Legendre rule is built by `numerics.gauss_legendre`, adaptive
+"""Every top-level function, class and method in `src/stochgeo` is named by
+other code in the package, or is kept on purpose with its reason below.
+Every Gauss-Legendre rule is built by `numerics.gauss_legendre`, adaptive
 quadrature (`numerics.integrate_1d`, the one user of `scipy.integrate`) serves
-only the MCP moment of `sir_analysis`, and every Monte Carlo chunk function
-is a per-batch kernel made by `simengine.batchwise`, save those that keep
-state across batches.
+only the MCP moment of `sir_analysis`, the ad hoc CSP moments dispatch on the
+field type in one place, and every Monte Carlo chunk function is a per-batch
+kernel made by `simengine.batchwise`, save those that keep state across
+batches.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
 `__all__` or imported does not count, since neither runs the code.
 
-The scan covers top-level definitions only.  Members that the benchmark's
-tracer (`perfbench/tracer.py`) hooks are kept as well, though the scan does
-not see them: `gil_pelaez_ccdf(full_output=)`, whose flag is one bool for
+The scan covers top-level definitions and the methods of classes, dunders
+aside; a method counts as reached when code outside its own body names it.
+Members that the benchmark's tracer (`perfbench/tracer.py`) hooks are kept
+as well, though the scan does not see them: `gil_pelaez_ccdf(full_output=)`, whose flag is one bool for
 a scalar x or a whole x-grid, the fourth positional argument (`geometry`)
 of `meta_distribution`, and the two `_cache` LRUs (`_DisplacedCross`,
 `DownlinkImagMoments`).  The tracer's hooks on
@@ -53,21 +55,33 @@ KEEP = {
 
 
 def _unreached():
-    """(module file, name) of each top-level def or class no other code names."""
+    """(module file, name) of each top-level def or class, and each method but
+    a dunder (as Class.method), that no other code names."""
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    used = {}  # name -> ids of the top-level definitions whose bodies name it
+    used = {}  # name -> ids of the definitions (top-level, or a method) whose bodies name it
     for tree in trees.values():
         for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    used.setdefault(node.id, set()).add(id(top))
-                elif isinstance(node, ast.Attribute):
-                    used.setdefault(node.attr, set()).add(id(top))
+            # a method's body counts as its own, the rest of a class as the class's
+            parts = ast.iter_child_nodes(top) if isinstance(top, ast.ClassDef) else [top]
+            for part in parts:
+                owner = id(part) if isinstance(part, ast.FunctionDef) else id(top)
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name):
+                        used.setdefault(node.id, set()).add(owner)
+                    elif isinstance(node, ast.Attribute):
+                        used.setdefault(node.attr, set()).add(owner)
     out = []
     for fname, tree in trees.items():
         for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not used.get(top.name, set()) - {id(top)}:
-                out.append((fname, top.name))
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                defs += [(f"{top.name}.{m.name}", m) for m in top.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+            for label, node in defs:
+                if not used.get(node.name, set()) - {id(node)}:
+                    out.append((fname, label))
     return out
 
 
@@ -111,6 +125,19 @@ def test_fixed_rule_callers_never_import_quadrature():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _callers(name, paths):
+    """Names of the top-level definitions in `paths` that call `name`."""
+    return {getattr(top, "name", None) for p in paths for top in ast.parse(p.read_text()).body
+            for node in ast.walk(top) if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name}
+
+
+def test_one_field_dispatch_and_one_order_check_for_the_csp_moments():
+    # the ad hoc moments branch on the field type in one place, and every
+    # real-order moment function checks its orders through the one grid
+    assert _callers("isinstance", [SRC / "sir_analysis.py"]) == {"_adhoc_moments", "sir_gain_g0"}
+    assert _callers("_real_order", sorted(SRC.glob("*.py"))) == {"_moment_grid"}
 
 
 # the one loop over a chunk's batches, and the chunk functions that keep state
