@@ -18,9 +18,9 @@ class Estimate:
     n: int
     seed: int
 
-    def within(self, target, n_se=3.0, atol=0.0):
-        """True if `target` lies within n_se standard errors (plus atol)."""
-        return abs(self.mean - target) <= n_se * self.stderr + atol
+    def within(self, target, atol=0.0):
+        """True if `target` lies within 3 standard errors (plus atol)."""
+        return abs(self.mean - target) <= 3.0 * self.stderr + atol
 
 
 @dataclass

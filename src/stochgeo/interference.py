@@ -2,10 +2,10 @@
 under the bounded path loss 1/(eps + |x|^alpha).
 
 All second-order quantities reduce to radial integrals plus one cross
-integral of the form  II(K) = int int l(x) l(y) K(|x-y|) dx dy, evaluated in
-the 3-D radial form (r, s, relative angle) to tame the raw 4-D integral.
-The Gaussian kernel's angular integral is a Bessel I0 and is done in closed
-form.
+integral of the form  II(K) = int int l(x) l(y) K(|x-y-u|) dx dy.  With
+w = x - y it is int K(|w - u|) C1(|w|) dw; the Gaussian kernel's angular
+integral is a Bessel I0 and is done in closed form.  Each function takes the
+model and the path loss, and their exponents must agree (ValueError).
 
 The path-loss autocorrelation C1(w) = int l(x) l(x - w) dx, which both the
 displaced cross terms and the mean product need, is one fixed-node rule for
@@ -23,7 +23,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .numerics import gauss_legendre, lru_get
-from .pointprocess import GPP, MCP, PPP, lens_area
+from .pointprocess import GPP, MCP, PPP, lens_area, require_alpha
 
 __all__ = [
     "PathLossSpec",
@@ -38,12 +38,11 @@ __all__ = [
 class PathLossSpec:
     alpha: float
     epsilon: float = 1.0
-    bounded: bool = True
 
     def __post_init__(self):
         if self.alpha <= 2.0:
             raise ValueError("alpha must exceed 2")
-        if self.bounded and self.epsilon <= 0.0:
+        if self.epsilon <= 0.0:
             raise ValueError("bounded path loss requires epsilon > 0")
 
     @property
@@ -55,17 +54,12 @@ class PathLossSpec:
         return 1.0 / (self.epsilon + r**self.alpha)
 
 
-def _require_bounded(pl):
-    if not pl.bounded or pl.epsilon <= 0.0:
-        raise ValueError("interference moments diverge without the bounded path loss")
-
-
 def mean_interference(model, pl):
     """Mean aggregate interference: delta pi^2 lam eps^(delta-1) csc(delta pi).
 
     Identical for all three fields at equal intensity (Campbell's formula sees
     only the first moment density)."""
-    _require_bounded(pl)
+    require_alpha(model, pl.alpha)
     lam = model.field.intensity
     d = pl.delta
     return d * math.pi**2 * lam * pl.epsilon ** (d - 1.0) / math.sin(d * math.pi)
@@ -75,43 +69,6 @@ def _l2_integral(pl):
     # int_R2 l_eps(x)^2 dx = delta pi^2 (1-delta) eps^(delta-2) csc(delta pi)
     d = pl.delta
     return d * math.pi**2 * (1.0 - d) * pl.epsilon ** (d - 2.0) / math.sin(d * math.pi)
-
-
-def _cross_integral_gauss(pl, a, n_r=220, r_max_factor=40.0):
-    """II(exp(-a d^2)) = 4 pi^2 int int r l(r) s l(s) e^(-a(r-s)^2) I0e(2 a r s) dr ds."""
-    r_max = r_max_factor * max(1.0, pl.epsilon ** (1.0 / pl.alpha))
-    # geometric-ish node layout: dense near zero where l^2 mass sits, by
-    # r = r_max t^2 with t on [0, 1]
-    t, wt = gauss_legendre(n_r, 0.0, 1.0)
-    r = r_max * t * t
-    wr = wt * r_max * 2.0 * t
-    f = r * pl.ell(r) * wr
-    rr, ss = np.meshgrid(r, r, indexing="ij")
-    kern = np.exp(-a * (rr - ss) ** 2) * _sp.i0e(2.0 * a * rr * ss)
-    return float(4.0 * math.pi**2 * (f @ kern @ f))
-
-
-def _cross_integral_lens(pl, rd, n_r=200, n_psi=96, r_max_factor=40.0):
-    """II(A_Rd(d)) with the lens kernel supported on d < 2 R_d."""
-    r_max = r_max_factor * max(1.0, pl.epsilon ** (1.0 / pl.alpha)) + 2.0 * rd
-    t, wt = gauss_legendre(n_r, 0.0, 1.0)
-    r = r_max * t * t
-    wr = wt * r_max * 2.0 * t
-    f = r * pl.ell(r) * wr
-    t, wt = gauss_legendre(n_psi, 0.0, 1.0)
-    psi, wpsi = math.pi * t, math.pi * wt
-    rr, ss = np.meshgrid(r, r, indexing="ij")
-    # angular integral of the lens kernel: nonzero only where |r-s| < 2 R_d
-    kern = np.zeros_like(rr)
-    mask = np.abs(rr - ss) < 2.0 * rd
-    if np.any(mask):
-        rm, sm = rr[mask], ss[mask]
-        acc = np.zeros(rm.shape)
-        for p, wq in zip(psi, wpsi):
-            d = np.sqrt(np.maximum(rm * rm + sm * sm - 2.0 * rm * sm * math.cos(p), 0.0))
-            acc += wq * lens_area(rd, d)
-        kern[mask] = 2.0 * acc  # angle symmetric: 2 * int_0^pi
-    return float(2.0 * math.pi * (f @ kern @ f))
 
 
 # Fixed rule for C1: Gauss-Legendre orders of the angle, of each radial panel
@@ -268,7 +225,7 @@ def interference_variance(model, pl):
     cluster field adds the lens cross term and the Ginibre field subtracts the
     Gaussian-kernel cross term.
     """
-    _require_bounded(pl)
+    require_alpha(model, pl.alpha)
     field = model.field
     lam = field.intensity
     base = 2.0 * lam * _l2_integral(pl)
@@ -277,7 +234,7 @@ def interference_variance(model, pl):
 
 def mean_product(model, u, pl):
     """E[I_o^(t1) I_u^(t2)] for independent fading draws at t1 != t2."""
-    _require_bounded(pl)
+    require_alpha(model, pl.alpha)
     field = model.field
     lam = field.intensity
     mean = mean_interference(model, pl)
@@ -289,7 +246,7 @@ def corr_coefficient(model, u, pl):
 
     The displaced cross term sits in the covariance; the variance in the
     denominator carries the same term at u = 0."""
-    _require_bounded(pl)
+    require_alpha(model, pl.alpha)
     field = model.field
     num = float(_c1(pl, u)) + _extra_term(field, pl, u)
     den = 2.0 * _l2_integral(pl) + _extra_term(field, pl, 0.0)

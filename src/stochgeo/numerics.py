@@ -1,4 +1,4 @@
-"""Special functions and generic numerical machinery.
+"""Special functions, quadrature rules and the Gil-Pelaez inversion.
 
 Everything here is pure, apart from the Gauss-Legendre base rules, built
 once per order, and `lru_get`, which updates the cache it is handed.
@@ -21,14 +21,12 @@ from .core import ToleranceError
 
 __all__ = [
     "QuadResult",
-    "FixedPointResult",
     "gamma_ratio",
     "lambert_w0",
     "gauss_legendre",
     "lru_get",
     "integrate_1d",
     "gil_pelaez_ccdf",
-    "fixed_point_solve",
 ]
 
 
@@ -36,13 +34,6 @@ class QuadResult(NamedTuple):
     value: float
     error: float
     converged: bool
-
-
-class FixedPointResult(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
-    residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -265,22 +256,3 @@ def gil_pelaez_ccdf(
     if full_output:
         return value, converged
     return value
-
-
-# ---------------------------------------------------------------------------
-# Damped fixed-point iteration
-# ---------------------------------------------------------------------------
-
-
-def fixed_point_solve(fmap, init, damping=0.5, tol=1e-10, max_iter=100000):
-    """Solve x = fmap(x) by damped iteration x <- (1-d) x + d fmap(x)."""
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must be in (0, 1]")
-    x = float(init)
-    for it in range(1, max_iter + 1):
-        fx = fmap(x)
-        resid = abs(x - fx)
-        x = (1.0 - damping) * x + damping * fx
-        if resid <= tol:
-            return FixedPointResult(x, True, it, resid)
-    return FixedPointResult(x, False, max_iter, abs(x - fmap(x)))

@@ -22,6 +22,7 @@ __all__ = [
     "GPP",
     "NetworkModel",
     "require_base_stations",
+    "require_alpha",
     "sample_batch",
     "contact_pdf",
     "contact_cdf",
@@ -114,6 +115,13 @@ def require_base_stations(model):
     downlink over a field of intensity 0 is undefined: ValueError."""
     if model.intensity <= 0:
         raise ValueError("a downlink needs base stations: the field's density must be positive")
+
+
+def require_alpha(model, alpha):
+    """A function that takes the path-loss exponent beside the model reads
+    one of the two: ValueError unless they agree."""
+    if alpha != model.alpha:
+        raise ValueError(f"path-loss exponent {alpha} differs from the model's {model.alpha}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Success probabilities with unsaturated, interacting queues.
 
-Analytic side: the downlink fixed point under random scheduling (mean-field
-activity probability) and the bipolar Lambert-W solution.  Simulation side:
+Analytic side: two mean-field fixed points, each in closed form: the
+downlink under random scheduling, max(1 - xi (F - 1)/S, 1/F) with the mean
+inverse cell load S on a fixed Gauss-Legendre rule, and the bipolar
+Lambert-W solution.  Simulation side:
 a discrete-time network of FIFO queues with Bernoulli arrivals where a head
 packet departs iff the per-slot SIR (fresh fading, current active set)
 clears the threshold.
@@ -13,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import fixed_point_solve, lambert_w0
+from .numerics import gauss_legendre, lambert_w0
 from .sir_analysis import downlink_hyp2f1, ppp_link_exponent
 from . import simengine
 
@@ -31,14 +33,13 @@ _NU = 3.5  # Poisson-Voronoi cell-size shape parameter
 class QueueSolution(NamedTuple):
     success: float
     activity: float
-    converged: bool
 
 
 def cell_size_pmf(n, ratio):
     """P[N_u = n]: negative-binomial cell-load approximation with shape 3.5.
 
-    Normalizes to one over n >= 0; the fixed point sums from n >= 1 with the
-    n >= 1 tail renormalized (the serving cell holds at least its own user).
+    Normalizes to one over n >= 0; the mean inverse load renormalizes over
+    n >= 1 (the serving cell holds at least its own user).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -56,51 +57,41 @@ def cell_size_pmf(n, ratio):
     return math.exp(log_p)
 
 
+_S_PANELS, _S_NODES = 4, 32  # fixed Gauss-Legendre rule for the mean inverse load
+
+
 def _mean_inverse_load(ratio):
-    """sum_{n>=1} p(n)/n, renormalized over n >= 1, summed until the missing
-    mass and the last term are below 1e-10."""
-    tail = 1e-10
+    """S = E[1/N | N >= 1] = sum_{n>=1} p(n)/n / (1 - p0) on a fixed rule.
+
+    With the load pgf G(s) = p0 (1 - q s)^-nu, q = ratio/(ratio + nu), and
+    u = -log(1 - q s): S (1 - p0) = int_0^1 (G(s) - p0)/s ds
+    = int_0^U (e^(-nu (U - u)) - p0)/(e^u - 1) du with U = log(1 + ratio/nu),
+    written p0 expm1(nu u)/expm1(u), a smooth integrand, on 4 equal panels of
+    32 Gauss-Legendre nodes.
+    """
     p0 = cell_size_pmf(0, ratio)
-    total = 0.0
-    mass = 0.0
-    n = 1
-    while True:
-        p = cell_size_pmf(n, ratio)
-        total += p / n
-        mass += p
-        if mass >= (1.0 - p0) * (1.0 - tail) and p < tail:
-            break
-        n += 1
-        if n > 100000:
-            break
-    return total / (1.0 - p0)
+    edges = np.linspace(0.0, math.log1p(ratio / _NU), _S_PANELS + 1)
+    u, w = gauss_legendre(_S_NODES, edges[:-1], edges[1:])
+    return p0 * float(np.sum(w * np.expm1(_NU * u) / np.expm1(u))) / (1.0 - p0)
 
 
 def downlink_success(xi_u, theta, alpha, ratio):
     """Downlink success probability with random scheduling.
 
-    Damped fixed-point iteration from P_s = 1 on
-    P_s = 1/(1 - p_A + p_A F(theta)), p_A = min(xi_u / (P_s S), 1),
+    The fixed point P_s = 1/(1 - p_A + p_A F(theta)), p_A = min(xi_u/(P_s S), 1),
     where F is the downlink hypergeometric and S the renormalized mean
-    inverse cell load.
+    inverse cell load, in closed form: eliminating p_A gives
+    P_s = max(1 - xi_u (F - 1)/S, 1/F), the saturated branch 1/F exactly
+    when xi_u F >= S.  At theta = 0, F = 1 and P_s = 1.
     """
     if not (0.0 <= xi_u <= 1.0):
         raise ValueError("arrival probability must lie in [0, 1]")
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    if theta == 0.0 or xi_u == 0.0:
-        return QueueSolution(1.0, 0.0 if xi_u == 0.0 else min(xi_u / _mean_inverse_load(ratio), 1.0), True)
     f = downlink_hyp2f1(1.0, theta, alpha)
     s = _mean_inverse_load(ratio)
-
-    def step(ps):
-        p_a = min(xi_u / (max(ps, 1e-12) * s), 1.0)
-        return 1.0 / (1.0 - p_a + p_a * f)
-
-    res = fixed_point_solve(step, init=1.0)
-    ps = res.value
-    p_a = min(xi_u / (ps * s), 1.0)
-    return QueueSolution(ps, p_a, res.converged)
+    ps = max(1.0 - xi_u * (f - 1.0) / s, 1.0 / f)
+    return QueueSolution(ps, min(xi_u / (ps * s), 1.0))
 
 
 def bipolar_success(xi, theta, alpha, density, r_t):
@@ -127,7 +118,7 @@ def bipolar_success(xi, theta, alpha, density, r_t):
     else:
         ps = saturated
     p_a = min(xi / ps, 1.0) if xi > 0 else 0.0
-    return QueueSolution(ps, p_a, True)
+    return QueueSolution(ps, p_a)
 
 
 # ---------------------------------------------------------------------------

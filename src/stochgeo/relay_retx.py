@@ -40,10 +40,11 @@ def _check_regime(regime):
 
 @dataclass(frozen=True)
 class RelayRoute:
-    """Fixed route: source at `source`, hop receivers at `receivers`."""
+    """Fixed route: source at the origin, hop receivers at `receivers`.  The
+    field is stationary, so a route from another source is this route
+    translated."""
 
     receivers: tuple  # ((x, y), ...) of the M hop receivers
-    source: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         if len(self.receivers) < 1:
@@ -57,17 +58,17 @@ class RelayRoute:
 
     @property
     def hop_distances(self):
-        pts = [self.source, *self.receivers]
+        pts = [(0.0, 0.0), *self.receivers]
         return tuple(
             math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])
         )
 
     def midpoint(self):
-        pts = np.array([self.source, *self.receivers], dtype=float)
+        pts = np.array([(0.0, 0.0), *self.receivers], dtype=float)
         return 0.5 * (pts.min(axis=0) + pts.max(axis=0))
 
     def extent(self):
-        pts = np.array([self.source, *self.receivers], dtype=float)
+        pts = np.array([(0.0, 0.0), *self.receivers], dtype=float)
         mid = self.midpoint()
         return float(np.max(np.hypot(pts[:, 0] - mid[0], pts[:, 1] - mid[1])))
 

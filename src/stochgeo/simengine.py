@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import Curve, Estimate
-from .pointprocess import GPP, require_base_stations, sample_batch
+from .pointprocess import GPP, require_alpha, require_base_stations, sample_batch
 
 __all__ = [
     "SimConfig",
@@ -387,6 +387,11 @@ def _link_distance(model):
     return model.link_distance
 
 
+def _scalar_theta(theta, what):
+    if np.ndim(theta) != 0:
+        raise ValueError(f"theta must be a scalar: {what} takes one theta per call")
+
+
 def _theta_grid(theta):
     """theta as a list of floats: a scalar is a grid of one.  Every theta
     must be nonnegative."""
@@ -532,8 +537,7 @@ def estimate_moment(model, b, theta, geometry, cfg):
 def estimate_meta(model, theta, x_grid, cfg, geometry="adhoc"):
     """Empirical meta distribution: CCDF of the per-pattern CSP on x_grid,
     at a scalar theta, from the pattern pass estimate_success shares."""
-    if np.ndim(theta) != 0:
-        raise ValueError("theta must be a scalar: the meta distribution takes one theta per call")
+    _scalar_theta(theta, "the meta distribution")
     (samples,) = _collect_csp(model, _theta_grid(theta), geometry, cfg)
     x_grid = np.asarray(x_grid, dtype=float)
     n = samples.size
@@ -555,12 +559,14 @@ def estimate_interference_moments(model, pl, u, cfg):
 
     The windowed mean is completed by the analytic far-field mean
     2 pi lam int_R^inf l_eps(r) r dr, in closed form (its variance
-    contribution is negligible at the default window).  Returns Estimates
+    contribution is negligible at the default window).  pl.alpha must be
+    the model's alpha.  Returns Estimates
     keyed by 'mean', 'second_moment', 'mean_product'.  The Ginibre sampler
     is origin-centric, so a Ginibre field takes u = 0 only.  Draws from the
     "interference" stream, which no CSP estimator shares, so no pattern pass
     is shared with them either.
     """
+    require_alpha(model, pl.alpha)
     if u != 0.0 and isinstance(model.field, GPP):
         raise ValueError("the Ginibre sampler is exact only at the origin: a displaced observer needs u = 0")
     radius = cfg.window_radius or default_window(model.intensity)
@@ -603,11 +609,13 @@ def estimate_jsp(model, events, regime, theta, cfg, geometry="adhoc"):
     is the K-th CSP power, from the pattern pass estimate_success shares);
     FVI draws a fresh pattern per event, event j from its own substream, so
     FVI takes at most FVI_EVENTS events.  `events` is the integer K; relay
-    routes are handled in relay_retx.
+    routes are handled in relay_retx.  theta is a scalar: a grid raises
+    ValueError before any draw.
     """
     k = int(events)
     if k < 1:
         raise ValueError("K must be >= 1")
+    _scalar_theta(theta, "the joint success probability")
     if regime == "qsi":
         (samples,) = _collect_csp(model, _theta_grid(theta), geometry, cfg, b=float(k))
         return confidence(samples, cfg.master_seed)

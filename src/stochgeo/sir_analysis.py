@@ -18,7 +18,7 @@ from scipy import special as _sps
 
 from .core import ToleranceError
 from .numerics import _unit_grid, gamma_ratio, gauss_legendre, gil_pelaez_ccdf, integrate_1d, lru_get
-from .pointprocess import GPP, MCP, PPP, require_base_stations, sample_batch
+from .pointprocess import GPP, MCP, PPP, require_alpha, require_base_stations, sample_batch
 from . import simengine
 
 __all__ = [
@@ -393,8 +393,9 @@ def misr_estimate(model, alpha, cfg):
 
     The truncated window tail is restored analytically with Campbell's
     formula: E[sum_{r_k > R} (r_1/r_k)^alpha] = 2 pi lam E[r_1^alpha]
-    R^(2-alpha)/(alpha-2).
+    R^(2-alpha)/(alpha-2).  alpha must be the model's own.
     """
+    require_alpha(model, alpha)
     radius = cfg.window_radius or simengine.default_window(model.intensity)
     sums, r1a = simengine.run_batches(cfg, "misr", _misr_chunk, model, alpha, radius)
     if not r1a.size:
@@ -418,8 +419,10 @@ def sir_gain_g0(model, alpha, cfg=None):
     """Asymptotic SIR gain G0 = MISR_PPP / MISR of the model.
 
     Ginibre uses the 1 + beta/2 approximation; PPP is 1; the cluster model
-    falls back to the Monte Carlo MISR (cfg required).
+    falls back to the Monte Carlo MISR (cfg required).  alpha must be the
+    model's own.
     """
+    require_alpha(model, alpha)
     f = model.field
     if isinstance(f, PPP):
         return 1.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate as sciint
+from scipy.special import i0e
 
 from stochgeo.interference import (
     PathLossSpec,
@@ -11,7 +12,8 @@ from stochgeo.interference import (
     mean_interference,
     mean_product,
 )
-from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel
+from stochgeo.numerics import gauss_legendre
+from stochgeo.pointprocess import GPP, MCP, PPP, NetworkModel, lens_area
 from stochgeo.simengine import SimConfig, estimate_interference_moments
 
 PL4 = PathLossSpec(alpha=4.0, epsilon=1.0)
@@ -39,9 +41,19 @@ def test_mean_interference_model_independent():
     assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
 
-def test_mean_interference_requires_bounded():
-    with pytest.raises(ValueError):
-        mean_interference(PPP_M, PathLossSpec(alpha=4.0, epsilon=1.0, bounded=False))
+def test_a_model_and_a_path_loss_with_two_exponents_raise(monkeypatch):
+    # each function reads one exponent, so a second that differs raises
+    # instead of being ignored; the estimator raises before any draw
+    import stochgeo.simengine as simengine
+
+    model = NetworkModel(MCP(0.2, 5.0, 1.0), 6.0)
+    for call in (lambda: mean_interference(model, PL4), lambda: interference_variance(model, PL4),
+                 lambda: mean_product(model, 1.0, PL4), lambda: corr_coefficient(model, 1.0, PL4)):
+        with pytest.raises(ValueError, match="path-loss exponent"):
+            call()
+    monkeypatch.setattr(simengine, "run_batches", lambda *a, **k: pytest.fail("drew before the check"))
+    with pytest.raises(ValueError, match="path-loss exponent"):
+        estimate_interference_moments(model, PL4, 0.0, SimConfig(trials=10, master_seed=1))
 
 
 def test_mean_interference_vs_mc():
@@ -130,13 +142,44 @@ def test_corr_orderings_on_u_grid():
         prev = z_p
 
 
+def _cross_rule(pl, n_r, r_pad=0.0):
+    """n_r radial nodes r = r_max t^2, t Gauss-Legendre on [0, 1] (dense near
+    zero, where l^2 sits), as the weighted r l(r) and the nodes."""
+    r_max = 40.0 * max(1.0, pl.epsilon ** (1.0 / pl.alpha)) + r_pad
+    t, wt = gauss_legendre(n_r, 0.0, 1.0)
+    r = r_max * t * t
+    wr = wt * r_max * 2.0 * t
+    return r * pl.ell(r) * wr, r
+
+
+def _cross_integral_gauss(pl, a):
+    """II(exp(-a d^2)) = 4 pi^2 int int r l(r) s l(s) e^(-a(r-s)^2) I0e(2 a r s) dr ds,
+    the direct 3-D radial form (r, s, relative angle) with the angle in closed form."""
+    f, r = _cross_rule(pl, 220)
+    rr, ss = np.meshgrid(r, r, indexing="ij")
+    kern = np.exp(-a * (rr - ss) ** 2) * i0e(2.0 * a * rr * ss)
+    return float(4.0 * math.pi**2 * (f @ kern @ f))
+
+
+def _cross_integral_lens(pl, rd):
+    """II(A_Rd(d)) with the lens kernel supported on d < 2 R_d, the relative
+    angle on 96 Gauss-Legendre nodes."""
+    f, r = _cross_rule(pl, 200, 2.0 * rd)
+    t, wt = gauss_legendre(96, 0.0, 1.0)
+    rr, ss = np.meshgrid(r, r, indexing="ij")
+    kern = np.zeros_like(rr)
+    mask = np.abs(rr - ss) < 2.0 * rd
+    rm, sm = rr[mask], ss[mask]
+    acc = np.zeros(rm.shape)
+    for p, wq in zip(math.pi * t, math.pi * wt):
+        acc += wq * lens_area(rd, np.sqrt(np.maximum(rm * rm + sm * sm - 2.0 * rm * sm * math.cos(p), 0.0)))
+    kern[mask] = 2.0 * acc  # angle symmetric: 2 * int_0^pi
+    return float(2.0 * math.pi * (f @ kern @ f))
+
+
 def test_corr_displaced_kernel_consistency_at_zero():
     # displaced cross terms must reduce to the direct variance cross terms
-    from stochgeo.interference import (
-        _cross_integral_gauss,
-        _cross_integral_lens,
-        _DisplacedCross,
-    )
+    from stochgeo.interference import _DisplacedCross
 
     dc = _DisplacedCross(PL4)
     a = math.pi * 0.1 / 1.0

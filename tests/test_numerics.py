@@ -6,7 +6,6 @@ import pytest
 
 from stochgeo.core import ToleranceError
 from stochgeo.numerics import (
-    fixed_point_solve,
     gamma_ratio,
     gauss_legendre,
     gil_pelaez_ccdf,
@@ -220,33 +219,4 @@ def test_gil_pelaez_grid_matches_the_closed_form():
     vals = gil_pelaez_ccdf(_exp2_moment, xs)
     assert np.all(np.diff(vals) <= 1e-6)
     assert np.abs(vals - (1.0 - xs**2)).max() < 1e-6
-
-
-# ---------------------------------------------------------------- fixed point
-
-
-def test_fixed_point_constant_map():
-    res = fixed_point_solve(lambda x: 0.5, init=0.1)
-    assert res.converged
-    assert res.value == pytest.approx(0.5, abs=1e-9)
-
-
-def test_fixed_point_cosine_vs_bisection_oracle():
-    lo, hi = 0.0, 1.0  # oracle: bisection on cos x - x
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if math.cos(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-    oracle = 0.5 * (lo + hi)
-    assert oracle == pytest.approx(0.7390851332151607, abs=1e-12)  # frozen
-    res = fixed_point_solve(math.cos, init=0.5)
-    assert res.converged
-    assert res.value == pytest.approx(oracle, abs=1e-8)
-
-
-def test_fixed_point_non_convergence_flagged():
-    res = fixed_point_solve(lambda x: 2.0 * x + 1.0, init=0.0, damping=1.0, max_iter=50)
-    assert not res.converged
 

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import hyp2f1
+from scipy.optimize import brentq
+from scipy.special import betainc, gammaln, hyp2f1
 
 from stochgeo import queueing, simengine
 from stochgeo.core import Estimate
@@ -41,29 +42,100 @@ def test_pmf_validation():
 # ------------------------------------------------------------ downlink fixed point
 
 
-def _downlink_linear_oracle(xi_u, theta, alpha, ratio):
-    # the fixed point collapses to P = 1 - xi (F-1)/S on the unsaturated
-    # branch and 1/F when saturated (derived by eliminating p_A)
+def _brute_inverse_load(ratio):
+    """S = sum_{n>=1} p(n)/n / (1 - p0), the negative-binomial pmf from gammaln,
+    summed to the first n_max = 64 * 2^k past which the next term and the
+    missing mass P[N > n_max] = I_q(n_max + 1, nu) are both below 1e-16."""
+    nu, q = 3.5, ratio / (ratio + 3.5)
+
+    def log_p(n):
+        return (nu * math.log(nu) + gammaln(n + nu) - gammaln(n + 1.0) - gammaln(nu)
+                + n * math.log(ratio) - (n + nu) * math.log(ratio + nu))
+
+    n_max = 64
+    while not (math.exp(log_p(n_max + 1.0)) < 1e-16 and betainc(n_max + 1.0, nu, q) < 1e-16):
+        n_max *= 2
+    n = np.arange(1.0, n_max + 1.0)
+    return float(np.sum(np.exp(log_p(n)) / n)) / (1.0 - math.exp(log_p(0.0)))
+
+
+def _damped_iteration(xi_u, theta, alpha, ratio):
+    """P_s by damped iteration P <- (P + g(P))/2 from P = 1 on
+    g(P) = 1/(1 - p_A + p_A F), p_A = min(xi_u/(P S), 1), until |P - g(P)| <= 1e-10:
+    the reference algorithm, with S from the brute-force sum."""
     delta = 2.0 / alpha
     f = hyp2f1(1.0, -delta, 1.0 - delta, -theta)
-    s = _mean_inverse_load(ratio)
-    return max(1.0 - xi_u * (f - 1.0) / s, 1.0 / f)
+    s = _brute_inverse_load(ratio)
+
+    def step(ps):
+        p_a = min(xi_u / (max(ps, 1e-12) * s), 1.0)
+        return 1.0 / (1.0 - p_a + p_a * f)
+
+    ps = 1.0
+    for _ in range(100000):
+        g = step(ps)
+        done = abs(ps - g) <= 1e-10
+        ps = 0.5 * (ps + g)
+        if done:
+            return ps
+    raise AssertionError("the damped iteration did not converge")
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 0.5, 5.0, 20.0, 1e3, 1e5])
+def test_mean_inverse_load_matches_brute_force_sum(ratio):
+    assert _mean_inverse_load(ratio) == pytest.approx(_brute_inverse_load(ratio), rel=1e-9, abs=0.0)
+
+
+def _kink_theta(xi, ratio, alpha=4.0):
+    """theta at which xi F(theta) = S, where the queue saturates."""
+    delta = 2.0 / alpha
+    return brentq(lambda t: xi * hyp2f1(1.0, -delta, 1.0 - delta, -t) - _mean_inverse_load(ratio), 0.0, 1e12)
+
+
+def _grid_across_the_kink():
+    """(xi, theta, ratio) points on both branches and on both sides of xi F = S."""
+    points = [(xi, theta, ratio) for ratio in (0.5, 2.0, 5.0, 20.0) for xi in (0.01, 0.05, 0.2, 0.9)
+              for theta in (0.01, 0.1, 1.0, 10.0, 100.0, 1e3)]
+    for ratio, xi in ((0.5, 0.05), (5.0, 0.01), (5.0, 0.05), (20.0, 0.01)):
+        t = _kink_theta(xi, ratio)
+        points += [(xi, t * (1.0 + e), ratio) for e in (-1e-3, -1e-6, 1e-6, 1e-3)]
+    return points
 
 
 def test_downlink_limits():
-    assert downlink_success(0.0, 1.0, 4.0, 5.0).success == 1.0
-    assert downlink_success(0.05, 0.0, 4.0, 5.0).success == 1.0
+    for ratio in (0.5, 5.0):
+        s = _mean_inverse_load(ratio)
+        assert downlink_success(0.0, 1.0, 4.0, ratio) == (1.0, 0.0)
+        assert downlink_success(0.05, 0.0, 4.0, ratio) == (1.0, min(0.05 / s, 1.0))
 
 
-def test_downlink_fixed_point_matches_linear_oracle():
-    for xi in (0.01, 0.05, 0.2, 0.9):
-        for theta in (0.1, 1.0, 10.0, 100.0):
-            sol = downlink_success(xi, theta, 4.0, 5.0)
-            assert sol.converged
-            assert sol.success == pytest.approx(
-                _downlink_linear_oracle(xi, theta, 4.0, 5.0), abs=1e-8
-            )
-            assert 0.0 <= sol.activity <= 1.0
+def test_downlink_closed_form_matches_damped_iteration():
+    saturated = 0
+    for xi, theta, ratio in _grid_across_the_kink():
+        sol = downlink_success(xi, theta, 4.0, ratio)
+        # p_A = xi/(P_s S) follows from P_s: the fixed-point test checks it
+        assert sol.success == pytest.approx(_damped_iteration(xi, theta, 4.0, ratio), abs=1e-8)
+        assert 0.0 <= sol.activity <= 1.0
+        saturated += sol.activity == 1.0
+    assert 0 < saturated < len(_grid_across_the_kink())  # both branches are crossed
+
+
+def test_downlink_closed_form_meets_the_fixed_point_equation():
+    for xi, theta, ratio in _grid_across_the_kink():
+        ps, p_a = downlink_success(xi, theta, 4.0, ratio)
+        f = hyp2f1(1.0, -0.5, 0.5, -theta)
+        assert abs(ps * (1.0 - p_a + p_a * f) - 1.0) <= 1e-14
+        assert p_a == min(xi / (ps * _mean_inverse_load(ratio)), 1.0)
+
+
+def test_downlink_rejects_every_theta_outside_the_domain():
+    # alpha <= 2 raises at theta = 0 too, as at theta > 0
+    for theta in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            downlink_success(0.5, theta, 1.5, 5.0)
+    for ratio in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            downlink_success(0.05, 1.0, 4.0, ratio)
 
 
 def test_downlink_monotone_in_xi_and_theta():

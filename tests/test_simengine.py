@@ -145,6 +145,21 @@ def test_estimate_meta_rejects_a_theta_grid_before_any_draw(monkeypatch):
     assert drawn  # the spy sees the draws of a scalar theta
 
 
+@pytest.mark.parametrize("regime", ["qsi", "fvi"])
+def test_estimate_jsp_rejects_a_theta_grid_before_any_draw(monkeypatch, regime):
+    # FVI reads one theta per event and QSI one power per call: a grid has no answer
+    calls = []
+    run = simengine.run_batches
+    monkeypatch.setattr(simengine, "run_batches", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+    cfg = SimConfig(trials=200, master_seed=4417)
+    for theta in ([1.0, 10.0], np.array([1.0]), [[1.0]]):
+        with pytest.raises(ValueError, match="theta must be a scalar"):
+            estimate_jsp(ADHOC_PPP, 2, regime, theta, cfg)
+    assert calls == []
+    estimate_jsp(ADHOC_PPP, 2, regime, 1.0, cfg)
+    assert calls  # the spy sees the batches of a scalar theta
+
+
 def test_estimate_success_downlink_vs_arctan_identity():
     cfg = SimConfig(trials=20000, master_seed=44)
     model = NetworkModel(PPP(0.5), alpha=4.0)

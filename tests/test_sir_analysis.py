@@ -488,6 +488,20 @@ def test_sir_gain_values():
     assert sir_gain_g0(NetworkModel(GPP(1.0, 1.0), 4.0), 4.0) == pytest.approx(1.5)
 
 
+def test_misr_and_gain_reject_an_alpha_that_is_not_the_models(monkeypatch):
+    # each function reads one of the two exponents, so a second that differs raises
+    from stochgeo import simengine
+
+    monkeypatch.setattr(simengine, "run_batches", lambda *a, **k: pytest.fail("drew before the check"))
+    cfg = SimConfig(trials=200, master_seed=1)
+    for field in (PPP(1.0), GPP(1.0, 1.0), MCP(0.2, 5.0, 1.0)):
+        model = NetworkModel(field, 3.0)
+        with pytest.raises(ValueError, match="path-loss exponent"):
+            misr_estimate(model, 4.0, cfg)
+        with pytest.raises(ValueError, match="path-loss exponent"):
+            sir_gain_g0(model, 4.0, cfg)
+
+
 # ------------------------------------------------------------------ ASAPPP
 
 

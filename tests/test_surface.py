@@ -19,8 +19,9 @@ a scalar x or a whole x-grid, the fourth positional argument (`geometry`)
 of `meta_distribution`, and the two `_cache` LRUs (`_DisplacedCross`,
 `DownlinkImagMoments`).  The tracer's hooks on
 `simengine._radii_batch` and the per-pattern `sample_*` samplers find
-nothing since `pointprocess.sample_batch` replaced them; it skips a name it
-does not find.
+nothing since `pointprocess.sample_batch` replaced them, and its hook on
+`numerics.fixed_point_solve` finds nothing as both queue fixed points are
+closed forms; it skips a name it does not find.
 """
 
 import ast
@@ -36,8 +37,6 @@ _PINNED = "pinned by tests/test_acceptance.py"
 _DISTANCE_LAW = "distance law the tutorial derives; wiring it into validate is open"
 
 KEEP = {
-    "_cross_integral_gauss": f"{_ORACLE} (test_corr_displaced_kernel_consistency_at_zero)",
-    "_cross_integral_lens": f"{_ORACLE} (test_corr_displaced_kernel_consistency_at_zero)",
     "jsp_mobility_mc_raw_fading": f"{_ORACLE} (test_factorized_vs_raw_fading_jsp)",
     "simulate_shadowed_interference": f"{_ORACLE} (test_simulated_interference_orderings)",
     "corr_coeff_retx": f"{_PINNED} (criterion 09)",
