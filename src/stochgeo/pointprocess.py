@@ -133,29 +133,49 @@ GPP_TAIL = 1e-16
 
 
 def _uniform_radii(n, radius, rng):
-    return radius * np.sqrt(rng.random(n))
+    r = rng.random(n)
+    np.sqrt(r, out=r)
+    r *= radius
+    return r
 
 
 def _polar(r, rng):
-    t = rng.random(r.size) * 2.0 * np.pi
-    return r * np.cos(t), r * np.sin(t)
+    """(r cos t, r sin t) at uniform angles t; the second array is r's,
+    overwritten."""
+    t = rng.random(r.size)
+    t *= 2.0
+    t *= np.pi
+    s = np.sin(t)
+    np.cos(t, out=t)
+    t *= r
+    r *= s
+    return t, r
 
 
-def _mcp_batch(field, radius, rng, size):
-    """Matern cluster points of `size` patterns: parents on the inflated disk
-    of radius + R_d, so that clipping the daughters to the window does not
-    bias the intensity near its boundary."""
+def _mcp_batch(field, radius, rng, size, planar):
+    """Matern cluster points of `size` patterns, (x, y, counts) or, radial,
+    (radii, counts): parents on the inflated disk of radius + R_d, so that
+    clipping the daughters to the window does not bias the intensity near
+    its boundary.  The daughter arrays take their parents' offsets in
+    place."""
     r_par = radius + field.cluster_radius
     n_par = rng.poisson(field.parent_density * math.pi * r_par**2, size)
     px, py = _polar(_uniform_radii(int(n_par.sum()), r_par, rng), rng)
     daughters = rng.poisson(field.mean_daughters, px.size)
-    dx, dy = _polar(_uniform_radii(int(daughters.sum()), field.cluster_radius, rng), rng)
-    x = np.repeat(px, daughters) + dx
-    y = np.repeat(py, daughters) + dy
-    rad = np.hypot(x, y)
-    keep = rad <= radius
-    pattern_of_point = np.repeat(np.repeat(np.arange(size), n_par), daughters)
-    return x[keep], y[keep], rad[keep], np.bincount(pattern_of_point[keep], minlength=size)
+    x, y = _polar(_uniform_radii(int(daughters.sum()), field.cluster_radius, rng), rng)
+    x += np.repeat(px, daughters)
+    y += np.repeat(py, daughters)
+    if planar:
+        keep = np.hypot(x, y) <= radius
+        pts = (x[keep], y[keep])
+    else:
+        rad = np.hypot(x, y)
+        keep = rad <= radius
+        pts = (rad[keep],)
+        del rad
+    del x, y
+    pattern_of_point = np.repeat(np.repeat(np.arange(size, dtype=np.int32), n_par), daughters)
+    return (*pts, np.bincount(pattern_of_point[keep], minlength=size))
 
 
 def _gpp_last_index(y):
@@ -190,7 +210,8 @@ def _gpp_radii(field, radius, rng, size):
     keep = q <= radius**2
     if field.beta < 1.0:
         keep &= rng.random((size, n)) < field.beta
-    return np.sqrt(q[keep]), keep.sum(axis=1)
+    r = q[keep]
+    return np.sqrt(r, out=r), keep.sum(axis=1)
 
 
 def sample_batch(field, window_radius, rng, size, planar=False):
@@ -212,8 +233,7 @@ def sample_batch(field, window_radius, rng, size, planar=False):
     if not 0.0 <= window_radius < math.inf:
         raise ValueError("window radius must be finite and nonnegative")
     if isinstance(field, MCP):
-        x, y, radii, counts = _mcp_batch(field, window_radius, rng, size)
-        return (x, y, counts) if planar else (radii, counts)
+        return _mcp_batch(field, window_radius, rng, size, planar)
     if isinstance(field, PPP):
         counts = rng.poisson(field.density * math.pi * window_radius**2, size)
         radii = _uniform_radii(int(counts.sum()), window_radius, rng)

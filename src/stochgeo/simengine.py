@@ -17,7 +17,15 @@ of (trials, master_seed, model parameters) and never of scheduling or of the
 worker hint, which only sets how many processes share the batches.  Each
 chunk function is a per-batch kernel(rng, size, *args) made one by
 `batchwise`, save two that keep state across batches: `_csp_chunk` reuses
-its buffers, and the queue chunk's simulators stack trials.
+its scratch array, and the queue chunk's simulators stack trials.
+
+A batch works in place on its points-sized arrays, so its memory is a small
+multiple of its points: the samplers overwrite their own draws, and
+`_segment_sums` consumes its input, whose running sum overwrites a float
+array.  A CSP batch at one theta or an interference batch at u = 0 holds at
+most two such arrays beside its outputs; a theta grid adds one scratch
+array, and a displaced observer (u != 0) one more array.  Every draw and
+every value is the one the out-of-place arithmetic gives, bit for bit.
 """
 
 import atexit
@@ -321,11 +329,17 @@ def default_window(intensity):
 
 
 def _segment_sums(values, counts):
-    """Per-segment sums of a flat array split into len(counts) segments."""
-    csum = np.concatenate([[0.0], np.cumsum(values)])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return csum[ends] - csum[starts]
+    """Per-segment sums of a flat array split into len(counts) segments.
+
+    Consumes `values`: a float array is overwritten by its running sum (any
+    other dtype, such as a bool mask, is summed in a float copy)."""
+    csum = np.cumsum(values, out=values) if values.dtype == np.float64 else np.cumsum(values, dtype=float)
+    bounds = np.cumsum(counts)
+    # the running sum before each segment boundary: 0 before the first point
+    at = np.zeros(bounds.size + 1)
+    nonempty = bounds > 0
+    at[1:][nonempty] = csum[bounds[nonempty] - 1]
+    return at[1:] - at[:-1]
 
 
 def _segment_mins(values, counts):
@@ -414,31 +428,27 @@ def _csp_chunk(batch_iter, model, thetas, radius, geometry):
     alpha = model.alpha
     out = [[] for _ in thetas]
     r_serving = []
-    ra_buf = logf_buf = np.empty(0)
+    buf = np.empty(0)  # scratch for every theta but the last, reused across batches
     for rng, size in batch_iter:
-        radii, counts = sample_batch(model.field, radius, rng, size)
-        n = len(radii)
-        if n > ra_buf.size:  # reused: a fresh points-sized array per batch costs page faults
-            ra_buf, logf_buf = np.empty(n), np.empty(n)
-        ra = np.power(radii, -alpha, out=ra_buf[:n])
-        logf = logf_buf[:n]
-        if geometry == "adhoc":
-            r_t = model.link_distance
-            for theta, sums in zip(thetas, out):
-                np.multiply(ra, theta * r_t**alpha, out=logf)
-                np.log1p(logf, out=logf)
-                sums.append(_segment_sums(logf, counts))
-            continue
-        if np.any(counts == 0):
-            raise ValueError("downlink pattern with no points; enlarge the window")
-        r_serv = _segment_mins(radii, counts)
-        r1a = np.repeat(r_serv**alpha, counts)
-        for theta, sums in zip(thetas, out):
-            np.multiply(r1a, theta, out=logf)
-            np.multiply(logf, ra, out=logf)
-            np.log1p(logf, out=logf)
-            sums.append(_segment_sums(logf, counts))
-        r_serving.append(r_serv)
+        ra, counts = sample_batch(model.field, radius, rng, size)
+        n = ra.size
+        if len(thetas) > 1 and n > buf.size:  # a fresh points-sized array per batch costs page faults
+            buf = np.empty(n)
+        if geometry == "downlink":
+            if np.any(counts == 0):
+                raise ValueError("downlink pattern with no points; enlarge the window")
+            r_serving.append(_segment_mins(ra, counts))
+            r1a = np.repeat(r_serving[-1] ** alpha, counts)
+        np.power(ra, -alpha, out=ra)  # the radii become r^-alpha
+        for i, (theta, sums) in enumerate(zip(thetas, out)):
+            last = i == len(thetas) - 1  # the last theta overwrites the batch's own arrays
+            if geometry == "adhoc":
+                logf = np.multiply(ra, theta * model.link_distance**alpha, out=ra if last else buf[:n])
+            else:
+                logf = np.multiply(r1a, theta, out=r1a if last else buf[:n])
+                logf *= ra
+            sums.append(_segment_sums(np.log1p(logf, out=logf), counts))
+        ra = r1a = logf = None  # freed before the next batch draws
     if geometry == "downlink":
         out.append(r_serving)
     return tuple(np.concatenate(s) for s in out)
@@ -530,8 +540,13 @@ def estimate_success(model, theta, geometry, cfg):
 def estimate_moment(model, b, theta, geometry, cfg):
     """b-th moment of the conditional success probability (real b); theta
     and the shared pattern pass as in estimate_success: the b-th power is
-    applied to the cached log-sums, so every b reads one pass."""
-    return _estimates(model, float(b), theta, geometry, cfg)
+    applied to the cached log-sums, so every b reads one pass.  An ad hoc
+    b <= -delta/2 raises ValueError before any draw: the samples' variance
+    E[CSP^2b] is infinite there, so no standard error would hold."""
+    b = float(b)
+    if geometry == "adhoc" and b <= -model.delta / 2.0:
+        raise ValueError(f"an ad hoc moment of order b = {b} <= -delta/2 has infinite sample variance")
+    return _estimates(model, b, theta, geometry, cfg)
 
 
 def estimate_meta(model, theta, x_grid, cfg, geometry="adhoc"):
@@ -585,20 +600,33 @@ def _tail_mean(pl, radius):
     return radius ** (2.0 - alpha) / (alpha - 2.0) * _sps.hyp2f1(1.0, 1.0 - d, 2.0 - d, -pl.epsilon * radius**-alpha)
 
 
+def _ell(pl, r):
+    """pl.ell(r), overwriting r."""
+    np.power(r, pl.alpha, out=r)
+    r += pl.epsilon
+    return np.divide(1.0, r, out=r)
+
+
 @batchwise
 def _interference_chunk(rng, size, model, pl, u, radius, tail_mean):
-    """(I(0), I(0)^2, I(0) I(u)) per trial."""
+    """(I(0), I(0)^2, I(0) I(u)) per trial.  The path losses overwrite the
+    points and one fading buffer serves both slots."""
     if u == 0.0:
         radii, counts = sample_batch(model.field, radius, rng, size)
-        ell = ell_u = pl.ell(radii)
+        ell = ell_u = _ell(pl, radii)
+        h = np.empty_like(ell)
     else:  # the displaced observer needs planar points
         x, y, counts = sample_batch(model.field, radius, rng, size, planar=True)
-        ell = pl.ell(np.hypot(x, y))
-        ell_u = pl.ell(np.hypot(x - u, y))
-    h1 = rng.standard_exponential(ell.shape)
-    h2 = rng.standard_exponential(ell.shape)
-    i1 = _segment_sums(h1 * ell, counts) + tail_mean
-    i2 = _segment_sums(h2 * ell_u, counts) + tail_mean
+        ell = _ell(pl, np.hypot(x, y))
+        x -= u
+        ell_u = _ell(pl, np.hypot(x, y, out=x))
+        h = y
+    rng.standard_exponential(out=h)
+    h *= ell
+    i1 = _segment_sums(h, counts) + tail_mean
+    rng.standard_exponential(out=h)
+    h *= ell_u
+    i2 = _segment_sums(h, counts) + tail_mean
     return i1, i1 * i1, i1 * i2
 
 

@@ -64,8 +64,8 @@ def _real_order(b):
 def _moment_grid(b, theta, moment):
     """M(b) at every (theta, b) of the two grids, in the shape the module
     docstring states.  The orders must be real and theta nonnegative.
-    theta = 0 gives exactly 1; every other theta makes one call
-    moment(theta), whose b -> M(b) function serves every order."""
+    theta = 0 or b = 0 gives exactly 1; every other theta makes one call
+    moment(theta), whose b -> M(b) function serves every other order."""
     orders = [_real_order(v) for v in np.ravel(b)]
     thetas = np.asarray(theta, dtype=float)
     if np.any(thetas < 0):
@@ -74,7 +74,7 @@ def _moment_grid(b, theta, moment):
     for row, t in zip(out, thetas.ravel()):
         if t != 0.0:
             m = moment(float(t))
-            row[:] = [m(v) for v in orders]
+            row[:] = [m(v) if v != 0.0 else 1.0 for v in orders]
     if np.ndim(b) == 0 and thetas.ndim == 0:
         return float(out[0, 0])
     return out.reshape(thetas.shape + np.shape(b))
@@ -226,26 +226,31 @@ class GppAdhocMoments:
 
 def _adhoc_moments(model, theta):
     """The ad hoc CSP moments over the model's field at one theta > 0, the one
-    dispatch on the field type: a pair of b -> M(b) for a real order and the
-    M(ju) grid function (c, d) -> M(j(c + d)) that `gil_pelaez_ccdf` takes,
-    None for the Matern cluster field."""
+    dispatch on the field type: a pair of b -> M(b) for a real order b != 0
+    and the M(ju) grid function (c, d) -> M(j(c + d)) that `gil_pelaez_ccdf`
+    takes, None for the Matern cluster field.  M(b) is +inf at b <= -delta:
+    near r = 0 each field's nearest interferer has a density bounded below
+    by a multiple of r, so E[(1 + theta r_t^a r^-a)^-b] diverges."""
     r_t = model.link_distance
     if r_t is None:
         raise ValueError("ad hoc moments need model.link_distance")
     f, alpha = model.field, model.alpha
     if isinstance(f, PPP):
         expo = lambda b: ppp_link_exponent(f.density, b, theta, alpha, r_t)
-        return (lambda b: math.exp(-expo(b))), (lambda c, d: np.exp(-expo(1j * np.add.outer(c, d))))
-    if isinstance(f, GPP):
+        real, imag = (lambda b: math.exp(-expo(b))), (lambda c, d: np.exp(-expo(1j * np.add.outer(c, d))))
+    elif isinstance(f, GPP):
         gpp = GppAdhocMoments(f, theta, alpha, r_t)
-        return (lambda b: float(gpp.at(b).real)), gpp
-    if isinstance(f, MCP):
-        return (lambda b: _moments_mcp_adhoc(f, b, theta, alpha, r_t)), None
-    raise TypeError(f"unknown field type: {type(f)!r}")
+        real, imag = (lambda b: float(gpp.at(b).real)), gpp
+    elif isinstance(f, MCP):
+        real, imag = (lambda b: _moments_mcp_adhoc(f, b, theta, alpha, r_t)), None
+    else:
+        raise TypeError(f"unknown field type: {type(f)!r}")
+    return (lambda b: math.inf if b <= -model.delta else real(b)), imag
 
 
 def moments_adhoc(model, b, theta):
-    """b-th moment of the ad hoc CSP over the model's interferer field (real b)."""
+    """b-th moment of the ad hoc CSP over the model's interferer field (real
+    b): exactly 1 at b = 0, and +inf at b <= -delta (`_adhoc_moments`)."""
     empty = model.field.intensity == 0.0  # no interference: the CSP is 1
     return _moment_grid(b, theta, lambda t: (lambda b: 1.0) if empty else _adhoc_moments(model, t)[0])
 
@@ -306,8 +311,16 @@ class DownlinkImagMoments:
 
 def moments_downlink_ppp(b, theta, alpha):
     """Moments of the typical downlink user's CSP: 1 / 2F1(b,-d;1-d;-theta)
-    (real b)."""
-    return _moment_grid(b, theta, lambda t: lambda b: 1.0 / downlink_hyp2f1(b, t, alpha))
+    (real b) while the 2F1 is positive, +inf where it is not.  At b = -1,
+    the mean local delay, the 2F1 is 1 - delta theta / (1 - delta): +inf
+    from theta = (1 - delta) / delta on is the local delay's phase
+    transition."""
+
+    def moment(b, t):
+        f = downlink_hyp2f1(b, t, alpha)
+        return 1.0 / f if f > 0.0 else math.inf
+
+    return _moment_grid(b, theta, lambda t: lambda b: moment(b, t))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Every check pits a closed form (or an independent oracle) against the
 simulation engine at a fixed seed.  The result table is written to
 report.json (deterministic for a given seed: identical reruns are
 byte-identical) and per-check runtimes go to report_timing.json, which is
-excluded from the determinism contract.
+excluded from the determinism contract.  Beside the runtimes it records
+each check's `maxrss_mb`: this process's peak resident memory (ru_maxrss)
+when the check ends, a high-water mark that leaves the pool workers out, so
+the check under which it jumps is the one that set it.
 """
 
 import json
@@ -253,9 +256,12 @@ def _round_floats(obj, digits=12):
 
 
 def run(quick=False, seed=2024, out_dir=".", worker_hint=1):
+    import resource
+
     os.makedirs(out_dir, exist_ok=True)
     results = {}
     timings = {}
+    maxrss = {}
     all_pass = True
     for name, fn in _checks(quick, seed, worker_hint):
         t0 = time.time()
@@ -264,6 +270,7 @@ def run(quick=False, seed=2024, out_dir=".", worker_hint=1):
         except Exception as e:  # a crashed check is a failed check
             res = {"pass": False, "error": f"{type(e).__name__}: {e}"}
         timings[name] = round(time.time() - t0, 3)
+        maxrss[name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)  # KiB on Linux
         res["pass"] = bool(res.get("pass", False))
         results[name] = _round_floats(res)
         all_pass = all_pass and res["pass"]
@@ -278,7 +285,7 @@ def run(quick=False, seed=2024, out_dir=".", worker_hint=1):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(os.path.join(out_dir, "report_timing.json"), "w") as fh:
-        json.dump({"runtimes_s": timings}, fh, indent=2, sort_keys=True)
+        json.dump({"runtimes_s": timings, "maxrss_mb": maxrss}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print("report.json written; overall:", "PASS" if all_pass else "FAIL")
     return EXIT_OK if all_pass else EXIT_VALIDATION

@@ -6,6 +6,7 @@ fact.  Monte Carlo arms use the stated trial counts where the criterion
 names one.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -320,7 +321,10 @@ def test_criterion_13_determinism(tmp_path):
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append((out / "report.json").read_bytes())
-        assert (out / "report_timing.json").exists()
+        timing = json.loads((out / "report_timing.json").read_text())
+        # each check's runtime and this process's memory high-water mark after it
+        assert timing["maxrss_mb"].keys() == timing["runtimes_s"].keys()
+        assert all(mb > 0 for mb in timing["maxrss_mb"].values())
     ok = outs[0] == outs[1]
     # worker hint independence
     base = None

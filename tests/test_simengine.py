@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -391,6 +392,95 @@ def test_interference_of_a_ginibre_field_takes_only_an_origin_observer():
 def test_lsu_draws_are_pinned():
     est = lsu_mc_estimate("cell_center", 1.0, 1.0, 4.0, 1.0, SimConfig(trials=1500, master_seed=61), rho=0.6)
     _assert_pinned(est, PINNED_LSU_CELL_CENTER)
+
+
+# ------------------------------- in-place kernels: the same bits, bounded memory
+
+# _segment_sums and the interference kernel as they were before they worked
+# in place, kept as the reference: every value must stay bit for bit theirs.
+
+
+def _ref_segment_sums(values, counts):
+    csum = np.concatenate([[0.0], np.cumsum(values)])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return csum[ends] - csum[starts]
+
+
+def _ref_interference_kernel(rng, size, model, pl, u, radius, tail_mean):
+    if u == 0.0:
+        radii, counts = sample_batch(model.field, radius, rng, size)
+        ell = ell_u = pl.ell(radii)
+    else:
+        x, y, counts = sample_batch(model.field, radius, rng, size, planar=True)
+        ell = pl.ell(np.hypot(x, y))
+        ell_u = pl.ell(np.hypot(x - u, y))
+    h1 = rng.standard_exponential(ell.shape)
+    h2 = rng.standard_exponential(ell.shape)
+    i1 = _ref_segment_sums(h1 * ell, counts) + tail_mean
+    i2 = _ref_segment_sums(h2 * ell_u, counts) + tail_mean
+    return i1, i1 * i1, i1 * i2
+
+
+@pytest.mark.parametrize("counts", [[0, 3, 2], [3, 0, 2], [3, 2, 0], [0, 0, 4, 0, 1, 0], [0, 0, 0], [5]])
+def test_segment_sums_match_the_reference_and_consume_their_input(counts):
+    counts = np.array(counts)
+    values = seed_stream(4, 0).standard_normal(counts.sum()) * 1e3
+    want = _ref_segment_sums(values, counts)
+    got = simengine._segment_sums(values.copy(), counts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    consumed = values.copy()
+    simengine._segment_sums(consumed, counts)
+    assert np.array_equal(consumed, np.cumsum(values))  # overwritten by its running sum
+
+
+def test_segment_sums_of_a_mask_leave_it_alone():
+    # mobility's kernel counts the points that serve both slots with a bool mask
+    counts = np.array([0, 4, 0, 3, 0])
+    mask = seed_stream(4, 1).random(counts.sum()) < 0.5
+    kept = mask.copy()
+    got = simengine._segment_sums(mask, counts)
+    assert got.dtype == np.float64 and np.array_equal(got, _ref_segment_sums(kept, counts))
+    assert np.array_equal(mask, kept)
+
+
+@pytest.mark.parametrize("u", [0.0, 2.0])
+@pytest.mark.parametrize("field", [PPP(0.3), MCP(0.05, 5.0, 1.0)])
+def test_interference_kernel_draws_the_reference_bits(field, u):
+    model, pl, cfg = NetworkModel(field, 4.0), PathLossSpec(4.0, 1.0), SimConfig(trials=2500, master_seed=8)
+    args = (model, pl, u, 6.0, 0.01)
+    got = simengine.run_batches(cfg, "interference", simengine._interference_chunk, *args)
+    parts = [_ref_interference_kernel(rng, size, *args) for rng, size in batches(cfg, "interference")]
+    for g, w in zip(got, zip(*parts)):
+        assert np.array_equal(g, np.concatenate(w))
+
+
+def test_an_interference_batch_holds_two_point_sized_arrays():
+    """One batch at u = 0 peaks at 2.5 float arrays the size of its points
+    (the kernel before the in-place rewrite peaked at seven)."""
+    model, pl, size = NetworkModel(PPP(1.0), 4.0), PathLossSpec(4.0, 1.0), 1024
+    points = sample_batch(model.field, 10.0, seed_stream(1, 0, 11), size)[0].size
+    tracemalloc.start()
+    try:
+        simengine._interference_chunk.__wrapped__(seed_stream(1, 0, 11), size, model, pl, 0.0, 10.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * points * 8
+
+
+@pytest.mark.parametrize("b", [-0.25, -0.3, -1.0])
+def test_an_adhoc_moment_of_infinite_variance_raises_before_any_draw(b, monkeypatch):
+    # delta/2 = 0.25 at alpha = 4: E[CSP^2b] diverges for b <= -0.25
+    calls = []
+    run = simengine.run_batches
+    monkeypatch.setattr(simengine, "run_batches", lambda *a, **kw: calls.append(a) or run(*a, **kw))
+    with pytest.raises(ValueError, match="infinite sample variance"):
+        estimate_moment(ADHOC_PPP, b, 1.0, "adhoc", SimConfig(trials=200, master_seed=3))
+    assert calls == []
+    estimate_moment(ADHOC_PPP, -0.2, 1.0, "adhoc", SimConfig(trials=200, master_seed=3))
+    estimate_moment(NetworkModel(PPP(0.1), 4.0), b, 0.5, "downlink", SimConfig(trials=200, master_seed=3))
+    assert len(calls) == 2
 
 
 # ------------------------------------------------- one pattern pass, cached

@@ -53,6 +53,21 @@ def test_moment_theta_zero_is_one():
         assert moments_adhoc(m, 1.0, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("model", [PPP_MODEL, MCP_MODEL, GPP_MODEL])
+def test_adhoc_orders_at_or_below_minus_delta_diverge(model):
+    # delta = 0.5: the nearest interferer makes E[(1 + theta r^-4)^-b] infinite for b <= -0.5
+    got = moments_adhoc(model, [-0.5, -0.6, -1.0, 0.0, 1.0], [0.5, 1.0])
+    assert np.all(got[:, :3] == math.inf) and np.all(got[:, 3] == 1.0)
+    assert np.array_equal(got[:, 4], [moments_adhoc(model, 1.0, t) for t in (0.5, 1.0)])
+    assert moments_adhoc(model, 0.0, 1.0) == 1.0 and moments_adhoc(model, -1.0, 0.0) == 1.0
+
+
+def test_ppp_negative_orders_above_minus_delta_keep_the_closed_form():
+    # exp(-lam pi theta^d r_t^2 G(1-d) G(b+d)/G(b)) at b = -0.3, d = 0.5
+    want = math.exp(-0.1 * math.pi * math.gamma(0.5) * math.gamma(0.2) / math.gamma(-0.3))
+    assert moments_adhoc(PPP_MODEL, -0.3, 1.0) == pytest.approx(want, rel=1e-12)
+
+
 def test_mcp_moment_vs_mc():
     cfg = SimConfig(trials=30000, master_seed=62)
     for b, theta in [(1.0, 1.0), (2.0, 0.5)]:
@@ -217,6 +232,15 @@ def test_downlink_imag_moments_grid_matches_node_sum():
 
 def test_downlink_theta_zero():
     assert moments_downlink_ppp(1.0, 0.0, 4.0) == 1.0
+
+
+def test_downlink_mean_local_delay_has_its_phase_transition():
+    # b = -1: the 2F1 is 1 - delta theta / (1 - delta), so M_-1 is +inf from theta = (1 - delta)/delta on
+    assert moments_downlink_ppp(-1.0, 0.5, 4.0) == pytest.approx(2.0, rel=1e-12)
+    assert moments_downlink_ppp(-1.0, 0.25, 3.0) == pytest.approx(2.0, rel=1e-12)
+    assert np.all(moments_downlink_ppp(-1.0, [1.0, 2.0, 10.0], 4.0) == math.inf)
+    assert moments_downlink_ppp(-1.0, 0.6, 3.0) == math.inf
+    assert moments_downlink_ppp(0.0, 5.0, 4.0) == 1.0
 
 
 def test_downlink_moment_monotone_in_b():
