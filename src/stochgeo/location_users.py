@@ -14,7 +14,7 @@ import numpy as np
 
 from .pointprocess import PPP, NetworkModel, sample_batch
 from . import simengine
-from .sir_analysis import _moment_grid, downlink_hyp2f1
+from .sir_analysis import _moment_grid, downlink_moment
 
 __all__ = [
     "UserClass",
@@ -63,20 +63,22 @@ def lsu_moments(cls, b, theta, alpha, rho=None):
 def _class_moment(c, b, theta, alpha):
     """The b-th CSP moment of class c at one theta > 0."""
     if c.kind == "general":
-        return 1.0 / downlink_hyp2f1(b, theta, alpha)
+        return downlink_moment(b, theta, alpha)
     if c.kind == "cell_center":
-        return 1.0 / downlink_hyp2f1(b, c.rho**alpha * theta, alpha)
+        return downlink_moment(b, c.rho**alpha * theta, alpha)
     if c.kind == "cell_boundary":
         if c.rho >= 1.0 - 1e-12:
             # 0/0 mixture at rho = 1; use the edge closed form
             return _class_moment(UserClass("edge"), b, theta, alpha)
-        m = 1.0 / downlink_hyp2f1(b, theta, alpha)
-        mc = 1.0 / downlink_hyp2f1(b, c.rho**alpha * theta, alpha)
+        m = downlink_moment(b, theta, alpha)
+        if m == math.inf:  # the cell center's moment is at most the general one's
+            return m
+        mc = downlink_moment(b, c.rho**alpha * theta, alpha)
         return (m - c.rho**2 * mc) / (1.0 - c.rho**2)
     if c.kind == "edge":
-        return (1.0 + theta) ** -b / downlink_hyp2f1(b, theta, alpha) ** 2
+        return downlink_moment(b, theta, alpha, (1.0 + theta) ** -b, 2)
     if c.kind == "vertex":
-        return (1.0 + theta) ** (-2.0 * b) / downlink_hyp2f1(b, theta, alpha) ** 2
+        return downlink_moment(b, theta, alpha, (1.0 + theta) ** (-2.0 * b), 2)
     raise AssertionError
 
 

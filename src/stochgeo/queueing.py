@@ -6,7 +6,13 @@ inverse cell load S on a fixed Gauss-Legendre rule, and the bipolar
 Lambert-W solution.  Simulation side:
 a discrete-time network of FIFO queues with Bernoulli arrivals where a head
 packet departs iff the per-slot SIR (fresh fading, current active set)
-clears the threshold.
+clears the threshold, drawn with its fading-averaged probability.
+
+The simulation runs on common random numbers: after its layout, a trial's
+stream draws one fixed block of uniforms per slot, and every (xi, theta)
+row of the trial reads it.  So no draw depends on the activity, on the
+other rows or on how rows are stacked, and a grid point equals its
+one-point call.
 """
 
 import copy
@@ -135,11 +141,13 @@ def _torus_gains(tx, rx, half, alpha):
         return np.where(dist > 0, dist**-alpha, np.inf)
 
 
-_STACK_ENTRIES = 1 << 20  # log-gain entries (8 MB) per stack of queue rows
+_STACK_ENTRIES = 1 << 20  # log-gain entries (8 MB) per stack, each matrix counted at the stack's largest
+_BLOCK_SLOTS = 32  # slots of uniforms drawn per stream call; no value depends on it
 
 
 def _bipolar_layout(rng, alpha, density, r_t, half):
-    """Torus gains (tx, rx) of one trial's links, the tagged pair first."""
+    """Torus gains (tx, rx) of one trial's links, the tagged pair first, and
+    each receiver's transmitter."""
     n = rng.poisson(density * (2.0 * half) ** 2)
     tx = rng.random((n, 2)) * 2.0 * half - half
     ang = rng.random(n) * 2.0 * math.pi
@@ -148,7 +156,23 @@ def _bipolar_layout(rng, alpha, density, r_t, half):
     tx = np.vstack([[0.0, 0.0], tx])
     rx = np.vstack([[r_t, 0.0], rx])
     rx = (rx + half) % (2.0 * half) - half
-    return _torus_gains(tx, rx, half, alpha)
+    return _torus_gains(tx, rx, half, alpha), np.arange(n + 1)
+
+
+def _downlink_layout(rng, alpha, ratio, n_bs_target):
+    """Gains from every base station to every user (the tagged user first)
+    and each user's serving station."""
+    lam_b = 1.0  # scale free: SIR depends on ratios of distances only
+    half = 0.5 * math.sqrt(n_bs_target / lam_b)
+    n_bs = max(rng.poisson(lam_b * (2.0 * half) ** 2), 2)
+    bs = rng.random((n_bs, 2)) * 2.0 * half - half
+    n_u = rng.poisson(lam_b * ratio * (2.0 * half) ** 2)
+    users = rng.random((n_u, 2)) * 2.0 * half - half
+    users = np.vstack([[0.0, 0.0], users])  # tagged user at the origin
+    d = np.abs(users[:, None, :] - bs[None, :, :])
+    d = np.minimum(d, 2.0 * half - d)
+    dist = np.hypot(d[..., 0], d[..., 1])
+    return dist.T**-alpha, np.argmin(dist, axis=1)
 
 
 def _by_theta(points):
@@ -161,267 +185,156 @@ def _by_theta(points):
     return groups
 
 
-def _simulate_bipolar(batch_iter, points, alpha, density, r_t, slots, warmup, n_target):
-    """(point index, per-link values) of every trial at every (xi, theta) point.
+def _slot_uniforms(rngs, cols, slots):
+    """Each slot's uniforms as one array: a copy of stream k draws
+    cols[k + 1] - cols[k] uniforms per slot, _BLOCK_SLOTS slots per call,
+    into columns cols[k] onward, and a last column holds 1.0."""
+    streams = [copy.deepcopy(rng) for rng in rngs]
+    block = np.ones((_BLOCK_SLOTS, cols[-1] + 1))
+    for t in range(0, slots, _BLOCK_SLOTS):
+        b = min(_BLOCK_SLOTS, slots - t)
+        for stream, lo, hi in zip(streams, cols, cols[1:]):
+            block[:b, lo:hi] = stream.random((b, hi - lo))
+        yield from block[:b]
 
-    Each trial draws its layout once, and its log gains L at one theta serve
-    every xi at that theta.  A row, one (point, trial), with xi = 1 has
-    every link backlogged in every slot: its values are _saturated_values'
-    closed form, and it draws nothing.  The other rows of one (trial, theta)
-    share one L in stacks of at most _STACK_ENTRIES padded L entries, filled
-    trial by trial, each row stepped from its own copy of the trial's stream
-    after the layout: every row draws what a one-point call draws.
+
+def _bipolar_rows(stack, slots, warmup):
+    """(point index, per-link values) of every row of a stack of (stream, L,
+    serving, [(point index, xi)]) entries, one per (trial, theta).
+
+    A row at xi = 1 has every link backlogged in every slot: its values are
+    exp(-(column sums of L - diag L)), and it steps no slot.  The other rows
+    step together, each matrix padded to the largest.  Every slot, a trial's
+    stream draws n arrival then n departure uniforms for its n links: link i
+    gains a packet if its arrival uniform is below xi and, when active,
+    sends it if its departure uniform is below its success probability.
+    The einsum adds the active rows of L in row order, as the one-trial
+    loop's L[active].sum(axis=0) does.
     """
-    half = 0.5 * math.sqrt(n_target / density)
-    groups = []  # (theta, saturated point indices, stepped (point index, xi) pairs)
-    for theta, (ks, xis) in _by_theta(points).items():
-        groups.append((theta, [k for k, xi in zip(ks, xis) if xi == 1.0],
-                       [(k, xi) for k, xi in zip(ks, xis) if xi < 1.0]))
-    saturated, stack, n_max = [], [], 0  # stack: (stepped pairs, stream, L) per (trial, theta)
-    for rng, _ in batch_iter:
-        gains = _bipolar_layout(rng, alpha, density, r_t, half)
-        for theta, full, live in groups:
-            # log factors of the fading-averaged success product, L[j, i] for tx j / rx i
-            lg = np.log1p(theta * gains / np.diag(gains)[None, :])
-            if full:
-                saturated.append((full, np.exp(-(lg.sum(axis=0) - np.diag(lg)))))
-            if not live:
-                continue
-            n_max = max(n_max, len(lg))
-            if stack and (len(stack) + 1) * n_max**2 > _STACK_ENTRIES:
-                yield from _step_rows(stack, slots, warmup)
-                stack, n_max = [], len(lg)
-            stack.append((live, rng, lg))
-    if stack:
-        yield from _step_rows(stack, slots, warmup)
-    yield from _saturated_values(saturated, slots - warmup)
-
-
-def _step_rows(stack, slots, warmup):
-    lives, rngs, lgs = zip(*stack)
-    xis = [[xi for _, xi in live] for live in lives]
-    return zip([k for live in lives for k, _ in live], _bipolar_stack(rngs, lgs, xis, slots, warmup))
-
-
-def _saturated_values(saturated, count):
-    """Per-link values of every (point indices, p) row whose links are all
-    active in every slot: p = exp(-(column sums of L - diag L)), the
-    one-trial loop's lg.sum(axis=0), added once per counted slot and divided
-    by the count, as the loop accumulates it."""
-    if not saturated:
+    live = []
+    for rng, lg, _, rows in stack:
+        if any(xi == 1.0 for _, xi in rows):
+            p = np.exp(-(lg.sum(axis=0) - np.diag(lg)))
+            yield from ((k, p) for k, xi in rows if xi == 1.0)
+        if any(xi < 1.0 for _, xi in rows):
+            live.append((rng, lg, [(k, xi) for k, xi in rows if xi < 1.0]))
+    if not live:
         return
-    ps = [p for _, p in saturated]
-    flat = np.concatenate(ps)
-    total = np.zeros_like(flat)
-    for _ in range(count):
-        total += flat
-    for (ks, _), values in zip(saturated, np.split(total / count, np.cumsum(list(map(len, ps)))[:-1])):
-        for k in ks:
-            yield k, values
-
-
-def _bipolar_stack(rngs, lgs, xis, slots, warmup):
-    """Step the slot loop of several rows together.
-
-    Matrix g of lgs serves one row per arrival probability in xis[g]; the
-    values come out matrix by matrix.  Each row draws what the one-trial
-    loop draws from its own copy of rngs[g]: n arrival draws, then one per
-    active link.  Copies of one
-    generator give one sequence, so the rows of matrices that share a
-    generator read one buffer of it, each at its own place.  The einsum adds
-    the active rows of L in row order, as lg[idx].sum(axis=0) does: every
-    value is the one-trial value.
-    """
+    rngs, lgs, rows = zip(*live)
+    streams = list(dict.fromkeys(rngs))
     n = np.array([len(lg) for lg in lgs])
-    g_tot, k_max, n_max = len(lgs), max(map(len, xis)), int(n.max())
-    # row g * k_max + k steps matrix g at xis[g][k]; a padding row has no links
-    real = (np.arange(k_max) < np.array([len(x) for x in xis])[:, None]).ravel()
-    xi = np.array([list(x) + [0.0] * (k_max - len(x)) for x in xis]).reshape(-1, 1)
-    n_row = np.where(real, np.repeat(n, k_max), 0)
-    unique = {id(rng): rng for rng in rngs}
-    streams = [copy.deepcopy(rng) for rng in unique.values()]
-    index = {key: s for s, key in enumerate(unique)}
-    # padding rows read the empty last segment
-    row_stream = np.where(real, np.repeat([index[id(rng)] for rng in rngs], k_max), len(streams))
-    readers = [np.flatnonzero(row_stream == s) for s in range(len(streams))]
+    cols = np.cumsum([0] + [2 * len(lgs[rngs.index(rng)]) for rng in streams])
+    # uniforms of link i of matrix g: arrival at idx[0, g, 0, i], departure at idx[1, g, 0, i]; a padding
+    # link reads the 1.0
+    i, n = np.arange(n.max()), n[:, None, None]
+    start = cols[[streams.index(rng) for rng in rngs]][:, None, None] + np.array([0, 1])[:, None, None, None] * n
+    idx = np.where(i < n, start + i, cols[-1])
+    # row (g, k) steps matrix g at xi[g, k]; a padding row has xi = 0 and never holds a packet
+    xi = np.zeros((len(rows), max(map(len, rows)), 1))
+    for x, r in zip(xi, rows):
+        x[: len(r), 0] = [v for _, v in r]
     # an infinite gain (coincident nodes) still gives p = 0, with no 0 * inf
-    stack = np.stack([np.minimum(np.pad(lg, (0, n_max - len(lg))), np.finfo(float).max) for lg in lgs])
-    own = np.diagonal(stack, axis1=1, axis2=2)[:, None, :]
-    valid = np.arange(n_max) < n_row[:, None]
-    # segment s of buf holds draws head[s] .. head[s] + cap - 1 of stream s;
-    # row r has read used[r] draws, its next is buf[off[r] + used[r]], and
-    # reads go n_max at a time through a window view
-    head = np.zeros(len(streams) + 1, dtype=np.int64)
-    used = np.zeros(len(real), dtype=np.int64)
-    buf, cap, off, end, window = np.zeros(n_max), 0, None, None, None
-
-    def grow(new_cap):
-        nonlocal buf, cap, off, end, window
-        new = np.zeros((len(streams) + 1) * new_cap + n_max)
-        for s, stream in enumerate(streams):
-            new[s * new_cap : s * new_cap + cap] = buf[s * cap : (s + 1) * cap]
-            stream.random(out=new[s * new_cap + cap : (s + 1) * new_cap])
-        buf, cap = new, new_cap
-        off = row_stream * cap - head[row_stream]
-        end = row_stream * cap + cap
-        window = np.lib.stride_tricks.sliding_window_view(buf, n_max)
-
-    grow(64 * n_max)  # 32 slots of at most 2 n_max draws
-    queues, p_cnt = np.zeros((2, len(real), n_max), dtype=np.int64)
-    p_sum = np.zeros((len(real), n_max))
-    for t in range(slots):
-        start = off + used
-        for s in np.unique(row_stream[start + 2 * n_row > end]).tolist():
-            # keep what the slowest reader has not read, then draw the rest
-            lo = int(used[readers[s]].min())
-            need = int((used[readers[s]] + 2 * n_row[readers[s]]).max()) - lo
-            if 2 * need > cap:
-                grow(cap << ((2 * need - 1) // cap).bit_length())
-            seg = buf[s * cap : (s + 1) * cap]
-            keep = int(head[s]) + cap - lo
-            seg[:keep] = seg[cap - keep :]
-            streams[s].random(out=seg[keep:])
-            head[s] = lo
-            off[readers[s]] = s * cap - lo
-            start = off + used
-        queues += valid & (window[start] < xi)
+    mats = np.stack([np.minimum(np.pad(lg, (0, len(i) - len(lg))), np.finfo(float).max) for lg in lgs])
+    own = np.diagonal(mats, axis1=1, axis2=2)[:, None, :]
+    queues, p_cnt = np.zeros((2, *xi.shape[:2], len(i)), dtype=np.int64)
+    p_sum = np.zeros(queues.shape)
+    for t, u in enumerate(_slot_uniforms(streams, cols, slots)):
+        arrive, depart = u.take(idx)
+        queues += arrive < xi
         active = queues > 0
-        rank = np.cumsum(active, axis=1) - 1
-        u = buf.take((start + n_row)[:, None] + rank)
-        used += n_row + rank[:, -1] + 1
         # conditional success probability of each active link given the
         # active set; successes are conditionally independent Bernoulli
         # (fading columns are disjoint across receivers)
-        on = active.reshape(g_tot, k_max, n_max).astype(float)
-        p = np.exp(-(np.einsum("gkj,gji->gki", on, stack) - own)).reshape(-1, n_max)
-        queues -= active & (u < p)
+        p = np.exp(-(np.einsum("gkj,gji->gki", active.astype(float), mats) - own))
+        queues -= active & (depart < p)
         if t >= warmup:
             p_sum += np.where(active, p, 0.0)
             p_cnt += active
-    for total, count in zip(p_sum[real], p_cnt[real]):
-        yield total[count > 0] / count[count > 0]
+    for r, totals, counts in zip(rows, p_sum, p_cnt):
+        for (k, _), total, count in zip(r, totals, counts):
+            yield k, total[count > 0] / count[count > 0]
 
 
-def _downlink_layout(rng, alpha, ratio, n_bs_target):
-    """Gains from every base station to every user (the tagged user first),
-    each user's serving station, and the station count."""
-    lam_b = 1.0  # scale free: SIR depends on ratios of distances only
-    half = 0.5 * math.sqrt(n_bs_target / lam_b)
-    n_bs = max(rng.poisson(lam_b * (2.0 * half) ** 2), 2)
-    bs = rng.random((n_bs, 2)) * 2.0 * half - half
-    n_u = rng.poisson(lam_b * ratio * (2.0 * half) ** 2)
-    users = rng.random((n_u, 2)) * 2.0 * half - half
-    users = np.vstack([[0.0, 0.0], users])  # tagged user at the origin
-    d = np.abs(users[:, None, :] - bs[None, :, :])
-    d = np.minimum(d, 2.0 * half - d)
-    dist = np.hypot(d[..., 0], d[..., 1])
-    serving = np.argmin(dist, axis=1)
-    return dist**-alpha, serving, n_bs  # gains (users, bs)
+def _downlink_rows(stack, slots, warmup):
+    """(point index, per-user values) of every row of a stack of (stream, L,
+    serving, [(point index, xi)]) entries, one per (trial, theta); L[b, i]
+    is station b's log factor at user i.
 
-
-def _simulate_downlink(batch_iter, points, alpha, ratio, slots, warmup, n_target):
-    """(point index, per-user values) of every trial at every (xi, theta) point.
-
-    Each trial draws its layout once, and the log gains of one (trial, theta)
-    serve every xi at that theta.  The rows, one per (point, trial), are
-    stepped together by _downlink_slots in stacks of at most _STACK_ENTRIES
-    log-gain entries, each from its own copy of the trial's stream after the
-    layout: every row draws what a one-point call draws.
+    Every slot, a trial's stream draws one arrival uniform per user, then
+    one schedule uniform per busy cell (a station serving some user), then
+    one departure uniform per busy cell.  A cell of load m schedules its
+    user floor(u m), capped at m - 1, in index order, for every row of the
+    trial; a scheduled user with a packet receives, and sends it if the
+    cell's departure uniform is below its success probability.  A
+    receiver's log sum over its row's active cells is one segment of a
+    ragged gather: np.add.reduceat adds a leading zero and then the cells
+    as a contiguous sum of the cells alone does.
     """
-    groups = _by_theta(points)
-    rows, entries = [], 0  # (point index, stream, xi, log gains, serving, stations) per row
-    for rng, _ in batch_iter:
-        gain_to_user, serving, n_bs = _downlink_layout(rng, alpha, ratio, n_target)
-        own_gain = gain_to_user[np.arange(len(serving)), serving]
-        for theta, (ks, xis) in groups.items():
-            # log factors per (user, interfering BS)
-            lg = np.log1p(theta * gain_to_user / own_gain[:, None])
-            if rows and entries + lg.size > _STACK_ENTRIES:
-                yield from _step_downlink(rows, slots, warmup)
-                rows, entries = [], 0
-            rows += [(k, rng, xi, lg, serving, n_bs) for k, xi in zip(ks, xis)]
-            entries += lg.size
-    if rows:
-        yield from _step_downlink(rows, slots, warmup)
-
-
-def _step_downlink(rows, slots, warmup):
-    ks, *columns = zip(*rows)
-    return zip(ks, _downlink_slots(*columns, slots, warmup))
-
-
-def _downlink_slots(rngs, xis, lgs, servings, n_bss, slots, warmup):
-    """Step the slot loop of several rows together, each on its own stream.
-
-    Row r has arrival probability xis[r], log gains lgs[r] (users x
-    stations) and serving stations servings[r] out of n_bss[r].  It draws
-    from its own copy of rngs[r] what the one-trial loop draws, in the same
-    order each slot: random(n_users), the schedule's integers(0, counts) and
-    random(m) for its m active cells.  Queues, schedules and tallies are
-    updated for every row at once.  Each row's (m, m) block of log gains is
-    summed on its own, as numpy sums a contiguous axis pairwise and a sum
-    padded past m would round differently.
-    """
-    streams = [copy.deepcopy(rng) for rng in rngs]
-    n_users = [len(serving) for serving in servings]
-    u_max = max(n_users)
-    # user i of row r is entry r * u_max + i of the flat per-user arrays
-    offset = np.arange(len(streams)) * u_max
-    own = np.zeros(len(streams) * u_max)
-    order = np.zeros(len(streams) * u_max, dtype=np.int64)
-    cells, counts, firsts = [], [], []
-    for r, (lg, serving, n_bs) in enumerate(zip(lgs, servings, n_bss)):
-        users = slice(offset[r], offset[r] + len(serving))
-        own[users] = lg[np.arange(len(serving)), serving]
-        # users of cell b: order[first[b] : first[b] + n[b]], in index order
-        order[users] = offset[r] + np.argsort(serving, kind="stable")
-        n = np.bincount(serving, minlength=n_bs)
-        busy = np.flatnonzero(n)  # cells that serve at least one user
-        cells.append(busy)
-        counts.append(n[busy])
-        firsts.append(offset[r] + (np.cumsum(n) - n)[busy])
-    cell, first = np.concatenate(cells), np.concatenate(firsts)
-    flat_lgs = [lg.ravel() for lg in lgs]
-    n_cells = np.array([lg.shape[1] for lg in lgs])
-    row_of_cell = np.repeat(np.arange(len(streams)), [len(c) for c in cells])
-    row_end = np.cumsum([len(c) for c in cells]) - 1
-    arrive = np.ones((len(streams), u_max))  # a padding user is never scheduled
-    fills = [arrive[r, :n] for r, n in enumerate(n_users)]
-    xi = np.reshape(xis, (-1, 1))
-    queues, p_cnt = np.zeros((2, len(streams) * u_max), dtype=np.int64)
-    p_sum = np.zeros(len(streams) * u_max)
-    u = np.empty(len(cell))
-    for t in range(slots):
-        picks = []
-        for stream, fill, n in zip(streams, fills, counts):
-            stream.random(out=fill)
-            # random scheduling: each busy cell picks one of its users uniformly;
-            # one array draw consumes the stream as one scalar draw per cell does
-            picks.append(stream.integers(0, n))
-        queues += (arrive < xi).ravel()
-        scheduled = order[first + np.concatenate(picks)]
-        on = queues[scheduled] > 0
-        rx = scheduled[on]
-        if len(rx) == 0:
+    rngs, lgs, servings, rows = zip(*stack)
+    # per trial, in stack order: its users' and busy cells' first entries in the per-user and per-cell
+    # arrays, and its first column of slot uniforms
+    trials, cols, n_users, n_cells = {}, [0], 0, 0
+    orders, firsts, loads, draws = [], [], [], [[], [], []]
+    for rng, serving in zip(rngs, servings):
+        if rng in trials:
             continue
-        # user i and cell b of row r are entry i * n_cells[r] + b of flat_lgs[r]
-        owner = row_of_cell[on]
-        at, bs = (rx - offset[owner]) * n_cells[owner], cell[on]
-        logs = np.empty(len(rx))
-        lo = 0
-        for lg, stream, hi in zip(flat_lgs, streams, np.cumsum(on)[row_end].tolist()):
-            if hi > lo:  # row r's active cells are entries lo .. hi - 1
-                np.add.reduce(lg.take(at[lo:hi, None] + bs[lo:hi]), axis=1, out=logs[lo:hi])
-                stream.random(out=u[lo:hi])
-            lo = hi
-        p = np.exp(-(logs - own[rx]))
-        queues[rx[u[: len(rx)] < p]] -= 1
+        counts = np.bincount(serving)
+        busy = np.flatnonzero(counts)
+        trials[rng] = (n_users, n_cells, cols[-1], busy)
+        # users of busy cell c: order[first[c] : first[c] + load[c]], in index order
+        orders.append(n_users + np.argsort(serving, kind="stable"))
+        firsts.append(n_users + (np.cumsum(counts) - counts)[busy])
+        loads.append(counts[busy])
+        draws[1].append(cols[-1] + len(serving) + np.arange(len(busy)))
+        cols.append(cols[-1] + len(serving) + 2 * len(busy))
+        n_users, n_cells = n_users + len(serving), n_cells + len(busy)
+    order, first, load = map(np.concatenate, (orders, firsts, loads))
+    # row r's users are entries bounds[r] .. bounds[r + 1] - 1 of the per-row-user arrays, and its
+    # trial's busy cells a run of the per-row-cell ones; flat's last entry is a segment's leading zero
+    flat = np.concatenate([lg.ravel() for lg in lgs] + [[0.0]])
+    keys, xis, owns, cell, row_of, at, shift, bounds = [], [], [], [], [], [], [], [0]
+    for lg, (rng, serving, r), base in zip(lgs, zip(rngs, servings, rows), np.cumsum([0] + [lg.size for lg in lgs])):
+        user0, cell0, col0, busy = trials[rng]
+        n_u, n_c = len(serving), len(busy)
+        for k, xi in r:
+            keys.append(k)
+            xis.append(np.full(n_u, xi))
+            owns.append(lg[serving, np.arange(n_u)])
+            draws[0].append(col0 + np.arange(n_u))
+            draws[2].append(col0 + n_u + n_c + np.arange(n_c))
+            cell.append(cell0 + np.arange(n_c))
+            row_of.append(np.full(n_c, len(keys) - 1))
+            # for a scheduled user of flat index i: its row entry is shift + i, and L[cell, user] is flat[at + i]
+            shift.append(np.full(n_c, bounds[-1] - user0))
+            at.append(base + busy * n_u - user0)
+            bounds.append(bounds[-1] + n_u)
+    xi, own, cell, row_of, at, shift = map(np.concatenate, (xis, owns, cell, row_of, at, shift))
+    draw = np.concatenate([np.concatenate(d) for d in draws])  # arrivals, schedules, departures
+    queues, p_cnt = np.zeros((2, len(xi)), dtype=np.int64)
+    p_sum = np.zeros(len(xi))
+    for t, u in enumerate(_slot_uniforms(list(trials), cols, slots)):
+        v = u.take(draw)
+        queues += v[: len(xi)] < xi
+        pick = order[first + np.minimum((v[len(xi) : len(xi) + n_cells] * load).astype(np.int64), load - 1)]
+        rx = pick[cell]
+        on = np.flatnonzero(queues[shift + rx] > 0)
+        if len(on) == 0:
+            continue
+        row = row_of[on]
+        m = np.bincount(row, minlength=len(keys))[row] + 1
+        seg = np.cumsum(m) - m
+        j = np.arange(seg[-1] + m[-1]) - np.repeat(seg, m)
+        partner = on[np.repeat(np.searchsorted(row, row), m) + j - 1]
+        logs = np.add.reduceat(flat[np.where(j > 0, at[partner] + np.repeat(rx[on], m), -1)], seg)
+        ru = shift[on] + rx[on]
+        p = np.exp(-(logs - own[ru]))
+        queues[ru[v[len(xi) + n_cells :][on] < p]] -= 1
         if t >= warmup:
-            p_sum[rx] += p
-            p_cnt[rx] += 1
-    for r, n in enumerate(n_users):
-        total, count = p_sum[offset[r] : offset[r] + n], p_cnt[offset[r] : offset[r] + n]
-        yield total[count > 0] / count[count > 0]
+            p_sum[ru] += p
+            p_cnt[ru] += 1
+    for k, lo, hi in zip(keys, bounds, bounds[1:]):
+        total, count = p_sum[lo:hi], p_cnt[lo:hi]
+        yield k, total[count > 0] / count[count > 0]
 
 
 def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=None, slots=2500, warmup=500,
@@ -471,13 +384,37 @@ def simulate_queues(mode, xi, theta, alpha, cfg, density=None, ratio=None, r_t=N
 
 def _queue_chunk(batch_iter, mode, points, alpha, density, ratio, r_t, slots, warmup, n_target):
     """Mean per-link success of each trial in which some link transmitted, one
-    array per (xi, theta) point."""
+    array per (xi, theta) point.
+
+    Each trial draws its layout once, and its log gains L at one theta serve
+    every xi at that theta.  The (trial, theta) entries are stepped by the
+    mode's row stepper in stacks of at most _STACK_ENTRIES entries of L,
+    filled trial by trial, each matrix counted at the stack's largest.
+    """
     if mode == "bipolar":
-        per_trial = _simulate_bipolar(batch_iter, points, alpha, density, r_t, slots, warmup, n_target)
+        half = 0.5 * math.sqrt(n_target / density)
+        layout, step = (lambda rng: _bipolar_layout(rng, alpha, density, r_t, half)), _bipolar_rows
     else:
-        per_trial = _simulate_downlink(batch_iter, points, alpha, ratio, slots, warmup, n_target)
-    means = [[] for _ in points]
-    for k, p in per_trial:
-        if len(p):
-            means[k].append(float(np.mean(p)))
+        layout, step = (lambda rng: _downlink_layout(rng, alpha, ratio, n_target)), _downlink_rows
+    groups = _by_theta(points)
+    means, stack, largest = [[] for _ in points], [], 0
+
+    def flush():
+        for k, p in step(stack, slots, warmup):
+            if len(p):
+                means[k].append(float(np.mean(p)))
+
+    for rng, _ in batch_iter:
+        gains, serving = layout(rng)
+        own = gains[serving, np.arange(len(serving))]
+        for theta, (ks, xis) in groups.items():
+            # log factors of the fading-averaged success product, lg[j, i] for transmitter j and receiver i
+            lg = np.log1p(theta * gains / own)
+            largest = max(largest, lg.size)
+            if stack and (len(stack) + 1) * largest > _STACK_ENTRIES:
+                flush()
+                stack, largest = [], lg.size
+            stack.append((rng, lg, serving, list(zip(ks, xis))))
+    if stack:
+        flush()
     return tuple(np.asarray(m, dtype=float) for m in means)

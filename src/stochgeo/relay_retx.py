@@ -94,8 +94,8 @@ def relay_moments(b, route, theta, alpha, density, regime):
     midpoint with the truncated tail restored by the single-hop expansion.
     """
     _check_regime(regime)
-    if np.any(np.real(b) <= 0):
-        raise ValueError("b must be positive")
+    if np.any(np.real(b) < 0):
+        raise ValueError("b must be nonnegative")
     dists = route.hop_distances
     if regime == "fvi" or route.n_hops == 1:
         return _moment_grid(b, theta, lambda t: lambda b: math.exp(
@@ -257,7 +257,7 @@ def _qsi_exponent(p, q, alpha, r_t):
 # ---------------------------------------------------------------------------
 
 
-def estimate_relay_jsp(route, theta, alpha, density, regime, cfg, b=1.0):
+def estimate_relay_jsp(route, theta, alpha, density, regime, cfg):
     """End-to-end JSP over sampled Poisson fields.
 
     qsi: all hops share each trial's pattern; fvi: fresh pattern per hop.
@@ -268,24 +268,24 @@ def estimate_relay_jsp(route, theta, alpha, density, regime, cfg, b=1.0):
     radius = (cfg.window_radius or simengine.default_window(density)) + route.extent()
     # per-hop far-field completion (leading order)
     corr = sum(
-        b * theta * d**alpha * 2.0 * math.pi * density
+        theta * d**alpha * 2.0 * math.pi * density
         * (radius - route.extent()) ** (2.0 - alpha) / (alpha - 2.0)
         for d in dists
     )
     (samples,) = simengine.run_batches(cfg, "relay", _relay_chunk, z, dists, theta, alpha, density, regime, radius,
-                                       b, corr)
+                                       corr)
     return simengine.confidence(samples, cfg.master_seed)
 
 
 @simengine.batchwise
-def _relay_chunk(rng, size, z, dists, theta, alpha, density, regime, radius, b, corr):
-    """Far-field completed end-to-end JSP^b of each trial; hop m ends at z[m]."""
+def _relay_chunk(rng, size, z, dists, theta, alpha, density, regime, radius, corr):
+    """Far-field completed end-to-end JSP of each trial; hop m ends at z[m]."""
     log_total = np.zeros(size)
     for m, d in enumerate(dists):
         if m == 0 or regime == "fvi":  # qsi: every hop sees the first patterns
             x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
         dd = np.hypot(x - z[m, 0], y - z[m, 1])
-        log_total += simengine._segment_sums(np.log1p(theta * d**alpha * dd**-alpha), counts) * b
+        log_total += simengine._segment_sums(np.log1p(theta * d**alpha * dd**-alpha), counts)
     return (np.exp(-log_total - corr),)
 
 

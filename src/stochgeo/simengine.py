@@ -17,7 +17,7 @@ of (trials, master_seed, model parameters) and never of scheduling or of the
 worker hint, which only sets how many processes share the batches.  Each
 chunk function is a per-batch kernel(rng, size, *args) made one by
 `batchwise`, save two that keep state across batches: `_csp_chunk` reuses
-its scratch array, and the queue chunk's simulators stack trials.
+its scratch array, and the queue chunk stacks trials.
 
 A batch works in place on its points-sized arrays, so its memory is a small
 multiple of its points: the samplers overwrite their own draws, and

@@ -262,11 +262,24 @@ def moments_adhoc(model, b, theta):
 
 def downlink_hyp2f1(b, theta, alpha):
     """2F1(b, -delta; 1-delta; -theta) for a real order b: the reciprocal of
-    the b-th downlink CSP moment."""
+    the b-th downlink CSP moment.  At b = -1 the series ends after one term,
+    1 - delta theta / (1 - delta) = (alpha - 2 - 2 theta) / (alpha - 2),
+    taken in that form: it is exactly 0 at the phase transition
+    theta = (alpha - 2) / 2, where scipy's 2F1 can round to 1e-16."""
     if alpha <= 2:
         raise ValueError("path-loss exponent must exceed 2")
+    if b == -1.0:
+        return (alpha - 2.0 - 2.0 * theta) / (alpha - 2.0)
     delta = 2.0 / alpha
     return float(_sps.hyp2f1(b, -delta, 1.0 - delta, -theta))
+
+
+def downlink_moment(b, theta, alpha, scale=1.0, power=1):
+    """scale / 2F1(b, -delta; 1-delta; -theta)^power at one theta > 0 while
+    the 2F1 is positive, +inf where it is not: with scale 1 and power 1 the
+    b-th downlink CSP moment, the one rule for every downlink moment."""
+    f = downlink_hyp2f1(b, theta, alpha)
+    return scale / f**power if f > 0.0 else math.inf
 
 
 class DownlinkImagMoments:
@@ -315,12 +328,7 @@ def moments_downlink_ppp(b, theta, alpha):
     the mean local delay, the 2F1 is 1 - delta theta / (1 - delta): +inf
     from theta = (1 - delta) / delta on is the local delay's phase
     transition."""
-
-    def moment(b, t):
-        f = downlink_hyp2f1(b, t, alpha)
-        return 1.0 / f if f > 0.0 else math.inf
-
-    return _moment_grid(b, theta, lambda t: lambda b: moment(b, t))
+    return _moment_grid(b, theta, lambda t: lambda b: downlink_moment(b, t, alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -284,10 +285,12 @@ def test_simulate_rejects_xi_and_theta_outside_their_domains_before_any_draw(mon
 
 # --------------------------------------------- one-trial reference loops
 #
-# The simulator steps its bipolar trials together and draws each slot's
-# downlink schedule in one call.  These loops step one trial at a time and
-# one cell at a time; each trial draws from the same stream, so every
-# Estimate must agree exactly.
+# The simulator steps the rows of many trials together, and every (xi, theta)
+# row of a trial reads the same slot uniforms.  These loops step one trial at
+# a time and one cell at a time, drawing each slot's uniforms from the trial's
+# stream after its layout: n arrival then n departure uniforms for n bipolar
+# links; for the downlink one arrival uniform per user, then one schedule and
+# one departure uniform per busy cell.  Every Estimate must agree exactly.
 
 
 def _ref_bipolar_layout(rng, theta, alpha, density, r_t, n_target):
@@ -305,7 +308,14 @@ def _ref_bipolar_layout(rng, theta, alpha, density, r_t, n_target):
 
 
 def _ref_bipolar_trial(rng, xi, theta, alpha, density, r_t, slots, warmup, n_target):
-    return _ref_bipolar_slots(rng, _ref_bipolar_layout(rng, theta, alpha, density, r_t, n_target), xi, slots, warmup)
+    lg = _ref_bipolar_layout(rng, theta, alpha, density, r_t, n_target)
+    if xi == 1.0:  # every link is backlogged in every slot
+        return list(_saturated_closed_form(lg))
+    return _ref_bipolar_slots(rng, lg, xi, slots, warmup)
+
+
+def _saturated_closed_form(lg):
+    return np.exp(-(lg.sum(axis=0) - np.diag(lg)))
 
 
 def _ref_bipolar_slots(rng, lg, xi, slots, warmup):
@@ -315,13 +325,15 @@ def _ref_bipolar_slots(rng, lg, xi, slots, warmup):
     p_sum = np.zeros(n_tot)
     p_cnt = np.zeros(n_tot, dtype=np.int64)
     for t in range(slots):
-        queues += rng.random(n_tot) < xi
+        u = rng.random(2 * n_tot)
+        arrive, depart = u[:n_tot], u[n_tot:]
+        queues += arrive < xi
         idx = np.flatnonzero(queues > 0)
         if len(idx) == 0:
             continue
         logs = lg[idx, :].sum(axis=0)[idx] - own_lg[idx]
         p = np.exp(-logs)
-        queues[idx[rng.random(len(idx)) < p]] -= 1
+        queues[idx[depart[idx] < p]] -= 1
         if t >= warmup:
             p_sum[idx] += p
             p_cnt[idx] += 1
@@ -350,26 +362,26 @@ def _ref_downlink_trial(rng, xi_u, theta, alpha, ratio, slots, warmup, n_bs_targ
     n_users = len(serving)
     own_lg = lg[np.arange(n_users), serving]
     queues = np.zeros(n_users, dtype=np.int64)
-    members = [np.flatnonzero(serving == b) for b in range(n_bs)]
+    busy = [b for b in range(n_bs) if np.any(serving == b)]
+    members = [np.flatnonzero(serving == b) for b in busy]
     p_sum = np.zeros(n_users)
     p_cnt = np.zeros(n_users, dtype=np.int64)
     for t in range(slots):
-        queues += rng.random(n_users) < xi_u
-        scheduled = np.full(n_bs, -1)
-        for b, mem in enumerate(members):
-            if len(mem):
-                scheduled[b] = mem[rng.integers(0, len(mem))]
-        candidate = scheduled >= 0
-        active = candidate & (queues[np.maximum(scheduled, 0)] > 0)
+        u = rng.random(n_users + 2 * len(busy))
+        arrive, pick, depart = u[:n_users], u[n_users : n_users + len(busy)], u[n_users + len(busy) :]
+        queues += arrive < xi_u
+        # random scheduling: each busy cell picks one of its users uniformly
+        scheduled = np.array([mem[min(int(s * len(mem)), len(mem) - 1)] for mem, s in zip(members, pick)])
+        active = queues[scheduled] > 0
         idx_bs = np.flatnonzero(active)
         if active_cells is not None:
             active_cells.append(len(idx_bs))
         if len(idx_bs) == 0:
             continue
         rx_users = scheduled[idx_bs]
-        logs = lg[np.ix_(rx_users, idx_bs)].sum(axis=1) - own_lg[rx_users]
+        logs = lg[np.ix_(rx_users, np.asarray(busy)[idx_bs])].sum(axis=1) - own_lg[rx_users]
         p = np.exp(-logs)
-        queues[rx_users[rng.random(len(rx_users)) < p]] -= 1
+        queues[rx_users[depart[idx_bs] < p]] -= 1
         if t >= warmup:
             p_sum[rx_users] += p
             p_cnt[rx_users] += 1
@@ -395,27 +407,43 @@ def _trial_streams(cfg):
 
 
 def _spy_stacks(monkeypatch):
-    """The rows of each _bipolar_stack call, as (stream, log gains, xi)."""
+    """The rows of each _bipolar_rows call, as (stream, log gains, xi)."""
     calls = []
-    stack = queueing._bipolar_stack
+    rows = queueing._bipolar_rows
 
-    def spied(rngs, lgs, xis, *args):
-        calls.append([(rng, lg, xi) for rng, lg, row in zip(rngs, lgs, xis) for xi in row])
-        return stack(rngs, lgs, xis, *args)
+    def spied(stack, *args):
+        calls.append([(rng, lg, xi) for rng, lg, _, points in stack for _, xi in points])
+        return rows(stack, *args)
 
-    monkeypatch.setattr(queueing, "_bipolar_stack", spied)
+    monkeypatch.setattr(queueing, "_bipolar_rows", spied)
     return calls
+
+
+def _spy_copies(monkeypatch):
+    """(state when copied, copy) of every stream that copy.deepcopy copies."""
+    copies = []
+    deepcopy = copy.deepcopy
+
+    def spied(obj, *args):
+        twin = deepcopy(obj, *args)
+        if isinstance(obj, np.random.Generator):
+            copies.append((deepcopy(obj.bit_generator.state), twin))
+        return twin
+
+    monkeypatch.setattr(copy, "deepcopy", spied)
+    return copies
 
 
 @pytest.mark.parametrize("xi, theta", [(0.5, 1.0), (1.0, 100.0)])
 def test_bipolar_stacks_match_one_trial_loop(monkeypatch, xi, theta):
-    calls = _spy_stacks(monkeypatch)
+    calls, copies = _spy_stacks(monkeypatch), _spy_copies(monkeypatch)
     cfg = SimConfig(trials=24, master_seed=211)
     kw = dict(density=0.001, r_t=2.0, slots=300, warmup=100, n_target=200)
     assert simulate_queues("bipolar", xi, theta, 4.0, cfg, **kw) == _ref_queues("bipolar", xi, theta, 4.0, cfg, **kw)
     sizes = [len(rows) for rows in calls]
-    # at xi = 1 every link is backlogged in every slot, so no row is stepped
-    assert (len(sizes) > 1 and sum(sizes) == cfg.trials) if xi < 1.0 else sizes == []
+    assert len(sizes) > 1 and sum(sizes) == cfg.trials
+    # at xi = 1 every link is backlogged in every slot: the closed form steps no slot
+    assert (len(copies) == cfg.trials) if xi < 1.0 else copies == []
 
 
 def test_bipolar_without_interferers_matches_one_trial_loop():
@@ -440,10 +468,11 @@ def test_bipolar_infinite_gain_matches_one_trial_loop():
     # transmitter 2 sits on receiver 0: its log factor there is infinite
     lg = np.log1p(np.array([[1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [np.inf, 0.1, 1.0]]))
     lgs = [lg, lg[:2, :2]]
-    got = list(queueing._bipolar_stack([np.random.default_rng(k) for k in (1, 2)], lgs, [[0.6], [0.6]], 60, 10))
+    stack = [(np.random.default_rng(k), g, np.arange(len(g)), [(k, 0.6)]) for k, g in zip((1, 2), lgs)]
+    got = list(queueing._bipolar_rows(stack, 60, 10))
     want = [_ref_bipolar_slots(np.random.default_rng(k), g, 0.6, 60, 10) for k, g in zip((1, 2), lgs)]
-    assert [list(v) for v in got] == want
-    assert not np.isnan(got[0]).any()
+    assert [k for k, _ in got] == [1, 2] and [list(v) for _, v in got] == want
+    assert not np.isnan(got[0][1]).any()
 
 
 def test_downlink_schedule_matches_per_cell_loop():
@@ -490,9 +519,8 @@ def test_bipolar_sweep_matches_points_across_stack_boundaries(monkeypatch):
     kw = dict(density=0.001, r_t=2.0, slots=250, warmup=50, n_target=100)
     xis, thetas = [0.5, 0.85, 1.0, 0.5], [1.0, 10.0, 100.0, 100.0]
     sweep = simulate_queues("bipolar", xis, thetas, 4.0, cfg, **kw)
-    # every row but the xi = 1 point's is stepped, one per (point, trial)
-    assert len(calls) > 1 and sum(map(len, calls)) == 3 * cfg.trials
-    assert all(xi < 1.0 for rows in calls for _, _, xi in rows)
+    # one row per (point, trial)
+    assert len(calls) > 1 and sum(map(len, calls)) == 4 * cfg.trials
     # some stack holds rows of two points, each with its own xi
     assert any(len({xi for _, _, xi in rows}) > 1 for rows in calls)
     assert sweep == [simulate_queues("bipolar", x, t, 4.0, cfg, **kw) for x, t in zip(xis, thetas)]
@@ -518,10 +546,12 @@ def test_bipolar_sweep_with_uneven_xi_counts_matches_points(monkeypatch):
     calls = _spy_stacks(monkeypatch)
     cfg = SimConfig(trials=4, master_seed=229)
     kw = dict(density=0.001, r_t=2.0, slots=150, warmup=50, n_target=100)
-    sweep = simulate_queues("bipolar", [0.3, 0.6, 0.5, 1.0], [1.0, 1.0, 10.0, 10.0], 4.0, cfg, **kw)
-    assert any(len({sum(lg is g for _, g, _ in rows) for _, lg, _ in rows}) > 1 for rows in calls)
-    assert sweep == [simulate_queues("bipolar", x, t, 4.0, cfg, **kw)
-                     for x, t in ((0.3, 1.0), (0.6, 1.0), (0.5, 10.0), (1.0, 10.0))]
+    points = ((0.3, 1.0), (0.6, 1.0), (0.5, 10.0), (1.0, 10.0))
+    sweep = simulate_queues("bipolar", *zip(*points), 4.0, cfg, **kw)
+    # the xi = 1 row takes its closed form: the stepped rows are the other three
+    stepped = [[lg for _, lg, xi in rows if xi < 1.0] for rows in calls]
+    assert any(len({sum(g is lg for g in lgs) for lg in lgs}) > 1 for lgs in stepped)
+    assert sweep == [simulate_queues("bipolar", x, t, 4.0, cfg, **kw) for x, t in points]
 
 
 def test_bipolar_sweep_matches_points_without_interferers_and_idle():
@@ -577,8 +607,8 @@ def test_sweep_shapes():
 
 def test_saturated_stack_runs_one_einsum(monkeypatch):
     # at xi = 1 every queue is busy from slot 0 on: p is one column sum per
-    # (trial, theta), so no row is stacked and no einsum runs
-    calls = _spy_stacks(monkeypatch)
+    # (trial, theta), so no stream is copied and no einsum runs
+    copies = _spy_copies(monkeypatch)
     monkeypatch.setattr(queueing, "_STACK_ENTRIES", 4 * 110**2)
     einsums = []
     einsum = np.einsum
@@ -586,7 +616,7 @@ def test_saturated_stack_runs_one_einsum(monkeypatch):
     cfg = SimConfig(trials=6, master_seed=225)
     ests = simulate_queues("bipolar", 1.0, [1.0, 10.0, 100.0], 4.0, cfg, density=0.001, r_t=2.0, slots=200,
                            warmup=50, n_target=100)
-    assert calls == [] and einsums == []
+    assert copies == [] and einsums == []
     assert [e.n for e in ests] == [cfg.trials] * 3
 
 
@@ -602,7 +632,7 @@ def test_saturated_sweep_matches_one_trial_loop(monkeypatch):
     kw = dict(density=0.05, r_t=2.0, slots=200, warmup=50, n_target=1)
     sweep = simulate_queues("bipolar", [1.0, 0.3], 1.0, 4.0, cfg, **kw)
     assert sweep == [_ref_queues("bipolar", x, 1.0, 4.0, cfg, **kw) for x in (1.0, 0.3)]
-    assert calls and all(xi == 0.3 for rows in calls for _, _, xi in rows)
+    assert any({xi for _, _, xi in rows} == {1.0, 0.3} for rows in calls)
 
 
 def test_saturated_sweep_matches_one_trial_loop_with_an_infinite_gain(monkeypatch):
@@ -614,21 +644,24 @@ def test_saturated_sweep_matches_one_trial_loop_with_an_infinite_gain(monkeypatc
         return gains
 
     monkeypatch.setattr(queueing, "_torus_gains", coincident)
-    calls = _spy_stacks(monkeypatch)
+    copies = _spy_copies(monkeypatch)
     cfg = SimConfig(trials=5, master_seed=222)
     kw = dict(density=0.001, r_t=2.0, slots=150, warmup=50, n_target=100)
     sweep = simulate_queues("bipolar", 1.0, [1.0, 10.0], 4.0, cfg, **kw)
     assert sweep == [_ref_queues("bipolar", 1.0, t, 4.0, cfg, **kw) for t in (1.0, 10.0)]
-    assert calls == [] and all(0.0 <= e.mean < 1.0 for e in sweep)
+    assert copies == [] and all(0.0 <= e.mean < 1.0 for e in sweep)
 
 
-@pytest.mark.parametrize("hint, cap", [(1, None), (2, None), (1, 10_000)])
+@pytest.mark.parametrize("hint, cap", [(1, None), (2, None), (1, 10_000), (1, 0)])
 def test_downlink_stacks_match_per_cell_loop(monkeypatch, hint, cap):
     stacks = []
     if cap is not None:
-        monkeypatch.setattr(queueing, "_STACK_ENTRIES", cap)  # about two (trial, theta) log-gain matrices
-        slots = queueing._downlink_slots
-        monkeypatch.setattr(queueing, "_downlink_slots", lambda rngs, *a: stacks.append(len(rngs)) or slots(rngs, *a))
+        # 10 000: about two (trial, theta) log-gain matrices, one trial's per stack;
+        # 0: one matrix per stack, so each trial's two thetas step in two stacks
+        monkeypatch.setattr(queueing, "_STACK_ENTRIES", cap)
+        rows = queueing._downlink_rows
+        monkeypatch.setattr(queueing, "_downlink_rows",
+                            lambda stack, *a: stacks.append(sum(len(r) for *_, r in stack)) or rows(stack, *a))
     cfg = SimConfig(trials=4, master_seed=228, worker_hint=hint)
     kw = dict(ratio=5.0, slots=150, warmup=50, n_target=30)
     points = [(0.3, 1.0), (0.05, 1.0), (0.05, 10.0)]
@@ -643,3 +676,76 @@ def test_downlink_stacks_match_per_cell_loop(monkeypatch, hint, cap):
             active.append([])
             _ref_downlink_trial(rng, x, t, 4.0, 5.0, 150, 50, 30, active_cells=active[-1])
     assert any(len(set(slot)) > 1 and max(slot) >= 9 for slot in zip(*active))
+
+
+# ------------------------------------------------ common random numbers
+#
+# After its layout, a trial's stream draws one fixed block of uniforms per
+# slot, which every (xi, theta) row of the trial reads: the draws follow
+# neither the activity nor the rows, the stacks or the hint.
+
+MODES = [("bipolar", dict(density=0.001, r_t=2.0, n_target=100)), ("downlink", dict(ratio=5.0, n_target=30))]
+
+
+def _state(rng):
+    return repr(rng.bit_generator.state)
+
+
+def _post_layout(mode, cfg, kw):
+    """{state after its layout: slot-block size} of each trial stream."""
+    blocks = {}
+    for rng in _trial_streams(cfg):
+        if mode == "bipolar":
+            size = 2 * len(_ref_bipolar_layout(rng, 1.0, 4.0, kw["density"], kw["r_t"], kw["n_target"]))
+        else:
+            _, serving, _ = _ref_downlink_layout(rng, 1.0, 4.0, kw["ratio"], kw["n_target"])
+            size = len(serving) + 2 * len(np.unique(serving))
+        blocks[_state(rng)] = size
+    return blocks
+
+
+@pytest.mark.parametrize("mode, kw", MODES)
+@pytest.mark.parametrize("hint, cap", [(1, None), (1, 0), (1, 180_000), (2, None)])
+def test_each_trial_draws_one_block_per_slot(monkeypatch, mode, kw, hint, cap):
+    copies = _spy_copies(monkeypatch)
+    if cap is not None:
+        monkeypatch.setattr(queueing, "_STACK_ENTRIES", cap)
+    cfg = SimConfig(trials=4, master_seed=230, worker_hint=hint)
+    simulate_queues(mode, [0.02, 0.5, 0.9, 1.0], [1.0, 1.0, 10.0, 10.0], 4.0, cfg, slots=75, warmup=20, **kw)
+    blocks = _post_layout(mode, cfg, kw)
+    # every stack copies each of its trials' streams after the layout (at hint 2, the
+    # copies of this process's chunk), and the copy draws 75 blocks
+    assert len(copies) >= (1 if hint > 1 else cfg.trials)
+    for state, twin in copies:
+        ref = np.random.Generator(np.random.Philox())
+        ref.bit_generator.state = state
+        ref.random(75 * blocks[repr(state)])
+        assert _state(twin) == _state(ref)
+    if cap == 0:  # one stack per (trial, theta): each trial's stream is copied once per theta
+        assert len(copies) == 2 * cfg.trials
+
+
+@pytest.mark.parametrize("mode, kw", MODES)
+def test_slot_block_size_changes_no_value(monkeypatch, mode, kw):
+    cfg = SimConfig(trials=3, master_seed=231)
+    ests = []
+    for block in (queueing._BLOCK_SLOTS, 1, 7, 1000):
+        monkeypatch.setattr(queueing, "_BLOCK_SLOTS", block)
+        ests.append(simulate_queues(mode, [0.05, 0.5, 1.0], [1.0, 10.0, 10.0], 4.0, cfg, slots=75, warmup=20,
+                                    **kw))
+    assert all(e == ests[0] for e in ests)
+
+
+def test_stepped_saturated_loop_meets_the_closed_form():
+    # at xi = 1 every link holds a packet in every slot, so each slot's success
+    # probability is the closed form; the simulation returns it without stepping
+    cfg = SimConfig(trials=5, master_seed=232)
+    kw = dict(density=0.001, r_t=2.0, slots=300, warmup=50, n_target=100)
+    means = []
+    for rng in _trial_streams(cfg):
+        lg = _ref_bipolar_layout(rng, 10.0, 4.0, 0.001, 2.0, 100)
+        stepped = _ref_bipolar_slots(rng, lg, 1.0, 300, 50)
+        assert np.allclose(stepped, _saturated_closed_form(lg), rtol=0.0, atol=1e-12)
+        means.append(np.mean(stepped))
+    est = simulate_queues("bipolar", 1.0, 10.0, 4.0, cfg, **kw)
+    assert est.mean == pytest.approx(np.mean(means), rel=0.0, abs=1e-12)

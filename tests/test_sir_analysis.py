@@ -243,6 +243,35 @@ def test_downlink_mean_local_delay_has_its_phase_transition():
     assert moments_downlink_ppp(0.0, 5.0, 4.0) == 1.0
 
 
+@pytest.mark.parametrize("moment", [moments_downlink_ppp, lambda b, t, a: lsu_moments("general", b, t, a)],
+                         ids=["downlink", "lsu_general"])
+def test_mean_local_delay_is_infinite_from_the_transition_on(moment):
+    # b = -1: the 2F1 is (alpha - 2 - 2 theta)/(alpha - 2), exactly 0 at theta = (alpha - 2)/2
+    for alpha in (3.0, 4.0):
+        edge = (alpha - 2.0) / 2.0
+        assert moment(-1.0, edge, alpha) == math.inf and moment(-1.0, 2.0 * edge, alpha) == math.inf
+        for theta in (0.01, 0.3 * edge, 0.9 * edge, edge - 1e-6):
+            want = (alpha - 2.0) / (alpha - 2.0 - 2.0 * theta)
+            assert moment(-1.0, theta, alpha) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_lsu_mean_local_delay_follows_the_downlink_rule():
+    # every class is +inf where the general 2F1 is <= 0; the edge and vertex
+    # classes square it, which once hid its sign
+    for cls, rho in (("general", None), ("cell_boundary", 0.5), ("edge", None), ("vertex", None)):
+        assert lsu_moments(cls, -1.0, [1.0, 2.0], 4.0, rho=rho).tolist() == [math.inf, math.inf]
+    assert lsu_moments("cell_center", -1.0, 2.0, 4.0, rho=0.5) == pytest.approx(1.0 / 0.875, rel=1e-12)
+    assert lsu_moments("cell_center", -1.0, 16.0, 4.0, rho=0.5) == math.inf
+
+
+def test_relay_order_zero_is_exactly_one():
+    for regime in ("qsi", "fvi"):
+        assert relay_moments(0.0, linear_route(2, 1.0), 1.0, 4.0, 0.1, regime) == 1.0
+        assert relay_moments([0.0, 1.0], linear_route(2, 1.0), 1.0, 4.0, 0.1, regime)[0] == 1.0
+        with pytest.raises(ValueError, match="b must be nonnegative"):
+            relay_moments(-0.5, linear_route(2, 1.0), 1.0, 4.0, 0.1, regime)
+
+
 def test_downlink_moment_monotone_in_b():
     m1 = moments_downlink_ppp(1.0, 1.0, 4.0)
     m2 = moments_downlink_ppp(2.0, 1.0, 4.0)

@@ -140,12 +140,11 @@ def test_one_field_dispatch_and_one_order_check_for_the_csp_moments():
 
 
 # the one loop over a chunk's batches, and the chunk functions that keep state
-# across batches: the CSP kernel reuses its buffers, the queue simulators stack trials
+# across batches: the CSP kernel reuses its buffers, the queue chunk stacks trials
 BATCH_LOOPS = {
     ("simengine.py", "batchwise"),
     ("simengine.py", "_csp_chunk"),
-    ("queueing.py", "_simulate_bipolar"),
-    ("queueing.py", "_simulate_downlink"),
+    ("queueing.py", "_queue_chunk"),
 }
 
 
