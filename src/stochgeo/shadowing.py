@@ -6,6 +6,10 @@ correlated shadowing all points of a cell share one draw; under independent
 shadowing each point draws its own.  The analytic window is the finite union
 of cells (the paper's infinite cell sum is truncated; blockage attenuation
 makes the truncation error decay exponentially).
+
+The analytic functions read one flat node table laid out cell by cell, the
+Monte Carlo kernels one batch sampler, and every public function checks its
+mode, density and eps before either runs.
 """
 
 import math
@@ -78,66 +82,57 @@ class BlockageModel:
             raise ValueError("blockage density must be nonnegative")
 
 
+def _check(density, mode="correlated", eps=1.0):
+    """The check of every public function, before any table build or draw."""
+    if mode not in ("correlated", "independent"):
+        raise ValueError("mode must be 'correlated' or 'independent'")
+    if not density >= 0:
+        raise ValueError("density must be nonnegative")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+
+
 def shadow_mean(blockage, d):
-    """E[kappa^N] with N ~ Poisson(blockage_density * d): the Poisson pgf
-    gives exp(-blockage_density d (1 - kappa))."""
-    if d < 0:
+    """E[kappa^N] with N ~ Poisson(blockage_density * d), elementwise in d:
+    the Poisson pgf gives exp(-blockage_density d (1 - kappa)).  Its value
+    at kappa^2, E[T^2] of T = kappa^N, is shadow_mean^(1 + kappa)."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
         raise ValueError("distance must be nonnegative")
-    return math.exp(-blockage.blockage_density * d * (1.0 - blockage.kappa))
+    return np.exp(-blockage.blockage_density * d * (1.0 - blockage.kappa))
+
+
+def _segment_index(counts):
+    """Each element's index within its segment, for segments of these lengths."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _poisson_weights(mu):
-    """Poisson pmf values 0..N with the truncated tail below 1e-12."""
-    if mu == 0.0:
-        return np.array([1.0])
-    n_max = max(8, int(mu + 12.0 * math.sqrt(mu) + 12))
-    while True:
-        n = np.arange(n_max + 1)
-        p = np.exp(_sps.xlogy(n, mu) - mu - _sps.gammaln(n + 1.0))
-        if p.sum() >= 1.0 - 1e-12:
-            return p
-        n_max *= 2
+    """(pmf values 0..n of each mean of `mu`, laid out mean by mean, and
+    their counts).  n = max(8, mu + 12 sqrt(mu) + 12) leaves a tail, scipy's
+    pdtrc, of at most 4e-26 for mu in [1e-8, 1e4]; mu = 0 takes one value."""
+    mu = np.asarray(mu, dtype=float)
+    counts = np.where(mu > 0.0, np.maximum(8, (mu + 12.0 * np.sqrt(mu) + 12).astype(int)) + 1, 1)
+    n, m = _segment_index(counts), np.repeat(mu, counts)
+    return np.exp(_sps.xlogy(n, m) - m - _sps.gammaln(n + 1.0)), counts
 
 
-class _CellTable:
-    """Per-cell quantities: center distance, Poisson shadowing weights, and
-    Gauss-Legendre nodes for integrals of radial kernels over the cell.
-
-    Cells near the origin get a denser tensor grid (48 x 48 nodes, else
-    12 x 12) since the kernels vary fastest there."""
-
-    def __init__(self, grid, blockage):
-        self.grid = grid
-        self.blockage = blockage
-        self.centers = grid.cell_centers()
-        self.d_k = np.hypot(self.centers[:, 0], self.centers[:, 1])
-        half = grid.cell_size / 2.0
-
-        def tensor(n):
-            ox, wx = gauss_legendre(n, -half, half)
-            off = np.column_stack([np.repeat(ox, n), np.tile(ox, n)])
-            return off, np.outer(wx, wx).ravel()
-
-        self._coarse = tensor(12)
-        self._fine = tensor(48)
-        self._near = self.d_k < 3.0 * grid.cell_size
-        # kappa^N values and weights per cell
-        self.t_values = []
-        self.t_weights = []
-        for d in self.d_k:
-            p = _poisson_weights(blockage.blockage_density * d)
-            self.t_values.append(blockage.kappa ** np.arange(len(p)))
-            self.t_weights.append(p)
-
-    def node_radii(self, k):
-        off, w2 = self._fine if self._near[k] else self._coarse
-        pts = self.centers[k] + off
-        return np.hypot(pts[:, 0], pts[:, 1]), w2
-
-    def cell_integral(self, k, fn):
-        """int_cell fn(|x|) dx by tensor Gauss-Legendre."""
-        r, w = self.node_radii(k)
-        return float(np.dot(w, fn(r)))
+def _cell_table(grid):
+    """(d, r, w, starts): the cell-center distances d, and every cell's tensor
+    Gauss-Legendre nodes laid out cell by cell from its start: radii r and
+    weights w.  Cells within 3 L of the origin, where the radial kernels vary
+    fastest, get 48 x 48 nodes, the others 12 x 12."""
+    centers = grid.cell_centers()
+    d = np.hypot(centers[:, 0], centers[:, 1])
+    half = grid.cell_size / 2.0
+    rules = [gauss_legendre(n, -half, half) for n in (12, 48)]
+    offsets = np.concatenate([np.column_stack([np.repeat(x, x.size), np.tile(x, x.size)]) for x, _ in rules])
+    weights = np.concatenate([np.outer(wx, wx).ravel() for _, wx in rules])
+    near = d < 3.0 * grid.cell_size
+    counts = np.where(near, 48 * 48, 12 * 12)
+    node = _segment_index(counts) + np.repeat(np.where(near, 12 * 12, 0), counts)  # the fine grid follows the coarse
+    pts = np.repeat(centers, counts, axis=0) + offsets[node]
+    return d, np.hypot(pts[:, 0], pts[:, 1]), weights[node], np.cumsum(counts) - counts
 
 
 def laplace_interference(s, grid, blockage, density, alpha, mode):
@@ -159,31 +154,22 @@ def interference_variance_shadowed(grid, blockage, density, alpha, eps, mode):
     mean-square term; correlated shadowing adds lam^2 sum_k V[T_k]
     (int_cell l_eps)^2.  Means are identical across modes.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    table = _CellTable(grid, blockage)
-    lam_b = blockage.blockage_density
-    kap = blockage.kappa
-    total = 0.0
-    for k, d in enumerate(table.d_k):
-        et = math.exp(-lam_b * d * (1.0 - kap))
-        et2 = math.exp(-lam_b * d * (1.0 - kap * kap))
-        i1 = table.cell_integral(k, lambda r: 1.0 / (eps + r**alpha))
-        i2 = table.cell_integral(k, lambda r: (eps + r**alpha) ** -2.0)
-        total += 2.0 * density * et2 * i2 + density**2 * et**2 * i1**2
-        if mode == "correlated":
-            total += density**2 * (et2 - et * et) * i1**2
-    return total
+    _check(density, mode, eps)
+    d, r, w, starts = _cell_table(grid)
+    ell = 1.0 / (eps + r**alpha)
+    i1, i2 = np.add.reduceat(w * [ell, ell * ell], starts, axis=1)
+    et = shadow_mean(blockage, d)
+    et2 = et ** (1.0 + blockage.kappa)
+    square = et2 if mode == "correlated" else et * et  # E[T^2] = E[T]^2 + V[T]
+    return float(np.sum(2.0 * density * et2 * i2 + density**2 * square * i1 * i1))
 
 
 def shadowed_mean_interference(grid, blockage, density, alpha, eps):
     """Mean interference over the cell window (identical for both modes)."""
-    table = _CellTable(grid, blockage)
-    out = 0.0
-    for k, d in enumerate(table.d_k):
-        et = shadow_mean(blockage, d)
-        out += density * et * table.cell_integral(k, lambda r: 1.0 / (eps + r**alpha))
-    return out
+    _check(density, eps=eps)
+    d, r, w, starts = _cell_table(grid)
+    i1 = np.add.reduceat(w / (eps + r**alpha), starts)
+    return float(density * np.dot(shadow_mean(blockage, d), i1))
 
 
 def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
@@ -193,20 +179,21 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     T expectation sits outside (correlated) or inside (independent) the cell
     exponential.
     """
-    if mode not in ("correlated", "independent"):
-        raise ValueError("mode must be 'correlated' or 'independent'")
-    table = _CellTable(grid, blockage)
+    _check(density, mode)
+    d, r, w, starts = _cell_table(grid)
+    t_weights, t_counts = _poisson_weights(blockage.blockage_density * d)
+    t_values = blockage.kappa ** _segment_index(t_counts)
+    cut, t_cut = starts[1:], np.cumsum(t_counts)[:-1]
+    cells = list(zip(np.split(r**-alpha, cut), np.split(w, cut), np.split(t_values, t_cut), np.split(t_weights, t_cut)))
 
     def at(t, b):
         c = t * r_t**alpha
         log_out = 0.0
-        for k in range(len(table.d_k)):
-            tv, tw = table.t_values[k], table.t_weights[k]
-            r, w = table.node_radii(k)
-            g = np.log1p(c * np.outer(tv, r**-alpha))  # (T, nodes)
-            integ = (1.0 - np.exp(-b * g)) @ w
-            if mode == "correlated":
-                log_out += math.log(float(np.dot(tw, np.exp(-density * integ))))
+        for r_a, w_k, tv, tw in cells:
+            g = np.log1p(c * np.outer(tv, r_a))  # (T, nodes)
+            integ = (1.0 - np.exp(-b * g)) @ w_k
+            if mode == "correlated":  # a cell's factor is at most 1, however its weights' sum rounds
+                log_out += min(0.0, math.log(float(np.dot(tw, np.exp(-density * integ)))))
             else:
                 log_out += -density * float(np.dot(tw, integ))
         return math.exp(log_out)
@@ -214,52 +201,44 @@ def moments_shadowed(b, theta, r_t, grid, blockage, density, alpha, mode):
     return _moment_grid(b, theta, lambda t: lambda b: at(t, b))
 
 
-def _shadowed_trials(rng, size, grid, blockage, density, mode):
-    """Yield (r, t) per trial of one batch: the distances and shadowing gains
-    of a PPP on the square cell union.
-
-    Shadowing draws are one kappa^N per cell (correlated) or per point
-    (independent), with N Poisson in the cell-center distance.  A caller may
-    draw more from rng before asking for the next trial.
-    """
+def _shadowed_batch(rng, size, grid, blockage, density, mode):
+    """(r, t, counts) of a batch of `size` Poisson patterns on the cell union:
+    each point's distance r and gain t = kappa^N, pattern by pattern, and
+    each pattern's point count.  It draws the `size` counts, then every
+    point's two uniforms, then the blockage counts N, Poisson in the
+    cell-center distance: one per cell and pattern (correlated, a size x
+    cells array) or one per point (independent).  A kernel may draw more."""
     half = grid.half_width
-    area = (2.0 * half) ** 2
-    lam_b = blockage.blockage_density
-    kap = blockage.kappa
+    counts = rng.poisson(density * (2.0 * half) ** 2, size)
+    pts = rng.random((counts.sum(), 2)) * 2.0 * half - half
     centers = grid.cell_centers()
-    d_cells = np.hypot(centers[:, 0], centers[:, 1])
-    for _ in range(size):
-        n = rng.poisson(density * area)
-        pts = rng.random((n, 2)) * 2.0 * half - half
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        idx = grid.cell_index(pts)
-        if mode == "correlated":
-            n_blk = rng.poisson(lam_b * d_cells)
-            t = kap ** n_blk[idx].astype(float)
-        else:
-            t = kap ** rng.poisson(lam_b * d_cells[idx]).astype(float)
-        yield r, t
+    mu = blockage.blockage_density * np.hypot(centers[:, 0], centers[:, 1])
+    cell = grid.cell_index(pts)
+    if mode == "correlated":
+        n_blk = rng.poisson(mu, (size, mu.size))[np.repeat(np.arange(size), counts), cell]
+    else:
+        n_blk = rng.poisson(mu[cell])
+    return np.hypot(pts[:, 0], pts[:, 1]), blockage.kappa ** n_blk.astype(float), counts
 
 
 @simengine.batchwise
 def _shadowed_csp_chunk(rng, size, grid, blockage, density, alpha, theta, r_t, mode, b):
-    return (np.asarray([
-        math.exp(-float(np.log1p(theta * r_t**alpha * t * r**-alpha).sum())) ** b
-        for r, t in _shadowed_trials(rng, size, grid, blockage, density, mode)
-    ]),)
+    r, t, counts = _shadowed_batch(rng, size, grid, blockage, density, mode)
+    logf = np.log1p(theta * r_t**alpha * t * r**-alpha)
+    return (np.exp(-simengine._segment_sums(logf, counts)) ** b,)
 
 
 @simengine.batchwise
 def _shadowed_interference_chunk(rng, size, grid, blockage, density, alpha, eps, mode):
-    return (np.asarray([
-        float(np.sum(rng.standard_exponential(len(r)) * t / (eps + r**alpha)))
-        for r, t in _shadowed_trials(rng, size, grid, blockage, density, mode)
-    ]),)
+    r, t, counts = _shadowed_batch(rng, size, grid, blockage, density, mode)
+    h = rng.standard_exponential(r.size)
+    return (simengine._segment_sums(h * t / (eps + r**alpha), counts),)
 
 
 def simulate_shadowed(grid, blockage, density, alpha, theta, r_t, mode, cfg, b=1.0):
     """Monte Carlo b-th CSP moment over the cell window; fading is integrated
     analytically."""
+    _check(density, mode)
     (samples,) = simengine.run_batches(cfg, "shadowed", _shadowed_csp_chunk, grid, blockage, density, alpha, theta,
                                        r_t, mode, b)
     return simengine.confidence(samples, cfg.master_seed)
@@ -268,6 +247,7 @@ def simulate_shadowed(grid, blockage, density, alpha, theta, r_t, mode, cfg, b=1
 def simulate_shadowed_interference(grid, blockage, density, alpha, eps, mode, cfg):
     """Empirical mean and variance of the shadowed interference (fresh
     Rayleigh fading per draw) for the Remark-level ordering checks."""
+    _check(density, mode, eps)
     (vals,) = simengine.run_batches(cfg, "shadowed_interference", _shadowed_interference_chunk, grid, blockage,
                                     density, alpha, eps, mode)
     mean = simengine.confidence(vals, cfg.master_seed)

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
+from stochgeo import shadowing, simengine
 from stochgeo.shadowing import (
     BlockageModel,
     ShadowGrid,
+    _cell_table,
+    _poisson_weights,
+    _shadowed_csp_chunk,
+    _shadowed_interference_chunk,
     interference_variance_shadowed,
     laplace_interference,
     moments_shadowed,
@@ -14,7 +20,7 @@ from stochgeo.shadowing import (
     simulate_shadowed,
     simulate_shadowed_interference,
 )
-from stochgeo.simengine import SimConfig
+from stochgeo.simengine import SimConfig, seed_stream
 
 GRID = ShadowGrid(half_width=8.0, cell_size=1.0)
 BLK = BlockageModel(kappa=0.5, blockage_density=1.0)
@@ -40,6 +46,8 @@ def test_shadow_mean_values():
     )
     assert direct == pytest.approx(math.exp(-1.0), rel=1e-12)
     assert shadow_mean(BLK, 2.0) == pytest.approx(direct, rel=1e-12)
+    # elementwise over an array of distances
+    assert np.array_equal(shadow_mean(BLK, [0.0, 2.0]), [shadow_mean(BLK, 0.0), shadow_mean(BLK, 2.0)])
 
 
 def test_laplace_at_zero_is_one():
@@ -86,15 +94,13 @@ def test_variance_kappa_one_equality():
 
 def test_variance_difference_matches_percell_formula():
     # Var_cor - Var_ind = lam^2 sum_k V[T_k] (int_cell l_eps)^2
-    from stochgeo.shadowing import _CellTable
-
-    table = _CellTable(GRID, BLK)
+    d_k, r, w, starts = _cell_table(GRID)
     lam, alpha, eps = 1.0, 4.0, 1.0
     expected = 0.0
-    for k, d in enumerate(table.d_k):
+    for d, r_k, w_k in zip(d_k, np.split(r, starts[1:]), np.split(w, starts[1:])):
         et = math.exp(-1.0 * d * 0.5)
         et2 = math.exp(-1.0 * d * 0.75)
-        i1 = table.cell_integral(k, lambda r: 1.0 / (eps + r**alpha))
+        i1 = float(np.dot(w_k, 1.0 / (eps + r_k**alpha)))
         expected += lam**2 * (et2 - et * et) * i1**2
     vc = interference_variance_shadowed(GRID, BLK, lam, alpha, eps, "correlated")
     vi = interference_variance_shadowed(GRID, BLK, lam, alpha, eps, "independent")
@@ -126,14 +132,10 @@ def test_moments_kappa_one_reduces_to_windowed_ppp():
     mi = moments_shadowed(1.0, 1.0, 1.0, GRID, nb, 1.0, 4.0, "independent")
     assert mc == pytest.approx(mi, rel=1e-9)
     # windowed PPP oracle via the cell table (same quadrature, no T)
-    from stochgeo.shadowing import _CellTable
-
-    table = _CellTable(GRID, nb)
+    _, r, w, starts = _cell_table(GRID)
     expo = 0.0
-    for k in range(len(table.d_k)):
-        expo += table.cell_integral(
-            k, lambda r: 1.0 - 1.0 / (1.0 + 1.0 * r**-4.0)
-        )
+    for r_k, w_k in zip(np.split(r, starts[1:]), np.split(w, starts[1:])):
+        expo += float(np.dot(w_k, 1.0 - 1.0 / (1.0 + 1.0 * r_k**-4.0)))
     assert mc == pytest.approx(math.exp(-expo), rel=1e-8)
 
 
@@ -175,3 +177,103 @@ def test_blockage_validation():
         BlockageModel(kappa=0.5, blockage_density=-1.0)
     with pytest.raises(ValueError):
         shadow_mean(BLK, -1.0)
+    with pytest.raises(ValueError):
+        shadow_mean(BLK, [1.0, -1.0])
+
+
+def test_poisson_weights_leave_a_tail_below_1e_12():
+    mu = np.concatenate([[0.0], np.logspace(-8, 4, 400)])
+    p, counts = _poisson_weights(mu)
+    assert special.pdtrc(counts - 1, mu).max() <= 1e-12
+    assert counts[0] == 1 and p[0] == 1.0  # mu = 0: the one value N = 0
+
+
+def _batch_one_pattern_at_a_time(rng, size, grid, blockage, density, mode):
+    """[(r, t)] of one batch, one pattern at a time, in the batch sampler's
+    draw order: every pattern count, then each pattern's uniforms, then each
+    pattern's blockage counts."""
+    half = grid.half_width
+    centers = grid.cell_centers()
+    mu = blockage.blockage_density * np.hypot(centers[:, 0], centers[:, 1])
+    counts = [rng.poisson(density * (2.0 * half) ** 2) for _ in range(size)]
+    patterns = [rng.random((n, 2)) * 2.0 * half - half for n in counts]
+    out = []
+    for pts in patterns:
+        cell = grid.cell_index(pts)
+        n_blk = rng.poisson(mu)[cell] if mode == "correlated" else rng.poisson(mu[cell])
+        out.append((np.hypot(pts[:, 0], pts[:, 1]), blockage.kappa ** n_blk.astype(float)))
+    return out
+
+
+def _running_sums(terms):
+    """Each pattern's sum as simengine._segment_sums forms it: the batch's
+    running sum at the pattern's end less the one at its start."""
+    out, total = [], 0.0
+    for x in terms:
+        end = np.cumsum(np.concatenate([[total], x]))[-1]
+        out.append(end - total)
+        total = end
+    return np.array(out)
+
+
+@pytest.mark.parametrize("mode", ["correlated", "independent"])
+@pytest.mark.parametrize("kernel", ["csp", "interference"])
+def test_batch_kernels_equal_a_one_pattern_loop(kernel, mode):
+    # two batches of a sparse field on a small window, so some pattern is
+    # empty; lam_b = 5 takes the Poisson draws past mean 10 as well
+    grid, blockage, density, alpha, theta, eps, b = ShadowGrid(2.0, 1.0), BlockageModel(0.5, 5.0), 0.1, 4.0, 2.0, 0.5, 1.5
+    sizes, stream = (7, 5), simengine.STREAMS["shadowed"][0]
+    ref, empty = [], 0
+    for i, size in enumerate(sizes):
+        rng = seed_stream(3, i, stream)
+        patterns = _batch_one_pattern_at_a_time(rng, size, grid, blockage, density, mode)
+        empty += sum(r.size == 0 for r, _ in patterns)
+        if kernel == "csp":
+            sums = _running_sums([np.log1p(theta * 1.0**alpha * t * r**-alpha) for r, t in patterns])
+            ref.append(np.exp(-sums) ** b)
+        else:
+            fading = [rng.standard_exponential(r.size) for r, _ in patterns]
+            ref.append(_running_sums([h * t / (eps + r**alpha) for h, (r, t) in zip(fading, patterns)]))
+    assert 0 < empty < sum(sizes)
+    batches = iter([(seed_stream(3, i, stream), size) for i, size in enumerate(sizes)])
+    if kernel == "csp":
+        (got,) = _shadowed_csp_chunk(batches, grid, blockage, density, alpha, theta, 1.0, mode, b)
+    else:
+        (got,) = _shadowed_interference_chunk(batches, grid, blockage, density, alpha, eps, mode)
+    assert np.array_equal(got, np.concatenate(ref))
+
+
+SIM = SimConfig(trials=10, master_seed=1)
+PUBLIC = {
+    "laplace_interference": lambda dens, mode, eps: laplace_interference(1.0, GRID, BLK, dens, 4.0, mode),
+    "interference_variance_shadowed": lambda dens, mode, eps: interference_variance_shadowed(
+        GRID, BLK, dens, 4.0, eps, mode),
+    "shadowed_mean_interference": lambda dens, mode, eps: shadowed_mean_interference(GRID, BLK, dens, 4.0, eps),
+    "moments_shadowed": lambda dens, mode, eps: moments_shadowed(1.0, 1.0, 1.0, GRID, BLK, dens, 4.0, mode),
+    "simulate_shadowed": lambda dens, mode, eps: simulate_shadowed(GRID, BLK, dens, 4.0, 1.0, 1.0, mode, SIM),
+    "simulate_shadowed_interference": lambda dens, mode, eps: simulate_shadowed_interference(
+        GRID, BLK, dens, 4.0, eps, mode, SIM),
+}
+BAD = {"mode": {"mode": "bogus"}, "density": {"dens": -1.0}, "eps0": {"eps": 0.0}, "eps-neg": {"eps": -0.5}}
+CASES = [pytest.param(name, bad, id=f"{name}-{key}") for name in sorted(PUBLIC) for key, bad in BAD.items()
+         if not ("mode" in bad and name == "shadowed_mean_interference")
+         and not ("eps" in bad and name in ("laplace_interference", "moments_shadowed", "simulate_shadowed"))]
+
+
+def spy_on_tables_and_draws(monkeypatch):
+    """A list that records every table build and every run_batches call."""
+    calls = []
+    build, run = shadowing._cell_table, simengine.run_batches
+    monkeypatch.setattr(shadowing, "_cell_table", lambda *a: calls.append("table") or build(*a))
+    monkeypatch.setattr(simengine, "run_batches", lambda *a, **k: calls.append("draw") or run(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("name, bad", CASES)
+def test_invalid_input_raises_before_any_table_or_draw(name, bad, monkeypatch):
+    calls = spy_on_tables_and_draws(monkeypatch)
+    with pytest.raises(ValueError):
+        PUBLIC[name](**{"dens": 1.0, "mode": "correlated", "eps": 1.0, **bad})
+    assert calls == []
+    PUBLIC[name](1.0, "independent", 1.0)  # the spies see a valid call
+    assert calls

@@ -5,7 +5,7 @@ quadrature (`numerics.integrate_1d`, the one user of `scipy.integrate`) serves
 only the MCP moment of `sir_analysis`, the ad hoc CSP moments dispatch on the
 field type in one place, and every Monte Carlo chunk function is a per-batch
 kernel made by `simengine.batchwise`, save those that keep state across
-batches.
+batches, and no batch kernel loops over its trials.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
@@ -156,6 +156,20 @@ def test_only_batchwise_and_the_stateful_chunks_iterate_batches():
                 if isinstance(node, (ast.For, ast.comprehension)) and getattr(node.iter, "id", None) == "batch_iter":
                     loops.add((p.name, getattr(top, "name", None)))
     assert loops == BATCH_LOOPS, "write a per-batch kernel and decorate it with simengine.batchwise"
+
+
+def test_no_function_loops_over_a_batchs_trials():
+    # a kernel draws and reduces its batch's `size` trials as arrays, never
+    # one trial per Python iteration
+    loops = set()
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.iter, ast.Call)
+                        and getattr(node.iter.func, "id", None) == "range"
+                        and any(getattr(arg, "id", None) == "size" for arg in node.iter.args)):
+                    loops.add((p.name, getattr(top, "name", None)))
+    assert loops == set(), "draw the batch's trials as arrays, as pointprocess.sample_batch does"
 
 
 def test_keep_list_is_current():
