@@ -138,9 +138,9 @@ def _lsu_chunk(rng, size, c, b, theta, alpha, density, radius):
     two = counts >= 2
     radii, counts = radii[np.repeat(two, counts)], counts[two]
     r1, rest = simengine._serving_split(radii, counts)
-    csp_b = simengine._downlink_csp(r1, rest, counts, theta, alpha) ** b * simengine._downlink_far_field(
-        r1, b, theta, alpha, density, radius)
     ratio = r1 / simengine._segment_mins(rest, counts)
+    sums = simengine._link_log_sums(rest, counts, np.repeat(theta * r1**alpha, counts), alpha)
+    csp_b = np.exp(-sums) ** b * simengine._downlink_far_field(r1, b, theta, alpha, density, radius)
     if c.kind == "cell_center":
         return (csp_b[ratio <= c.rho],)
     if c.kind == "cell_boundary":
@@ -159,5 +159,6 @@ def _equidistant_chunk(rng, size, c, b, theta, alpha, density, radius):
     span = np.maximum(radius**2 - r1 * r1, 0.0)
     counts = rng.poisson(density * math.pi * span)
     d = np.sqrt(np.repeat(r1 * r1, counts) + np.repeat(span, counts) * rng.random(counts.sum()))
-    csp = (1.0 + theta) ** -float(n_extra) * simengine._downlink_csp(r1, d, counts, theta, alpha)
+    csp = (1.0 + theta) ** -float(n_extra) * np.exp(
+        -simengine._link_log_sums(d, counts, np.repeat(theta * r1**alpha, counts), alpha))
     return (csp**b * simengine._downlink_far_field(r1, b, theta, alpha, density, radius),)

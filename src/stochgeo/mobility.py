@@ -5,7 +5,8 @@ handed off to a closer one.  Model II: a bipolar link is static while every
 interferer is displaced independently.  The handoff geometry (void
 probabilities of two-disk differences) is exact and validates the simulator;
 the joint success probabilities themselves are Monte Carlo (the fading
-average per slot is still closed form).
+average per slot is still closed form), on one radius and one uniform angle
+per point: in both models a point's move makes an i.i.d. uniform angle.
 """
 
 import math
@@ -105,21 +106,22 @@ def r2_conditional_cdf(z, r1, phi, v, density):
 
 
 def _slot_distances(spec, density, radius, rng, size):
-    """(slot-1 distances, slot-2 distances, counts) of one batch of patterns
-    on a disk of the given radius: Model I moves each trial's user by the
-    speed v in a uniform direction, Model II moves every interferer by v in
-    its own uniform direction."""
+    """(slot-1 distances, slot-2 distances, counts) of a batch of patterns on
+    a disk of the given radius.  Model I moves a trial's user, Model II each
+    interferer, by the speed v: the angle psi between a point's offset and its
+    move is i.i.d. uniform either way, so slot 2's distance is
+    sqrt((r - v)^2 + 4 r v sin^2(psi/2)).  Draws counts, radii, psi/2pi."""
     v = spec.speed
-    x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
-    if spec.model == "downlink_mobile_user":
-        if np.any(counts == 0):
-            raise ValueError("downlink pattern with no points; enlarge the window")
-        ang = rng.random(size) * 2.0 * math.pi
-        d2 = np.hypot(x - np.repeat(v * np.cos(ang), counts), y - np.repeat(v * np.sin(ang), counts))
-    else:
-        ang = rng.random(x.size) * 2.0 * math.pi
-        d2 = np.hypot(x + v * np.cos(ang), y + v * np.sin(ang))
-    return np.hypot(x, y), d2, counts
+    d1, counts = sample_batch(PPP(density), radius, rng, size)
+    if spec.model == "downlink_mobile_user" and np.any(counts == 0):
+        raise ValueError("downlink pattern with no points; enlarge the window")
+    d2 = rng.random(d1.size)
+    np.sin(np.multiply(d2, math.pi, out=d2), out=d2)
+    d2 *= d2
+    d2 *= d1 * (4.0 * v)
+    gap = np.subtract(d1, v)
+    d2 += np.multiply(gap, gap, out=gap)
+    return d1, np.sqrt(d2, out=d2), counts
 
 
 @simengine.batchwise
@@ -130,13 +132,13 @@ def _mobility_chunk(rng, size, spec, density, theta, alpha, radius):
         csps, serving = [], []
         for d in (d1, d2):
             r1, rest = simengine._serving_split(d, counts)
-            csps.append(simengine._downlink_csp(r1, rest, counts, theta, alpha))
             serving.append(np.isinf(rest))
+            csps.append(np.exp(-simengine._link_log_sums(rest, counts, np.repeat(theta * r1**alpha, counts), alpha)))
         # a handoff leaves no point serving in both slots
-        return csps[0], csps[1], (simengine._segment_sums(serving[0] & serving[1], counts) == 0).astype(float)
+        return csps[0], csps[1], simengine._segment_mins(~(serving[0] & serving[1]), counts).astype(float)
+    d2[d2 <= 1e-12] = np.inf
     c = theta * spec.link_distance**alpha
-    d2 = np.where(d2 > 1e-12, d2, np.inf)
-    csp1, csp2 = (np.exp(-simengine._segment_sums(np.log1p(c * d**-alpha), counts)) for d in (d1, d2))
+    csp1, csp2 = (np.exp(-simengine._link_log_sums(d, counts, c, alpha)) for d in (d1, d2))
     return csp1, csp2, np.zeros(size)
 
 
@@ -149,16 +151,11 @@ def mobility_report(spec, density, theta, alpha, cfg):
     jsp = simengine.confidence(c1 * c2, cfg.master_seed)
     p1 = simengine.confidence(c1, cfg.master_seed)
     p2 = simengine.confidence(c2, cfg.master_seed)
-    # batch means for a stable stderr of the ratio JSP / P1
-    n_batches = max(8, min(64, len(c1) // 256))
-    splits = np.array_split(np.arange(len(c1)), n_batches)
+    # batch means for a stable stderr of the ratio JSP / P1; no batch is empty
+    splits = np.array_split(np.arange(len(c1)), min(len(c1), max(8, min(64, len(c1) // 256))))
     ratios = np.array([np.mean(c1[s] * c2[s]) / np.mean(c1[s]) for s in splits])
-    csp = simengine.Estimate(
-        mean=float(jsp.mean / p1.mean),
-        stderr=float(ratios.std(ddof=1) / math.sqrt(n_batches)),
-        n=len(c1),
-        seed=cfg.master_seed,
-    )
+    stderr = simengine.confidence(ratios, cfg.master_seed).stderr
+    csp = simengine.Estimate(mean=float(jsp.mean / p1.mean), stderr=stderr, n=len(c1), seed=cfg.master_seed)
     out = {"jsp": jsp, "p1": p1, "p2": p2, "csp": csp}
     if spec.model == "downlink_mobile_user":
         out["handoff"] = simengine.confidence(hand, cfg.master_seed)
@@ -182,8 +179,8 @@ def _raw_fading_chunk(rng, size, spec, density, theta, alpha, radius):
     sirs = []
     for d, h in ((d1, h1), (d2, h2)):
         if spec.model == "downlink_mobile_user":
-            _, rest = simengine._serving_split(d, counts)
-            signal = simengine._segment_sums(np.where(np.isinf(rest), h * d**-alpha, 0.0), counts)
+            r1, rest = simengine._serving_split(d, counts)
+            signal = simengine._segment_sums(np.where(np.isinf(rest), h, 0.0), counts) * r1**-alpha
             inter = simengine._segment_sums(h * rest**-alpha, counts)
         else:
             signal = rng.standard_exponential(size) * spec.link_distance**-alpha

@@ -284,8 +284,7 @@ def _relay_chunk(rng, size, z, dists, theta, alpha, density, regime, radius, cor
     for m, d in enumerate(dists):
         if m == 0 or regime == "fvi":  # qsi: every hop sees the first patterns
             x, y, counts = sample_batch(PPP(density), radius, rng, size, planar=True)
-        dd = np.hypot(x - z[m, 0], y - z[m, 1])
-        log_total += simengine._segment_sums(np.log1p(theta * d**alpha * dd**-alpha), counts)
+        log_total += simengine._link_log_sums(np.hypot(x - z[m, 0], y - z[m, 1]), counts, theta * d**alpha, alpha)
     return (np.exp(-log_total - corr),)
 
 

@@ -148,11 +148,11 @@ def laplace_interference(s, grid, blockage, density, alpha, mode):
 
 
 def interference_variance_shadowed(grid, blockage, density, alpha, eps, mode):
-    """Variance of the shadowed interference (printed per-cell sums).
+    """Variance of the shadowed interference, as per-cell sums.
 
-    Both modes share 2 lam sum_k E[T_k^2] int_cell l_eps^2 plus the per-cell
-    mean-square term; correlated shadowing adds lam^2 sum_k V[T_k]
-    (int_cell l_eps)^2.  Means are identical across modes.
+    Independent shadowing gives 2 lam sum_k E[T_k^2] int_cell l_eps^2;
+    correlated shadowing adds lam^2 sum_k V[T_k] (int_cell l_eps)^2, from
+    each cell's shared gain.  Means are identical across modes.
     """
     _check(density, mode, eps)
     d, r, w, starts = _cell_table(grid)
@@ -160,8 +160,8 @@ def interference_variance_shadowed(grid, blockage, density, alpha, eps, mode):
     i1, i2 = np.add.reduceat(w * [ell, ell * ell], starts, axis=1)
     et = shadow_mean(blockage, d)
     et2 = et ** (1.0 + blockage.kappa)
-    square = et2 if mode == "correlated" else et * et  # E[T^2] = E[T]^2 + V[T]
-    return float(np.sum(2.0 * density * et2 * i2 + density**2 * square * i1 * i1))
+    shared = et2 - et * et if mode == "correlated" else 0.0  # V[T] = E[T^2] - E[T]^2
+    return float(np.sum(2.0 * density * et2 * i2 + density**2 * shared * i1 * i1))
 
 
 def shadowed_mean_interference(grid, blockage, density, alpha, eps):
@@ -224,8 +224,8 @@ def _shadowed_batch(rng, size, grid, blockage, density, mode):
 @simengine.batchwise
 def _shadowed_csp_chunk(rng, size, grid, blockage, density, alpha, theta, r_t, mode, b):
     r, t, counts = _shadowed_batch(rng, size, grid, blockage, density, mode)
-    logf = np.log1p(theta * r_t**alpha * t * r**-alpha)
-    return (np.exp(-simengine._segment_sums(logf, counts)) ** b,)
+    t *= theta * r_t**alpha
+    return (np.exp(-simengine._link_log_sums(r, counts, t, alpha)) ** b,)
 
 
 @simengine.batchwise

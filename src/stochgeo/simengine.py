@@ -21,9 +21,10 @@ its scratch array, and the queue chunk stacks trials.
 
 A batch works in place on its points-sized arrays, so its memory is a small
 multiple of its points: the samplers overwrite their own draws, and
-`_segment_sums` consumes its input, whose running sum overwrites a float
-array.  A CSP batch at one theta or an interference batch at u = 0 holds at
-most two such arrays beside its outputs; a theta grid adds one scratch
+`_serving_split`, `_link_log_sums` (every batch kernel's link log-sum) and
+`_segment_sums`, whose running sum overwrites a float array, consume their
+input.  A CSP batch at one theta or an interference batch at u = 0 holds
+at most two such arrays beside its outputs; a theta grid adds one scratch
 array, and a displaced observer (u != 0) one more array.  Every draw and
 every value is the one the out-of-place arithmetic gives, bit for bit.
 """
@@ -342,6 +343,15 @@ def _segment_sums(values, counts):
     return at[1:] - at[:-1]
 
 
+def _link_log_sums(d, counts, scale, alpha):
+    """Per-segment sums of log1p(scale d^-alpha), the Rayleigh-faded link
+    log-sums over interferers at distances d (an inf one adds 0); scale is
+    theta r^alpha, a float or one value per point.  Consumes `d`."""
+    np.power(d, -alpha, out=d)
+    d *= scale
+    return _segment_sums(np.log1p(d, out=d), counts)
+
+
 def _segment_mins(values, counts):
     """Per-segment minima of a flat array; every count must be positive."""
     return np.minimum.reduceat(values, np.cumsum(counts) - counts)
@@ -349,10 +359,11 @@ def _segment_mins(values, counts):
 
 def _serving_split(d, counts):
     """(per-segment nearest distance, d with each segment's nearest entry set
-    to inf): the serving distance, and the interferers' distances with the
-    serving point dropping out of sums of d**-alpha."""
+    to inf, in place): the serving distance, and the interferers' distances
+    with the serving point dropping out of sums of d**-alpha."""
     r1 = _segment_mins(d, counts)
-    return r1, np.where(d == np.repeat(r1, counts), np.inf, d)
+    d[d == np.repeat(r1, counts)] = np.inf
+    return r1, d
 
 
 def _far_field_log_corr(model, theta, b, radius, r_t):
@@ -377,14 +388,6 @@ def _far_field_log_corr(model, theta, b, radius, r_t):
         + (b / d) * x ** (1.0 - d) / (1.0 - d) * _sps.hyp2f1(b + 1.0, 1.0 - d, 2.0 - d, -x)
     )
     return -2.0 * math.pi * model.intensity * val
-
-
-def _downlink_csp(r1, rest, counts, theta, alpha):
-    """Rayleigh-faded success probability of each segment's downlink: serving
-    distance r1, interferers at the segment's distances `rest` (an inf entry,
-    such as the serving point's own, drops out)."""
-    logf = np.log1p(theta * np.repeat(r1**alpha, counts) * rest**-alpha)
-    return np.exp(-_segment_sums(logf, counts))
 
 
 def _downlink_far_field(r1, b, theta, alpha, density, radius):

@@ -5,7 +5,9 @@ quadrature (`numerics.integrate_1d`, the one user of `scipy.integrate`) serves
 only the MCP moment of `sir_analysis`, the ad hoc CSP moments dispatch on the
 field type in one place, and every Monte Carlo chunk function is a per-batch
 kernel made by `simengine.batchwise`, save those that keep state across
-batches, and no batch kernel loops over its trials.
+batches, and no batch kernel loops over its trials.  The batch kernels take
+the link log-sum from `simengine._link_log_sums`, and only a displaced or
+pair geometry draws planar points.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
@@ -170,6 +172,33 @@ def test_no_function_loops_over_a_batchs_trials():
                         and any(getattr(arg, "id", None) == "size" for arg in node.iter.args)):
                     loops.add((p.name, getattr(top, "name", None)))
     assert loops == set(), "draw the batch's trials as arrays, as pointprocess.sample_batch does"
+
+
+def test_batch_kernels_take_the_link_log_sum_from_simengine():
+    # sum log1p(scale d^-alpha) is formed in simengine._link_log_sums alone
+    kernels = [(p.name, top) for p in sorted(SRC.glob("*.py")) for top in ast.parse(p.read_text()).body
+               if isinstance(top, ast.FunctionDef)
+               and any(getattr(d, "id", getattr(d, "attr", None)) == "batchwise" for d in top.decorator_list)]
+    assert len(kernels) >= 9
+    calls = sorted(f"{f}: {top.name}" for f, top in kernels for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute) and node.attr == "log1p")
+    assert calls == [], "take the log-sum from simengine._link_log_sums"
+
+
+def test_planar_samples_serve_only_displaced_or_pair_geometry():
+    # a radius and an i.i.d. uniform angle per point give every distance to a
+    # moving point; planar points serve a pair correlation, the relay route's
+    # offset receivers and a displaced interference observer (the Matern
+    # points' angles are not i.i.d.)
+    callers = set()
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sample_batch"
+                        and any(k.arg == "planar" for k in node.keywords)):
+                    callers.add((p.name, top.name))
+    assert callers == {("cli.py", "_fig_pcf"), ("relay_retx.py", "_relay_chunk"),
+                       ("simengine.py", "_interference_chunk")}
 
 
 def test_keep_list_is_current():
