@@ -131,6 +131,12 @@ def require_alpha(model, alpha):
 # The Ginibre sampler draws Q_j only while P(Q_j <= R^2) >= GPP_TAIL.
 GPP_TAIL = 1e-16
 
+# Points per block where a batch works through its points a block at a time
+# (the trigonometry here, the fading of simengine._faded_sums, the shadowing
+# cell index), so its temporaries take 512 KB rather than a points-sized
+# array each.
+_BLOCK = 1 << 16
+
 
 def _uniform_radii(n, radius, rng):
     r = rng.random(n)
@@ -140,15 +146,17 @@ def _uniform_radii(n, radius, rng):
 
 
 def _polar(r, rng):
-    """(r cos t, r sin t) at uniform angles t; the second array is r's,
-    overwritten."""
+    """(r cos t, r sin t) at uniform angles t; the first array is t's and
+    the second r's, both overwritten _BLOCK points at a time."""
     t = rng.random(r.size)
     t *= 2.0
     t *= np.pi
-    s = np.sin(t)
-    np.cos(t, out=t)
-    t *= r
-    r *= s
+    for lo in range(0, r.size, _BLOCK):
+        tb, rb = t[lo:lo + _BLOCK], r[lo:lo + _BLOCK]
+        s = np.sin(tb)
+        np.cos(tb, out=tb)
+        tb *= rb
+        rb *= s
     return t, r
 
 

@@ -300,13 +300,16 @@ def estimate_harq_mrc(theta, alpha, density, r_t, regime, cfg):
 
 @simengine.batchwise
 def _harq_chunk(rng, size, theta, alpha, density, r_t, regime, radius):
-    """1.0 or 0.0 per trial: the MRC success event with drawn fading."""
+    """1.0 or 0.0 per trial: the MRC success event with drawn fading.  The
+    gains r^-alpha overwrite the radii, and fvi drops the first slot's before
+    it samples the second."""
     sirs = []
     for slot in range(2):
         if slot == 0 or regime == "fvi":  # qsi: both slots see the first patterns
-            radii, counts = sample_batch(PPP(density), radius, rng, size)
-            ra = radii**-alpha
-        inter = simengine._segment_sums(rng.standard_exponential(ra.size) * ra, counts)
+            ra = None
+            ra, counts = sample_batch(PPP(density), radius, rng, size)
+            np.power(ra, -alpha, out=ra)
+        inter = simengine._faded_sums(rng, ra, counts)
         sirs.append(rng.standard_exponential(size) * r_t**-alpha / np.maximum(inter, 1e-300))
     s1, s2 = sirs
     return (((s1 > theta) | (s1 + s2 > theta)).astype(float),)

@@ -20,6 +20,7 @@ from scipy import special as _sps
 
 from . import simengine
 from .numerics import gauss_legendre
+from .pointprocess import _BLOCK
 from .sir_analysis import _moment_grid
 
 __all__ = [
@@ -63,11 +64,19 @@ class ShadowGrid:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
     def cell_index(self, xy):
-        """Flat cell index per point (points must lie inside the window)."""
+        """Flat cell index per point of an (n, 2) array (points must lie
+        inside the window), built _BLOCK points and one axis at a time."""
         n = self.cells_per_side
-        ij = np.floor((xy + self.half_width) / self.cell_size).astype(int)
-        ij = np.clip(ij, 0, n - 1)
-        return ij[:, 0] * n + ij[:, 1]
+        cell = np.zeros(len(xy), dtype=np.intp)
+        for lo in range(0, cell.size, _BLOCK):
+            c = cell[lo:lo + _BLOCK]
+            for axis in (0, 1):  # c = row n + column; one name holds each temporary
+                ij = xy[lo:lo + _BLOCK, axis] + self.half_width
+                ij /= self.cell_size
+                ij = np.floor(ij, out=ij).astype(np.intp)
+                c *= n
+                c += np.clip(ij, 0, n - 1, out=ij)
+        return cell
 
 
 @dataclass(frozen=True)
@@ -207,18 +216,28 @@ def _shadowed_batch(rng, size, grid, blockage, density, mode):
     each pattern's point count.  It draws the `size` counts, then every
     point's two uniforms, then the blockage counts N, Poisson in the
     cell-center distance: one per cell and pattern (correlated, a size x
-    cells array) or one per point (independent).  A kernel may draw more."""
+    cells array) or one per point (independent).  A kernel may draw more.
+    The points are scaled in place, and they go once their cell indices
+    and r are taken."""
     half = grid.half_width
     counts = rng.poisson(density * (2.0 * half) ** 2, size)
-    pts = rng.random((counts.sum(), 2)) * 2.0 * half - half
+    pts = rng.random((counts.sum(), 2))
+    pts *= 2.0
+    pts *= half
+    pts -= half
+    cell = grid.cell_index(pts)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    del pts
     centers = grid.cell_centers()
     mu = blockage.blockage_density * np.hypot(centers[:, 0], centers[:, 1])
-    cell = grid.cell_index(pts)
     if mode == "correlated":
-        n_blk = rng.poisson(mu, (size, mu.size))[np.repeat(np.arange(size), counts), cell]
+        blk = rng.poisson(mu, (size, mu.size))
+        cell += np.repeat(np.arange(size) * mu.size, counts)  # each point's entry of the flat size x cells array
+        n_blk = np.take(blk.ravel(), cell, out=cell)
     else:
         n_blk = rng.poisson(mu[cell])
-    return np.hypot(pts[:, 0], pts[:, 1]), blockage.kappa ** n_blk.astype(float), counts
+    t = n_blk.astype(float)
+    return r, np.power(blockage.kappa, t, out=t), counts
 
 
 @simengine.batchwise

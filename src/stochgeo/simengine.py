@@ -22,11 +22,14 @@ its scratch array, and the queue chunk stacks trials.
 A batch works in place on its points-sized arrays, so its memory is a small
 multiple of its points: the samplers overwrite their own draws, and
 `_serving_split`, `_link_log_sums` (every batch kernel's link log-sum) and
-`_segment_sums`, whose running sum overwrites a float array, consume their
-input.  A CSP batch at one theta or an interference batch at u = 0 holds
-at most two such arrays beside its outputs; a theta grid adds one scratch
-array, and a displaced observer (u != 0) one more array.  Every draw and
-every value is the one the out-of-place arithmetic gives, bit for bit.
+`_segment_sums`, whose running sum overwrites a float64 array, consume their
+input.  Fading drawn per point is drawn and summed a block of
+pointprocess._BLOCK points at a time by `_faded_sums`, so an interference
+batch holds one points-sized array (its path losses) at u = 0 and two at
+u != 0, beside block-sized buffers.  A CSP batch at one theta holds at most
+two such arrays beside its outputs, and a theta grid adds one scratch array.
+Every draw and every value is the one the out-of-place arithmetic gives,
+bit for bit.
 """
 
 import atexit
@@ -42,7 +45,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import Curve, Estimate
-from .pointprocess import GPP, require_alpha, require_base_stations, sample_batch
+from .pointprocess import _BLOCK, GPP, require_alpha, require_base_stations, sample_batch
 
 __all__ = [
     "SimConfig",
@@ -330,16 +333,38 @@ def default_window(intensity):
 
 
 def _segment_sums(values, counts):
-    """Per-segment sums of a flat array split into len(counts) segments.
-
-    Consumes `values`: a float array is overwritten by its running sum (any
-    other dtype, such as a bool mask, is summed in a float copy)."""
-    csum = np.cumsum(values, out=values) if values.dtype == np.float64 else np.cumsum(values, dtype=float)
+    """Per-segment sums of a flat float64 array split into len(counts)
+    segments.  Consumes `values`, which its running sum overwrites; any
+    other dtype raises TypeError (a bool running sum would saturate)."""
+    if values.dtype != np.float64:
+        raise TypeError(f"segment sums take a float64 array, not {values.dtype}")
+    csum = np.cumsum(values, out=values)
     bounds = np.cumsum(counts)
     # the running sum before each segment boundary: 0 before the first point
     at = np.zeros(bounds.size + 1)
     nonempty = bounds > 0
     at[1:][nonempty] = csum[bounds[nonempty] - 1]
+    return at[1:] - at[:-1]
+
+
+def _faded_sums(rng, gain, counts):
+    """Per-segment sums of h * gain, h a unit exponential drawn per point in
+    point order: _segment_sums(rng.standard_exponential(gain.size) * gain,
+    counts), draw for draw and bit for bit, drawn and summed _BLOCK points at
+    a time with the running sum carried from block to block."""
+    bounds = np.cumsum(counts)
+    at = np.zeros(bounds.size + 1)  # the running sum at each segment's end, as in _segment_sums
+    buf = np.empty(min(_BLOCK, gain.size))
+    carry = 0.0
+    for lo in range(0, gain.size, _BLOCK):
+        hi = min(lo + _BLOCK, gain.size)
+        h = rng.standard_exponential(out=buf[:hi - lo])
+        h *= gain[lo:hi]
+        h[0] += carry
+        np.cumsum(h, out=h)
+        i, j = np.searchsorted(bounds, [lo + 1, hi + 1])  # the segments ending in (lo, hi]
+        at[i + 1:j + 1] = h[bounds[i:j] - 1 - lo]
+        carry = h[-1]
     return at[1:] - at[:-1]
 
 
@@ -613,23 +638,21 @@ def _ell(pl, r):
 @batchwise
 def _interference_chunk(rng, size, model, pl, u, radius, tail_mean):
     """(I(0), I(0)^2, I(0) I(u)) per trial.  The path losses overwrite the
-    points and one fading buffer serves both slots."""
+    points, _BLOCK points at a time where the observer is displaced, and
+    each slot's fading is drawn in blocks by _faded_sums."""
     if u == 0.0:
         radii, counts = sample_batch(model.field, radius, rng, size)
         ell = ell_u = _ell(pl, radii)
-        h = np.empty_like(ell)
-    else:  # the displaced observer needs planar points
-        x, y, counts = sample_batch(model.field, radius, rng, size, planar=True)
-        ell = _ell(pl, np.hypot(x, y))
-        x -= u
-        ell_u = _ell(pl, np.hypot(x, y, out=x))
-        h = y
-    rng.standard_exponential(out=h)
-    h *= ell
-    i1 = _segment_sums(h, counts) + tail_mean
-    rng.standard_exponential(out=h)
-    h *= ell_u
-    i2 = _segment_sums(h, counts) + tail_mean
+    else:  # the displaced observer needs planar points: x becomes l(|p|), y l(|p - u|)
+        ell, ell_u, counts = sample_batch(model.field, radius, rng, size, planar=True)
+        for lo in range(0, ell.size, _BLOCK):
+            x, y = ell[lo:lo + _BLOCK], ell_u[lo:lo + _BLOCK]
+            d = np.hypot(x, y)
+            x -= u
+            _ell(pl, np.hypot(x, y, out=y))
+            x[...] = _ell(pl, d)
+    i1 = _faded_sums(rng, ell, counts) + tail_mean
+    i2 = _faded_sums(rng, ell_u, counts) + tail_mean
     return i1, i1 * i1, i1 * i2
 
 

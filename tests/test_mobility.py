@@ -326,8 +326,9 @@ def test_downlink_chunks_match_a_trial_loop():
 
 
 @pytest.mark.parametrize("spec, jsp, hits", [
-    (MobilitySpec(5.0), 0.3977380800115237, 0.39),
-    (MobilitySpec(5.0, "bipolar_mobile_interferers", 8.0), 0.613550212722076, 0.6316666666666667),
+    pytest.param(MobilitySpec(5.0), 0.3977380800115237, 0.39, id="downlink"),
+    pytest.param(MobilitySpec(5.0, "bipolar_mobile_interferers", 8.0), 0.613550212722076, 0.6316666666666667,
+                 id="bipolar"),
 ])
 def test_window_radius_reaches_the_sampler(monkeypatch, spec, jsp, hits):
     # a set window grows by one step of the speed, as the default one does;

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -20,8 +21,9 @@ from stochgeo.relay_retx import (
     p_retx,
     relay_moments,
 )
-from stochgeo.pointprocess import PPP, NetworkModel
-from stochgeo.simengine import SimConfig, estimate_jsp
+from stochgeo import simengine
+from stochgeo.pointprocess import PPP, NetworkModel, sample_batch
+from stochgeo.simengine import SimConfig, batches, estimate_jsp, seed_stream
 
 LAM, ALPHA, RT = 0.1, 4.0, 1.0
 
@@ -343,3 +345,45 @@ def test_harq_type2_vs_mrc_simulation(usable_cpus):
         ana = harq_type2_cc(1.0, ALPHA, LAM, RT, regime)
         est = estimate_harq_mrc(1.0, ALPHA, LAM, RT, regime, cfg)
         assert est.within(ana, atol=2e-3)
+
+
+def _ref_harq_kernel(rng, size, theta, alpha, density, r_t, regime, radius):
+    # the kernel out of place, with one points-sized fading draw per slot
+    sirs = []
+    for slot in range(2):
+        if slot == 0 or regime == "fvi":
+            radii, counts = sample_batch(PPP(density), radius, rng, size)
+            ra = radii**-alpha
+        h = rng.standard_exponential(ra.size)
+        ends = np.cumsum(counts)
+        csum = np.concatenate([[0.0], np.cumsum(h * ra)])
+        inter = csum[ends] - csum[ends - counts]
+        sirs.append(rng.standard_exponential(size) * r_t**-alpha / np.maximum(inter, 1e-300))
+    s1, s2 = sirs
+    return ((s1 > theta) | (s1 + s2 > theta)).astype(float)
+
+
+@pytest.mark.parametrize("regime", ["qsi", "fvi"])
+def test_harq_kernel_draws_the_reference_bits(regime):
+    # 5 blocks of fading per slot in the first batch, a part batch after it
+    cfg, args = SimConfig(trials=1500, master_seed=17), (1.0, ALPHA, 1.0, RT, regime, 10.0)
+    (got,) = simengine.run_batches(cfg, "harq_mrc", relay_retx._harq_chunk, *args)
+    want = np.concatenate([_ref_harq_kernel(rng, size, *args) for rng, size in batches(cfg, "harq_mrc")])
+    assert 0 < got.sum() < got.size and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("regime", ["qsi", "fvi"])
+def test_a_harq_batch_holds_one_point_sized_array(regime):
+    """One 1024-trial batch holds its gains r^-alpha beside block-sized
+    fading buffers, and fvi drops the first slot's before it samples the
+    second: it peaks at 1.22 arrays, against 3.02 out of place.  The two
+    fvi samples differ in size by Poisson noise, about 0.2 % here."""
+    stream = simengine.STREAMS["harq_mrc"][0]
+    points = sample_batch(PPP(1.0), 10.0, seed_stream(1, 0, stream), 1024)[0].size
+    tracemalloc.start()
+    try:
+        relay_retx._harq_chunk.__wrapped__(seed_stream(1, 0, stream), 1024, 1.0, ALPHA, 1.0, RT, regime, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * points * 8

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,31 @@ def test_batch_kernels_equal_a_one_pattern_loop(kernel, mode):
     else:
         (got,) = _shadowed_interference_chunk(batches, grid, blockage, density, alpha, eps, mode)
     assert np.array_equal(got, np.concatenate(ref))
+
+
+def test_cell_index_in_blocks_matches_the_formula(monkeypatch):
+    # blocks of 7 points; points on cell edges and on the window's far edge
+    monkeypatch.setattr(shadowing, "_BLOCK", 7)
+    pts = np.concatenate([seed_stream(5, 0).random((40, 2)) * 16.0 - 8.0, [[8.0, 8.0], [-8.0, 3.0], [0.0, -1.0]]])
+    ij = np.clip(np.floor((pts + GRID.half_width) / GRID.cell_size).astype(int), 0, GRID.cells_per_side - 1)
+    got = GRID.cell_index(pts)
+    assert got.dtype == np.intp and np.array_equal(got, ij[:, 0] * GRID.cells_per_side + ij[:, 1])
+
+
+@pytest.mark.parametrize("mode", ["correlated", "independent"])
+def test_a_shadowed_batch_holds_few_point_sized_arrays(mode):
+    """The sampler's 512-trial batch at the benchmark's grid and lam = 1
+    peaks at 4.02 float arrays the size of its points (the points' two
+    columns, their cell indices and r), against 7.0 out of place."""
+    stream = simengine.STREAMS["shadowed"][0]
+    points = int(seed_stream(1, 0, stream).poisson((2.0 * GRID.half_width) ** 2, 512).sum())
+    tracemalloc.start()
+    try:
+        shadowing._shadowed_batch(seed_stream(1, 0, stream), 512, GRID, BLK, 1.0, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * points * 8
 
 
 SIM = SimConfig(trials=10, master_seed=1)

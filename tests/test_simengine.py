@@ -434,14 +434,51 @@ def test_segment_sums_match_the_reference_and_consume_their_input(counts):
     assert np.array_equal(consumed, np.cumsum(values))  # overwritten by its running sum
 
 
-def test_segment_sums_of_a_mask_leave_it_alone():
-    # mobility's kernel counts the points that serve both slots with a bool mask
+def test_segment_sums_reject_a_mask():
+    # a running sum of a bool mask in place would saturate at True
     counts = np.array([0, 4, 0, 3, 0])
     mask = seed_stream(4, 1).random(counts.sum()) < 0.5
     kept = mask.copy()
-    got = simengine._segment_sums(mask, counts)
-    assert got.dtype == np.float64 and np.array_equal(got, _ref_segment_sums(kept, counts))
+    with pytest.raises(TypeError, match="float64"):
+        simengine._segment_sums(mask, counts)
     assert np.array_equal(mask, kept)
+
+
+@pytest.mark.parametrize("counts", [
+    pytest.param([0, 5, 9, 3], id="first-empty"),
+    pytest.param([6, 0, 0, 8, 4], id="middle-empty"),
+    pytest.param([7, 9, 1, 0], id="last-empty"),
+    pytest.param([0, 0, 0], id="all-empty"),
+    pytest.param([2, 3], id="below-one-block"),
+    pytest.param([3, 0, 11], id="whole-blocks"),
+    pytest.param([30, 1, 0, 16, 2], id="many-blocks"),
+])
+def test_faded_sums_draw_and_sum_as_one_draw_does(counts, monkeypatch):
+    # blocks of 7 points: a segment may end at, start at or span a block edge
+    monkeypatch.setattr(simengine, "_BLOCK", 7)
+    counts = np.array(counts)
+    gain = seed_stream(4, 2).random(counts.sum()) * 10.0
+    want_rng, got_rng = seed_stream(4, 3), seed_stream(4, 3)
+    want = simengine._segment_sums(want_rng.standard_exponential(gain.size) * gain, counts)
+    got = simengine._faded_sums(got_rng, gain, counts)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()  # the stream stands where one draw leaves it
+
+
+@pytest.mark.parametrize("u, arrays", [pytest.param(0.0, 1.3, id="u0"), pytest.param(2.0, 2.5, id="u2")])
+def test_an_interference_batch_draws_its_fading_in_blocks(u, arrays):
+    """One batch holds its path losses, one points-sized array at u = 0 and
+    two at u = 2, beside block-sized buffers: it peaks at 1.22 and 2.41
+    arrays, against 2.02 and 3.02 with a points-sized fading buffer."""
+    model, pl, size = NetworkModel(PPP(1.0), 4.0), PathLossSpec(4.0, 1.0), 1024
+    points = sample_batch(model.field, 10.0, seed_stream(1, 0, 11), size)[0].size
+    tracemalloc.start()
+    try:
+        simengine._interference_chunk.__wrapped__(seed_stream(1, 0, 11), size, model, pl, u, 10.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * points * 8
 
 
 @pytest.mark.parametrize("u", [0.0, 2.0])

@@ -7,7 +7,9 @@ field type in one place, and every Monte Carlo chunk function is a per-batch
 kernel made by `simengine.batchwise`, save those that keep state across
 batches, and no batch kernel loops over its trials.  The batch kernels take
 the link log-sum from `simengine._link_log_sums`, and only a displaced or
-pair geometry draws planar points.
+pair geometry draws planar points.  Fading drawn for every point is drawn a
+block at a time by `simengine._faded_sums`, save in the two kernels named in
+`POINTS_SIZED_FADING` with their reasons.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
@@ -199,6 +201,27 @@ def test_planar_samples_serve_only_displaced_or_pair_geometry():
                     callers.add((p.name, top.name))
     assert callers == {("cli.py", "_fig_pcf"), ("relay_retx.py", "_relay_chunk"),
                        ("simengine.py", "_interference_chunk")}
+
+
+# the kernels that draw fading for every point at once, with their reasons
+POINTS_SIZED_FADING = {
+    ("mobility.py", "_raw_fading_chunk"): "draws both slots' fading before it uses either",
+    ("shadowing.py", "_shadowed_interference_chunk"): "forms (h t)/(eps + r^alpha), which the blocked "
+                                                      "h gain would move by an ulp",
+}
+
+
+def test_fading_is_drawn_in_blocks():
+    # a points-sized draw of fading (any argument but the batch's `size`) is
+    # made in simengine._faded_sums, a block at a time, or by a kernel above
+    draws = set()
+    for p in sorted(SRC.glob("*.py")):
+        for top in ast.parse(p.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "standard_exponential"
+                        and [getattr(a, "id", None) for a in node.args] != ["size"]):
+                    draws.add((p.name, top.name))
+    assert draws == {("simengine.py", "_faded_sums"), *POINTS_SIZED_FADING}, "sum fading with simengine._faded_sums"
 
 
 def test_keep_list_is_current():
