@@ -7,6 +7,7 @@ origin-centric distance representation, which is distributionally exact for
 every origin-referenced statistic used downstream.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ __all__ = [
     "require_base_stations",
     "require_alpha",
     "sample_batch",
+    "replay_batch",
     "contact_pdf",
     "contact_cdf",
     "vertex_contact_pdf",
@@ -132,9 +134,9 @@ def require_alpha(model, alpha):
 GPP_TAIL = 1e-16
 
 # Points per block where a batch works through its points a block at a time
-# (the trigonometry here, the fading of simengine._faded_sums, the shadowing
-# cell index), so its temporaries take 512 KB rather than a points-sized
-# array each.
+# (a replayed Poisson batch and the Matern daughters here, the fading of
+# simengine._faded_sums, the shadowing cell index), so its temporaries take
+# 512 KB rather than a points-sized array each.
 _BLOCK = 1 << 16
 
 
@@ -164,26 +166,36 @@ def _mcp_batch(field, radius, rng, size, planar):
     """Matern cluster points of `size` patterns, (x, y, counts) or, radial,
     (radii, counts): parents on the inflated disk of radius + R_d, so that
     clipping the daughters to the window does not bias the intensity near
-    its boundary.  The daughter arrays take their parents' offsets in
-    place."""
+    its boundary.  The daughters' radii are drawn whole; their angles and
+    their parents' offsets follow _BLOCK daughters at a time, and the points
+    inside the window are packed into the radii's array (x when planar,
+    beside one y array)."""
     r_par = radius + field.cluster_radius
     n_par = rng.poisson(field.parent_density * math.pi * r_par**2, size)
     px, py = _polar(_uniform_radii(int(n_par.sum()), r_par, rng), rng)
-    daughters = rng.poisson(field.mean_daughters, px.size)
-    x, y = _polar(_uniform_radii(int(daughters.sum()), field.cluster_radius, rng), rng)
-    x += np.repeat(px, daughters)
-    y += np.repeat(py, daughters)
-    if planar:
-        keep = np.hypot(x, y) <= radius
-        pts = (x[keep], y[keep])
-    else:
+    parent_ends = np.cumsum(n_par)  # one past each pattern's last parent
+    daughter_ends = np.cumsum(rng.poisson(field.mean_daughters, px.size))  # one past each parent's last daughter
+    out = _uniform_radii(int(daughter_ends[-1]) if px.size else 0, field.cluster_radius, rng)
+    y_out = np.empty(out.size) if planar else None
+    counts = np.zeros(size, dtype=np.intp)
+    kept = 0
+    for lo in range(0, out.size, _BLOCK):
+        hi = min(lo + _BLOCK, out.size)
+        parent = np.searchsorted(daughter_ends, np.arange(lo, hi), side="right")
+        x, y = _polar(out[lo:hi], rng)  # y overwrites the block's radii
+        x += px[parent]
+        y += py[parent]
         rad = np.hypot(x, y)
         keep = rad <= radius
-        pts = (rad[keep],)
-        del rad
-    del x, y
-    pattern_of_point = np.repeat(np.repeat(np.arange(size, dtype=np.int32), n_par), daughters)
-    return (*pts, np.bincount(pattern_of_point[keep], minlength=size))
+        counts += np.bincount(np.searchsorted(parent_ends, parent[keep], side="right"), minlength=size)
+        end = kept + int(np.count_nonzero(keep))  # <= hi: the packed points never outrun the block
+        if planar:  # y, a view of out[lo:hi], is read before x's points are packed over it
+            y_out[kept:end] = y[keep]
+            out[kept:end] = x[keep]
+        else:
+            out[kept:end] = rad[keep]
+        kept = end
+    return (out[:kept], y_out[:kept], counts) if planar else (out[:kept], counts)
 
 
 def _gpp_last_index(y):
@@ -222,6 +234,15 @@ def _gpp_radii(field, radius, rng, size):
     return np.sqrt(r, out=r), keep.sum(axis=1)
 
 
+def _check_window(window_radius):
+    if not 0.0 <= window_radius < math.inf:
+        raise ValueError("window radius must be finite and nonnegative")
+
+
+def _ppp_counts(field, window_radius, rng, size):
+    return rng.poisson(field.density * math.pi * window_radius**2, size)
+
+
 def sample_batch(field, window_radius, rng, size, planar=False):
     """`size` independent patterns of `field` on the disk of radius
     `window_radius` around the origin, drawn from `rng`.
@@ -238,18 +259,75 @@ def sample_batch(field, window_radius, rng, size, planar=False):
     pattern, and draws its thinning uniforms only for beta < 1.  The Matern
     field builds planar points either way.
     """
-    if not 0.0 <= window_radius < math.inf:
-        raise ValueError("window radius must be finite and nonnegative")
+    _check_window(window_radius)
     if isinstance(field, MCP):
         return _mcp_batch(field, window_radius, rng, size, planar)
     if isinstance(field, PPP):
-        counts = rng.poisson(field.density * math.pi * window_radius**2, size)
+        counts = _ppp_counts(field, window_radius, rng, size)
         radii = _uniform_radii(int(counts.sum()), window_radius, rng)
     elif isinstance(field, GPP):
         radii, counts = _gpp_radii(field, window_radius, rng, size)
     else:
         raise TypeError(f"unknown field type: {type(field)!r}")
     return (*_polar(radii, rng), counts) if planar else (radii, counts)
+
+
+def _ahead(rng, n):
+    """A copy of the Philox generator `rng` standing where rng.random(n)
+    would leave it, built in O(1).  `random` takes one 64-bit output per
+    double, and Philox makes its outputs four to a counter step: the copy
+    takes the outputs left in its buffer one by one, skips whole steps with
+    `advance` and takes the rest one by one.  `advance` empties the buffer
+    even at advance(0), so it is called only once n outruns the buffer; it
+    also clears the stored 32-bit half-output, which is put back."""
+    g = copy.deepcopy(rng)
+    bg = g.bit_generator
+    state = bg.state
+    head = min(n, 4 - state["buffer_pos"])
+    bg.random_raw(head, output=False)
+    if n > head:
+        bg.advance((n - head) // 4)
+        bg.random_raw((n - head) % 4, output=False)
+        bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return g
+
+
+def replay_batch(field, window_radius, rng, size, planar=False):
+    """The batch sample_batch(field, window_radius, rng, size, planar) draws,
+    as (counts, blocks): blocks() yields its radii, or (x, y), _BLOCK points
+    at a time in point order, each block a fresh array the caller may
+    overwrite, and yields the same points at every call.  rng, a Philox
+    generator as simengine.seed_stream makes, is left where sample_batch
+    leaves it.
+
+    A Poisson batch keeps no points: blocks() draws them again, from copies
+    of rng made at its radii and, planar, at its angles, so the batch never
+    holds a points-sized array.  The other fields are drawn whole by
+    sample_batch and handed out a block at a time.
+    """
+    if not isinstance(field, PPP):
+        *points, counts = sample_batch(field, window_radius, rng, size, planar)
+
+        def blocks():
+            for lo in range(0, points[0].size, _BLOCK):
+                block = [p[lo:lo + _BLOCK].copy() for p in points]
+                yield tuple(block) if planar else block[0]
+
+        return counts, blocks
+    _check_window(window_radius)
+    counts = _ppp_counts(field, window_radius, rng, size)
+    n = int(counts.sum())
+    start = _ahead(rng, 0)
+    rng.bit_generator.state = _ahead(rng, 2 * n if planar else n).bit_generator.state
+
+    def blocks():
+        radii = _ahead(start, 0)
+        angles = _ahead(start, n) if planar else None
+        for lo in range(0, n, _BLOCK):
+            r = _uniform_radii(min(_BLOCK, n - lo), window_radius, radii)
+            yield _polar(r, angles) if planar else r
+
+    return counts, blocks
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ instead of a Bernoulli draw.  Fading is drawn only where the quantity is not
 of product form: the aggregate interference moments here and in `shadowing`,
 and the Bernoulli oracles of `relay_retx._harq_chunk` (HARQ maximal-ratio
 combining) and `mobility._raw_fading_chunk`.  Every field pattern on a disk
-window comes from `pointprocess.sample_batch`, one batch sampler per field.
+window comes from `pointprocess.sample_batch`, one batch sampler per field,
+or from `pointprocess.replay_batch`, which hands the same points out a block
+at a time.
 
 Randomness is counter based (Philox) and keyed by (master_seed, batch index,
 substream).  Every Monte Carlo estimator maps a chunk function over the
@@ -24,9 +26,10 @@ multiple of its points: the samplers overwrite their own draws, and
 `_serving_split`, `_link_log_sums` (every batch kernel's link log-sum) and
 `_segment_sums`, whose running sum overwrites a float64 array, consume their
 input.  Fading drawn per point is drawn and summed a block of
-pointprocess._BLOCK points at a time by `_faded_sums`, so an interference
-batch holds one points-sized array (its path losses) at u = 0 and two at
-u != 0, beside block-sized buffers.  A CSP batch at one theta holds at most
+pointprocess._BLOCK points at a time by `_faded_sums`.  An interference
+batch takes its points from `pointprocess.replay_batch` a block at a time,
+so a Poisson batch holds no points-sized array at all and a Matern or
+Ginibre batch only its sampled points.  A CSP batch at one theta holds at most
 two such arrays beside its outputs, and a theta grid adds one scratch array.
 Every draw and every value is the one the out-of-place arithmetic gives,
 bit for bit.
@@ -45,7 +48,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import Curve, Estimate
-from .pointprocess import _BLOCK, GPP, require_alpha, require_base_stations, sample_batch
+from .pointprocess import _BLOCK, GPP, replay_batch, require_alpha, require_base_stations, sample_batch
 
 __all__ = [
     "SimConfig",
@@ -349,22 +352,29 @@ def _segment_sums(values, counts):
 
 def _faded_sums(rng, gain, counts):
     """Per-segment sums of h * gain, h a unit exponential drawn per point in
-    point order: _segment_sums(rng.standard_exponential(gain.size) * gain,
-    counts), draw for draw and bit for bit, drawn and summed _BLOCK points at
-    a time with the running sum carried from block to block."""
+    point order: _segment_sums(rng.standard_exponential(n) * gain, counts)
+    over the n points, draw for draw and bit for bit.  gain is an array,
+    taken _BLOCK points at a time, or an iterable of its consecutive blocks;
+    each block's fading is drawn into one buffer and summed there, with the
+    running sum carried from block to block."""
+    blocks = gain
+    if isinstance(gain, np.ndarray):
+        blocks = (gain[lo:lo + _BLOCK] for lo in range(0, gain.size, _BLOCK))
     bounds = np.cumsum(counts)
     at = np.zeros(bounds.size + 1)  # the running sum at each segment's end, as in _segment_sums
-    buf = np.empty(min(_BLOCK, gain.size))
-    carry = 0.0
-    for lo in range(0, gain.size, _BLOCK):
-        hi = min(lo + _BLOCK, gain.size)
-        h = rng.standard_exponential(out=buf[:hi - lo])
-        h *= gain[lo:hi]
+    buf = np.empty(0)
+    carry, lo = 0.0, 0
+    for g in blocks:
+        hi = lo + g.size
+        if buf.size < g.size:
+            buf = np.empty(g.size)
+        h = rng.standard_exponential(out=buf[:g.size])
+        h *= g
         h[0] += carry
         np.cumsum(h, out=h)
         i, j = np.searchsorted(bounds, [lo + 1, hi + 1])  # the segments ending in (lo, hi]
         at[i + 1:j + 1] = h[bounds[i:j] - 1 - lo]
-        carry = h[-1]
+        carry, lo = h[-1], hi
     return at[1:] - at[:-1]
 
 
@@ -635,24 +645,29 @@ def _ell(pl, r):
     return np.divide(1.0, r, out=r)
 
 
+def _path_losses(pl, blocks, shift):
+    """l(|p - (shift, 0)|) of each block of points, radii or (x, y), which
+    it overwrites."""
+    for p in blocks:
+        if isinstance(p, tuple):
+            x, y = p
+            if shift:
+                x -= shift
+            p = np.hypot(x, y, out=x)
+        yield _ell(pl, p)
+
+
 @batchwise
 def _interference_chunk(rng, size, model, pl, u, radius, tail_mean):
-    """(I(0), I(0)^2, I(0) I(u)) per trial.  The path losses overwrite the
-    points, _BLOCK points at a time where the observer is displaced, and
-    each slot's fading is drawn in blocks by _faded_sums."""
-    if u == 0.0:
-        radii, counts = sample_batch(model.field, radius, rng, size)
-        ell = ell_u = _ell(pl, radii)
-    else:  # the displaced observer needs planar points: x becomes l(|p|), y l(|p - u|)
-        ell, ell_u, counts = sample_batch(model.field, radius, rng, size, planar=True)
-        for lo in range(0, ell.size, _BLOCK):
-            x, y = ell[lo:lo + _BLOCK], ell_u[lo:lo + _BLOCK]
-            d = np.hypot(x, y)
-            x -= u
-            _ell(pl, np.hypot(x, y, out=y))
-            x[...] = _ell(pl, d)
-    i1 = _faded_sums(rng, ell, counts) + tail_mean
-    i2 = _faded_sums(rng, ell_u, counts) + tail_mean
+    """(I(0), I(0)^2, I(0) I(u)) per trial.  The points come from
+    pointprocess.replay_batch a block at a time, planar only for a displaced
+    observer, in two passes: slot 1 reads l(|p|) and slot 2 l(|p - u|), each
+    slot's fading drawn in blocks by _faded_sums.  Slot 2's fading starts
+    where slot 1's ends, which the exponential draws fix only as they are
+    made, so the second pass makes the points again rather than keep them."""
+    counts, blocks = replay_batch(model.field, radius, rng, size, planar=u != 0.0)
+    i1 = _faded_sums(rng, _path_losses(pl, blocks(), 0.0), counts) + tail_mean
+    i2 = _faded_sums(rng, _path_losses(pl, blocks(), u), counts) + tail_mean
     return i1, i1 * i1, i1 * i2
 
 

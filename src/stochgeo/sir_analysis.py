@@ -430,10 +430,13 @@ def _misr_chunk(rng, size, model, alpha, radius):
     """(windowed ISR sum, r_1^alpha) of each pattern with two or more points."""
     radii, counts = sample_batch(model.field, radius, rng, size)
     keep = counts >= 2
-    radii, counts = radii[np.repeat(keep, counts)], counts[keep]
+    if not keep.all():
+        radii, counts = radii[np.repeat(keep, counts)], counts[keep]
     r1 = simengine._segment_mins(radii, counts)
+    ratios = np.divide(np.repeat(r1, counts), radii, out=radii)
+    ratios **= alpha  # `**` dispatches as `**=` does, so the powers keep their bits
     # the serving term (r_1 / r_1)^alpha is exactly 1
-    return simengine._segment_sums((np.repeat(r1, counts) / radii) ** alpha, counts) - 1.0, r1**alpha
+    return simengine._segment_sums(ratios, counts) - 1.0, r1**alpha
 
 
 def sir_gain_g0(model, alpha, cfg=None):

@@ -21,6 +21,7 @@ from stochgeo.pointprocess import (
     lens_area,
     pcf_analytic,
     pcf_estimate,
+    replay_batch,
     sample_batch,
     vertex_contact_pdf,
 )
@@ -326,6 +327,121 @@ def test_an_mcp_batch_holds_few_daughter_sized_arrays(planar):
     daughters = int(rng.poisson(field.mean_daughters, int(n_par.sum())).sum())
     peak = _traced_peak(lambda: sample_batch(field, radius, seed_stream(9, 0, 11), size, planar=planar))
     assert peak <= 6 * daughters * 8
+
+
+def _daughters(field, radius, size, rng):
+    """The number of daughters a Matern batch generates, from a replay of
+    the draws made before them."""
+    n_par = rng.poisson(field.parent_density * math.pi * (radius + field.cluster_radius) ** 2, size)
+    rng.random(2 * int(n_par.sum()))
+    return int(rng.poisson(field.mean_daughters, int(n_par.sum())).sum())
+
+
+@pytest.mark.parametrize("planar, arrays", [pytest.param(False, 3.0, id="radial"), pytest.param(True, 4.0, id="planar")])
+def test_an_mcp_batch_builds_its_daughters_in_blocks(planar, arrays):
+    """The daughters' radii are one array, the kept points are packed into
+    it (beside one y array when planar), and the rest is parent- or
+    block-sized: 2.38 and 3.38 daughter-sized arrays, against 4.67 and 4.62
+    with the offsets, distances and mask drawn for every daughter."""
+    field = MCP(0.02, 5.0, 1.0)
+    radius, size = default_window(field.intensity), 1024
+    daughters = _daughters(field, radius, size, seed_stream(9, 0, 11))
+    peak = _traced_peak(lambda: sample_batch(field, radius, seed_stream(9, 0, 11), size, planar=planar))
+    assert peak <= arrays * daughters * 8
+
+
+# ------------------------------------------------ Philox jumps and replayed batches
+
+
+def _at_buffer_pos(pos, draw):
+    """A Philox generator whose buffer stands at `pos` after draws of
+    `draw`; pos 0, which no draw leaves, rereads the block just made."""
+    rng = seed_stream(6, 1, 2)
+    getattr(rng, draw)(5)
+    while rng.bit_generator.state["buffer_pos"] != (pos or 4):
+        getattr(rng, draw)()
+    if pos == 0:
+        rng.bit_generator.state = {**rng.bit_generator.state, "buffer_pos": 0}
+    return rng
+
+
+@pytest.mark.parametrize("draw", ["random", "standard_exponential"])
+@pytest.mark.parametrize("pos", range(5))
+def test_ahead_stands_where_n_doubles_leave_the_stream(pos, draw):
+    # advance() empties the buffer even at advance(0): a jump that stays
+    # inside the buffer must not call it
+    for n in [0, 1, 2, 3, 4, 5, 7, 4096, 100003]:
+        rng = _at_buffer_pos(pos, draw)
+        before = rng.bit_generator.state
+        ahead = pointprocess._ahead(rng, n)
+        want = _at_buffer_pos(pos, draw)
+        want.random(n)
+        assert np.array_equal(ahead.random(9), want.random(9)), n
+        assert np.array_equal(ahead.standard_exponential(5), want.standard_exponential(5)), n
+        after = rng.bit_generator.state  # the jump moves a copy, never rng
+        assert after["buffer_pos"] == before["buffer_pos"]
+        assert np.array_equal(after["state"]["counter"], before["state"]["counter"])
+
+
+def test_ahead_keeps_the_stored_32_bit_half():
+    rng = seed_stream(6, 1, 3)
+    rng.integers(0, 1 << 32, dtype=np.uint32)  # leaves half an output stored
+    ahead = pointprocess._ahead(rng, 4099)
+    rng.random(4099)
+    assert np.array_equal(ahead.integers(0, 1 << 32, size=5, dtype=np.uint32),
+                          rng.integers(0, 1 << 32, size=5, dtype=np.uint32))
+
+
+def _joined(blocks, planar):
+    """blocks()'s points joined into sample_batch's arrays; each block is
+    overwritten once read, as a caller may."""
+    cols = ([], []) if planar else ([],)
+    for block in blocks():
+        for col, a in zip(cols, block if planar else (block,)):
+            col.append(a.copy())
+            a.fill(np.nan)
+    return tuple(np.concatenate([np.empty(0), *col]) for col in cols)
+
+
+def _assert_replays(field, radius, seed, size, planar):
+    want_rng, got_rng = seed_stream(seed, 0, 11), seed_stream(seed, 0, 11)
+    *want, want_counts = sample_batch(field, radius, want_rng, size, planar=planar)
+    counts, blocks = replay_batch(field, radius, got_rng, size, planar=planar)
+    assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+    for _ in range(2):  # every call yields the same points
+        got = _joined(blocks, planar)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    # the stream stands where sample_batch leaves it, blocks() read or not
+    assert np.array_equal(got_rng.random(9), want_rng.random(9))
+    assert np.array_equal(got_rng.standard_exponential(5), want_rng.standard_exponential(5))
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("radius", [0.0, 3.0])
+@pytest.mark.parametrize("field", [PPP(1.0), PPP(0.0), MCP(0.05, 5.0, 1.0), MCP(0.0, 5.0, 1.0), GPP(1.0, 1.0),
+                                   GPP(1.0, 0.5), GPP(0.0, 1.0)])
+def test_replay_batch_joins_to_the_sampled_batch(field, radius, planar, monkeypatch):
+    # blocks of 7 points: a batch of several hundred spans many of them
+    monkeypatch.setattr(pointprocess, "_BLOCK", 7)
+    _assert_replays(field, radius, 3, 64, planar)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("points", [1, 2, 3])
+@pytest.mark.parametrize("planar", [False, True])
+def test_replay_batch_of_a_few_points(points, block, planar, monkeypatch):
+    # a batch of 1 to 3 Poisson points, in blocks smaller or larger than it
+    monkeypatch.setattr(pointprocess, "_BLOCK", block)
+    field, radius = PPP(0.05), 2.0
+    seed = next(s for s in range(200) if sample_batch(field, radius, seed_stream(s, 0, 11), 4)[1].sum() == points)
+    _assert_replays(field, radius, seed, 4, planar)
+
+
+def test_replay_batch_rejects_a_bad_window():
+    with pytest.raises(ValueError, match="window radius"):
+        replay_batch(PPP(1.0), math.inf, seed_stream(1, 0), 4)
 
 
 # ------------------------------------------------------------- two-circle geometry

@@ -516,6 +516,52 @@ def test_misr_chunk_matches_a_pattern_loop(field):
     assert r1a == pytest.approx([d[0] ** 4.0 for d in patterns], rel=1e-12)
 
 
+def _ref_misr_kernel(rng, size, model, alpha, radius):
+    # the kernel before it worked in place: its values must stay bit for bit
+    from stochgeo import simengine
+    from stochgeo.pointprocess import sample_batch
+
+    radii, counts = sample_batch(model.field, radius, rng, size)
+    keep = counts >= 2
+    radii, counts = radii[np.repeat(keep, counts)], counts[keep]
+    r1 = simengine._segment_mins(radii, counts)
+    return simengine._segment_sums((np.repeat(r1, counts) / radii) ** alpha, counts) - 1.0, r1**alpha
+
+
+@pytest.mark.parametrize("density, radius", [(1.0, None), (0.1, 5.0), (1.0, 1.0)])  # R = 1: some patterns drop out
+def test_misr_kernel_draws_the_reference_bits(density, radius):
+    from stochgeo import simengine
+    from stochgeo.sir_analysis import _misr_chunk
+
+    model, cfg = NetworkModel(PPP(density), alpha=4.0), SimConfig(trials=1500, master_seed=67)
+    radius = radius or simengine.default_window(density)
+    got = simengine.run_batches(cfg, "misr", _misr_chunk, model, 4.0, radius)
+    parts = [_ref_misr_kernel(rng, size, model, 4.0, radius) for rng, size in simengine.batches(cfg, "misr")]
+    for g, w in zip(got, zip(*parts)):
+        assert np.array_equal(g, np.concatenate(w))
+
+
+def test_a_misr_batch_holds_two_point_sized_arrays():
+    """The ratios overwrite the radii beside one repeated r_1 array: 2.01
+    points-sized arrays at the default window, against 3.01 out of place."""
+    import tracemalloc
+
+    from stochgeo import simengine
+    from stochgeo.pointprocess import sample_batch
+    from stochgeo.sir_analysis import _misr_chunk
+
+    model = NetworkModel(PPP(1.0), alpha=4.0)
+    radius = simengine.default_window(1.0)
+    points = sample_batch(model.field, radius, simengine.seed_stream(1, 0, 7), 1024)[0].size
+    tracemalloc.start()
+    try:
+        _misr_chunk.__wrapped__(simengine.seed_stream(1, 0, 7), 1024, model, 4.0, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * points * 8
+
+
 def test_misr_estimate_names_a_window_with_no_two_point_pattern():
     cfg = SimConfig(trials=50, master_seed=65, window_radius=0.5)
     with warnings.catch_warnings():

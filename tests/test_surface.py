@@ -9,7 +9,8 @@ batches, and no batch kernel loops over its trials.  The batch kernels take
 the link log-sum from `simengine._link_log_sums`, and only a displaced or
 pair geometry draws planar points.  Fading drawn for every point is drawn a
 block at a time by `simengine._faded_sums`, save in the two kernels named in
-`POINTS_SIZED_FADING` with their reasons.
+`POINTS_SIZED_FADING` with their reasons, and the interference kernel takes
+its points from `pointprocess.replay_batch`, a block at a time.
 
 A name counts as reached when some other code in `src/stochgeo` loads it
 (`f(...)`, `module.f`, a default argument, a decorator).  Being listed in
@@ -191,16 +192,25 @@ def test_planar_samples_serve_only_displaced_or_pair_geometry():
     # a radius and an i.i.d. uniform angle per point give every distance to a
     # moving point; planar points serve a pair correlation, the relay route's
     # offset receivers and a displaced interference observer (the Matern
-    # points' angles are not i.i.d.)
+    # points' angles are not i.i.d.), whether sampled or replayed
     callers = set()
     for p in sorted(SRC.glob("*.py")):
         for top in ast.parse(p.read_text()).body:
             for node in ast.walk(top):
-                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sample_batch"
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("sample_batch", "replay_batch")
                         and any(k.arg == "planar" for k in node.keywords)):
                     callers.add((p.name, top.name))
     assert callers == {("cli.py", "_fig_pcf"), ("relay_retx.py", "_relay_chunk"),
                        ("simengine.py", "_interference_chunk")}
+
+
+def test_the_interference_kernel_replays_its_points():
+    # a Poisson interference batch is regenerated block by block, never held
+    # whole: the kernel takes its points from pointprocess.replay_batch alone
+    kernel = next(top for top in ast.parse((SRC / "simengine.py").read_text()).body
+                  if getattr(top, "name", None) == "_interference_chunk")
+    called = {getattr(node.func, "id", None) for node in ast.walk(kernel) if isinstance(node, ast.Call)}
+    assert "replay_batch" in called and "sample_batch" not in called
 
 
 # the kernels that draw fading for every point at once, with their reasons

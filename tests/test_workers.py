@@ -57,6 +57,8 @@ ESTIMATORS = {
     "jsp-fvi": ("csp", 2100, lambda c: estimate_jsp(ADHOC["ppp"], 3, "fvi", 1.0, c)),
     "interference-u0": ("interference", 2100, lambda c: estimate_interference_moments(
         NetworkModel(PPP(0.1), 4.0), PL, 0.0, SimConfig(c.trials, c.master_seed, 20.0, c.worker_hint))),
+    "interference-ppp-u2": ("interference", 2100, lambda c: estimate_interference_moments(  # five blocks a batch
+        NetworkModel(PPP(1.0), 4.0), PL, 2.0, SimConfig(c.trials, c.master_seed, 10.0, c.worker_hint))),
     "interference-u2": ("interference", 2100, lambda c: estimate_interference_moments(
         NetworkModel(MCP(0.02, 5.0, 1.0), 4.0), PL, 2.0, SimConfig(c.trials, c.master_seed, 15.0, c.worker_hint))),
     "misr-mcp": ("misr", 2100, lambda c: misr_estimate(NetworkModel(MCP(0.2, 5.0, 1.0), 4.0), 4.0, c)),
