@@ -158,7 +158,12 @@ def _equidistant_chunk(rng, size, c, b, theta, alpha, density, radius):
     # remaining points: PPP on the annulus from the serving radius to the window
     span = np.maximum(radius**2 - r1 * r1, 0.0)
     counts = rng.poisson(density * math.pi * span)
-    d = np.sqrt(np.repeat(r1 * r1, counts) + np.repeat(span, counts) * rng.random(counts.sum()))
+    # r1^2 + span U in place (sum and product commute exactly): two
+    # points-sized arrays at most, with the repeated scale below
+    d = rng.random(counts.sum())
+    d *= np.repeat(span, counts)
+    d += np.repeat(r1 * r1, counts)
+    np.sqrt(d, out=d)
     csp = (1.0 + theta) ** -float(n_extra) * np.exp(
         -simengine._link_log_sums(d, counts, np.repeat(theta * r1**alpha, counts), alpha))
     return (csp**b * simengine._downlink_far_field(r1, b, theta, alpha, density, radius),)

@@ -1,11 +1,11 @@
 """Special functions, quadrature rules and the Gil-Pelaez inversion.
 
-Everything here is pure, apart from the Gauss-Legendre base rules, built
-once per order, and `lru_get`, which updates the cache it is handed.
-Complex arguments are supported exactly where the downstream analysis needs
-them: the gamma ratio on the whole plane (minus poles), and the imaginary
-moments of the Gil-Pelaez inversion.  The gamma function and Lambert W come
-from scipy.special.
+Everything here is pure, apart from the Gauss-Legendre and Gauss-Jacobi
+base rules, built once per order, and `lru_get`, which updates the cache it
+is handed.  Complex arguments are supported exactly where the downstream
+analysis needs them: the gamma ratio on the whole plane (minus poles), and
+the imaginary moments of the Gil-Pelaez inversion.  The gamma function and
+Lambert W come from scipy.special.
 """
 
 import cmath
@@ -24,6 +24,7 @@ __all__ = [
     "gamma_ratio",
     "lambert_w0",
     "gauss_legendre",
+    "gauss_jacobi",
     "lru_get",
     "integrate_1d",
     "gil_pelaez_ccdf",
@@ -99,6 +100,36 @@ def gauss_legendre(n, lo=-1.0, hi=1.0):
     return 0.5 * (hi + lo) + half * x, half * w
 
 
+@functools.cache
+def _jacobi_base(n, b):
+    """The n-point Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b,
+    b > -1: Golub-Welsch on the Jacobi matrix of that weight (Golub and
+    Welsch, Math. Comp. 1969), the nodes its eigenvalues and the weights
+    mu_0 times the squared first eigenvector components."""
+    s = 2.0 * np.arange(n) + b
+    diag = np.empty(n)
+    diag[0] = b / (b + 2.0)
+    diag[1:] = b * b / (s[1:] * (s[1:] + 2.0))
+    k, s = np.arange(1.0, n), s[1:]
+    off = 2.0 * k * (k + b) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (b + 1.0) / (b + 1.0) * v[0] ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_jacobi(n, b, lo=-1.0, hi=1.0):
+    """Nodes and weights of the n-point Gauss-Jacobi rule on [lo, hi] for
+    the weight (t - lo)^b, b > -1, which resolves that endpoint singularity
+    exactly (the base rule on [-1, 1] is built once per (n, b)).  The map is
+    the one of `gauss_legendre`; the weights are ((hi - lo) / 2)^(1 + b) w."""
+    x, w = _jacobi_base(n, b)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * x, half ** (1.0 + b) * w
+
+
 def lru_get(cache, key, size, build):
     """cache[key] of an OrderedDict, built by build() on a miss; the cache
     keeps its `size` most recently used entries."""
@@ -153,6 +184,7 @@ _GP_OFFSETS = np.concatenate([_GL_X, 0.5 * (_GL_X - 1.0), 0.5 * (_GL_X + 1.0)])
 _GP_MAX_DEPTH = 8  # bisections of a panel before it is reported as unconverged
 _GP_U_MIN = 1e-6  # lower end of the integral; the integrand is finite at 0
 _GP_TAIL_TOL = 1e-8  # |M(j u)| / u below which the tail is cut
+_GP_ROWS = 256  # panels per block of the integrand (768 KB per complex array)
 
 
 def _unit_grid(x):
@@ -170,20 +202,23 @@ def _gp_panels(imaginary_moment, log_xs, centres, widths):
     """Value of each panel (centre, width) by the halves rule, one row per
     log x, and whether every x agrees with the whole-panel rule within the
     per-panel tolerance (absolute 1e-11, relative 1e-9).  One moment call per
-    distinct width; the integrand is formed one x at a time."""
+    distinct width; u and the integrand are formed for _GP_ROWS panels and
+    one x at a time, so beside the moment grid an inversion holds a few MB."""
     values = np.empty((len(log_xs), len(centres)))
     ok = np.ones(len(centres), dtype=bool)
     for h in np.unique(widths):
-        sel = widths == h
+        sel = np.flatnonzero(widths == h)
         c, d = centres[sel], 0.5 * h * _GP_OFFSETS
-        u = c[:, None] + d[None, :]
         m = imaginary_moment(c, d)
-        for row, log_x in zip(values, log_xs):
-            f = (np.exp(-1j * log_x * u) * m).imag / u
-            whole = 0.5 * h * (f[:, :64] @ _GL_W)
-            halves = 0.25 * h * ((f[:, 64:128] + f[:, 128:]) @ _GL_W)
-            row[sel] = halves
-            ok[sel] &= np.abs(whole - halves) <= 1e-11 + 1e-9 * np.abs(halves)
+        for lo in range(0, len(sel), _GP_ROWS):
+            rows = slice(lo, lo + _GP_ROWS)
+            u = c[rows, None] + d[None, :]
+            for row, log_x in zip(values, log_xs):
+                f = (np.exp(-1j * log_x * u) * m[rows]).imag / u
+                whole = 0.5 * h * (f[:, :64] @ _GL_W)
+                halves = 0.25 * h * ((f[:, 64:128] + f[:, 128:]) @ _GL_W)
+                row[sel[rows]] = halves
+                ok[sel[rows]] &= np.abs(whole - halves) <= 1e-11 + 1e-9 * np.abs(halves)
     return values, ok
 
 

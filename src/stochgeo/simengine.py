@@ -36,6 +36,7 @@ bit for bit.
 """
 
 import atexit
+import copy
 import functools
 import importlib
 import math
@@ -350,32 +351,51 @@ def _segment_sums(values, counts):
     return at[1:] - at[:-1]
 
 
-def _faded_sums(rng, gain, counts):
+def _faded_sums(rng, gain, counts, slots=1):
     """Per-segment sums of h * gain, h a unit exponential drawn per point in
     point order: _segment_sums(rng.standard_exponential(n) * gain, counts)
     over the n points, draw for draw and bit for bit.  gain is an array,
     taken _BLOCK points at a time, or an iterable of its consecutive blocks;
     each block's fading is drawn into one buffer and summed there, with the
-    running sum carried from block to block."""
+    running sum carried from block to block.
+
+    With slots > 1 each block is a tuple of that many gains, one per slot,
+    and the result has one row per slot: slot k's fading follows slot
+    k - 1's n draws in rng's stream, as if the slots were summed one after
+    another.  A copy of rng serves each earlier slot while rng itself is run
+    past that slot's n draws, into the same buffer, so every slot is summed
+    in one pass over the blocks and rng ends where the last slot leaves it."""
     blocks = gain
     if isinstance(gain, np.ndarray):
         blocks = (gain[lo:lo + _BLOCK] for lo in range(0, gain.size, _BLOCK))
+    if slots == 1:
+        blocks = ((g,) for g in blocks)
     bounds = np.cumsum(counts)
-    at = np.zeros(bounds.size + 1)  # the running sum at each segment's end, as in _segment_sums
-    buf = np.empty(0)
-    carry, lo = 0.0, 0
-    for g in blocks:
-        hi = lo + g.size
-        if buf.size < g.size:
-            buf = np.empty(g.size)
-        h = rng.standard_exponential(out=buf[:g.size])
-        h *= g
-        h[0] += carry
-        np.cumsum(h, out=h)
+    n = int(np.sum(counts))
+    buf = np.empty(min(n, _BLOCK))
+    streams = []
+    for _ in range(slots - 1):
+        streams.append(copy.deepcopy(rng))
+        for lo in range(0, n, _BLOCK):
+            rng.standard_exponential(out=buf[:min(_BLOCK, n - lo)])
+    streams.append(rng)
+    at = np.zeros((slots, bounds.size + 1))  # the running sum at each segment's end, as in _segment_sums
+    carry, lo = [0.0] * slots, 0
+    for gs in blocks:
+        hi = lo + gs[0].size
+        if buf.size < gs[0].size:
+            buf = np.empty(gs[0].size)
         i, j = np.searchsorted(bounds, [lo + 1, hi + 1])  # the segments ending in (lo, hi]
-        at[i + 1:j + 1] = h[bounds[i:j] - 1 - lo]
-        carry, lo = h[-1], hi
-    return at[1:] - at[:-1]
+        for k, (stream, g) in enumerate(zip(streams, gs)):
+            h = stream.standard_exponential(out=buf[:g.size])
+            h *= g
+            h[0] += carry[k]
+            np.cumsum(h, out=h)
+            at[k, i + 1:j + 1] = h[bounds[i:j] - 1 - lo]
+            carry[k] = h[-1]
+        lo = hi
+    sums = at[:, 1:] - at[:, :-1]
+    return sums if slots > 1 else sums[0]
 
 
 def _link_log_sums(d, counts, scale, alpha):
@@ -646,28 +666,28 @@ def _ell(pl, r):
 
 
 def _path_losses(pl, blocks, shift):
-    """l(|p - (shift, 0)|) of each block of points, radii or (x, y), which
-    it overwrites."""
+    """(l(|p|), l(|p - (shift, 0)|)) of each block of points, radii or
+    (x, y), which it overwrites; radii give one array for both."""
     for p in blocks:
         if isinstance(p, tuple):
             x, y = p
-            if shift:
-                x -= shift
-            p = np.hypot(x, y, out=x)
-        yield _ell(pl, p)
+            near = _ell(pl, np.hypot(x, y))
+            x -= shift
+            yield near, _ell(pl, np.hypot(x, y, out=x))
+        else:
+            ell = _ell(pl, p)
+            yield ell, ell
 
 
 @batchwise
 def _interference_chunk(rng, size, model, pl, u, radius, tail_mean):
     """(I(0), I(0)^2, I(0) I(u)) per trial.  The points come from
     pointprocess.replay_batch a block at a time, planar only for a displaced
-    observer, in two passes: slot 1 reads l(|p|) and slot 2 l(|p - u|), each
-    slot's fading drawn in blocks by _faded_sums.  Slot 2's fading starts
-    where slot 1's ends, which the exponential draws fix only as they are
-    made, so the second pass makes the points again rather than keep them."""
+    observer, in one pass: slot 1 reads l(|p|) and slot 2 l(|p - u|), the
+    same block at u = 0, each slot's fading drawn in blocks by _faded_sums,
+    slot 2's where slot 1's ends."""
     counts, blocks = replay_batch(model.field, radius, rng, size, planar=u != 0.0)
-    i1 = _faded_sums(rng, _path_losses(pl, blocks(), 0.0), counts) + tail_mean
-    i2 = _faded_sums(rng, _path_losses(pl, blocks(), u), counts) + tail_mean
+    i1, i2 = _faded_sums(rng, _path_losses(pl, blocks(), u), counts, slots=2) + tail_mean
     return i1, i1 * i1, i1 * i2
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special as _sps
 
 from .core import ToleranceError
-from .numerics import _unit_grid, gamma_ratio, gauss_legendre, gil_pelaez_ccdf, integrate_1d, lru_get
+from .numerics import _unit_grid, gamma_ratio, gauss_jacobi, gauss_legendre, gil_pelaez_ccdf, integrate_1d, lru_get
 from .pointprocess import GPP, MCP, PPP, require_alpha, require_base_stations, sample_batch
 from . import simengine
 
@@ -134,6 +134,7 @@ class GppAdhocMoments:
     J_NUMERIC = 4000
     TAIL_CUT = 0.02
     TRUNC = 1e-10
+    ROWS = 256  # indices per block of the table build and of the tail moments
     CACHE_SIZE = 4
     _cache = OrderedDict()  # (beta, density, alpha) -> theta-free table
 
@@ -143,15 +144,22 @@ class GppAdhocMoments:
         the lower gamma quantiles, the (J, N) quadrature weights times the
         gamma density, and mid^(-alpha/2) at the (J, N) nodes.  The
         quantiles and the density are the scipy.special calls that
-        scipy.stats.gamma makes, so the table equals its build."""
+        scipy.stats.gamma makes, so the table equals its build.  The (J, N)
+        arrays are filled ROWS indices at a time, each row by the same
+        arithmetic as a whole-table build."""
         scale = beta / (math.pi * density)
         j = np.arange(1, cls.J_NUMERIC + 1)
         lo = _sps.gammaincinv(j, 1e-15) * scale
         hi = _sps.gammainccinv(j, 1e-15) * scale
-        mid, w = gauss_legendre(cls.N_NODES, lo, hi)
-        q = mid / scale
-        dens = np.exp(_sps.xlogy(j[:, None] - 1.0, q) - q - _sps.gammaln(j[:, None])) / scale
-        table = (lo ** (-alpha / 2.0), w * dens, mid ** (-alpha / 2.0))
+        weights, mid_pow = np.empty((2, cls.J_NUMERIC, cls.N_NODES))
+        for r in range(0, cls.J_NUMERIC, cls.ROWS):
+            rows = slice(r, r + cls.ROWS)
+            mid, w = gauss_legendre(cls.N_NODES, lo[rows], hi[rows])
+            q = mid / scale
+            dens = np.exp(_sps.xlogy(j[rows, None] - 1.0, q) - q - _sps.gammaln(j[rows, None])) / scale
+            weights[rows] = w * dens
+            mid_pow[rows] = mid ** (-alpha / 2.0)
+        table = (lo ** (-alpha / 2.0), weights, mid_pow)
         for a in table:
             a.flags.writeable = False
         return table
@@ -163,16 +171,22 @@ class GppAdhocMoments:
         key = (field.beta, field.density, alpha)
         lo_pow, self._w, mid_pow = lru_get(self._cache, key, self.CACHE_SIZE, lambda: self._table(*key))
         c = theta * r_t**alpha
-        self._g = np.log1p(c * mid_pow)  # (J, N)
+        self._g = c * mid_pow  # (J, N)
+        np.log1p(self._g, out=self._g)
         # upper envelope of g at the lower gamma quantile (g is decreasing in q)
         self._g_upper = np.log1p(c * lo_pow)
         # super-tail (j > J_NUMERIC): leading order sum of E[Q^(-alpha/2)]
         a1 = alpha / 2.0
         jbig = self.J_NUMERIC + 1
         self._m1_super = c * (1.0 / scale) ** a1 * abs(gamma_ratio(jbig - a1, jbig - 1)) / (a1 - 1.0)
-        # per-index tail moments E[g^m] and their products for the log
-        # expansion, summed from each index on (an empty sum at J_NUMERIC)
-        m1, m2, m3 = (np.sum(self._w * self._g**p, axis=1) for p in (1, 2, 3))
+        # per-index tail moments E[g^m], ROWS indices at a time, and their
+        # products for the log expansion, summed from each index on (an
+        # empty sum at J_NUMERIC)
+        m1, m2, m3 = moments = np.empty((3, self.J_NUMERIC))
+        for r in range(0, self.J_NUMERIC, self.ROWS):
+            rows = slice(r, r + self.ROWS)
+            for p, m in enumerate(moments, 1):
+                m[rows] = np.sum(self._w[rows] * self._g[rows] ** p, axis=1)
         terms = np.pad([m1, m2, m3, m1 * m1, m1 * m2, m1**3], ((0, 0), (0, 1)))
         self._cum = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
 
@@ -286,14 +300,21 @@ class DownlinkImagMoments:
     """Vectorized M(ju) for the downlink meta distribution.
 
     Substituting t = log(1 + theta v^alpha) in the relative-distance-process
-    integral gives F(ju) = 1 + 2 int_0^T t^-delta psi_u(t) dt with a linear
-    oscillation phase; Gauss-Jacobi nodes against the t^-delta weight resolve
-    both the endpoint singularity and the oscillation at fixed cost.  The
-    most recently used CACHE_SIZE evaluators are kept.
+    integral gives F(ju) = 1 + 2 int_0^T t^-delta psi_u(t) dt, T = log(1 +
+    theta), with a linear oscillation phase and psi_u smooth.  The rule is
+    composite and built in O(n): a RULE-point Gauss-Jacobi head for the
+    t^-delta weight on [0, t1], t1 = min(T, HEAD_PERIODS periods of the
+    fastest oscillation the inversion reaches, 2 pi / U_CAP each), then
+    RULE-point Gauss-Legendre panels of width about t1 on [t1, T], their
+    weights times t^-delta.  M(ju) agrees with mpmath's
+    1/2F1(ju, -delta; 1-delta; -theta) within 1e-15 for u up to U_CAP, at
+    alpha from 2.2 to 8 and theta from 1e-4 to 1e5.  The most recently used
+    CACHE_SIZE evaluators are kept.
     """
 
     U_CAP = 4.0e3
-    NODES_PER_PERIOD = 8.0
+    RULE = 64
+    HEAD_PERIODS = 8.0
     CACHE_SIZE = 16
     _cache = OrderedDict()
 
@@ -305,21 +326,28 @@ class DownlinkImagMoments:
             return
         self.delta = 2.0 / alpha
         t_top = math.log1p(theta)
-        n = max(512, int(self.NODES_PER_PERIOD * self.U_CAP * t_top / (2.0 * math.pi)))
-        n = min(n, 60000)
-        x, w = _sps.roots_jacobi(n, 0.0, -self.delta)
-        t = t_top * (x + 1.0) / 2.0
-        scale = (t_top / 2.0) ** (1.0 - self.delta)
+        t_head = min(t_top, self.HEAD_PERIODS * 2.0 * math.pi / self.U_CAP)
+        t0, w0 = gauss_jacobi(self.RULE, -self.delta, 0.0, t_head)
+        ends = np.linspace(t_head, t_top, math.ceil((t_top - t_head) / t_head) + 1)
+        t1, w1 = gauss_legendre(self.RULE, ends[:-1], ends[1:])
+        t1, w1 = t1.ravel(), w1.ravel()
+        t = np.concatenate([t0, t1])
+        w = np.concatenate([w0, w1 * t1**-self.delta])
         # psi(t) = t^delta G(t), G(t) = theta^delta e^t (e^t - 1)^(-1-delta)/alpha
         em1 = np.expm1(t)
         g_td = theta**self.delta * np.exp(t) * em1 ** (-1.0 - self.delta) * t**self.delta / alpha
         self._t = t
-        self._w = scale * w * g_td
+        self._w = w * g_td
 
     def __call__(self, c, d):
         """M(ju) = 1/F on the grid u[p, i] = c[p] + d[i], where
-        F = 2F1(ju, -delta; 1-delta; -theta) = 1 + 2 sum_k w_k (1 - e^(-j u t_k))."""
-        return 1.0 / (1.0 + 2.0 * _node_sums(self._t[None], self._w[None], c, d)[0])
+        F = 2F1(ju, -delta; 1-delta; -theta) = 1 + 2 sum_k w_k (1 - e^(-j u t_k)),
+        formed in place over the node sums, whose factors stay within
+        _FACTOR_CAP / 8 entries (1 MB)."""
+        f = _node_sums(self._t[None], self._w[None], c, d, _FACTOR_CAP >> 3)[0]
+        f *= 2.0
+        f += 1.0
+        return np.divide(1.0, f, out=f)
 
 
 def moments_downlink_ppp(b, theta, alpha):
@@ -338,7 +366,7 @@ def moments_downlink_ppp(b, theta, alpha):
 _FACTOR_CAP = 1 << 19  # complex entries (8 MB) per node-sum factor, and per Ginibre block of node sums
 
 
-def _node_sums(t, w, c, d):
+def _node_sums(t, w, c, d, cap=None):
     """S[g, p, i] = sum_k w[g, k] (1 - e^(-j (c[p] + d[i]) t[g, k])) for the
     node groups t, w of shape (G, n), on the grid u[p, i] = c[p] + d[i].
 
@@ -346,17 +374,24 @@ def _node_sums(t, w, c, d):
     1 - a b = (1 - a) + a (1 - b) gives each group a row sum plus one complex
     matrix product: P n + n D exponentials in place of P D n.  The factors
     1 - e^(-jx) are formed without cancellation, so large weights near t = 0
-    keep their digits.  No factor exceeds _FACTOR_CAP entries."""
+    keep their digits.  The nodes go in steps and the rows in blocks so that
+    no factor exceeds `cap` entries (default _FACTOR_CAP); each step's b
+    factor serves every row block."""
+    cap = cap or _FACTOR_CAP
     s = np.zeros((len(t), len(c), len(d)), dtype=complex)
-    step = max(1, _FACTOR_CAP // max(len(c), len(d)))
+    step = max(1, min(t.shape[1], cap // len(d)))
+    rows = max(1, cap // step)
     for tg, wg, sg in zip(t, w, s):
         for k in range(0, len(tg), step):
             tk, wk = tg[k : k + step], wg[k : k + step]
-            one_minus_a = _one_minus_exp(np.outer(c, tk))
-            sg += (one_minus_a @ wk)[:, None]
-            a = 1.0 - one_minus_a
-            a *= wk
-            sg += a @ _one_minus_exp(np.outer(tk, d))
+            one_minus_b = _one_minus_exp(np.outer(tk, d))
+            for r in range(0, len(c), rows):
+                one_minus_a = _one_minus_exp(np.outer(c[r : r + rows], tk))
+                sr = sg[r : r + rows]
+                sr += (one_minus_a @ wk)[:, None]
+                a = 1.0 - one_minus_a
+                a *= wk
+                sr += a @ one_minus_b
     return s
 
 

@@ -173,3 +173,23 @@ def test_lsu_chunk_matches_a_pattern_loop(kind):
         corr = math.exp(-2.0 * math.pi * density * b * theta * d[0] ** alpha * radius ** (2.0 - alpha) / (alpha - 2.0))
         want.append(csp**b * corr)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_an_equidistant_batch_holds_two_point_sized_arrays():
+    """The distances are formed in place beside one repeated array at a
+    time: 2.02 points-sized arrays, against 3.01 out of place."""
+    import tracemalloc
+
+    c, density = UserClass("vertex"), 1.0
+    radius = simengine.default_window(density)
+    rng = simengine.seed_stream(1, 0, 7)
+    r1 = np.sqrt(rng.standard_gamma(2.0, 1024) / (density * math.pi))
+    points = rng.poisson(density * math.pi * np.maximum(radius**2 - r1 * r1, 0.0)).sum()
+    tracemalloc.start()
+    try:
+        location_users._equidistant_chunk.__wrapped__(simengine.seed_stream(1, 0, 7), 1024, c, 1.0, 1.0, 4.0,
+                                                      density, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * points * 8

@@ -7,6 +7,7 @@ import pytest
 from stochgeo.core import ToleranceError
 from stochgeo.numerics import (
     gamma_ratio,
+    gauss_jacobi,
     gauss_legendre,
     gil_pelaez_ccdf,
     integrate_1d,
@@ -112,6 +113,22 @@ def test_gauss_legendre_panels_are_the_scalar_calls_and_exact_to_degree_2n_minus
         k = 2 * n - 1
         exact = (hi[idx] ** (k + 1) - lo[idx] ** (k + 1)) / (k + 1)
         assert np.dot(ws, xs**k) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("b", [-0.8, -0.5, -0.4, -1.0 / 3.0, 0.0, 0.7])
+def test_gauss_jacobi_is_exact_to_degree_2n_minus_1(b):
+    # int_lo^hi (t - lo)^b (t - lo)^m dt = (hi - lo)^(b + m + 1) / (b + m + 1)
+    # for every m <= 2n - 1; scipy's roots_jacobi(64, 0, -0.5) misses m = 1
+    # by 4e-13
+    n, lo, hi = 64, 0.25, 2.25
+    t, w = gauss_jacobi(n, b, lo, hi)
+    assert t.shape == w.shape == (n,) and np.all(np.diff(t) > 0) and lo < t[0] and t[-1] < hi
+    for m in range(2 * n):
+        exact = (hi - lo) ** (b + m + 1.0) / (b + m + 1.0)
+        assert np.dot(w, (t - lo) ** m) == pytest.approx(exact, rel=1e-13)
+    if b == 0.0:
+        xl, wl = gauss_legendre(n, lo, hi)
+        assert np.allclose(t, xl, rtol=0, atol=1e-15) and np.allclose(w, wl, rtol=5e-12, atol=0)
 
 
 def test_integrate_exponential():

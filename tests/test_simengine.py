@@ -465,11 +465,32 @@ def test_faded_sums_draw_and_sum_as_one_draw_does(counts, monkeypatch):
     assert got_rng.random() == want_rng.random()  # the stream stands where one draw leaves it
 
 
+@pytest.mark.parametrize("counts", [
+    pytest.param([0, 5, 9, 3], id="first-empty"),
+    pytest.param([7, 9, 1, 0], id="last-empty"),
+    pytest.param([0, 0, 0], id="all-empty"),
+    pytest.param([2, 3], id="below-one-block"),
+    pytest.param([30, 1, 0, 16, 2], id="many-blocks"),
+])
+def test_faded_sums_of_two_slots_follow_one_another(counts, monkeypatch):
+    # one pass over blocks of both slots' gains draws what two whole draws
+    # in a row draw: slot 2's fading starts where slot 1's n values end
+    monkeypatch.setattr(simengine, "_BLOCK", 7)
+    counts = np.array(counts)
+    gains = [seed_stream(4, 2).random(counts.sum()) * 10.0, seed_stream(4, 4).random(counts.sum())]
+    want_rng, got_rng = seed_stream(4, 3), seed_stream(4, 3)
+    want = [simengine._segment_sums(want_rng.standard_exponential(g.size) * g, counts) for g in gains]
+    blocks = zip(*[[g[lo:lo + 5] for lo in range(0, g.size, 5)] for g in gains])  # not the skip's blocks
+    got = simengine._faded_sums(got_rng, blocks, counts, slots=2)
+    assert got.shape == (2, counts.size) and np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
 @pytest.mark.parametrize("u, arrays", [pytest.param(0.0, 1.3, id="u0"), pytest.param(2.0, 2.5, id="u2")])
 def test_an_interference_batch_draws_its_fading_in_blocks(u, arrays):
-    """One batch holds its path losses, one points-sized array at u = 0 and
-    two at u = 2, beside block-sized buffers: it peaks at 1.22 and 2.41
-    arrays, against 2.02 and 3.02 with a points-sized fading buffer."""
+    """One batch holds block-sized path losses and buffers: it peaks at
+    0.63 and 1.44 arrays, against 2.02 and 3.02 with a points-sized fading
+    buffer."""
     model, pl, size = NetworkModel(PPP(1.0), 4.0), PathLossSpec(4.0, 1.0), 1024
     points = sample_batch(model.field, 10.0, seed_stream(1, 0, 11), size)[0].size
     tracemalloc.start()
@@ -496,8 +517,9 @@ def test_interference_kernel_draws_the_reference_bits(field, u):
 @pytest.mark.parametrize("u, limit", [pytest.param(0.0, 2e6, id="u0"), pytest.param(2.0, 5e6, id="u2")])
 def test_a_poisson_interference_batch_holds_no_point_sized_array(u, limit, radius):
     """A Poisson batch is replayed block by block, so its peak does not grow
-    with the window: 1.61 MB at u = 0 and 3.19 MB at u = 2, at R = 10
-    (321 k points) and R = 25 (2.0 M points) alike."""
+    with the window: 1.61 MB at u = 0 and 3.71 MB at u = 2, at R = 10
+    (321 k points) and R = 25 (2.0 M points) alike.  At u = 2 one pass
+    holds a block's x, y and both path losses."""
     model, pl = NetworkModel(PPP(1.0), 4.0), PathLossSpec(4.0, 1.0)
     tracemalloc.start()
     try:

@@ -230,6 +230,39 @@ def test_downlink_imag_moments_grid_matches_node_sum():
     assert abs(1.0 / probe[0, 0] - direct(4000.0)) < 1e-12 * abs(direct(4000.0))
 
 
+@pytest.mark.parametrize("theta", [2.0 / 3.0, 10.0])
+@pytest.mark.parametrize("alpha", [2.5, 4.0, 6.0])
+def test_downlink_imag_moments_match_the_2f1(alpha, theta):
+    # oracle: M(ju) = 1 / 2F1(ju, -delta; 1 - delta; -theta) from mpmath at
+    # 30 digits, for u up to the cap; one Gauss-Jacobi rule over the whole
+    # of [0, log(1 + theta)] missed by 1.0e-9 at theta = 10, alpha = 4
+    mp = pytest.importorskip("mpmath")
+    us = np.array([0.5, 3.0, 17.0, 120.0, 800.0, 2500.0, 3999.0, DownlinkImagMoments.U_CAP])
+    got = DownlinkImagMoments(theta, alpha)(us, np.zeros(1))[:, 0]
+    delta = 2.0 / alpha
+    with mp.workdps(30):
+        ref = [complex(1 / mp.hyp2f1(1j * u, -mp.mpf(delta), 1 - mp.mpf(delta), -mp.mpf(theta))) for u in us]
+    assert np.max(np.abs(got - ref)) < 1e-11
+
+
+def test_a_downlink_inversion_holds_a_few_mb():
+    """The nine-point downlink grid at theta = 2/3 peaks at 10.5 MB traced
+    beside its built rule: the moment grid, node-sum factors of 1 MB and
+    integrand blocks of 256 panels.  With 8 MB factors and the integrand
+    of every panel at once it peaked at 44.6 MB."""
+    import tracemalloc
+
+    model = NetworkModel(PPP(1.0), alpha=4.0)
+    DownlinkImagMoments(2.0 / 3.0, 4.0)
+    tracemalloc.start()
+    try:
+        meta_distribution(model, 2.0 / 3.0, np.arange(0.1, 0.95, 0.1), "downlink")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
+
+
 def test_downlink_theta_zero():
     assert moments_downlink_ppp(1.0, 0.0, 4.0) == 1.0
 
@@ -659,6 +692,35 @@ def test_gpp_table_equals_scipy_stats_build(beta, density, alpha):
         assert np.array_equal(a, b)
 
 
+def test_the_gpp_table_is_built_in_row_blocks():
+    """The (J, N) arrays are filled 256 indices at a time: 6.3 MB traced,
+    the two 2.56 MB outputs and block temporaries, against 15.5 MB when
+    every temporary was a whole table."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        GppAdhocMoments._table(1.0, 0.1, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6
+
+
+@pytest.mark.parametrize("beta, density, alpha, theta, r_t", [(1.0, 0.1, 4.0, 1.0, 1.0), (0.5, 1.0, 3.0, 10.0, 0.7)])
+def test_gpp_evaluator_sums_equal_the_whole_table_arithmetic(beta, density, alpha, theta, r_t):
+    # the phases and tail moments that __init__ forms in place and by row
+    # blocks, against the out-of-place build over the whole table
+    ev = GppAdhocMoments(GPP(density, beta), theta, alpha, r_t)
+    lo_pow, w, mid_pow = _stats_gpp_table(beta, density, alpha)
+    c = theta * r_t**alpha
+    g = np.log1p(c * mid_pow)
+    m1, m2, m3 = (np.sum(w * g**p, axis=1) for p in (1, 2, 3))
+    terms = np.pad([m1, m2, m3, m1 * m1, m1 * m2, m1**3], ((0, 0), (0, 1)))
+    assert np.array_equal(ev._g, g) and np.array_equal(ev._g_upper, np.log1p(c * lo_pow))
+    assert np.array_equal(ev._cum, np.cumsum(terms[:, ::-1], axis=1)[:, ::-1])
+
+
 def test_gpp_table_cache_is_bounded_and_keyed_by_every_input(monkeypatch):
     from collections import OrderedDict
 
@@ -841,6 +903,23 @@ def test_gpp_meta_grid_calls_the_evaluator_once_per_width_and_round(monkeypatch)
     assert 1 <= len(panels) <= 2 * (numerics._GP_MAX_DEPTH + 1)
 
 
+@pytest.mark.parametrize("geometry", ["ginibre", "downlink"])
+def test_row_blocks_do_not_change_the_meta_grid(geometry, monkeypatch):
+    # the integrand formed 256 panels at a time and the Ginibre table and
+    # tail moments built 256 indices at a time give every value of a
+    # whole-array build
+    from stochgeo import numerics
+
+    model, theta = (GPP_MODEL, 1.0) if geometry == "ginibre" else (NetworkModel(PPP(1.0), alpha=4.0), 2.0 / 3.0)
+    xs = np.arange(0.1, 0.95, 0.1)
+    blocked = meta_distribution(model, theta, xs, geometry if geometry == "downlink" else "adhoc")
+    monkeypatch.setattr(numerics, "_GP_ROWS", 1 << 30)
+    monkeypatch.setattr(GppAdhocMoments, "ROWS", GppAdhocMoments.J_NUMERIC)
+    monkeypatch.setattr(GppAdhocMoments, "_cache", type(GppAdhocMoments._cache)())
+    whole = meta_distribution(model, theta, xs, geometry if geometry == "downlink" else "adhoc")
+    assert np.array_equal(blocked, whole)
+
+
 def test_node_sum_blocks_do_not_change_the_grids(monkeypatch):
     # a smaller cap splits the Ginibre rows into smaller blocks, which leaves
     # every value as it was while each block keeps two or more rows (a block
@@ -860,22 +939,37 @@ def test_node_sum_blocks_do_not_change_the_grids(monkeypatch):
     assert _rel_err(down(c[:8], d), down_default[:8]) < 1e-13
 
 
-def test_ginibre_moment_leaves_scipy_stats_unimported():
+def _loaded_after(code, module):
+    """Whether `module` is in sys.modules after a fresh interpreter imports
+    stochgeo.cli and runs `code`."""
     import os
     import subprocess
     import sys
 
     import stochgeo
 
-    code = (
-        "import sys, stochgeo.cli\n"
-        "from stochgeo.pointprocess import GPP, NetworkModel\n"
-        "from stochgeo.sir_analysis import moments_adhoc\n"
-        "moments_adhoc(NetworkModel(GPP(0.1, 1.0), 4.0, 1.0), 1.0, 1.0)\n"
-        "print('scipy.stats' in sys.modules)\n"
-    )
+    code = f"import sys, stochgeo.cli\n{code}\nprint({module!r} in sys.modules)\n"
     src = os.path.dirname(os.path.dirname(os.path.abspath(stochgeo.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_ginibre_moment_leaves_scipy_stats_unimported():
+    code = (
+        "from stochgeo.pointprocess import GPP, NetworkModel\n"
+        "from stochgeo.sir_analysis import moments_adhoc\n"
+        "moments_adhoc(NetworkModel(GPP(0.1, 1.0), 4.0, 1.0), 1.0, 1.0)"
+    )
+    assert not _loaded_after(code, "scipy.stats")
+
+
+def test_downlink_meta_leaves_scipy_linalg_unimported():
+    # the Gauss-Jacobi head is built with numpy.linalg, not scipy.special.roots_jacobi
+    code = (
+        "from stochgeo.pointprocess import PPP, NetworkModel\n"
+        "from stochgeo.sir_analysis import meta_distribution\n"
+        "meta_distribution(NetworkModel(PPP(1.0), 4.0), 1.0, 0.5, 'downlink')"
+    )
+    assert not _loaded_after(code, "scipy.linalg")

@@ -32,6 +32,7 @@ closed forms; it skips a name it does not find.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -95,8 +96,11 @@ def test_every_definition_is_reached_or_kept():
 
 
 def test_gauss_legendre_rules_are_built_only_in_numerics():
-    # one rule builder: other modules call numerics.gauss_legendre
-    builders = sorted(p.name for p in SRC.glob("*.py") if "leggauss" in p.read_text() and p.name != "numerics.py")
+    # one place builds quadrature rules: other modules call
+    # numerics.gauss_legendre and numerics.gauss_jacobi, never numpy's
+    # leggauss or a scipy.special.roots_* builder
+    builders = sorted(p.name for p in SRC.glob("*.py")
+                      if re.search(r"leggauss|\broots_\w+", p.read_text()) and p.name != "numerics.py")
     assert builders == []
 
 
